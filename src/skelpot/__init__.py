@@ -20,9 +20,9 @@ from .potential import (GreenFunction, GreenVerdict, HarmonicExtension,
 from .regularize import (RegularizationSequence, arc_second_difference,
                          build_regularization, eval_smoothed, sample_points,
                          smooth_max, smooth_max_n, theta)
-from .rationalize import (ApproxPAFunction, RationalizationCertificate,
-                          RationalizationError, insert_collar, rationalize,
-                          tent_decompose, tent_reconstruction)
+from .rationalize import (RationalizationCertificate, RationalizationError,
+                          insert_collar, rationalize, tent_decompose,
+                          tent_reconstruction)
 from .superforms import (AffineMap, Poly, SuperForm, d_prime, d_second,
                          format_form, hessian_form, integrate_box,
                          is_positive_11, j_involution, parse_form, pullback,

@@ -19,20 +19,17 @@ import sys
 import time
 from fractions import Fraction
 
-from .graph import (EdgePoint, GraphError, MetricGraph, Vertex,
-                    point_from_json, point_to_json)
-from .pa_function import (DiscreteMeasure, PAFunction, integrate,
-                          linear_combine)
+from .graph import EdgePoint, GraphError, MetricGraph, Vertex, point_to_json
+from .pa_function import PAFunction
 from .potential import (NotSubharmonicError, dirichlet_solve,
                         evaluation_formula_check, green, green_to_json_dict,
                         is_subharmonic_green, maximum_principle_check)
 from .rational import RationalParseError, format_rational, parse_rational
-from .rationalize import (ApproxPAFunction, RationalizationError,
-                          rationalize, tent_decompose, tent_reconstruction)
+from .rationalize import (RationalizationError, rationalize, tent_decompose,
+                          tent_reconstruction)
 from .regularize import (build_regularization, eval_smoothed, smooth_max,
                          smooth_max_n)
-from .randgen import (random_graph, random_non_subharmonic,
-                      random_pa_function, random_subharmonic)
+from .randgen import random_graph, random_pa_function, random_subharmonic
 from . import superforms as sf
 
 
@@ -52,11 +49,9 @@ def _load_json(path: str):
         ) from exc
 
 
-def _load_function(path: str, decimal: bool = False) -> PAFunction:
+def _load_function(path: str) -> PAFunction:
     d = _load_json(path)
     try:
-        if decimal:
-            return ApproxPAFunction.from_decimal_json_dict(d)
         return PAFunction.from_json_dict(d)
     except (GraphError, RationalParseError, ValueError, KeyError) as exc:
         raise InputError(f"{path}: {exc}") from exc
@@ -166,7 +161,7 @@ def cmd_regularize(args) -> int:
                 "center": p.center,
                 "mass": format_rational(p.mass),
                 "cone_arcs": {eid: [format_rational(a), format_rational(b)]
-                              for eid, (a, b) in sorted(p.cone.arcs.items())},
+                              for eid, (a, b) in sorted(p.cone.items())},
                 "arc_eps": {eid: format_rational(v)
                             for eid, v in sorted(p.arc_eps.items())},
             } for p in seq.patches],
@@ -179,7 +174,7 @@ def cmd_regularize(args) -> int:
 
 def cmd_rationalize(args) -> int:
     f = _load_function(args.f)
-    g_in = _load_function(args.g, decimal=True)
+    g_in = _load_function(args.g)
     try:
         tol = parse_rational(args.tol)
         cert = rationalize(f, g_in, tol)
@@ -496,6 +491,16 @@ def cmd_selftest(args) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="skelpot",
@@ -528,8 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regularize",
                        help="monotone smooth approximation, CSV samples")
     p.add_argument("file", help="subharmonic PA function JSON")
-    p.add_argument("--k", type=int, default=10, help="number of terms")
-    p.add_argument("--samples", type=int, default=32,
+    p.add_argument("--k", type=_positive_int, default=10,
+                   help="number of terms")
+    p.add_argument("--samples", type=_positive_int, default=32,
                    help="sample points per edge")
     p.add_argument("--patches", help="write patch/epsilon JSON to this file")
     p.set_defaults(fn=cmd_regularize)

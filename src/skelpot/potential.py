@@ -160,7 +160,10 @@ def local_green_pairing(f: PAFunction, x: GraphPoint) -> Fraction:
     subdomain around the interior point x (pole at x).
 
     The star's arms stay inside single affine pieces of f, mirroring the
-    choice of a small affinoid neighborhood around the pole.
+    choice of a small affinoid neighborhood around the pole.  That Green
+    function is known in closed form: mass -1 at x and, at the end of arm
+    i, the share w_i = (1/a_i) / sum_j (1/a_j) of the arm conductances, so
+    the pairing is  sum_i w_i f(end_i) - f(x).
     """
     g = f.graph
     g.require_point(x)
@@ -170,34 +173,17 @@ def local_green_pairing(f: PAFunction, x: GraphPoint) -> Fraction:
     if not dirs:
         raise GraphError("isolated point")
 
-    # Build the abstract star graph: center c, one leaf per direction.
-    leaves, edges, global_pts = [], [], {}
-    for i, d in enumerate(dirs):
+    ends = []
+    for d in dirs:
         arm = _arm_length(f, x, d.edge, d.toward_v)
-        leaf = f"l{i}"
-        leaves.append(leaf)
-        edges.append((("c"), leaf, arm, f"a{i}"))
-        e = g.edge(d.edge)
         if isinstance(x, Vertex):
-            off = arm if d.toward_v else e.length - arm
+            base = Fraction(0) if d.toward_v else g.edge(d.edge).length
         else:
-            off = x.offset + arm if d.toward_v else x.offset - arm
-        if off == 0:
-            global_pts[leaf] = Vertex(e.u)
-        elif off == e.length:
-            global_pts[leaf] = Vertex(e.v)
-        else:
-            global_pts[leaf] = EdgePoint(d.edge, off)
-    star = MetricGraph(["c"] + leaves, edges, leaves, allow_parallel=True)
-    gf = green(star, Vertex("c"))
-    mu = gf.result.ddc()
-    total = Fraction(0)
-    for p, m in mu.support:
-        if isinstance(p, Vertex) and p.id == "c":
-            total += m * f.eval(x)
-        else:
-            total += m * f.eval(global_pts[p.id])
-    return total
+            base = x.offset
+        ends.append((1 / arm, EdgePoint(d.edge, base + arm if d.toward_v
+                                        else base - arm)))
+    total_conductance = sum(c for c, _ in ends)
+    return sum(c * f.eval(p) for c, p in ends) / total_conductance - f.eval(x)
 
 
 def default_pole_sample(f: PAFunction) -> list[GraphPoint]:

@@ -14,18 +14,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import EdgePoint, GraphError, MetricGraph, Vertex
+from .graph import GraphError, Vertex
 from .pa_function import PAFunction, integrate, linear_combine
-from .rational import format_rational, parse_rational
-
-
-class ApproxPAFunction(PAFunction):
-    """Same structure as PAFunction; offsets/values typically carry huge
-    denominators coming from exact decimal parsing."""
-
-    @classmethod
-    def from_decimal_json_dict(cls, d: dict, graph: MetricGraph | None = None):
-        return cls.from_json_dict(d, graph=graph)
+from .rational import format_rational
 
 
 @dataclass

@@ -9,6 +9,9 @@ arguments far below the maximum drop out bit-exactly.
 The regularization sequence replaces a subharmonic piecewise-affine f
 near each positive-mass peak x by m_{eps/2}(G_x + eps, f), where G_x is
 a dominated harmonic cone at x, with a geometrically shrinking eps.
+Both arguments are affine on every arc of the peak's star, so each term
+is evaluated exactly over the rationals; eval_smoothed and
+arc_second_difference round the exact value to a float once, at the end.
 """
 
 from __future__ import annotations
@@ -24,25 +27,21 @@ from .potential import NotSubharmonicError
 # -- scalar smooth-max calculus ------------------------------------------------
 
 
-def theta(eps: float, t: float) -> float:
+def theta(eps, t):
     """Symmetric convex 1-Lipschitz spline, strictly positive,
-    equal to |t| for |t| >= eps."""
-    eps = float(eps)
+    equal to |t| for |t| >= eps.  Works over any ordered field."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    t = float(t)
     if abs(t) >= eps:
         return abs(t)
     return t * t / (2 * eps) + eps / 2
 
 
-def smooth_max(eps: float, a: float, b: float) -> float:
-    """Smoothed maximum: exact max when |a - b| >= eps, overshoot <= eps/4."""
-    eps = float(eps)
+def smooth_max(eps, a, b):
+    """Smoothed maximum: exact max when |a - b| >= eps, overshoot <= eps/4.
+    Works over any ordered field."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    a = float(a)
-    b = float(b)
     if abs(a - b) >= eps:
         return a if a > b else b
     return (a + b + theta(eps, a - b)) / 2
@@ -114,116 +113,6 @@ def smooth_max_n(delta: float, ts) -> float:
     return total
 
 
-# -- smoothed functions on a graph ---------------------------------------------
-
-
-class SmoothedFunction:
-    """Expression-tree node; evaluation is real-valued and total on the
-    graph's points."""
-
-    graph: MetricGraph
-
-    def value(self, p: GraphPoint) -> float:
-        raise NotImplementedError
-
-
-class PALeaf(SmoothedFunction):
-    def __init__(self, f: PAFunction):
-        self.graph = f.graph
-        self.f = f
-
-    def value(self, p: GraphPoint) -> float:
-        return float(self.f.eval(p))
-
-
-class ArcAffineLeaf(SmoothedFunction):
-    """Affine in arc length on a set of edges: per edge, values at the two
-    endpoints (offset 0 and offset length)."""
-
-    def __init__(self, graph: MetricGraph, arcs: dict):
-        self.graph = graph
-        self.arcs = {eid: (Fraction(a), Fraction(b))
-                     for eid, (a, b) in arcs.items()}
-
-    def value_exact(self, p: GraphPoint) -> Fraction:
-        if isinstance(p, Vertex):
-            for eid, (va, vb) in self.arcs.items():
-                e = self.graph.edge(eid)
-                if e.u == p.id:
-                    return va
-                if e.v == p.id:
-                    return vb
-            raise GraphError(f"vertex {p.id} outside the arc domain")
-        if p.edge not in self.arcs:
-            raise GraphError(f"edge {p.edge} outside the arc domain")
-        va, vb = self.arcs[p.edge]
-        e = self.graph.edge(p.edge)
-        return va + (vb - va) * p.offset / e.length
-
-    def value(self, p: GraphPoint) -> float:
-        return float(self.value_exact(p))
-
-
-class ShiftNode(SmoothedFunction):
-    def __init__(self, c, child: SmoothedFunction):
-        self.graph = child.graph
-        self.c = c
-        self.child = child
-
-    def value(self, p: GraphPoint) -> float:
-        return self.child.value(p) + float(self.c)
-
-
-class SmoothMaxNode(SmoothedFunction):
-    def __init__(self, eps, left: SmoothedFunction, right: SmoothedFunction):
-        self.graph = left.graph
-        self.eps = eps
-        self.left = left
-        self.right = right
-
-    def value(self, p: GraphPoint) -> float:
-        return smooth_max(float(self.eps), self.left.value(p),
-                          self.right.value(p))
-
-
-class PatchNode(SmoothedFunction):
-    """inside on the (open) star of a center vertex, outside elsewhere;
-    the star region is the center plus the interiors of its edges."""
-
-    def __init__(self, center: str, region_edges, inside: SmoothedFunction,
-                 outside: SmoothedFunction):
-        self.graph = inside.graph
-        self.center = center
-        self.region_edges = frozenset(region_edges)
-        self.inside = inside
-        self.outside = outside
-
-    def _in_region(self, p: GraphPoint) -> bool:
-        if isinstance(p, Vertex):
-            return p.id == self.center
-        return p.edge in self.region_edges
-
-    def value(self, p: GraphPoint) -> float:
-        return (self.inside if self._in_region(p) else self.outside).value(p)
-
-
-def eval_smoothed(s: SmoothedFunction, p: GraphPoint) -> float:
-    return s.value(s.graph.normalize_point(p))
-
-
-def arc_second_difference(s: SmoothedFunction, edge_id: str, offset, h) -> float:
-    """Central second difference along an edge, (s(o-h)-2s(o)+s(o+h))/h^2."""
-    e = s.graph.edge(edge_id)
-    off = Fraction(offset)
-    step = Fraction(h)
-    if step <= 0 or off - step <= 0 or off + step >= e.length:
-        raise GraphError("offset +- h must stay strictly inside the edge")
-    vm = s.value(EdgePoint(edge_id, off - step))
-    v0 = s.value(EdgePoint(edge_id, off))
-    vp = s.value(EdgePoint(edge_id, off + step))
-    return (vm - 2 * v0 + vp) / float(step) ** 2
-
-
 # -- the monotone regularization sequence ---------------------------------------
 
 
@@ -233,8 +122,48 @@ class Patch:
 
     center: str
     mass: Fraction
-    cone: ArcAffineLeaf           # G_x on the star edges
-    arc_eps: dict                 # edge id -> (f(x_i) - G_x(x_i)) / 3
+    cone: dict                    # star edge id -> (G_x(u), G_x(v))
+    arc_eps: dict                 # edge id -> mass * length / (3 deg(x))
+
+
+@dataclass(frozen=True)
+class RegularizationTerm:
+    """One term f_k: m_{eps/2}(G_x + eps, f) on the open star of every
+    peak x, and f elsewhere.  The peak stars are pairwise disjoint, so a
+    single edge -> cone lookup covers all of them."""
+
+    base: PAFunction
+    eps: Fraction
+    centers: frozenset
+    cone: dict                    # star edge id -> (G_x(u), G_x(v))
+
+    def value(self, p: GraphPoint) -> Fraction:
+        fp = self.base.eval(p)
+        if isinstance(p, Vertex):
+            return fp + self.eps if p.id in self.centers else fp
+        if p.edge not in self.cone:
+            return fp
+        gu, gv = self.cone[p.edge]
+        gp = gu + (gv - gu) * p.offset / self.base.graph.edge(p.edge).length
+        return smooth_max(self.eps / 2, gp + self.eps, fp)
+
+
+def eval_smoothed(s: RegularizationTerm, p: GraphPoint) -> float:
+    return float(s.value(s.base.graph.normalize_point(p)))
+
+
+def arc_second_difference(s: RegularizationTerm, edge_id: str, offset,
+                          h) -> float:
+    """Central second difference along an edge, (s(o-h)-2s(o)+s(o+h))/h^2."""
+    e = s.base.graph.edge(edge_id)
+    off = Fraction(offset)
+    step = Fraction(h)
+    if step <= 0 or off - step <= 0 or off + step >= e.length:
+        raise GraphError("offset +- h must stay strictly inside the edge")
+    vm = s.value(EdgePoint(edge_id, off - step))
+    v0 = s.value(EdgePoint(edge_id, off))
+    vp = s.value(EdgePoint(edge_id, off + step))
+    return float((vm - 2 * v0 + vp) / step ** 2)
 
 
 @dataclass(frozen=True)
@@ -243,7 +172,7 @@ class RegularizationSequence:
     graph: MetricGraph
     patches: tuple[Patch, ...]
     epsilons: tuple[Fraction, ...]
-    terms: tuple[SmoothedFunction, ...]
+    terms: tuple[RegularizationTerm, ...]
 
 
 def _subdivide_between_peaks(f: PAFunction) -> PAFunction:
@@ -267,7 +196,8 @@ def build_regularization(graph: MetricGraph, f: PAFunction,
     Peaks (positive interior Laplacian mass) are promoted to vertices and
     separated by midpoint subdivisions; each gets a harmonic cone G_x with
     arc slopes  d_i f(x) - mass/deg(x), an epsilon budget of a third of
-    the arc gap, and the smoothing  m_{eps/2}(G_x + eps, f)  on its star.
+    the arc gap  mass * length / deg(x),  and the smoothing
+    m_{eps/2}(G_x + eps, f)  on its star.
     """
     if f.graph != graph:
         raise GraphError("function lives on a different graph")
@@ -281,44 +211,33 @@ def build_regularization(graph: MetricGraph, f: PAFunction,
     g = f.graph
 
     patches = []
-    eps0 = None
     for p, mass in f.ddc().support:
         if not isinstance(p, Vertex) or p.id in g.boundary or mass <= 0:
             continue
         dirs = g.star(p)
         deg = len(dirs)
-        arcs = {}
-        arc_eps = {}
         fx = f.vertex_value(p.id)
+        cone, arc_eps = {}, {}
         for d in dirs:
             e = g.edge(d.edge)
-            slope = f.outgoing_slope(d) - mass / deg
-            far = fx + slope * e.length
-            arcs[e.id] = (fx, far) if d.toward_v else (far, fx)
-            other = e.v if d.toward_v else e.u
-            gap = f.vertex_value(other) - far
-            assert gap > 0
-            arc_eps[e.id] = gap / 3
-            if eps0 is None or arc_eps[e.id] < eps0:
-                eps0 = arc_eps[e.id]
-        patches.append(Patch(p.id, mass, ArcAffineLeaf(g, arcs), arc_eps))
+            far = fx + (f.outgoing_slope(d) - mass / deg) * e.length
+            cone[e.id] = (fx, far) if d.toward_v else (far, fx)
+            # f is affine on e, so the arc gap f - G_x at the far end is
+            # exactly mass * length / deg
+            arc_eps[e.id] = mass * e.length / (3 * deg)
+        patches.append(Patch(p.id, mass, cone, arc_eps))
 
     if not patches:
-        leaf = PALeaf(f)
-        return RegularizationSequence(f, g, (), (), (leaf,) * n_terms)
+        term = RegularizationTerm(f, Fraction(0), frozenset(), {})
+        return RegularizationSequence(f, g, (), (), (term,) * n_terms)
 
+    eps0 = min(v for patch in patches for v in patch.arc_eps.values())
     epsilons = tuple(eps0 / 4 ** k for k in range(n_terms))
-    terms = []
-    for eps in epsilons:
-        expr: SmoothedFunction = PALeaf(f)
-        for patch in patches:
-            inside = SmoothMaxNode(eps / 2,
-                                   ShiftNode(eps, patch.cone),
-                                   PALeaf(f))
-            expr = PatchNode(patch.center, patch.cone.arcs.keys(),
-                             inside, expr)
-        terms.append(expr)
-    return RegularizationSequence(f, g, tuple(patches), epsilons, tuple(terms))
+    centers = frozenset(patch.center for patch in patches)
+    cone = {eid: arc for patch in patches for eid, arc in patch.cone.items()}
+    terms = tuple(RegularizationTerm(f, eps, centers, cone)
+                  for eps in epsilons)
+    return RegularizationSequence(f, g, tuple(patches), epsilons, terms)
 
 
 def sample_points(g: MetricGraph, f: PAFunction, per_edge: int = 32):

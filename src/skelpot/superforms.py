@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .linalg import is_psd_exact, rank_exact
 from .rational import format_rational

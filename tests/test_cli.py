@@ -176,6 +176,19 @@ def test_regularize_rejects_non_subharmonic(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--k", "0"),
+                                         ("--k", "-1")])
+def test_regularize_counts_below_one_are_usage_errors(tmp_path, capsys,
+                                                      flag, value):
+    f = tent_function(tmp_path, sign="-1")
+    with pytest.raises(SystemExit) as exc:
+        main(["regularize", f, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and ">= 1" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # rationalize
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from skelpot import (EdgePoint, NotHarmonicError, NotSubharmonicError,
-                     PAFunction, Vertex, dirichlet_solve,
+from skelpot import (EdgePoint, MetricGraph, NotHarmonicError,
+                     NotSubharmonicError, PAFunction, Vertex, dirichlet_solve,
                      evaluation_formula_check, green, green_to_json_dict,
                      integrate, is_subharmonic_green, linear_combine,
                      local_green_pairing, maximum_principle_check)
+from skelpot.potential import _arm_length
 from skelpot.randgen import random_graph, random_pa_function, random_subharmonic
 
 from conftest import graph_from, pa
@@ -166,6 +167,65 @@ def test_local_pairing_sign_matches_mass():
             pairing = local_green_pairing(f, p)
             assert (pairing > 0) == (mass > 0)
             assert (pairing < 0) == (mass < 0)
+
+
+def _star_green_pairing(f, x):
+    """The local pairing by a full Green solve on the explicit star
+    around x: center c, one boundary leaf per tangent direction."""
+    g = f.graph
+    leaves, edges, ends = [], [], {}
+    for i, d in enumerate(g.star(x)):
+        arm = _arm_length(f, x, d.edge, d.toward_v)
+        if isinstance(x, Vertex):
+            base = F(0) if d.toward_v else g.edge(d.edge).length
+        else:
+            base = x.offset
+        leaves.append(f"l{i}")
+        edges.append(("c", f"l{i}", arm, f"a{i}"))
+        ends[f"l{i}"] = EdgePoint(d.edge, base + arm if d.toward_v
+                                  else base - arm)
+    star = MetricGraph(["c"] + leaves, edges, leaves, allow_parallel=True)
+    mu = green(star, Vertex("c")).result.ddc()
+    return sum(m * f.eval(x if p.id == "c" else ends[p.id])
+               for p, m in mu.support)
+
+
+def _random_star_function(rng):
+    """Random PA function on a star of degree 1-6 with rational arm
+    lengths, arms of either orientation, and 0-3 kinks per arm."""
+    deg = rng.randint(1, 6)
+    fc = F(rng.randint(-9, 9), rng.randint(1, 5))
+    edges, profiles = [], {}
+    for i in range(deg):
+        length = F(rng.randint(1, 40), rng.randint(1, 9))
+        outward = rng.random() < 0.5
+        u, v = ("c", f"l{i}") if outward else (f"l{i}", "c")
+        edges.append({"id": f"a{i}", "u": u, "v": v, "len": str(length)})
+        offs = sorted({length * F(rng.randint(1, 99), 100)
+                       for _ in range(rng.randint(0, 3))})
+        prof = [(o, F(rng.randint(-9, 9), rng.randint(1, 5)))
+                for o in [F(0)] + offs + [length]]
+        end = 0 if outward else -1
+        prof[end] = (prof[end][0], fc)
+        profiles[f"a{i}"] = prof
+    g = graph_from({"vertices": ["c"] + [f"l{i}" for i in range(deg)],
+                    "edges": edges,
+                    "boundary": [f"l{i}" for i in range(deg)]})
+    return pa(g, profiles)
+
+
+def test_local_pairing_matches_star_green_solve():
+    """The closed-form star pairing equals the pairing against a full
+    Green solve on the star, at vertex and edge-interior poles."""
+    rng = random.Random(11)
+    for _ in range(150):
+        f = _random_star_function(rng)
+        poles = [Vertex("c")]
+        for e in f.graph.edges:
+            poles += [EdgePoint(e.id, o) for o, _ in f.profiles[e.id][1:-1]]
+            poles.append(EdgePoint(e.id, e.length * F(rng.randint(1, 9), 10)))
+        for x in poles:
+            assert local_green_pairing(f, x) == _star_green_pairing(f, x)
 
 
 def test_maximum_principle_examples(unit_edge):

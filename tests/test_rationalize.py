@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from skelpot import (EdgePoint, GraphError, MetricGraph, Vertex, green,
-                     integrate, linear_combine)
-from skelpot.rationalize import (ApproxPAFunction, RationalizationError,
-                                 insert_collar, rationalize,
-                                 tent_decompose, tent_reconstruction)
+from skelpot import (EdgePoint, GraphError, MetricGraph, PAFunction, Vertex,
+                     green, integrate, linear_combine)
+from skelpot.rationalize import (RationalizationError, insert_collar,
+                                 rationalize, tent_decompose,
+                                 tent_reconstruction)
 
 from conftest import graph_from, pa
 
@@ -160,7 +160,7 @@ def test_decimal_json_input_parses_exactly():
         "profiles": {"e0": [["0", "0"], ["1", "0.4999999"]],
                      "e1": [["0", "0.4999999"], ["1", "0"]]},
     }
-    g_in = ApproxPAFunction.from_decimal_json_dict(fdict)
+    g_in = PAFunction.from_json_dict(fdict)
     assert g_in.vertex_value("b") == F(4999999, 10**7)
     f = pa(g_in.graph, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})
     cert = rationalize(f, g_in, F(1, 1000))

@@ -143,7 +143,7 @@ def test_valley_hand_trace(unit_edge):
     assert len(seq.patches) == 1
     patch = seq.patches[0]
     assert patch.mass == 4
-    assert all(v == (0, 0) for v in patch.cone.arcs.values())
+    assert all(v == (0, 0) for v in patch.cone.values())
     assert all(e == F(1, 3) for e in patch.arc_eps.values())
     assert seq.epsilons[0] == F(1, 3)
     assert seq.epsilons[1] == F(1, 12)
@@ -218,3 +218,36 @@ def test_vertex_outgoing_sums_nonnegative():
                     total += (eval_smoothed(term, EdgePoint(e.id, off))
                               - v0) / float(h)
                 assert total >= -1e-9
+
+
+def test_exact_monotone_sandwich_and_arc_budgets():
+    """Exact over the rationals, with no float slack: on vertices,
+    breakpoints and a 16-per-edge grid, f <= f_{k+1} <= f_k <= f + 5/4 eps_k;
+    and every arc budget is a third of the far-end gap f - G_x, which is
+    mass * length / deg(x)."""
+    rng = random.Random(23)
+    for _ in range(12):
+        g = random_graph(rng, max_vertices=6, max_edges=8)
+        f = random_subharmonic(rng, g)
+        seq = build_regularization(g, f, n_terms=4)
+        wg, base = seq.graph, seq.base
+        for patch in seq.patches:
+            center = Vertex(patch.center)
+            deg = len(wg.star(center))
+            assert patch.mass == base.ddc().mass_at(center)
+            for eid, arc_eps in patch.arc_eps.items():
+                e = wg.edge(eid)
+                far = e.v if e.u == patch.center else e.u
+                g_far = patch.cone[eid][1 if far == e.v else 0]
+                assert arc_eps == (base.vertex_value(far) - g_far) / 3
+                assert arc_eps == patch.mass * e.length / (3 * deg)
+        pts = [wg.normalize_point(p)
+               for p in sample_points(wg, base, per_edge=16)]
+        for p in pts:
+            fp = base.eval(p)
+            vals = [term.value(p) for term in seq.terms]
+            assert all(isinstance(v, Fraction) for v in vals)
+            for k, eps in enumerate(seq.epsilons):
+                assert fp <= vals[k] <= fp + F(5, 4) * eps
+                if k + 1 < len(vals):
+                    assert fp <= vals[k + 1] <= vals[k]
