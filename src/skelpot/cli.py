@@ -9,6 +9,7 @@ go to stderr.  Exit codes: 0 success / true verdict, 1 negative verdict,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -143,30 +144,36 @@ def cmd_regularize(args) -> int:
     except NotSubharmonicError as exc:
         raise InputError(str(exc)) from exc
     g, base = seq.graph, seq.base
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["k", "edge", "offset", "f_k", "f", "f_k_minus_f"])
-    for k, term in enumerate(seq.terms):
-        for e in g.edges:
-            for i in range(args.samples + 1):
-                off = e.length * i / args.samples
-                p = EdgePoint(e.id, off)
-                fk = eval_smoothed(term, p)
-                fv = float(base.eval(p))
-                writer.writerow([k, e.id, format_rational(off),
-                                 repr(fk), repr(fv), repr(fk - fv)])
-    if args.patches:
-        dump = {
-            "epsilons": [format_rational(e) for e in seq.epsilons],
-            "patches": [{
-                "center": p.center,
-                "mass": format_rational(p.mass),
-                "cone_arcs": {eid: [format_rational(a), format_rational(b)]
-                              for eid, (a, b) in sorted(p.cone.items())},
-                "arc_eps": {eid: format_rational(v)
-                            for eid, v in sorted(p.arc_eps.items())},
-            } for p in seq.patches],
-        }
-        with open(args.patches, "w") as fh:
+    try:
+        patches = (open(args.patches, "w") if args.patches
+                   else contextlib.nullcontext())
+    except OSError as exc:
+        raise InputError(f"cannot write {args.patches}: {exc}") from exc
+    with patches as fh:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["k", "edge", "offset", "f_k", "f", "f_k_minus_f"])
+        for k, term in enumerate(seq.terms):
+            for e in g.edges:
+                for i in range(args.samples + 1):
+                    off = e.length * i / args.samples
+                    p = EdgePoint(e.id, off)
+                    fk = eval_smoothed(term, p)
+                    fv = float(base.eval(p))
+                    writer.writerow([k, e.id, format_rational(off),
+                                     repr(fk), repr(fv), repr(fk - fv)])
+        if fh is not None:
+            dump = {
+                "epsilons": [format_rational(e) for e in seq.epsilons],
+                "patches": [{
+                    "center": p.center,
+                    "mass": format_rational(p.mass),
+                    "cone_arcs": {eid: [format_rational(a),
+                                        format_rational(b)]
+                                  for eid, (a, b) in sorted(p.cone.items())},
+                    "arc_eps": {eid: format_rational(v)
+                                for eid, v in sorted(p.arc_eps.items())},
+                } for p in seq.patches],
+            }
             json.dump(dump, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0
@@ -192,12 +199,16 @@ def _infer_dim(*texts: str) -> int:
     return max(r, 1)
 
 
+def _parse_form(text: str, r: int) -> sf.SuperForm:
+    try:
+        return sf.parse_form(text, r)
+    except (sf.FormParseError, sf.BidegreeError) as exc:
+        raise InputError(f"{text!r}: {exc}") from exc
+
+
 def cmd_superform(args) -> int:
     r = args.r or _infer_dim(args.expr, args.second or "")
-    try:
-        alpha = sf.parse_form(args.expr, r)
-    except sf.FormParseError as exc:
-        raise InputError(str(exc)) from exc
+    alpha = _parse_form(args.expr, r)
     if args.op == "dprime":
         out = sf.d_prime(alpha)
     elif args.op == "dsecond":
@@ -207,11 +218,7 @@ def cmd_superform(args) -> int:
     elif args.op == "wedge":
         if not args.second:
             raise InputError("wedge needs a second form (--with)")
-        try:
-            beta = sf.parse_form(args.second, r)
-        except sf.FormParseError as exc:
-            raise InputError(str(exc)) from exc
-        out = sf.wedge(alpha, beta)
+        out = sf.wedge(alpha, _parse_form(args.second, r))
     else:  # positivity
         if (alpha.p, alpha.q) == (0, 0):
             alpha = sf.hessian_form(alpha.coeffs.get(((), ()),

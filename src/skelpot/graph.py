@@ -96,8 +96,15 @@ class MetricGraph:
         self.allow_loops = allow_loops
         self.allow_parallel = allow_parallel
         self._by_id = {}
+        # vertex id -> (edge, toward_v) per edge end, in edge-id order;
+        # ends at non-vertices are left out (validate reports them)
+        self._incident = ends = {v: [] for v in self.vertices}
         for e in self.edges:
             self._by_id.setdefault(e.id, e)
+            if e.u in ends:
+                ends[e.u].append((e, True))
+            if e.v in ends:
+                ends[e.v].append((e, False))
         if check:
             violations = self.validate()
             if violations:
@@ -136,25 +143,20 @@ class MetricGraph:
         except KeyError:
             raise GraphError(f"unknown edge id {edge_id!r}") from None
 
-    def edge_ends(self):
-        """Yield (edge, vertex_id, toward_v) for every edge end.
+    def incident_ends(self, vertex_id: str) -> list[tuple[Edge, bool]]:
+        """(edge, toward_v) for every edge end at the vertex.
 
         toward_v is the orientation of the outgoing direction at that end,
         so loops contribute two distinct ends at the same vertex.
         """
-        for e in self.edges:
-            yield e, e.u, True
-            yield e, e.v, False
-
-    def incident_ends(self, vertex_id: str):
-        return [(e, tv) for e, w, tv in self.edge_ends() if w == vertex_id]
+        return list(self._incident.get(vertex_id, ()))
 
     def degree(self, vertex_id: str) -> int:
-        return len(self.incident_ends(vertex_id))
+        return len(self._incident.get(vertex_id, ()))
 
     def contains_point(self, p: GraphPoint) -> bool:
         if isinstance(p, Vertex):
-            return p.id in set(self.vertices)
+            return p.id in self._incident
         if p.edge not in self._by_id:
             return False
         return 0 < p.offset < self._by_id[p.edge].length
@@ -199,7 +201,7 @@ class MetricGraph:
         self.require_point(p)
         if isinstance(p, Vertex):
             return [TangentDirection(p, e.id, tv)
-                    for e, tv in self.incident_ends(p.id)]
+                    for e, tv in self._incident[p.id]]
         return [TangentDirection(p, p.edge, True),
                 TangentDirection(p, p.edge, False)]
 
@@ -211,7 +213,7 @@ class MetricGraph:
         self.require_point(p)
         e = self.edge(p.edge)
         new_v = f"{e.id}@{p.offset}"
-        if new_v in set(self.vertices):
+        if new_v in self._incident:
             raise GraphError(f"subdivide: vertex id collision on {new_v}")
         new_edges = [x for x in self.edges if x.id != e.id]
         new_edges.append(Edge(f"{e.id}.l", e.u, new_v, p.offset))
@@ -247,7 +249,7 @@ class MetricGraph:
             if dist[v] is not None and dist[v] <= d:
                 continue
             dist[v] = d
-            for e, tv in self.incident_ends(v):
+            for e, tv in self._incident[v]:
                 w = e.v if tv else e.u
                 nd = d + e.length
                 if dist[w] is None or nd < dist[w]:

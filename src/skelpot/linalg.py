@@ -1,51 +1,94 @@
-"""Exact rational linear algebra: fraction-free (Bareiss) elimination.
+"""Exact rational linear algebra.
 
-Rows are cleared to integers first; the elimination then stays in
-arbitrary-precision integers, with a single exact division per step.
+`solve_exact` runs a sparse elimination on integer rows: each row is a
+`{column: int}` dict (the right-hand side is column n), cleared to
+integers once and divided by its content after every update, so its
+entries stay primitive.  The pivot row is the live row with the fewest
+entries (greedy minimum degree), so on a graph Laplacian the degree-1
+and degree-2 chain vertices are eliminated first, as in series
+reduction, and fill-in stays small.  Back-substitution forms each
+unknown as one `Fraction` of an integer sum over a common denominator.
+A nonsingular system has one solution, so the result does not depend on
+the pivot order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 class SingularMatrixError(ValueError):
     pass
 
 
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        return {j: v // g for j, v in row.items()}
+    return row
+
+
 def solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve A x = b exactly; A must be square and nonsingular."""
+    """Solve A x = b exactly; A must be square and nonsingular, with
+    rational (int or Fraction) entries."""
     n = len(a)
-    if n == 0:
-        return []
-    m = []
+    rows = []
     for i in range(n):
-        row = [Fraction(x) for x in a[i]] + [Fraction(b[i])]
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        m.append([int(x * den) for x in row])
+        row = {j: x for j, x in enumerate(a[i]) if x}
+        if b[i]:
+            row[n] = b[i]
+        den = lcm(*(x.denominator for x in row.values()))
+        rows.append(_primitive({j: x.numerator * (den // x.denominator)
+                                for j, x in row.items()}))
 
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+    # (entry count, row) for every live row; an entry whose count is stale
+    # is skipped, the row's current count having been pushed since
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(heap)
+    live = set(range(n))
+    order = []
+    while heap:
+        size, r = heappop(heap)
+        row = rows[r]
+        if r not in live or size != len(row):
+            continue
+        if r in row:
+            c = r
+        else:
+            c = min((j for j in row if j != n), default=None)
+            if c is None:
+                raise SingularMatrixError("matrix is singular")
+        live.remove(r)
+        order.append((r, c))
+        p = row[c]
+        for i in live:
+            q = rows[i].get(c)
+            if q is None:
+                continue
+            k = gcd(p, q)
+            sp, sq = p // k, q // k
+            new = {j: v * sp for j, v in rows[i].items()}
+            for j, v in row.items():
+                w = new.get(j, 0) - v * sq
+                if w:
+                    new[j] = w
+                else:
+                    del new[j]
+            rows[i] = new = _primitive(new)
+            heappush(heap, (len(new), i))
 
+    # each pivot row holds its pivot column and later pivots' columns only
     x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(m[i][n])
-        for j in range(i + 1, n):
-            s -= m[i][j] * x[j]
-        x[i] = s / m[i][i]
+    for r, c in reversed(order):
+        row = rows[r]
+        terms = [(v, x[j]) for j, v in row.items() if j != c and j != n]
+        den = lcm(*(xj.denominator for _, xj in terms))
+        num = row.get(n, 0) * den - sum(
+            v * xj.numerator * (den // xj.denominator) for v, xj in terms)
+        x[c] = Fraction(num, den * row[c])
     return x
 
 

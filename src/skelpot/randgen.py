@@ -83,7 +83,7 @@ def random_pa_function(rng: random.Random, g: MetricGraph,
 
 
 def random_boundary_values(rng: random.Random, g: MetricGraph) -> dict:
-    return {v: _rand_fraction(rng) for v in g.boundary}
+    return {v: _rand_fraction(rng) for v in sorted(g.boundary)}
 
 
 def random_subharmonic(rng: random.Random, g: MetricGraph,

@@ -1,9 +1,23 @@
 import json
+import os
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+import skelpot
 from skelpot import MetricGraph, PAFunction
+
+
+def subprocess_env() -> dict:
+    """This process's environment, with the imported skelpot's source
+    directory first on PYTHONPATH, so a child interpreter imports the
+    same package."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(skelpot.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    return env
 
 
 def graph_from(spec: dict, **kw) -> MetricGraph:

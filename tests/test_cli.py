@@ -6,6 +6,8 @@ import pytest
 
 from skelpot.cli import main
 
+from conftest import subprocess_env
+
 UNIT_EDGE = {
     "vertices": ["a", "b"],
     "edges": [{"id": "e", "u": "a", "v": "b", "len": "1"}],
@@ -176,6 +178,16 @@ def test_regularize_rejects_non_subharmonic(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_regularize_unwritable_patches_is_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "p.json"
+    rc = main(["regularize", tent_function(tmp_path, sign="-1"),
+               "--patches", str(target)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert str(target) in captured.err
+
+
 @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--k", "0"),
                                          ("--k", "-1")])
 def test_regularize_counts_below_one_are_usage_errors(tmp_path, capsys,
@@ -260,6 +272,19 @@ def test_superform_parse_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["x1 d'x9", "--op", "dprime", "--r", "2"],          # index out of range
+    ["d'x1 + d''x1", "--op", "dprime"],                  # mixed bidegrees
+    ["d'x1", "--op", "wedge", "--with", "d''x1 + d'x2"],
+])
+def test_superform_bidegree_error_is_exit_2(capsys, argv):
+    rc = main(["superform", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # input errors
 # ---------------------------------------------------------------------------
@@ -296,8 +321,7 @@ def test_invalid_graph_is_exit_2(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def _run_selftest(seed_args=(), env_extra=None):
-    import os
-    env = dict(os.environ)
+    env = subprocess_env()
     env.pop("SKELPOT_SEED", None)
     if env_extra:
         env.update(env_extra)
