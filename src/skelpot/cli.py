@@ -3,7 +3,7 @@
 Subcommands: ddc, green, harmonic, subharmonic, regularize, rationalize,
 superform, selftest.  All results go to stdout; diagnostics and timings
 go to stderr.  Exit codes: 0 success / true verdict, 1 negative verdict,
-2 malformed input.
+2 malformed input, 3 stdout closed before all output was written.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .potential import (NotSubharmonicError, dirichlet_solve,
 from .rational import RationalParseError, format_rational, parse_rational
 from .rationalize import (RationalizationError, rationalize, tent_decompose,
                           tent_reconstruction)
-from .regularize import (build_regularization, eval_smoothed, smooth_max,
-                         smooth_max_n)
+from .regularize import build_regularization, smooth_max, smooth_max_n
 from .randgen import random_graph, random_pa_function, random_subharmonic
 from . import superforms as sf
 
@@ -50,8 +49,39 @@ def _load_json(path: str):
         ) from exc
 
 
+def _require(ok: bool, path: str, where: str, shape: str) -> None:
+    if not ok:
+        raise InputError(f"{path}: {where} must be {shape}")
+
+
+def _check_graph_shape(d, path: str) -> None:
+    """Container types of a graph object, and string vertex and edge ids."""
+    _require(isinstance(d, dict), path, "graph", "a JSON object")
+    for key in ("vertices", "edges", "boundary"):
+        _require(isinstance(d.get(key, []), list), path, f"graph.{key}",
+                 "a JSON list")
+    for key in ("vertices", "boundary"):
+        for i, vid in enumerate(d.get(key, [])):
+            _require(isinstance(vid, str), path, f"graph.{key}[{i}]",
+                     "a string")
+    for i, e in enumerate(d.get("edges", [])):
+        _require(isinstance(e, dict), path, f"graph.edges[{i}]",
+                 "a JSON object")
+        for key in ("id", "u", "v"):
+            _require(isinstance(e.get(key, ""), str), path,
+                     f"graph.edges[{i}].{key}", "a string")
+
+
 def _load_function(path: str) -> PAFunction:
     d = _load_json(path)
+    _require(isinstance(d, dict), path, "the top level", "a JSON object")
+    _check_graph_shape(d.get("graph"), path)
+    profiles = d.get("profiles")
+    _require(isinstance(profiles, dict), path, "profiles", "a JSON object")
+    for eid, prof in profiles.items():
+        _require(isinstance(prof, list)
+                 and all(isinstance(bp, list) and len(bp) == 2 for bp in prof),
+                 path, f"profiles.{eid}", "a list of [offset, value] pairs")
     try:
         return PAFunction.from_json_dict(d)
     except (GraphError, RationalParseError, ValueError, KeyError) as exc:
@@ -59,8 +89,10 @@ def _load_function(path: str) -> PAFunction:
 
 
 def _load_graph(path: str) -> MetricGraph:
+    d = _load_json(path)
+    _check_graph_shape(d, path)
     try:
-        return MetricGraph.from_json_dict(_load_json(path))
+        return MetricGraph.from_json_dict(d)
     except (GraphError, RationalParseError, ValueError, KeyError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -143,7 +175,6 @@ def cmd_regularize(args) -> int:
         seq = build_regularization(f.graph, f, n_terms=args.k)
     except NotSubharmonicError as exc:
         raise InputError(str(exc)) from exc
-    g, base = seq.graph, seq.base
     try:
         patches = (open(args.patches, "w") if args.patches
                    else contextlib.nullcontext())
@@ -152,15 +183,13 @@ def cmd_regularize(args) -> int:
     with patches as fh:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["k", "edge", "offset", "f_k", "f", "f_k_minus_f"])
-        for k, term in enumerate(seq.terms):
-            for e in g.edges:
-                for i in range(args.samples + 1):
-                    off = e.length * i / args.samples
-                    p = EdgePoint(e.id, off)
-                    fk = eval_smoothed(term, p)
-                    fv = float(base.eval(p))
-                    writer.writerow([k, e.id, format_rational(off),
-                                     repr(fk), repr(fv), repr(fk - fv)])
+        table = [(eid, format_rational(off), float(fp), fks)
+                 for eid, off, fp, fks in seq.sample(args.samples)]
+        for k in range(len(seq.terms)):
+            for eid, off, fv, fks in table:
+                fk = float(fks[k])
+                writer.writerow([k, eid, off, repr(fk), repr(fv),
+                                 repr(fk - fv)])
         if fh is not None:
             dump = {
                 "epsilons": [format_rational(e) for e in seq.epsilons],
@@ -357,16 +386,16 @@ def _check_regularization(rng):
         g = random_graph(rng, max_vertices=6, max_edges=8)
         f = random_subharmonic(rng, g)
         seq = build_regularization(g, f, n_terms=4)
-        pts = [EdgePoint(e.id, e.length * i / 8)
-               for e in seq.graph.edges for i in range(9)]
-        vals = [[eval_smoothed(t, p) for p in pts] for t in seq.terms]
+        rows = seq.sample(8)
+        fs = [float(fp) for _, _, fp, _ in rows]
+        vals = [[float(fks[k]) for *_, fks in rows]
+                for k in range(len(seq.terms))]
         for k in range(len(seq.terms) - 1):
             if any(v1 > v0 + 1e-12 for v0, v1 in zip(vals[k], vals[k + 1])):
                 return False, "not monotone"
         for k, eps in enumerate(seq.epsilons):
             bound = 1.25 * float(eps) + 1e-12
-            if any(abs(v - float(seq.base.eval(p))) > bound
-                   for v, p in zip(vals[k], pts)):
+            if any(abs(v - fv) > bound for v, fv in zip(vals[k], fs)):
                 return False, "sup bound fails"
     return True, f"{n} functions"
 
@@ -574,9 +603,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.fn(args)
+        finally:
+            sys.stdout.flush()      # a closed reader shows up here at the latest
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the
+        # interpreter's final flush cannot fail again, and report neither
+        # a verdict nor malformed input.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 3
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,11 +8,12 @@ linearity) are tested with exact equality.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph,
+from .graph import (Edge, EdgePoint, GraphError, GraphPoint, MetricGraph,
                     TangentDirection, Vertex, point_from_json, point_sort_key,
                     point_to_json)
 from .rational import format_rational, parse_rational
@@ -215,14 +216,45 @@ class PAFunction:
 
     def promote_interior_breakpoints(self) -> "PAFunction":
         """Subdivide the graph at every interior breakpoint, making the
-        function affine on every edge."""
-        f = self
-        while True:
-            pt = next((p for p in f.breakpoints() if isinstance(p, EdgePoint)),
-                      None)
-            if pt is None:
-                return f
-            f, _ = f.subdivide_at(pt)
+        function affine on every edge.
+
+        The result is that of repeated subdivide_at calls on the first
+        breakpoint in point order (lowest edge id, then lowest offset):
+        edge e with breakpoints o1 < o2 < ... becomes e.l, e.r.l, e.r.r.l,
+        ... through vertices e@o1, e.r@(o2 - o1), ...  Every piece is made
+        first and the graph and the function are built once; collisions
+        raise the GraphError that subdivision in that order would raise.
+        """
+        pending = [eid for eid, prof in self.profiles.items() if len(prof) > 2]
+        if not pending:
+            return self
+        g = self.graph
+        vertices = set(g.vertices)
+        edges = {e.id: e for e in g.edges}
+        profiles = dict(self.profiles)
+        heapq.heapify(pending)
+        while pending:
+            eid = heapq.heappop(pending)
+            e, prof = edges.pop(eid), profiles.pop(eid)
+            o = prof[1][0]
+            new_v = f"{eid}@{o}"
+            if new_v in vertices:
+                raise GraphError(f"subdivide: vertex id collision on {new_v}")
+            vertices.add(new_v)
+            left, right = f"{eid}.l", f"{eid}.r"
+            taken = sorted({left, right} & edges.keys())
+            if taken:
+                raise GraphError("; ".join(f"duplicate edge id {x}"
+                                           for x in taken))
+            edges[left] = Edge(left, e.u, new_v, o)
+            edges[right] = Edge(right, new_v, e.v, e.length - o)
+            profiles[left] = prof[:2]
+            profiles[right] = tuple((q - o, v) for q, v in prof[1:])
+            if len(prof) > 3:
+                heapq.heappush(pending, right)
+        graph = MetricGraph(vertices, edges.values(), g.boundary,
+                            allow_loops=g.allow_loops, allow_parallel=True)
+        return PAFunction(graph, profiles)
 
     # -- serialization ----------------------------------------------------------
 

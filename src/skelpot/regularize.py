@@ -126,6 +126,24 @@ class Patch:
     arc_eps: dict                 # edge id -> mass * length / (3 deg(x))
 
 
+def _along(ends, offset, length):
+    """The affine function with values ends = (a, b) at offsets 0 and
+    length, at offset."""
+    a, b = ends
+    return a + (b - a) * offset / length
+
+
+def _term_rule(eps, fp, at_center: bool, gp):
+    """One term's value at a point where f is fp: f + eps at a peak
+    center, m_{eps/2}(G_x + eps, f) on a star arc where G_x is gp, and f
+    elsewhere (gp is None)."""
+    if at_center:
+        return fp + eps
+    if gp is None:
+        return fp
+    return smooth_max(eps / 2, gp + eps, fp)
+
+
 @dataclass(frozen=True)
 class RegularizationTerm:
     """One term f_k: m_{eps/2}(G_x + eps, f) on the open star of every
@@ -140,12 +158,11 @@ class RegularizationTerm:
     def value(self, p: GraphPoint) -> Fraction:
         fp = self.base.eval(p)
         if isinstance(p, Vertex):
-            return fp + self.eps if p.id in self.centers else fp
-        if p.edge not in self.cone:
-            return fp
-        gu, gv = self.cone[p.edge]
-        gp = gu + (gv - gu) * p.offset / self.base.graph.edge(p.edge).length
-        return smooth_max(self.eps / 2, gp + self.eps, fp)
+            return _term_rule(self.eps, fp, p.id in self.centers, None)
+        arc = self.cone.get(p.edge)
+        gp = None if arc is None else _along(
+            arc, p.offset, self.base.graph.edge(p.edge).length)
+        return _term_rule(self.eps, fp, False, gp)
 
 
 def eval_smoothed(s: RegularizationTerm, p: GraphPoint) -> float:
@@ -173,6 +190,39 @@ class RegularizationSequence:
     patches: tuple[Patch, ...]
     epsilons: tuple[Fraction, ...]
     terms: tuple[RegularizationTerm, ...]
+
+    def sample(self, per_edge: int) -> list[tuple]:
+        """Every term at offsets length * i / per_edge (i = 0..per_edge)
+        of every edge, edges in id order: one row
+        (edge id, offset, f, (f_0, f_1, ...)) per sample, each f_k equal
+        to terms[k].value at that point.
+
+        f is affine on every edge of the working graph, so it is read off
+        the edge's profile (its ends are the vertex values); f and G_x are
+        computed once per sample and only the per-term rule runs k times.
+        """
+        centers = {patch.center for patch in self.patches}
+        cone = {eid: arc for patch in self.patches
+                for eid, arc in patch.cone.items()}
+        epsilons = [term.eps for term in self.terms]
+        rows = []
+        for e in self.graph.edges:
+            (_, fu), (_, fv) = self.base.profiles[e.id]
+            arc = cone.get(e.id)
+            for i in range(per_edge + 1):
+                off = e.length * i / per_edge
+                if i in (0, per_edge):
+                    fp = fu if i == 0 else fv
+                    at_center = (e.u if i == 0 else e.v) in centers
+                    gp = None
+                else:
+                    fp = _along((fu, fv), off, e.length)
+                    at_center = False
+                    gp = None if arc is None else _along(arc, off, e.length)
+                rows.append((e.id, off, fp,
+                             tuple(_term_rule(eps, fp, at_center, gp)
+                                   for eps in epsilons)))
+        return rows
 
 
 def _subdivide_between_peaks(f: PAFunction) -> PAFunction:

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import skelpot
-from skelpot import MetricGraph, PAFunction
+from skelpot import EdgePoint, MetricGraph, PAFunction, green, linear_combine
+from skelpot.randgen import random_subharmonic
 
 
 def subprocess_env() -> dict:
@@ -69,3 +70,15 @@ def pa(graph, profiles) -> PAFunction:
 
 def roundtrip_json(obj):
     return json.loads(json.dumps(obj))
+
+
+def kinked_subharmonic(rng, g: MetricGraph, max_poles: int = 3) -> PAFunction:
+    """random_subharmonic minus positive multiples of Green's functions at
+    edge-interior poles, so the function also has kinks inside edges."""
+    terms = [(Fraction(1), random_subharmonic(rng, g))]
+    for _ in range(rng.randint(1, max_poles)):
+        e = rng.choice(g.edges)
+        pole = EdgePoint(e.id, e.length * rng.randint(1, 7) / 8)
+        terms.append((-Fraction(rng.randint(1, 4), rng.randint(1, 4)),
+                      green(g, pole).result))
+    return linear_combine(terms)

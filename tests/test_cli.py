@@ -1,4 +1,8 @@
+import csv
+import io
 import json
+import os
+import random
 import subprocess
 import sys
 
@@ -6,7 +10,7 @@ import pytest
 
 from skelpot.cli import main
 
-from conftest import subprocess_env
+from conftest import kinked_subharmonic, subprocess_env
 
 UNIT_EDGE = {
     "vertices": ["a", "b"],
@@ -188,6 +192,35 @@ def test_regularize_unwritable_patches_is_exit_2(tmp_path, capsys):
     assert str(target) in captured.err
 
 
+def test_regularize_csv_matches_pointwise_evaluation(tmp_path, capsys):
+    """Every CSV row equals the one built from eval_smoothed and base.eval
+    at that point, in k-major order, byte for byte."""
+    from skelpot import EdgePoint, build_regularization, eval_smoothed
+    from skelpot.randgen import random_graph
+    from skelpot.rational import format_rational
+    rng = random.Random(5)
+    for trial in range(4):
+        f = kinked_subharmonic(rng, random_graph(rng, max_vertices=7,
+                                                 max_edges=10))
+        path = write_json(tmp_path, f"f{trial}.json", f.to_json_dict())
+        k, samples = 3, rng.randint(1, 6)
+        assert main(["regularize", path, "--k", str(k),
+                     "--samples", str(samples)]) == 0
+        seq = build_regularization(f.graph, f, n_terms=k)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["k", "edge", "offset", "f_k", "f", "f_k_minus_f"])
+        for i, term in enumerate(seq.terms):
+            for e in seq.graph.edges:
+                for j in range(samples + 1):
+                    p = EdgePoint(e.id, e.length * j / samples)
+                    fk = eval_smoothed(term, p)
+                    fv = float(seq.base.eval(p))
+                    writer.writerow([i, e.id, format_rational(p.offset),
+                                     repr(fk), repr(fv), repr(fk - fv)])
+        assert capsys.readouterr().out == want.getvalue()
+
+
 @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--k", "0"),
                                          ("--k", "-1")])
 def test_regularize_counts_below_one_are_usage_errors(tmp_path, capsys,
@@ -316,6 +349,47 @@ def test_invalid_graph_is_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+def _with_graph(**changes):
+    return {"graph": dict(UNIT_EDGE, **changes),
+            "profiles": {"e": [["0", "0"], ["1", "1"]]}}
+
+
+@pytest.mark.parametrize("doc, where", [
+    ([1, 2], "the top level"),
+    ({"profiles": {}}, "graph"),
+    (_with_graph(vertices=5), "graph.vertices"),
+    (_with_graph(edges={"e": 1}), "graph.edges"),
+    (_with_graph(boundary="a"), "graph.boundary"),
+    (_with_graph(edges=[5]), "graph.edges[0]"),
+    (_with_graph(vertices=["a", "b", 3]), "graph.vertices[2]"),
+    (_with_graph(boundary=[["a"]]), "graph.boundary[0]"),
+    (_with_graph(edges=[{"id": "e", "u": ["a"], "v": "b", "len": "1"}]),
+     "graph.edges[0].u"),
+    ({"graph": UNIT_EDGE, "profiles": [["0", "0"]]}, "profiles"),
+    ({"graph": UNIT_EDGE, "profiles": {"e": 5}}, "profiles.e"),
+    ({"graph": UNIT_EDGE, "profiles": {"e": [0, 1]}}, "profiles.e"),
+])
+def test_function_file_shape_errors_are_exit_2(tmp_path, capsys, doc, where):
+    rc = main(["ddc", write_json(tmp_path, "f.json", doc)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"f.json: {where} must be" in err
+
+
+@pytest.mark.parametrize("doc, where", [
+    ([1, 2], "graph"),
+    (dict(PATH3, vertices=5), "graph.vertices"),
+    (dict(PATH3, edges=[{"id": 0, "u": "a", "v": "b", "len": "1"}]),
+     "graph.edges[0].id"),
+])
+def test_graph_file_shape_errors_are_exit_2(tmp_path, capsys, doc, where):
+    rc = main(["green", "--graph", write_json(tmp_path, "g.json", doc),
+               "--point", "b"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"g.json: {where} must be" in err
+
+
 # ---------------------------------------------------------------------------
 # selftest determinism (subprocess: the report must be byte-identical)
 # ---------------------------------------------------------------------------
@@ -344,3 +418,20 @@ def test_selftest_env_seed_override():
     r_env = _run_selftest(["--seed", "123"], env_extra={"SKELPOT_SEED": "7"})
     assert r_env.returncode == 0
     assert r_env.stdout == r_flag.stdout
+
+
+def test_closed_stdout_is_exit_3_without_traceback(tmp_path):
+    """A reader that is gone before any output arrives: the write end of a
+    pipe whose read end is already closed."""
+    f = affine_function(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "skelpot.cli", "ddc", f],
+                           stdout=write_end, stderr=subprocess.PIPE,
+                           text=True, env=subprocess_env())
+    finally:
+        os.close(write_end)
+    assert r.returncode == 3
+    assert "Traceback" not in r.stderr
+    assert "BrokenPipeError" not in r.stderr

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from skelpot import (DiscreteMeasure, EdgePoint, GraphError, PAFunction,
                      Vertex, integrate, linear_combine)
+from skelpot.randgen import random_graph, random_pa_function
 
-from conftest import pa
+from conftest import graph_from, pa
 
 
 F = Fraction
@@ -137,6 +139,76 @@ def test_subdivide_at_preserves_values(unit_edge):
     f2, vid = f.subdivide_at(EdgePoint("e", F(1, 4)))
     assert f2.vertex_value(vid) == f.eval(EdgePoint("e", F(1, 4)))
     assert f2.graph.distance(Vertex("a"), Vertex(vid)) == F(1, 4)
+
+
+def _promote_by_subdivision(f):
+    """Reference promotion: subdivide at the first interior breakpoint in
+    point order until none is left."""
+    while True:
+        pt = next((p for p in f.breakpoints() if isinstance(p, EdgePoint)),
+                  None)
+        if pt is None:
+            return f
+        f, _ = f.subdivide_at(pt)
+
+
+def _same_promotion(f):
+    got, want = f.promote_interior_breakpoints(), _promote_by_subdivision(f)
+    assert got == want
+    assert got.graph.vertices == want.graph.vertices
+    assert got.graph.edges == want.graph.edges
+    assert got.graph.allow_loops == want.graph.allow_loops
+    assert got.graph.allow_parallel == want.graph.allow_parallel
+    assert all(len(prof) == 2 for prof in got.profiles.values())
+    return got
+
+
+def test_promotion_matches_sequential_subdivision():
+    rng = random.Random(41)
+    split = 0
+    for _ in range(150):
+        g = random_graph(rng, max_vertices=7, max_edges=10)
+        f = random_pa_function(rng, g, max_kinks=4)
+        split += _same_promotion(f) is not f
+    assert split > 100
+    # a loop with three kinks, next to an edge without any
+    loop = graph_from({"vertices": ["a", "b"],
+                       "edges": [{"u": "a", "v": "a", "len": 2, "id": "o"},
+                                 {"u": "a", "v": "b", "len": 1, "id": "p"}],
+                       "boundary": ["b"]}, allow_loops=True)
+    f = pa(loop, {"o": [(0, 1), (F(1, 3), 0), (1, 2), (F(3, 2), 0), (2, 1)],
+                  "p": [(0, 1), (1, 0)]})
+    assert set(_same_promotion(f).graph.vertices) == \
+        {"a", "b", "o@1/3", "o.r@2/3", "o.r.r@1/2"}
+    # nothing to promote: the function itself, graph flags untouched
+    g = pa(loop, {"o": [(0, 1), (2, 1)], "p": [(0, 1), (1, 0)]})
+    assert g.promote_interior_breakpoints() is g
+
+
+@pytest.mark.parametrize("vertices, edges, profiles", [
+    # an input vertex already has the name of the promoted breakpoint
+    (["a", "b", "e@1/2"], [("e", "a", "b", 1), ("x", "b", "e@1/2", 1)],
+     {"e": [(0, 0), (F(1, 2), 1), (1, 0)], "x": [(0, 0), (1, 0)]}),
+    # ... or of one promoted after the first split of the same edge
+    (["a", "b", "e.r@1/4"], [("e", "a", "b", 1), ("x", "b", "e.r@1/4", 1)],
+     {"e": [(0, 0), (F(1, 2), 1), (F(3, 4), 2), (1, 0)],
+      "x": [(0, 0), (1, 0)]}),
+    # a split edge's right half would reuse an input edge id
+    (["a", "b", "c"], [("e", "a", "b", 1), ("e.r", "b", "c", 1)],
+     {"e": [(0, 0), (F(1, 2), 1), (1, 0)], "e.r": [(0, 0), (1, 0)]}),
+])
+def test_promotion_collisions_match_sequential_subdivision(vertices, edges,
+                                                           profiles):
+    g = graph_from({"vertices": vertices,
+                    "edges": [{"id": i, "u": u, "v": v, "len": n}
+                              for i, u, v, n in edges],
+                    "boundary": ["a"]})
+    f = pa(g, profiles)
+    with pytest.raises(GraphError) as want:
+        _promote_by_subdivision(f)
+    with pytest.raises(GraphError) as got:
+        f.promote_interior_breakpoints()
+    assert str(got.value) == str(want.value)
 
 
 def test_json_roundtrip(path3):

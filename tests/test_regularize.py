@@ -10,7 +10,7 @@ from skelpot import (EdgePoint, NotSubharmonicError, Vertex,
                      theta)
 from skelpot.randgen import random_graph, random_subharmonic
 
-from conftest import pa
+from conftest import kinked_subharmonic, pa
 
 
 F = Fraction
@@ -251,3 +251,44 @@ def test_exact_monotone_sandwich_and_arc_budgets():
                 assert fp <= vals[k] <= fp + F(5, 4) * eps
                 if k + 1 < len(vals):
                     assert fp <= vals[k + 1] <= vals[k]
+
+
+def _assert_sample_matches_terms(seq, per_edge):
+    """seq.sample(per_edge) row by row against term.value, exactly;
+    returns the number of vertex samples at a peak center."""
+    rows = seq.sample(per_edge)
+    assert [(eid, off) for eid, off, _, _ in rows] == \
+        [(e.id, e.length * i / per_edge)
+         for e in seq.graph.edges for i in range(per_edge + 1)]
+    centers = {patch.center for patch in seq.patches}
+    at_centers = 0
+    for eid, off, fp, fks in rows:
+        p = seq.graph.normalize_point(EdgePoint(eid, off))
+        assert fp == seq.base.eval(p)
+        assert fks == tuple(term.value(p) for term in seq.terms)
+        at_centers += isinstance(p, Vertex) and p.id in centers
+    return at_centers
+
+
+def test_sample_matches_term_values():
+    """The batch sampler equals term.value at every sample of every term,
+    over the rationals, on functions with peaks at vertices and inside
+    edges (promoted to vertices)."""
+    rng = random.Random(24)
+    at_centers = 0
+    for _ in range(15):
+        g = random_graph(rng, max_vertices=6, max_edges=8)
+        f = kinked_subharmonic(rng, g)
+        seq = build_regularization(g, f, n_terms=4)
+        assert seq.patches
+        at_centers += _assert_sample_matches_terms(seq, rng.randint(1, 9))
+    assert at_centers > 0
+
+
+def test_sample_without_peaks_is_f(path3):
+    from skelpot import dirichlet_solve
+    h = dirichlet_solve(path3, {"a": F(1), "c": F(0)}).result
+    seq = build_regularization(path3, h, n_terms=3)
+    assert seq.patches == ()
+    assert _assert_sample_matches_terms(seq, 5) == 0
+    assert all(fks == (fp,) * 3 for _, _, fp, fks in seq.sample(5))
