@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex
-from .pa_function import PAFunction
+from .pa_function import DiscreteMeasure, PAFunction
 from .potential import NotSubharmonicError
 
 
@@ -225,17 +225,20 @@ class RegularizationSequence:
         return rows
 
 
-def _subdivide_between_peaks(f: PAFunction) -> PAFunction:
+def _subdivide_between_peaks(
+        f: PAFunction) -> tuple[PAFunction, DiscreteMeasure]:
     """Split every edge whose two endpoints both carry positive interior
-    Laplacian mass, so peak stars are pairwise disjoint."""
+    Laplacian mass, so peak stars are pairwise disjoint.  Returns the
+    split function and its Laplacian measure."""
     while True:
-        peaks = {p.id for p, m in f.ddc().support
+        measure = f.ddc()
+        peaks = {p.id for p, m in measure.support
                  if isinstance(p, Vertex) and m > 0
                  and p.id not in f.graph.boundary}
         target = next((e for e in f.graph.edges
                        if e.u in peaks and e.v in peaks), None)
         if target is None:
-            return f
+            return f, measure
         f, _ = f.subdivide_at(EdgePoint(target.id, target.length / 2))
 
 
@@ -257,11 +260,11 @@ def build_regularization(graph: MetricGraph, f: PAFunction,
             f"f is not subharmonic; witnesses: {verdict.witnesses}")
 
     f = f.promote_interior_breakpoints()
-    f = _subdivide_between_peaks(f)
+    f, measure = _subdivide_between_peaks(f)
     g = f.graph
 
     patches = []
-    for p, mass in f.ddc().support:
+    for p, mass in measure.support:
         if not isinstance(p, Vertex) or p.id in g.boundary or mass <= 0:
             continue
         dirs = g.star(p)

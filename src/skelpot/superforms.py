@@ -14,9 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .linalg import is_psd_exact, rank_exact
 from .rational import format_rational
+
+
+_ZERO = Fraction(0)
 
 
 class BidegreeError(ValueError):
@@ -41,6 +45,15 @@ class Poly:
                 t[tuple(exp)] = c
         self.terms = t
 
+    @classmethod
+    def _of(cls, r: int, terms: dict) -> "Poly":
+        """Trusted constructor for exponent tuples and Fraction
+        coefficients that are already clean: it only drops zeros."""
+        p = cls.__new__(cls)
+        p.r = r
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
+
     # construction helpers
     @classmethod
     def const(cls, r: int, c) -> "Poly":
@@ -58,24 +71,31 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         t = dict(self.terms)
         for e, c in other.terms.items():
-            t[e] = t.get(e, Fraction(0)) + c
-        return Poly(self.r, t)
+            t[e] = t[e] + c if e in t else c
+        return Poly._of(self.r, t)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.r, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.r, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(self.r, {e: c * other for e, c in self.terms.items()})
+            # Polys are never mutated, so a sign change can share self
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
+            return Poly._of(self.r, {e: c * other
+                                     for e, c in self.terms.items()})
         t: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = t.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.r, t)
+                e = tuple(map(add, e1, e2))
+                v = c1 * c2
+                t[e] = t[e] + v if e in t else v
+        return Poly._of(self.r, t)
 
     __rmul__ = __mul__
 
@@ -87,23 +107,13 @@ class Poly:
         return hash((self.r, frozenset(self.terms.items())))
 
     def diff(self, i: int) -> "Poly":
-        t = {}
-        for e, c in self.terms.items():
-            if e[i] > 0:
-                e2 = list(e)
-                e2[i] -= 1
-                t[tuple(e2)] = t.get(tuple(e2), Fraction(0)) + c * e[i]
-        return Poly(self.r, t)
+        # lowering e[i] maps distinct exponents to distinct exponents
+        return Poly._of(self.r, {e[:i] + (e[i] - 1,) + e[i + 1:]:
+                                 c if e[i] == 1 else c * e[i]
+                                 for e, c in self.terms.items() if e[i]})
 
     def eval(self, point) -> Fraction:
-        pt = [Fraction(x) for x in point]
-        acc = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for xi, ei in zip(pt, e):
-                term *= xi ** ei
-            acc += term
-        return acc
+        return _evaluator(point)(self)
 
     def substitute_affine(self, affines: list["Poly"]) -> "Poly":
         """Compose with x_i = affines[i] (polynomials in the new variables)."""
@@ -112,7 +122,7 @@ class Poly:
         r2 = affines[0].r
         acc = Poly(r2, {})
         for e, c in self.terms.items():
-            term = Poly.const(r2, c)
+            term = Poly._of(r2, {(0,) * r2: c})
             for i, ei in enumerate(e):
                 for _ in range(ei):
                     term = term * affines[i]
@@ -137,6 +147,33 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
+
+
+def _evaluator(point):
+    """Exact evaluation at one point: the coordinates are converted once
+    and each monomial's value is cached for every polynomial evaluated
+    there.  Integral coordinates stay ints, which is exact and cheaper."""
+    pt = []
+    for x in point:
+        x = Fraction(x)
+        pt.append(x.numerator if x.denominator == 1 else x)
+    monomials: dict = {}
+
+    def value(poly: Poly) -> Fraction:
+        acc = _ZERO
+        for e, c in poly.terms.items():
+            m = monomials.get(e)
+            if m is None:
+                m = 1
+                for x, k in zip(pt, e):
+                    if k:
+                        m *= x ** k
+                monomials[e] = m
+            if m:
+                acc += c if m == 1 else c * m
+        return acc
+
+    return value
 
 
 def format_poly(p: Poly) -> str:
@@ -397,6 +434,17 @@ def _coeff_matrix(alpha: SuperForm) -> list[list[Poly]]:
     return m
 
 
+def _symmetric_values(m: list[list[Poly]], value) -> list[list[Fraction]]:
+    """Values of a symmetric polynomial matrix at one point, evaluating
+    only the upper triangle."""
+    r = len(m)
+    out = [[_ZERO] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            out[i][j] = out[j][i] = value(m[i][j])
+    return out
+
+
 def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
     """Pointwise PSD test of the coefficient matrix of a (1,1)-form;
     raises if the matrix is not symmetric as polynomials."""
@@ -408,8 +456,7 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
                 raise ValueError("coefficient matrix is not symmetric")
     bad = []
     for pt in points:
-        mat = [[m[i][j].eval(pt) for j in range(r)] for i in range(r)]
-        if not is_psd_exact(mat):
+        if not is_psd_exact(_symmetric_values(m, _evaluator(pt))):
             bad.append(tuple(Fraction(x) for x in pt))
     return PositivityVerdict(not bad, tuple(bad))
 
@@ -427,7 +474,7 @@ def restrict_convexity_check(psi: Poly, basis, points) -> PositivityVerdict:
     hess = [[psi.diff(i).diff(j) for j in range(r)] for i in range(r)]
     bad = []
     for pt in points:
-        h = [[hess[i][j].eval(pt) for j in range(r)] for i in range(r)]
+        h = _symmetric_values(hess, _evaluator(pt))
         k = len(basis)
         comp = [[sum(basis[a][i] * h[i][j] * basis[b][j]
                      for i in range(r) for j in range(r))
@@ -469,6 +516,11 @@ def format_form(alpha: SuperForm) -> str:
 
 class FormParseError(ValueError):
     pass
+
+
+# Largest exponent, and largest degree of a power, that the parser
+# expands: the cost of p^n grows without bound in n.
+MAX_EXPONENT = 100
 
 
 class _Tok:
@@ -552,7 +604,16 @@ def _parse_poly_expr(tk: _Tok, r: int) -> Poly:
             t = tk.next()
             if not t.isdigit():
                 raise FormParseError("exponent must be an integer")
-            n = int(t)
+            digits = t.lstrip("0") or "0"
+            # compare lengths first: int() refuses very long digit strings
+            if (len(digits) > len(str(MAX_EXPONENT))
+                    or int(digits) > MAX_EXPONENT):
+                raise FormParseError(
+                    f"exponent above the maximum {MAX_EXPONENT}")
+            n = int(digits)
+            if p.degree() * n > MAX_EXPONENT:
+                raise FormParseError(f"power of degree {p.degree() * n} "
+                                     f"above the maximum {MAX_EXPONENT}")
             acc = Poly.const(r, 1)
             for _ in range(n):
                 acc = acc * p

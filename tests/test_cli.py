@@ -318,6 +318,18 @@ def test_superform_bidegree_error_is_exit_2(capsys, argv):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("expr", [
+    "x1^101", "x1^20000", "x2*(x1^20)^20", "x1^" + "9" * 5000,
+])
+def test_superform_exponent_above_limit_is_exit_2(capsys, expr):
+    rc = main(["superform", expr, "--op", "dprime"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "maximum 100" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # input errors
 # ---------------------------------------------------------------------------

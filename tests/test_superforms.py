@@ -4,12 +4,14 @@ from itertools import combinations
 
 import pytest
 
-from skelpot.superforms import (AffineMap, BidegreeError, FormParseError,
-                                Poly, PositivityVerdict, SuperForm, d_prime,
-                                d_second, format_form, format_poly,
-                                hessian_form, integrate_box, is_positive_11,
-                                j_involution, parse_form, pullback,
-                                restrict_convexity_check, wedge)
+from skelpot.cli import _positivity_points
+from skelpot.linalg import is_psd_exact
+from skelpot.superforms import (MAX_EXPONENT, AffineMap, BidegreeError,
+                                FormParseError, Poly, PositivityVerdict,
+                                SuperForm, d_prime, d_second, format_form,
+                                format_poly, hessian_form, integrate_box,
+                                is_positive_11, j_involution, parse_form,
+                                pullback, restrict_convexity_check, wedge)
 
 F = Fraction
 
@@ -300,6 +302,140 @@ def test_integral_of_hessian_is_boundary_derivative():
 
 
 # ---------------------------------------------------------------------------
+# fast evaluation path against a per-entry reference
+# ---------------------------------------------------------------------------
+
+def _value_ref(poly, pt):
+    """Value at pt, term by term, sharing nothing with the library."""
+    acc = F(0)
+    for e, c in poly.terms.items():
+        term = c
+        for x, k in zip(pt, e):
+            term *= F(x) ** k
+        acc += term
+    return acc
+
+
+def _positivity_ref(alpha, points):
+    """is_positive_11 evaluated entry by entry on all r^2 entries."""
+    r = alpha.r
+    zero = Poly(r, {})
+    bad = []
+    for pt in points:
+        mat = [[_value_ref(alpha.coeffs.get(((i,), (j,)), zero), pt)
+                for j in range(r)] for i in range(r)]
+        if not is_psd_exact(mat):
+            bad.append(tuple(F(x) for x in pt))
+    return not bad, tuple(bad)
+
+
+def _random_symmetric_11(rng, r):
+    """A random symmetric (1,1)-form: a Gram matrix B B^T of random
+    polynomials (PSD everywhere), a random symmetric matrix, or the first
+    plus a small random symmetric perturbation, so both verdicts occur."""
+    def sym():
+        m = [[None] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i, r):
+                m[i][j] = m[j][i] = (_random_poly(rng, r)
+                                     if rng.random() < 0.8 else Poly(r, {}))
+        return m
+
+    kind = rng.randrange(3)
+    if kind == 1:
+        m = sym()
+    else:
+        b = [[_random_poly(rng, r, max_deg=1) for _ in range(r)]
+             for _ in range(r)]
+        m = [[Poly(r, {}) for _ in range(r)] for _ in range(r)]
+        for i in range(r):
+            for j in range(r):
+                for k in range(r):
+                    m[i][j] = m[i][j] + b[i][k] * b[j][k]
+        if kind == 2:
+            eps = sym()
+            m = [[m[i][j] + eps[i][j] * F(1, 50) for j in range(r)]
+                 for i in range(r)]
+    return SuperForm(r, 1, 1, {((i,), (j,)): m[i][j]
+                               for i in range(r) for j in range(r)})
+
+
+def test_positivity_matches_per_entry_reference():
+    rng = random.Random(2024)
+    verdicts = []
+    for r in (2, 3):
+        defaults = _positivity_points(None, r)
+        for _ in range(20):
+            alpha = _random_symmetric_11(rng, r)
+            rational = [[F(rng.randint(-9, 9), rng.randint(2, 7))
+                         for _ in range(r)] for _ in range(6)]
+            repeated = rational[:3] + rational[:2] + defaults[:2]
+            for points in (defaults, rational, repeated):
+                got = is_positive_11(alpha, points)
+                assert (got.ok, got.violations) == \
+                    _positivity_ref(alpha, points)
+                verdicts.append(got.ok)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+
+def test_restricted_convexity_matches_per_entry_reference():
+    rng = random.Random(77)
+    for _ in range(40):
+        r = rng.randint(2, 3)
+        psi = _random_poly(rng, r, max_deg=3)
+        basis = [[rng.randint(-2, 2) for _ in range(r)]]
+        if not any(basis[0]):
+            basis[0][0] = 1
+        points = [[F(rng.randint(-5, 5), rng.randint(1, 3))
+                   for _ in range(r)] for _ in range(8)]
+        hess = [[psi.diff(i).diff(j) for j in range(r)] for i in range(r)]
+        bad = tuple(tuple(F(x) for x in pt) for pt in points
+                    if sum(basis[0][i] * _value_ref(hess[i][j], pt)
+                           * basis[0][j]
+                           for i in range(r) for j in range(r)) < 0)
+        got = restrict_convexity_check(psi, basis, points)
+        assert (got.ok, got.violations) == (not bad, bad)
+
+
+def test_poly_eval_matches_reference():
+    rng = random.Random(5)
+    for _ in range(200):
+        r = rng.randint(1, 3)
+        poly = _random_poly(rng, r, max_deg=4)
+        pt = [rng.choice([rng.randint(-3, 3), F(rng.randint(-7, 7), 3)])
+              for _ in range(r)]
+        got = poly.eval(pt)
+        assert type(got) is F and got == _value_ref(poly, pt)
+    assert type(Poly(2, {}).eval([1, 2])) is F
+
+
+def _assert_clean(alpha):
+    for poly in alpha.coeffs.values():
+        assert poly.terms
+        for e, c in poly.terms.items():
+            assert type(c) is F and c != 0
+            assert type(e) is tuple and len(e) == alpha.r
+
+
+def test_operation_results_store_clean_fractions():
+    rng = random.Random(31)
+    maps = {r: AffineMap.of([[rng.randint(-2, 2) for _ in range(r)]
+                             for _ in range(r)],
+                            [rng.randint(-2, 2) for _ in range(r)])
+            for r in (1, 2, 3)}
+    for _ in range(150):
+        r = rng.randint(1, 3)
+        a, b = _random_form(rng, r), _random_form(rng, r)
+        # a - a and a + (-a) cancel every term: nothing may be left over
+        for out in (d_prime(a), d_second(a), d_prime(d_second(a)),
+                    wedge(a, b), wedge(a, a), j_involution(a),
+                    j_involution(j_involution(a)), pullback(maps[r], a),
+                    a.scale(-1), a.scale(F(2, 3)), a - a, a + (-a)):
+            _assert_clean(out)
+        assert (a - a).is_zero()
+
+
+# ---------------------------------------------------------------------------
 # parse / format
 # ---------------------------------------------------------------------------
 
@@ -334,6 +470,18 @@ def test_parse_errors():
             parse_form(bad, 2)
     with pytest.raises(FormParseError):
         parse_form("x3", 2)
+
+
+def test_parse_exponent_limit():
+    x1 = Poly.var(1, 0)
+    assert parse_form(f"x1^{MAX_EXPONENT}", 1) == \
+        SuperForm.function(Poly(1, {(MAX_EXPONENT,): 1}))
+    assert parse_form("x1^" + "0" * 5000 + "3", 1) == \
+        SuperForm.function(x1 * x1 * x1)
+    for bad in [f"x1^{MAX_EXPONENT + 1}", "x1^20000", "2^101",
+                "x1^" + "1" * 5000, "x1*(x1^20)^20", "x1*(x1*x1)^51"]:
+        with pytest.raises(FormParseError, match="maximum"):
+            parse_form(bad, 1)
 
 
 # ---------------------------------------------------------------------------
