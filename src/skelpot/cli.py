@@ -22,14 +22,11 @@ from fractions import Fraction
 
 from .graph import EdgePoint, GraphError, MetricGraph, Vertex, point_to_json
 from .pa_function import PAFunction
-from .potential import (NotSubharmonicError, dirichlet_solve,
-                        evaluation_formula_check, green, green_to_json_dict,
-                        is_subharmonic_green, maximum_principle_check)
+from .potential import (NotSubharmonicError, dirichlet_solve, green,
+                        green_to_json_dict, is_subharmonic_green)
 from .rational import RationalParseError, format_rational, parse_rational
-from .rationalize import (RationalizationError, rationalize, tent_decompose,
-                          tent_reconstruction)
-from .regularize import build_regularization, smooth_max, smooth_max_n
-from .randgen import random_graph, random_pa_function, random_subharmonic
+from .rationalize import RationalizationError, rationalize
+from .regularize import build_regularization
 from . import superforms as sf
 
 
@@ -132,10 +129,12 @@ def cmd_green(args) -> int:
 def cmd_harmonic(args) -> int:
     g = _load_graph(args.graph)
     raw = _load_json(args.values)
+    _require(isinstance(raw, dict), args.values, "the top level",
+             "a JSON object")
     try:
         values = {k: parse_rational(v) for k, v in raw.items()}
         h = dirichlet_solve(g, values)
-    except (RationalParseError, ValueError, AttributeError) as exc:
+    except (RationalParseError, ValueError) as exc:
         raise InputError(f"{args.values}: {exc}") from exc
     _emit(h.result.to_json_dict())
     return 0
@@ -217,14 +216,15 @@ def cmd_rationalize(args) -> int:
     except (RationalParseError, RationalizationError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     _emit(cert.to_json_dict())
-    return 0 if cert.ok and cert.pairing < 0 else 1
+    return 0 if cert.ok else 1
 
 
 def _infer_dim(*texts: str) -> int:
     r = 0
     for text in texts:
         for m in re.finditer(r"x(\d+)", text):
-            r = max(r, int(m.group(1)))
+            if len(m.group(1)) <= sf.MAX_DIGITS:  # longer runs: parse error
+                r = max(r, int(m.group(1)))
     return max(r, 1)
 
 
@@ -236,7 +236,7 @@ def _parse_form(text: str, r: int) -> sf.SuperForm:
 
 
 def cmd_superform(args) -> int:
-    r = args.r or _infer_dim(args.expr, args.second or "")
+    r = _infer_dim(args.expr, args.second or "") if args.r is None else args.r
     alpha = _parse_form(args.expr, r)
     if args.op == "dprime":
         out = sf.d_prime(alpha)
@@ -297,231 +297,53 @@ def _positivity_points(spec_text: str | None, r: int):
 # -- selftest -------------------------------------------------------------------
 
 
-def _check_green_exact():
-    g = MetricGraph.from_json_dict({
-        "vertices": ["a", "b"],
-        "edges": [{"u": "a", "v": "b", "len": 2, "id": "e"}],
-        "boundary": ["a", "b"]})
-    gf = green(g, EdgePoint("e", Fraction(1)))
-    ok = (gf.result.eval(EdgePoint("e", Fraction(1))) == Fraction(1, 2)
-          and gf.boundary_masses.mass_at(Vertex("a")) == Fraction(1, 2)
-          and gf.boundary_masses.mass_at(Vertex("b")) == Fraction(1, 2))
-    star = MetricGraph.from_json_dict({
-        "vertices": ["c", "l0", "l1", "l2"],
-        "edges": [{"u": "c", "v": f"l{i}", "len": 1, "id": f"a{i}"}
-                  for i in range(3)],
-        "boundary": ["l0", "l1", "l2"]})
-    gf2 = green(star, Vertex("c"))
-    ok = ok and gf2.result.vertex_value("c") == Fraction(1, 3)
-    ok = ok and all(gf2.boundary_masses.mass_at(Vertex(f"l{i}"))
-                    == Fraction(1, 3) for i in range(3))
-    gf3 = green(g, EdgePoint("e", Fraction(1, 2)))
-    ok = ok and gf3.result.eval(EdgePoint("e", Fraction(1, 2))) == Fraction(3, 8)
-    ok = ok and gf3.boundary_masses.mass_at(Vertex("a")) == Fraction(3, 4)
-    return ok, "3 cases"
-
-
-def _check_poisson(rng):
-    n = 10
-    for _ in range(n):
-        g = random_graph(rng, max_vertices=8, max_edges=12)
-        interior = [v for v in g.vertices if v not in g.boundary]
-        if not interior:
-            continue
-        values = {v: Fraction(rng.randint(-3, 3)) for v in g.boundary}
-        h = dirichlet_solve(g, values).result
-        x = Vertex(rng.choice(interior))
-        lhs, rhs = evaluation_formula_check(g, x, h)
-        if lhs != rhs:
-            return False, f"mismatch at {x}"
-    return True, f"{n} graphs"
-
-
-def _check_oracles(rng):
-    n = 30
-    for _ in range(n):
-        g = random_graph(rng, max_vertices=8, max_edges=12)
-        f = random_pa_function(rng, g)
-        if f.is_subharmonic_slope().ok != is_subharmonic_green(f).ok:
-            return False, "verdict mismatch"
-    return True, f"{n} functions"
-
-
-def _check_max_principle(rng):
-    n = 10
-    for _ in range(n):
-        f = random_subharmonic(rng, random_graph(rng, max_vertices=8))
-        if not maximum_principle_check(f):
-            return False, "domination fails"
-    return True, f"{n} functions"
-
-
-def _check_smooth_max(rng):
-    for _ in range(500):
-        eps = rng.uniform(1e-3, 1.0)
-        a, b = rng.uniform(-5, 5), rng.uniform(-5, 5)
-        m = smooth_max(eps, a, b)
-        hi = max(a, b)
-        if not (hi - 1e-12 <= m <= hi + eps / 4 + 1e-12):
-            return False, "envelope bound fails"
-        if m != smooth_max(eps, b, a):
-            return False, "symmetry fails"
-        if abs(a - b) >= eps and m != hi:
-            return False, "exact branch fails"
-    for _ in range(200):
-        delta = rng.uniform(1e-3, 0.5)
-        ts = [rng.uniform(-2, 2) for _ in range(rng.randint(2, 5))]
-        hi = max(ts)
-        m = smooth_max_n(delta, ts)
-        if not (hi - 1e-12 <= m <= hi + delta + 1e-12):
-            return False, "n-ary envelope fails"
-        if smooth_max_n(delta, ts + [hi - delta - 1.0]) != m:
-            return False, "drop-out not bit-exact"
-    return True, "700 tuples"
-
-
-def _check_regularization(rng):
-    n = 5
-    for _ in range(n):
-        g = random_graph(rng, max_vertices=6, max_edges=8)
-        f = random_subharmonic(rng, g)
-        seq = build_regularization(g, f, n_terms=4)
-        rows = seq.sample(8)
-        fs = [float(fp) for _, _, fp, _ in rows]
-        vals = [[float(fks[k]) for *_, fks in rows]
-                for k in range(len(seq.terms))]
-        for k in range(len(seq.terms) - 1):
-            if any(v1 > v0 + 1e-12 for v0, v1 in zip(vals[k], vals[k + 1])):
-                return False, "not monotone"
-        for k, eps in enumerate(seq.epsilons):
-            bound = 1.25 * float(eps) + 1e-12
-            if any(abs(v - fv) > bound for v, fv in zip(vals[k], fs)):
-                return False, "sup bound fails"
-    return True, f"{n} functions"
-
-
-def _check_rationalize(rng):
-    n = 5
-    done = 0
-    while done < n:
-        g = random_graph(rng, max_vertices=6, max_edges=8)
-        interior = [v for v in g.vertices if v not in g.boundary]
-        if len(interior) < 2:
-            continue
-        p1, p2 = rng.sample(interior, 2)
-        g_exact = green(g, Vertex(p1)).result
-        f = green(g, Vertex(p2)).result
-        if f.vertex_value(p1) == 0 or \
-                any(g_exact.vertex_value(v) <= 0 for v in interior):
-            continue
-        noise = {v: Fraction(rng.randint(-3, 3), 10 ** 7)
-                 for v in g.vertices}
-        for b in g.boundary:
-            noise[b] = Fraction(0)
-        g_in = PAFunction(g, {
-            e.id: [(off, val + (noise[e.u] if off == 0 else
-                                noise[e.v] if off == e.length else
-                                Fraction(rng.randint(-3, 3), 10 ** 7)))
-                   for off, val in prof]
-            for e, prof in ((g.edge(eid), prof)
-                            for eid, prof in g_exact.profiles.items())})
-        cert = rationalize(f, g_in, Fraction(1, 10000))
-        if not (cert.ok and cert.pairing < 0):
-            return False, "certificate fails"
-        done += 1
-    return True, f"{n} inputs"
-
-
-def _check_tents(rng):
-    n = 20
-    for _ in range(n):
-        deg = rng.randint(2, 5)
-        g = MetricGraph.from_json_dict({
-            "vertices": ["c"] + [f"l{i}" for i in range(deg)],
-            "edges": [{"u": "c", "v": f"l{i}",
-                       "len": str(Fraction(rng.randint(1, 8), 4)),
-                       "id": f"a{i}"} for i in range(deg)],
-            "boundary": [f"l{i}" for i in range(deg)]})
-        vals = {"c": Fraction(rng.randint(-4, 4), 2)}
-        vals.update({f"l{i}": Fraction(rng.randint(-4, 4), 2)
-                     for i in range(deg)})
-        f = PAFunction.from_vertex_values(g, vals)
-        coeffs, tents, const = tent_decompose(f, "c")
-        back = tent_reconstruction(coeffs, tents, const, g)
-        # the identity holds on the inner half-star and for the center mass
-        inner = [EdgePoint(e.id, e.length * i / 8)
-                 for e in g.edges for i in range(5)]
-        if any(back.eval(p) != f.eval(p) for p in inner):
-            return False, "reconstruction mismatch"
-        if back.ddc().mass_at(Vertex("c")) != f.ddc().mass_at(Vertex("c")):
-            return False, "center mass mismatch"
-    return True, f"{n} stars"
-
-
-def _random_form(rng, r, p, q):
-    from itertools import combinations
-    idx_i = rng.choice(list(combinations(range(r), p)))
-    idx_j = rng.choice(list(combinations(range(r), q)))
-    poly = sf.Poly(r, {tuple(rng.randint(0, 2) for _ in range(r)):
-                       Fraction(rng.randint(-3, 3))
-                       for _ in range(rng.randint(1, 3))})
-    return sf.SuperForm(r, p, q, {(idx_i, idx_j): poly})
-
-
-def _check_superforms(rng):
-    n = 100
-    for _ in range(n):
-        r = rng.randint(2, 3)
-        p, q = rng.randint(0, r - 1), rng.randint(0, r - 1)
-        a = _random_form(rng, r, p, q)
-        if not sf.d_prime(sf.d_prime(a)).is_zero():
-            return False, "d'^2 != 0"
-        if not sf.d_second(sf.d_second(a)).is_zero():
-            return False, "d''^2 != 0"
-        if sf.d_prime(sf.d_second(a)) != -sf.d_second(sf.d_prime(a)):
-            return False, "anticommutation fails"
-        if sf.j_involution(sf.j_involution(a)) != a:
-            return False, "J^2 != id"
-    hess = sf.hessian_form(sf.Poly(2, {(2, 0): 1, (0, 2): 1}))
-    pts = [[Fraction(x), Fraction(y)] for x in (-1, 0, 1) for y in (-1, 0, 1)]
-    if not sf.is_positive_11(hess, pts).ok:
-        return False, "convex hessian not positive"
-    saddle = sf.hessian_form(sf.Poly(2, {(2, 0): 1, (0, 2): -1}))
-    if sf.is_positive_11(saddle, pts).ok:
-        return False, "saddle hessian positive"
-    return True, f"{n} forms + positivity"
-
-
 def cmd_selftest(args) -> int:
+    # imported here so that `import skelpot.cli` does not pay for it
+    from functools import partial
+    from . import checks
     seed = os.environ.get("SKELPOT_SEED")
     seed = int(seed) if seed is not None else args.seed
     digest = hashlib.sha256(f"skelpot-selftest-{seed}".encode()).hexdigest()
     rng = random.Random(seed)
-    checks = [
-        ("green_exact_values", _check_green_exact),
-        ("poisson_formula", lambda: _check_poisson(rng)),
-        ("subharmonicity_oracles", lambda: _check_oracles(rng)),
-        ("maximum_principle", lambda: _check_max_principle(rng)),
-        ("smooth_max_axioms", lambda: _check_smooth_max(rng)),
-        ("monotone_regularization", lambda: _check_regularization(rng)),
-        ("rationalization", lambda: _check_rationalize(rng)),
-        ("tent_decomposition", lambda: _check_tents(rng)),
-        ("superform_identities", lambda: _check_superforms(rng)),
+    suite = [
+        ("green_exact_values", "3 cases", checks.green_exact_values),
+        ("poisson_formula", "10 graphs", partial(checks.poisson_formula, rng,
+         graphs=10, max_vertices=8, max_edges=12)),
+        ("subharmonicity_oracles", "30 functions",
+         partial(checks.oracle_equivalence, rng, functions=30,
+                 max_vertices=8, max_edges=12)),
+        ("maximum_principle", "10 functions", partial(checks.maximum_principle,
+         rng, functions=10, max_vertices=8, max_edges=18)),
+        ("smooth_max_axioms", "700 tuples",
+         partial(checks.smooth_max_axioms, rng, pairs=500, tuples=200)),
+        ("monotone_regularization", "5 functions",
+         partial(checks.monotone_regularization, rng, functions=5,
+                 max_vertices=6, max_edges=8, n_terms=4, per_edge=8)),
+        ("rationalization", "5 inputs", partial(checks.rationalization, rng,
+         inputs=5, max_vertices=6, max_edges=8)),
+        ("tent_decomposition", "20 stars",
+         partial(checks.tent_decomposition, rng, stars=20)),
+        ("superform_identities", "100 forms + positivity",
+         partial(checks.superform_identities, rng, forms=100, hessians=100)),
     ]
     print("skelpot selftest report")
     print(f"command: selftest --seed {seed}")
     print(f"inputs digest: {digest[:16]}")
     passed = 0
-    for name, fn in checks:
+    for name, detail, check in suite:
         t0 = time.perf_counter()
-        ok, detail = fn()
+        try:
+            check()
+            ok = True
+        except checks.CheckFailed as exc:
+            ok, detail = False, str(exc)
         dt = time.perf_counter() - t0
         print(f"check {name}: {'pass' if ok else 'FAIL'} ({detail})")
         print(f"  {name}: {dt:.3f}s", file=sys.stderr)
         passed += ok
-    print(f"result: {'PASS' if passed == len(checks) else 'FAIL'} "
-          f"({passed}/{len(checks)})")
-    return 0 if passed == len(checks) else 1
+    print(f"result: {'PASS' if passed == len(suite) else 'FAIL'} "
+          f"({passed}/{len(suite)})")
+    return 0 if passed == len(suite) else 1
 
 
 # -- entry point ----------------------------------------------------------------
@@ -590,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True,
                    choices=["dprime", "dsecond", "wedge", "J", "positivity"])
     p.add_argument("--with", dest="second", help="second form (wedge)")
-    p.add_argument("--r", type=int, help="ambient dimension (default: infer)")
+    p.add_argument("--r", type=_positive_int,
+                   help="ambient dimension (default: infer)")
     p.add_argument("--points", help='positivity sample points "1,0;0,1/2"')
     p.set_defaults(fn=cmd_superform)
 
@@ -616,10 +439,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphError, NotSubharmonicError, RationalParseError,
+    except (InputError, GraphError, NotSubharmonicError, RationalParseError,
             RationalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -522,6 +522,17 @@ class FormParseError(ValueError):
 # expands: the cost of p^n grows without bound in n.
 MAX_EXPONENT = 100
 
+# Longest digit run the parser reads as a constant or an index: int()
+# refuses long runs, and Python lets that limit be set as low as 640.
+MAX_DIGITS = 600
+
+
+def _parse_int(t: str) -> int:
+    if len(t) > MAX_DIGITS:
+        raise FormParseError(f"a run of {len(t)} digits is above the "
+                             f"maximum {MAX_DIGITS}")
+    return int(t)
+
 
 class _Tok:
     def __init__(self, text: str):
@@ -588,10 +599,10 @@ def _parse_poly_expr(tk: _Tok, r: int) -> Poly:
             raise FormParseError("unexpected end in polynomial")
         if t[0].isdigit():
             tk.next()
-            return Poly.const(r, int(t))
+            return Poly.const(r, _parse_int(t))
         if t.startswith('x'):
             tk.next()
-            idx = int(t[1:]) - 1
+            idx = _parse_int(t[1:]) - 1
             if not 0 <= idx < r:
                 raise FormParseError(f"variable {t} out of range (r={r})")
             return Poly.var(r, idx)
@@ -671,9 +682,9 @@ def parse_form(text: str, r: int) -> SuperForm:
         while expect_gen:
             t = tk.next()
             if t.startswith("d''x"):
-                gens_j.append(int(t[4:]) - 1)
+                gens_j.append(_parse_int(t[4:]) - 1)
             else:
-                gens_i.append(int(t[3:]) - 1)
+                gens_i.append(_parse_int(t[3:]) - 1)
             if tk.peek() == '^':
                 nxt = tk.toks[tk.pos + 1] if tk.pos + 1 < len(tk.toks) else None
                 if nxt is not None and nxt.startswith("d'"):

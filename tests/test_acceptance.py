@@ -1,97 +1,36 @@
 """End-to-end acceptance suite: ten criteria, each printing one summary
-line (run with -s or read the captured output).  Every exactness claim is
-an exact Fraction equality; float tolerances are stated inline."""
+line (run with -s or read the captured output).  Criteria 1, 2 and 4-10
+run the checks in `skelpot.checks` at full size; `skelpot selftest` runs
+the same checks at small sizes.  Every exactness claim is an exact
+Fraction equality; float tolerances are stated inline."""
 
-import math
 import random
 import time
-from fractions import Fraction
-from itertools import combinations, permutations
 
-import pytest
-
-from skelpot import (EdgePoint, MetricGraph, PAFunction, Vertex,
-                     build_regularization, dirichlet_solve, eval_smoothed,
-                     evaluation_formula_check, green, integrate,
-                     is_subharmonic_green, linear_combine,
-                     maximum_principle_check, rationalize, sample_points,
-                     smooth_max, smooth_max_n, tent_decompose,
-                     tent_reconstruction, theta)
-from skelpot.randgen import (random_graph, random_non_subharmonic,
-                             random_pa_function, random_subharmonic)
-from skelpot import superforms as sf
-
-F = Fraction
+from skelpot import checks, integrate
+from skelpot.randgen import random_graph, random_pa_function
 
 
-def _report(num, name, ok, started, limit, detail=""):
+def _report(num, name, started, limit, detail=""):
     dt = time.perf_counter() - started
     tail = f" ({detail})" if detail else ""
-    print(f"criterion {num} {name}: {'PASS' if ok else 'FAIL'} "
-          f"[{dt:.2f}s < {limit:.0f}s]{tail}")
-    assert ok, f"criterion {num} {name} failed{tail}"
+    print(f"criterion {num} {name}: PASS [{dt:.2f}s < {limit:.0f}s]{tail}")
     assert dt < limit, f"criterion {num} exceeded {limit}s ({dt:.2f}s)"
 
 
-# -- 1: Green exactness -------------------------------------------------------
-
 def test_criterion_1_green_exact_values():
     t0 = time.perf_counter()
-    path = MetricGraph.from_json_dict({
-        "vertices": ["a", "b"],
-        "edges": [{"id": "e", "u": "a", "v": "b", "len": 2}],
-        "boundary": ["a", "b"]})
-    g1 = green(path, EdgePoint("e", F(1)))
-    ok = (g1.result.eval(EdgePoint("e", F(1))) == F(1, 2)
-          and g1.boundary_masses.mass_at(Vertex("a")) == F(1, 2)
-          and g1.boundary_masses.mass_at(Vertex("b")) == F(1, 2))
+    checks.green_exact_values()
+    _report(1, "green exact values", t0, 1.0, "3 oracle cases")
 
-    star = MetricGraph.from_json_dict({
-        "vertices": ["c", "l0", "l1", "l2"],
-        "edges": [{"id": f"a{i}", "u": "c", "v": f"l{i}", "len": 1}
-                  for i in range(3)],
-        "boundary": ["l0", "l1", "l2"]})
-    g2 = green(star, Vertex("c"))
-    ok = ok and g2.result.vertex_value("c") == F(1, 3)
-    ok = ok and all(g2.boundary_masses.mass_at(Vertex(f"l{i}")) == F(1, 3)
-                    for i in range(3))
-
-    unit = MetricGraph.from_json_dict({
-        "vertices": ["a", "b"],
-        "edges": [{"id": "e", "u": "a", "v": "b", "len": 1}],
-        "boundary": ["a", "b"]})
-    g3 = green(unit, EdgePoint("e", F(1, 4)))
-    ok = ok and g3.result.eval(EdgePoint("e", F(1, 4))) == F(3, 16)
-    ok = ok and g3.boundary_masses.mass_at(Vertex("a")) == F(3, 4)
-    ok = ok and g3.boundary_masses.mass_at(Vertex("b")) == F(1, 4)
-    _report(1, "green exact values", ok, t0, 1.0, "3 oracle cases")
-
-
-# -- 2: Poisson formula -------------------------------------------------------
 
 def test_criterion_2_poisson_formula():
     t0 = time.perf_counter()
-    rng = random.Random(2001)
-    graphs = 0
-    checked = 0
-    while graphs < 50:
-        g = random_graph(rng, max_vertices=12, max_edges=18)
-        interior = [v for v in g.vertices if v not in g.boundary]
-        if not interior:
-            continue
-        graphs += 1
-        for b in g.boundary:
-            values = {w: F(1 if w == b else 0) for w in g.boundary}
-            h = dirichlet_solve(g, values).result
-            for x in interior:
-                lhs, rhs = evaluation_formula_check(g, Vertex(x), h)
-                assert lhs == rhs, f"Poisson mismatch at {x} on {g}"
-                checked += 1
-    _report(2, "Poisson formula", True, t0, 30.0,
+    checked = checks.poisson_formula(random.Random(2001), graphs=50,
+                                     max_vertices=12, max_edges=18)
+    _report(2, "Poisson formula", t0, 30.0,
             f"50 graphs, {checked} evaluations")
 
-
-# -- 3: pairing symmetry ------------------------------------------------------
 
 def test_criterion_3_pairing_symmetry():
     t0 = time.perf_counter()
@@ -102,305 +41,59 @@ def test_criterion_3_pairing_symmetry():
             f1 = random_pa_function(rng, g)
             f2 = random_pa_function(rng, g)
             assert integrate(f1, f2.ddc()) == integrate(f2, f1.ddc())
-    _report(3, "pairing symmetry", True, t0, 30.0, "20 graphs x 100 pairs")
+    _report(3, "pairing symmetry", t0, 30.0, "20 graphs x 100 pairs")
 
-
-# -- 4: oracle equivalence ----------------------------------------------------
 
 def test_criterion_4_oracle_equivalence():
     t0 = time.perf_counter()
-    rng = random.Random(4001)
-    n = failures = 0
-    while n < 200:
-        g = random_graph(rng, max_vertices=8, max_edges=12)
-        kind = n % 3
-        if kind == 0:
-            f = random_pa_function(rng, g)
-        elif kind == 1:
-            f = random_subharmonic(rng, g)
-        else:
-            f = random_non_subharmonic(rng, g)
-            if f is None:
-                continue
-        n += 1
-        v_slope = f.is_subharmonic_slope()
-        v_green = is_subharmonic_green(f)
-        assert v_slope.ok == v_green.ok, "oracle verdicts differ"
-        if not v_slope.ok:
-            failures += 1
-            slope_pts = {p for p, _ in v_slope.witnesses}
-            green_pts = {p for p, _ in v_green.violations}
-            assert slope_pts & green_pts, "no common witness"
-    _report(4, "subharmonicity oracle equivalence", True, t0, 60.0,
+    failures = checks.oracle_equivalence(random.Random(4001), functions=200,
+                                         max_vertices=8, max_edges=12)
+    _report(4, "subharmonicity oracle equivalence", t0, 60.0,
             f"200 functions, {failures} negative verdicts")
 
 
-# -- 5: maximum principle -----------------------------------------------------
-
 def test_criterion_5_maximum_principle():
     t0 = time.perf_counter()
-    rng = random.Random(5001)
-    for _ in range(50):
-        g = random_graph(rng, max_vertices=10, max_edges=14)
-        f = random_subharmonic(rng, g)
-        assert maximum_principle_check(f)
-    _report(5, "maximum principle", True, t0, 30.0, "50 functions, exact")
+    checks.maximum_principle(random.Random(5001), functions=50,
+                             max_vertices=10, max_edges=14)
+    _report(5, "maximum principle", t0, 30.0, "50 functions, exact")
 
-
-# -- 6: smooth max axioms -----------------------------------------------------
 
 def test_criterion_6_smooth_max_axioms():
     t0 = time.perf_counter()
-    rng = random.Random(6001)
-    tol = 1e-12
-
-    for _ in range(10 ** 4):
-        eps = rng.uniform(1e-6, 2.0)
-        a, b = rng.uniform(-10, 10), rng.uniform(-10, 10)
-        m = smooth_max(eps, a, b)
-        hi = max(a, b)
-        # (i) envelope: max <= m <= max + eps/2 at the tie, here eps/4 bound
-        assert hi - tol <= m <= hi + eps / 4 + tol
-        # (ii) symmetry
-        assert m == smooth_max(eps, b, a)
-        # (iii) exact outside the band
-        if abs(a - b) >= eps:
-            assert m == hi
-        # (iv) translation equivariance
-        c = rng.uniform(-5, 5)
-        assert abs(smooth_max(eps, a + c, b + c) - (m + c)) <= tol * 100
-    assert smooth_max(1.0, 0.0, 0.0) == 0.25
-    assert theta(1.0, 0.0) == 0.5
-
-    dropouts = 0
-    for _ in range(10 ** 4):
-        delta = rng.uniform(1e-6, 1.0)
-        k = rng.randint(1, 6)
-        ts = [rng.uniform(-5, 5) for _ in range(k)]
-        hi = max(ts)
-        m = smooth_max_n(delta, ts)
-        # (1) envelope
-        assert hi - tol <= m <= hi + delta + tol
-        # (2) drop-out: arguments below max - delta are bit-exactly inert
-        low = hi - delta - rng.uniform(0.001, 3.0)
-        assert smooth_max_n(delta, ts + [low]) == m
-        dropouts += 1
-        # (3) translation equivariance within 1e-12
-        c = rng.uniform(-5, 5)
-        assert abs(smooth_max_n(delta, [t + c for t in ts]) - (m + c)) <= tol
-    _report(6, "smooth max axioms", True, t0, 10.0,
+    dropouts = checks.smooth_max_axioms(random.Random(6001), pairs=10 ** 4,
+                                        tuples=10 ** 4)
+    _report(6, "smooth max axioms", t0, 10.0,
             f"10^4 pair tuples + 10^4 n-ary, {dropouts} bit-exact drop-outs")
 
 
-# -- 7: monotone regularization ----------------------------------------------
-
 def test_criterion_7_monotone_regularization():
     t0 = time.perf_counter()
-    rng = random.Random(7001)
-    for _ in range(20):
-        g = random_graph(rng, max_vertices=7, max_edges=9)
-        f = random_subharmonic(rng, g)
-        seq = build_regularization(g, f, n_terms=10)
-        wg = seq.graph
-        pts = sample_points(wg, seq.base, per_edge=16)
-        vals = [[eval_smoothed(term, p) for p in pts] for term in seq.terms]
-        for k in range(9):
-            assert all(v1 <= v0 + 1e-12
-                       for v0, v1 in zip(vals[k], vals[k + 1])), \
-                f"f_{k + 1} > f_{k}"
-        for k, eps in enumerate(seq.epsilons):
-            bound = 1.25 * float(eps) + 1e-12
-            assert all(abs(v - float(seq.base.eval(p))) <= bound
-                       for v, p in zip(vals[k], pts)), f"sup bound at k={k}"
-        # smoothness: nonnegative curvature along edges and at vertices
-        last = seq.terms[-1]
-        from skelpot.regularize import arc_second_difference
-        for e in wg.edges:
-            h = e.length / 64
-            for i in range(2, 63):
-                assert arc_second_difference(last, e.id, e.length * i / 64,
-                                             h) >= -1e-9
-        for v in wg.vertices:
-            if v in wg.boundary:
-                continue
-            h = min(e.length for e in wg.edges
-                    if v in (e.u, e.v)) / 64
-            base_val = eval_smoothed(last, Vertex(v))
-            total = 0.0
-            for d in wg.star(Vertex(v)):
-                e = wg.edge(d.edge)
-                off = h if d.toward_v else e.length - h
-                total += (eval_smoothed(last, EdgePoint(e.id, off))
-                          - base_val) / float(h)
-            assert total >= -1e-9, f"vertex balance at {v}"
-    _report(7, "monotone regularization", True, t0, 60.0,
+    checks.monotone_regularization(random.Random(7001), functions=20,
+                                   max_vertices=7, max_edges=9, n_terms=10,
+                                   per_edge=16)
+    _report(7, "monotone regularization", t0, 60.0,
             "20 functions, k = 0..9")
 
 
-# -- 8: rationalization -------------------------------------------------------
-
 def test_criterion_8_rationalization():
     t0 = time.perf_counter()
-    rng = random.Random(8001)
-    tol = F(1, 10000)
-    done = 0
-    while done < 25:
-        g = random_graph(rng, max_vertices=7, max_edges=9)
-        interior = [v for v in g.vertices if v not in g.boundary]
-        if len(interior) < 2:
-            continue
-        p1, p2 = rng.sample(interior, 2)
-        g_exact = green(g, Vertex(p1)).result
-        if any(g_exact.vertex_value(v) <= 0 for v in interior):
-            continue  # boundary cuts p1 off from part of the interior
-        f = green(g, Vertex(p2)).result
-        if f.vertex_value(p1) <= 0:
-            continue
-        # pairing(f, ddc g_exact) = -f(p1); scale f so the margin holds:
-        # |pairing| >= 10 * tol * massbound with massbound = |ddc f|(Y).
-        massbound = f.ddc().total_variation()
-        need = 10 * tol * massbound
-        scale = need / f.vertex_value(p1) + 1
-        f = linear_combine([(scale, f)])
-        massbound = f.ddc().total_variation()
-        assert f.vertex_value(p1) >= 10 * tol * massbound
-
-        noise = {v: F(0) if v in g.boundary
-                 else F(rng.randint(-9, 9), 10 ** 7) for v in g.vertices}
-        g_in = PAFunction(g, {
-            e.id: [(off,
-                    val + (noise[e.u] if off == 0 else
-                           noise[e.v] if off == e.length else
-                           F(rng.randint(-9, 9), 10 ** 7)))
-                   for off, val in g_exact.profiles[e.id]]
-            for e in g.edges})
-        cert = rationalize(f, g_in, tol)
-        assert cert.checks["kinks_rational"]["pass"]      # (a)
-        assert cert.checks["values_rational"]["pass"]     # (b)
-        assert cert.checks["slopes_rational"]["pass"]     # (c)
-        assert cert.ok and cert.pairing < 0
-        # recompute the pairing independently on the emitted output
-        assert cert.pairing == integrate(f, cert.output.ddc())
-        done += 1
-    _report(8, "rationalization certificates", True, t0, 30.0,
+    checks.rationalization(random.Random(8001), inputs=25, max_vertices=7,
+                           max_edges=9)
+    _report(8, "rationalization certificates", t0, 30.0,
             "25 perturbed inputs, margin >= 10*tol*massbound")
 
 
-# -- 9: tent decomposition ----------------------------------------------------
-
 def test_criterion_9_tent_decomposition():
     t0 = time.perf_counter()
-    rng = random.Random(9001)
-    for _ in range(100):
-        deg = rng.randint(1, 6)
-        g = MetricGraph.from_json_dict({
-            "vertices": ["c"] + [f"l{i}" for i in range(deg)],
-            "edges": [{"id": f"a{i}", "u": "c", "v": f"l{i}",
-                       "len": str(F(rng.randint(1, 12), rng.randint(1, 4)))}
-                      for i in range(deg)],
-            "boundary": [f"l{i}" for i in range(deg)]})
-        vals = {v: F(rng.randint(-8, 8), rng.randint(1, 3))
-                for v in g.vertices}
-        f = PAFunction.from_vertex_values(g, vals)
-        coeffs, tents, const = tent_decompose(f, "c")
-        back = tent_reconstruction(coeffs, tents, const, g)
-        # exact on the inner half-star
-        for e in g.edges:
-            for i in range(9):
-                p = g.normalize_point(EdgePoint(e.id, e.length * i / 16))
-                assert back.eval(p) == f.eval(p)
-        assert back.ddc().mass_at(Vertex("c")) == f.ddc().mass_at(Vertex("c"))
-    _report(9, "tent decomposition", True, t0, 30.0,
+    checks.tent_decomposition(random.Random(9001), stars=100)
+    _report(9, "tent decomposition", t0, 30.0,
             "100 stars of degree <= 6, exact")
-
-
-# -- 10: superform identities -------------------------------------------------
-
-def _random_poly(rng, r):
-    return sf.Poly(r, {tuple(rng.randint(0, 2) for _ in range(r)):
-                       F(rng.randint(-4, 4), rng.randint(1, 3))
-                       for _ in range(rng.randint(1, 3))})
-
-
-def _random_form(rng, r):
-    p, q = rng.randint(0, r), rng.randint(0, r)
-    coeffs = {}
-    for _ in range(rng.randint(1, 2)):
-        key = (rng.choice(list(combinations(range(r), p))),
-               rng.choice(list(combinations(range(r), q))))
-        coeffs[key] = _random_poly(rng, r)
-    return sf.SuperForm(r, p, q, coeffs)
-
-
-def _psd_minor_oracle(mat):
-    """PSD iff every principal minor determinant is >= 0 (exact)."""
-    n = len(mat)
-    for size in range(1, n + 1):
-        for idx in combinations(range(n), size):
-            sub = [[mat[i][j] for j in idx] for i in idx]
-            if _det(sub) < 0:
-                return False
-    return True
-
-
-def _det(m):
-    n = len(m)
-    total = F(0)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        prod = F(1)
-        for i in range(n):
-            prod *= m[i][perm[i]]
-        total += sign * prod
-    return total
 
 
 def test_criterion_10_superform_identities():
     t0 = time.perf_counter()
-    rng = random.Random(10001)
-    maps_by_r = {1: sf.AffineMap.of([[2]], [1]),
-                 2: sf.AffineMap.of([[1, 2], [0, 1]], [1, -1]),
-                 3: sf.AffineMap.of([[1, 0, 2], [0, 1, 1], [1, -1, 0]],
-                                    [0, 3, 1])}
-    for _ in range(10 ** 3):
-        r = rng.randint(1, 3)
-        a = _random_form(rng, r)
-        b = _random_form(rng, r)
-        assert sf.d_prime(sf.d_prime(a)).is_zero()
-        assert sf.d_second(sf.d_second(a)).is_zero()
-        assert sf.d_prime(sf.d_second(a)) == -sf.d_second(sf.d_prime(a))
-        assert sf.j_involution(sf.j_involution(a)) == a
-        # Leibniz with the sign (-1)^{p+q} on the second term
-        sgn = (-1) ** (a.p + a.q)
-        assert sf.d_prime(sf.wedge(a, b)) == \
-            sf.wedge(sf.d_prime(a), b) + sf.wedge(a, sf.d_prime(b)).scale(sgn)
-        fm = maps_by_r[r]
-        assert sf.pullback(fm, sf.d_prime(a)) == sf.d_prime(sf.pullback(fm, a))
-
-    # hessian positivity vs convexity via an independent minor oracle
-    pts = [[F(x), F(y)] for x in (-2, -1, 0, 1, 2) for y in (-2, -1, 0, 1, 2)]
-    checked = 0
-    for _ in range(10 ** 3):
-        x, y = sf.Poly.var(2, 0), sf.Poly.var(2, 1)
-        a11 = rng.randint(-3, 3)
-        a12 = rng.randint(-3, 3)
-        a22 = rng.randint(-3, 3)
-        quad = a11 * (x * x) + a12 * (x * y) + a22 * (y * y)
-        if rng.random() < 0.5:
-            psi = quad                                   # quadratic
-        else:
-            psi = quad * quad                            # quartic square
-        verdict = sf.is_positive_11(sf.hessian_form(psi), pts)
-        hess = [[psi.diff(i).diff(j) for j in range(2)] for i in range(2)]
-        expect = all(_psd_minor_oracle(
-            [[hess[i][j].eval(pt) for j in range(2)] for i in range(2)])
-            for pt in pts)
-        assert verdict.ok == expect
-        checked += 1
-    _report(10, "superform identities", True, t0, 60.0,
+    checked = checks.superform_identities(random.Random(10001),
+                                          forms=10 ** 3, hessians=10 ** 3)
+    _report(10, "superform identities", t0, 60.0,
             f"10^3 random forms + {checked} positivity samples")

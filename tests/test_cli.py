@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import pytest
 from skelpot.cli import main
 
 from conftest import kinked_subharmonic, subprocess_env
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 UNIT_EDGE = {
     "vertices": ["a", "b"],
@@ -120,6 +123,16 @@ def test_harmonic_star_mean(tmp_path, capsys):
     from skelpot import PAFunction
     h = PAFunction.from_json_dict(out)
     assert h.vertex_value("c") == 2  # (1 + 5 + 0) / 3
+
+
+def test_harmonic_values_list_is_exit_2(tmp_path, capsys):
+    g = write_json(tmp_path, "g.json", PATH3)
+    vals = write_json(tmp_path, "vals.json", ["0", "1"])
+    rc = main(["harmonic", "--graph", g, "--values", vals])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "vals.json: the top level must be a JSON object" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +343,28 @@ def test_superform_exponent_above_limit_is_exit_2(capsys, expr):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_superform_r_below_one_is_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["superform", "x1^2", "--op", "dprime", "--r", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and ">= 1" in captured.err
+
+
+@pytest.mark.parametrize("expr", ["1" * 5000, "x" + "1" * 5000,
+                                  "d'x" + "1" * 5000],
+                         ids=["constant", "index", "generator"])
+def test_superform_long_digit_run_is_exit_2(capsys, expr):
+    rc = main(["superform", expr, "--op", "dprime"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "a run of 5000 digits is above the maximum" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # input errors
 # ---------------------------------------------------------------------------
@@ -417,12 +452,14 @@ def _run_selftest(seed_args=(), env_extra=None):
 
 
 def test_selftest_deterministic_and_passing():
-    r1 = _run_selftest(["--seed", "42"])
-    r2 = _run_selftest(["--seed", "42"])
-    assert r1.returncode == 0
-    assert r1.stdout == r2.stdout
-    assert "result: PASS (9/9)" in r1.stdout
-    assert "--seed 42" in r1.stdout
+    """Each report is byte-identical to the committed one, which passes
+    all nine checks and names its seed."""
+    for seed in ("0", "42"):
+        r = _run_selftest(["--seed", seed])
+        assert r.returncode == 0
+        assert r.stdout == (DATA / f"selftest_seed{seed}.txt").read_text()
+        assert "result: PASS (9/9)" in r.stdout
+        assert f"--seed {seed}" in r.stdout
 
 
 def test_selftest_env_seed_override():

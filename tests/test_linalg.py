@@ -6,6 +6,7 @@ import pytest
 from skelpot import (EdgePoint, MetricGraph, SingularMatrixError, Vertex,
                      green, is_psd_exact, rank_exact, solve_exact)
 from skelpot import potential
+from skelpot.checks import psd_minor_oracle
 from skelpot.graph import Edge
 from skelpot.randgen import random_graph
 
@@ -134,37 +135,6 @@ def test_rank():
     assert rank_exact([[F(0), F(0)]]) == 0
 
 
-def _minor_psd(m):
-    """Independent PSD oracle: all principal minors nonnegative."""
-    import itertools
-    n = len(m)
-
-    def det(sub):
-        k = len(sub)
-        if k == 0:
-            return F(1)
-        total = F(0)
-        for perm in itertools.permutations(range(k)):
-            sign = 1
-            p = list(perm)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if p[i] > p[j]:
-                        sign = -sign
-            term = F(sign)
-            for i in range(k):
-                term *= sub[i][perm[i]]
-            total += term
-        return total
-
-    for size in range(1, n + 1):
-        for idx in itertools.combinations(range(n), size):
-            sub = [[m[i][j] for j in idx] for i in idx]
-            if det(sub) < 0:
-                return False
-    return True
-
-
 def test_psd_known_cases():
     assert is_psd_exact([[F(2), F(0)], [F(0), F(2)]])
     assert not is_psd_exact([[F(1), F(0)], [F(0), F(-1)]])
@@ -180,7 +150,7 @@ def test_psd_matches_minor_oracle():
         raw = [[F(rng.randint(-3, 3), rng.randint(1, 3))
                 for _ in range(n)] for _ in range(n)]
         sym = [[raw[i][j] + raw[j][i] for j in range(n)] for i in range(n)]
-        assert is_psd_exact(sym) == _minor_psd(sym)
+        assert is_psd_exact(sym) == psd_minor_oracle(sym)
         gram = [[sum(raw[i][k] * raw[j][k] for k in range(n))
                  for j in range(n)] for i in range(n)]
         assert is_psd_exact(gram)

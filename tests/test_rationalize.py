@@ -136,6 +136,31 @@ def test_certificate_checks_are_rederivable():
     assert set(blob) == {"ok", "pairing", "pairing_input", "checks", "output"}
 
 
+def test_verdict_is_the_and_of_every_check():
+    g = _path3()
+    peak = pa(g, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})
+    valley = pa(g, {"e0": [(0, 0), (1, -1)], "e1": [(0, -1), (1, 0)]})
+    half = F(1, 2) + F(7, 10**7)
+    candidates = [
+        green(g, Vertex("b")).result,
+        pa(g, {"e0": [(0, 0), (1, half)], "e1": [(0, half), (1, 0)]}),
+        pa(g, {"e0": [(0, 0), (1, F(1, 10**8))],
+               "e1": [(0, F(1, 10**8)), (1, 0)]}),
+        pa(g, {"e0": [(0, F(1, 10**7)), (1, F(1, 2))],
+               "e1": [(0, F(1, 2)), (1, -F(1, 10**7))]}),
+    ]
+    verdicts = set()
+    for f in (peak, valley):
+        for g_in in candidates:
+            for tol in (F(1, 100), F(1, 1000)):
+                cert = rationalize(f, g_in, tol)
+                assert cert.ok == all(c["pass"] for c in cert.checks.values())
+                assert cert.checks["boundary_zero"]["pass"]
+                assert cert.checks["pairing_bound"]["pass"]
+                verdicts.add(cert.ok)
+    assert verdicts == {True, False}
+
+
 def test_continuity_bound_recorded():
     g = _path3()
     f = pa(g, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})

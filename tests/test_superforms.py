@@ -6,7 +6,8 @@ import pytest
 
 from skelpot.cli import _positivity_points
 from skelpot.linalg import is_psd_exact
-from skelpot.superforms import (MAX_EXPONENT, AffineMap, BidegreeError,
+from skelpot.superforms import (MAX_DIGITS, MAX_EXPONENT, AffineMap,
+                                BidegreeError,
                                 FormParseError, Poly, PositivityVerdict,
                                 SuperForm, d_prime, d_second, format_form,
                                 format_poly, hessian_form, integrate_box,
@@ -481,6 +482,16 @@ def test_parse_exponent_limit():
     for bad in [f"x1^{MAX_EXPONENT + 1}", "x1^20000", "2^101",
                 "x1^" + "1" * 5000, "x1*(x1^20)^20", "x1*(x1*x1)^51"]:
         with pytest.raises(FormParseError, match="maximum"):
+            parse_form(bad, 1)
+
+
+def test_parse_digit_limit():
+    big = "9" * MAX_DIGITS
+    assert parse_form(big + "*x1", 1) == \
+        SuperForm.function(Poly(1, {(1,): int(big)}))
+    for bad in ["9" * (MAX_DIGITS + 1), "x" + "1" * (MAX_DIGITS + 1),
+                "d'x" + "1" * (MAX_DIGITS + 1), "d''x" + "0" * 5000 + "1"]:
+        with pytest.raises(FormParseError, match=f"maximum {MAX_DIGITS}"):
             parse_form(bad, 1)
 
 
