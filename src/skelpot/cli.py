@@ -237,6 +237,8 @@ def _parse_form(text: str, r: int) -> sf.SuperForm:
 
 def cmd_superform(args) -> int:
     r = _infer_dim(args.expr, args.second or "") if args.r is None else args.r
+    if r > sf.MAX_DIM:
+        raise InputError(f"dimension {r} is above the maximum {sf.MAX_DIM}")
     alpha = _parse_form(args.expr, r)
     if args.op == "dprime":
         out = sf.d_prime(alpha)
@@ -254,8 +256,8 @@ def cmd_superform(args) -> int:
                                                      sf.Poly(r, {})))
         if (alpha.p, alpha.q) != (1, 1):
             raise InputError("positivity needs a (1,1)-form or a function")
-        points = _positivity_points(args.points, r)
         try:
+            points = _positivity_points(args.points, r)
             verdict = sf.is_positive_11(alpha, points)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
@@ -264,7 +266,16 @@ def cmd_superform(args) -> int:
             print("violation at (" +
                   ", ".join(format_rational(x) for x in pt) + ")")
         return 0 if verdict.ok else 1
-    print(sf.format_form(out))
+    try:
+        text = sf.format_form(out)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise                   # not str() refusing a long integer
+        raise InputError(
+            f"the result has a coefficient of more than "
+            f"{sys.get_int_max_str_digits()} digits, the printing limit"
+        ) from exc
+    print(text)
     return 0
 
 
@@ -359,76 +370,78 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (handler, help, [(argument, add_argument keywords), ...])
+SUBCOMMANDS = {
+    "ddc": (cmd_ddc, "Laplacian measure of a PA function", [
+        ("file", dict(help="PA function JSON"))]),
+    "green": (cmd_green, "Green's function for a pole", [
+        ("--graph", dict(required=True, help="graph JSON")),
+        ("--point", dict(required=True,
+                         help='pole: vertex id or "edge:offset"'))]),
+    "harmonic": (cmd_harmonic, "harmonic extension of boundary data", [
+        ("--graph", dict(required=True, help="graph JSON")),
+        ("--values", dict(required=True,
+                          help="JSON object: boundary vertex -> rational"))]),
+    "subharmonic": (cmd_subharmonic, "test subharmonicity", [
+        ("file", dict(help="PA function JSON")),
+        ("--method", dict(choices=["slope", "green", "both"],
+                          default="both"))]),
+    "regularize": (cmd_regularize,
+                   "monotone smooth approximation, CSV samples", [
+        ("file", dict(help="subharmonic PA function JSON")),
+        ("--k", dict(type=_positive_int, default=10, help="number of terms")),
+        ("--samples", dict(type=_positive_int, default=32,
+                           help="sample points per edge")),
+        ("--patches", dict(help="write patch/epsilon JSON to this file"))]),
+    "rationalize": (cmd_rationalize,
+                    "snap a decimal function to rationals "
+                    "with an exact pairing certificate", [
+        ("--f", dict(required=True, help="exact PA function JSON")),
+        ("--g", dict(required=True, help="approximate function JSON")),
+        ("--tol", dict(default="1/1000", help="snapping tolerance"))]),
+    "superform": (cmd_superform, "superform algebra operations", [
+        ("expr", dict(help="form expression, e.g. "
+                           "\"(2*x1^2 + x2) d'x1 ^ d''x2\"")),
+        ("--op", dict(required=True, choices=["dprime", "dsecond", "wedge",
+                                              "J", "positivity"])),
+        ("--with", dict(dest="second", help="second form (wedge)")),
+        ("--r", dict(type=_positive_int,
+                     help="ambient dimension (default: infer)")),
+        ("--points", dict(help='positivity sample points "1,0;0,1/2"'))]),
+    "selftest": (cmd_selftest, "deterministic seeded self-check", [
+        ("--seed", dict(type=int, default=0,
+                        help="RNG seed (env SKELPOT_SEED overrides)"))]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: every subcommand, or only `command`.  The
+    usage line lists every subcommand either way, so the messages of a
+    one-subcommand parser are those of the full one."""
     ap = argparse.ArgumentParser(
         prog="skelpot",
         description="Potential theory on metric graphs: exact Laplacians, "
                     "Green's functions, regularization, and superforms.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ddc", help="Laplacian measure of a PA function")
-    p.add_argument("file", help="PA function JSON")
-    p.set_defaults(fn=cmd_ddc)
-
-    p = sub.add_parser("green", help="Green's function for a pole")
-    p.add_argument("--graph", required=True, help="graph JSON")
-    p.add_argument("--point", required=True,
-                   help='pole: vertex id or "edge:offset"')
-    p.set_defaults(fn=cmd_green)
-
-    p = sub.add_parser("harmonic", help="harmonic extension of boundary data")
-    p.add_argument("--graph", required=True, help="graph JSON")
-    p.add_argument("--values", required=True,
-                   help="JSON object: boundary vertex -> rational")
-    p.set_defaults(fn=cmd_harmonic)
-
-    p = sub.add_parser("subharmonic", help="test subharmonicity")
-    p.add_argument("file", help="PA function JSON")
-    p.add_argument("--method", choices=["slope", "green", "both"],
-                   default="both")
-    p.set_defaults(fn=cmd_subharmonic)
-
-    p = sub.add_parser("regularize",
-                       help="monotone smooth approximation, CSV samples")
-    p.add_argument("file", help="subharmonic PA function JSON")
-    p.add_argument("--k", type=_positive_int, default=10,
-                   help="number of terms")
-    p.add_argument("--samples", type=_positive_int, default=32,
-                   help="sample points per edge")
-    p.add_argument("--patches", help="write patch/epsilon JSON to this file")
-    p.set_defaults(fn=cmd_regularize)
-
-    p = sub.add_parser("rationalize",
-                       help="snap a decimal function to rationals "
-                            "with an exact pairing certificate")
-    p.add_argument("--f", required=True, help="exact PA function JSON")
-    p.add_argument("--g", required=True, help="approximate function JSON")
-    p.add_argument("--tol", default="1/1000", help="snapping tolerance")
-    p.set_defaults(fn=cmd_rationalize)
-
-    p = sub.add_parser("superform", help="superform algebra operations")
-    p.add_argument("expr", help="form expression, e.g. "
-                                "\"(2*x1^2 + x2) d'x1 ^ d''x2\"")
-    p.add_argument("--op", required=True,
-                   choices=["dprime", "dsecond", "wedge", "J", "positivity"])
-    p.add_argument("--with", dest="second", help="second form (wedge)")
-    p.add_argument("--r", type=_positive_int,
-                   help="ambient dimension (default: infer)")
-    p.add_argument("--points", help='positivity sample points "1,0;0,1/2"')
-    p.set_defaults(fn=cmd_superform)
-
-    p = sub.add_parser("selftest", help="deterministic seeded self-check")
-    p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed (env SKELPOT_SEED overrides)")
-    p.set_defaults(fn=cmd_selftest)
-
+    for name, (fn, help_text, arguments) in SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for arg, kw in arguments:
+                p.add_argument(arg, **kw)
+            p.set_defaults(fn=fn)
+    if command is not None:
+        sub.metavar = "{" + ",".join(SUBCOMMANDS) + "}"
     return ap
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # a call names its subcommand first: build only that one's parser
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser(command).parse_args(argv)
             return args.fn(args)
         finally:
             sys.stdout.flush()      # a closed reader shows up here at the latest

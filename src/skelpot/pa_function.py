@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,7 +79,9 @@ class PAFunction:
     """Continuous piecewise-affine function, one breakpoint profile per edge.
 
     Profiles run from offset 0 (value at u) to offset = length (value at v);
-    the function is affine between consecutive breakpoints.
+    the function is affine between consecutive breakpoints.  Every
+    constructor also keeps each edge's offsets as a list, so that
+    lookups bisect instead of scanning the profile.
     """
 
     def __init__(self, graph: MetricGraph, profiles: dict):
@@ -100,6 +103,23 @@ class PAFunction:
             raise GraphError(f"profiles for unknown edges {sorted(extra)}")
         self.profiles = norm
         self._vertex_values = self._check_continuity()
+        self._offsets = {eid: [o for o, _ in prof]
+                         for eid, prof in norm.items()}
+
+    @classmethod
+    def _of(cls, graph: MetricGraph, profiles: dict,
+            vertex_values: dict) -> "PAFunction":
+        """Trusted constructor for data that is already valid: one
+        profile per edge of the graph, a tuple of (Fraction, Fraction)
+        pairs spanning the edge with increasing offsets, and every
+        vertex's value, equal to the profile ends at that vertex."""
+        self = object.__new__(cls)
+        self.graph = graph
+        self.profiles = profiles
+        self._vertex_values = vertex_values
+        self._offsets = {eid: [o for o, _ in prof]
+                         for eid, prof in profiles.items()}
+        return self
 
     def _check_continuity(self) -> dict[str, Fraction]:
         values: dict[str, Fraction] = {}
@@ -125,20 +145,38 @@ class PAFunction:
         return self._vertex_values[vid]
 
     def eval(self, p: GraphPoint) -> Fraction:
-        p = self.graph.normalize_point(p)
         if isinstance(p, Vertex):
-            return self._vertex_values[p.id]
-        prof = self.profiles[p.edge]
-        for (o1, v1), (o2, v2) in zip(prof, prof[1:]):
-            if o1 <= p.offset <= o2:
-                return v1 + (v2 - v1) * (p.offset - o1) / (o2 - o1)
-        raise GraphError(f"offset {p.offset} outside edge {p.edge}")
+            if p.id in self._vertex_values:
+                return self._vertex_values[p.id]
+        elif p.edge in self._offsets and \
+                0 <= p.offset <= self._offsets[p.edge][-1]:
+            return self._on_edge(p.edge, p.offset)
+        raise GraphError(f"point {p!r} is not on the graph")
+
+    def _on_edge(self, eid: str, offset) -> Fraction:
+        """Value at an offset in [0, length] of edge eid."""
+        offs = self._offsets[eid]
+        i = bisect_left(offs, offset)
+        o2, v2 = self.profiles[eid][i]
+        if o2 == offset:
+            return v2
+        o1, v1 = self.profiles[eid][i - 1]
+        return v1 + (v2 - v1) * (offset - o1) / (o2 - o1)
+
+    def next_breakpoint(self, edge_id: str, offset,
+                        toward_v: bool) -> tuple[Fraction, Fraction] | None:
+        """The breakpoint (offset, value) of the edge's profile nearest
+        to `offset` and strictly beyond it, toward v or toward u; None
+        past the edge's end."""
+        offs = self._offsets[edge_id]
+        i = bisect_right(offs, offset) if toward_v \
+            else bisect_left(offs, offset) - 1
+        return self.profiles[edge_id][i] if 0 <= i < len(offs) else None
 
     def outgoing_slope(self, d: TangentDirection) -> Fraction:
         """One-sided derivative at d.base in the direction of d."""
         self.graph.require_point(d.base)
         e = self.graph.edge(d.edge)
-        prof = self.profiles[e.id]
         if isinstance(d.base, Vertex):
             base_off = Fraction(0) if d.toward_v else e.length
             if (d.toward_v and d.base.id != e.u) or \
@@ -150,10 +188,7 @@ class PAFunction:
             base_off = d.base.offset
         base_val = self.eval(d.base) if isinstance(d.base, EdgePoint) \
             else self._vertex_values[d.base.id]
-        if d.toward_v:
-            nxt = next((ov for ov in prof if ov[0] > base_off), None)
-        else:
-            nxt = next((ov for ov in reversed(prof) if ov[0] < base_off), None)
+        nxt = self.next_breakpoint(e.id, base_off, d.toward_v)
         if nxt is None:
             raise GraphError(f"no room in direction {d}")
         o, v = nxt
@@ -232,6 +267,7 @@ class PAFunction:
         vertices = set(g.vertices)
         edges = {e.id: e for e in g.edges}
         profiles = dict(self.profiles)
+        values = dict(self._vertex_values)
         heapq.heapify(pending)
         while pending:
             eid = heapq.heappop(pending)
@@ -252,9 +288,11 @@ class PAFunction:
             profiles[right] = tuple((q - o, v) for q, v in prof[1:])
             if len(prof) > 3:
                 heapq.heappush(pending, right)
+            values[new_v] = prof[1][1]
         graph = MetricGraph(vertices, edges.values(), g.boundary,
                             allow_loops=g.allow_loops, allow_parallel=True)
-        return PAFunction(graph, profiles)
+        return PAFunction._of(graph, {e.id: profiles[e.id]
+                                      for e in graph.edges}, values)
 
     # -- serialization ----------------------------------------------------------
 
@@ -294,10 +332,17 @@ class PAFunction:
     @classmethod
     def from_vertex_values(cls, graph: MetricGraph, values: dict) -> "PAFunction":
         """Edge-affine interpolation of per-vertex values."""
-        return cls(graph, {
-            e.id: [(Fraction(0), Fraction(values[e.u])),
-                   (e.length, Fraction(values[e.v]))]
-            for e in graph.edges})
+        vv = {}
+        profiles = {}
+        for e in graph.edges:
+            fu = vv[e.u] = Fraction(values[e.u])
+            fv = vv[e.v] = Fraction(values[e.v])
+            profiles[e.id] = ((Fraction(0), fu), (e.length, fv))
+        missing = set(graph.vertices) - vv.keys()
+        if missing:
+            raise GraphError(
+                f"isolated vertices carry no value: {sorted(missing)}")
+        return cls._of(graph, profiles, vv)
 
     def max_abs_slope(self) -> Fraction:
         """A Lipschitz constant (exact, metric-graph arc length)."""
@@ -325,17 +370,18 @@ def linear_combine(coeffs: list[tuple[Fraction, PAFunction]]) -> PAFunction:
     for _, f in coeffs:
         if f.graph != graph:
             raise GraphError("linear_combine: graph mismatch")
+    coeffs = [(Fraction(c), f) for c, f in coeffs]
     profiles = {}
     for e in graph.edges:
-        offsets = sorted({o for _, f in coeffs for o, _ in f.profiles[e.id]})
-        prof = []
-        for o in offsets:
-            p = Vertex(e.u) if o == 0 else (
-                Vertex(e.v) if o == e.length else EdgePoint(e.id, o))
-            val = sum((Fraction(c) * f.eval(p) for c, f in coeffs), Fraction(0))
-            prof.append((o, val))
-        profiles[e.id] = prof
-    return PAFunction(graph, profiles)
+        offsets = sorted({o for _, f in coeffs for o in f._offsets[e.id]})
+        profiles[e.id] = tuple(
+            (o, sum((c * f._on_edge(e.id, o) for c, f in coeffs),
+                    Fraction(0)))
+            for o in offsets)
+    values = {v: sum((c * f._vertex_values[v] for c, f in coeffs),
+                     Fraction(0))
+              for v in graph.vertices}
+    return PAFunction._of(graph, profiles, values)
 
 
 def integrate(f: PAFunction, mu: DiscreteMeasure) -> Fraction:

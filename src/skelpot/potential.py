@@ -100,17 +100,13 @@ def green(g: MetricGraph, x: GraphPoint) -> GreenFunction:
     values = _solve_laplacian(sub, zero, sources={pole_vid: Fraction(-1)})
 
     if isinstance(x, EdgePoint):
-        e = g.edge(x.edge)
         profiles = {}
-        for e2 in g.edges:
-            if e2.id == x.edge:
-                profiles[e2.id] = [(Fraction(0), values[e2.u]),
-                                   (x.offset, values[pole_vid]),
-                                   (e2.length, values[e2.v])]
-            else:
-                profiles[e2.id] = [(Fraction(0), values[e2.u]),
-                                   (e2.length, values[e2.v])]
-        result = PAFunction(g, profiles)
+        for e in g.edges:
+            mid = ((x.offset, values[pole_vid]),) if e.id == x.edge else ()
+            profiles[e.id] = ((Fraction(0), values[e.u]), *mid,
+                              (e.length, values[e.v]))
+        result = PAFunction._of(g, profiles,
+                                {v: values[v] for v in g.vertices})
     else:
         result = PAFunction.from_vertex_values(g, values)
 
@@ -138,23 +134,6 @@ class GreenVerdict:
     violations: tuple[tuple[GraphPoint, Fraction], ...]  # (pole, pairing)
 
 
-def _arm_length(f: PAFunction, base: GraphPoint, edge_id: str,
-                toward_v: bool) -> Fraction:
-    """Half the distance from base to the nearest breakpoint (or endpoint)
-    of f along the given edge-end: inside that arm f is affine."""
-    e = f.graph.edge(edge_id)
-    if isinstance(base, Vertex):
-        base_off = Fraction(0) if toward_v else e.length
-    else:
-        base_off = base.offset
-    offsets = [o for o, _ in f.profiles[edge_id]]
-    if toward_v:
-        nxt = min(o for o in offsets + [e.length] if o > base_off)
-        return (nxt - base_off) / 2
-    prv = max(o for o in offsets + [Fraction(0)] if o < base_off)
-    return (base_off - prv) / 2
-
-
 def local_green_pairing(f: PAFunction, x: GraphPoint) -> Fraction:
     """Pairing of f against ddc of the Green function of a small star-shaped
     subdomain around the interior point x (pole at x).
@@ -163,7 +142,10 @@ def local_green_pairing(f: PAFunction, x: GraphPoint) -> Fraction:
     choice of a small affinoid neighborhood around the pole.  That Green
     function is known in closed form: mass -1 at x and, at the end of arm
     i, the share w_i = (1/a_i) / sum_j (1/a_j) of the arm conductances, so
-    the pairing is  sum_i w_i f(end_i) - f(x).
+    the pairing is  sum_i w_i f(end_i) - f(x).  Arm i is half the distance
+    d_i to the next breakpoint (value v_i) in its direction, so
+    f(end_i) = (f(x) + v_i) / 2 and the pairing is
+    (sum_i (v_i / d_i) / sum_i (1 / d_i) - f(x)) / 2.
     """
     g = f.graph
     g.require_point(x)
@@ -172,18 +154,17 @@ def local_green_pairing(f: PAFunction, x: GraphPoint) -> Fraction:
         raise GraphError("pole on the boundary")
     if not dirs:
         raise GraphError("isolated point")
-
-    ends = []
+    weighted = conductance = Fraction(0)
     for d in dirs:
-        arm = _arm_length(f, x, d.edge, d.toward_v)
         if isinstance(x, Vertex):
             base = Fraction(0) if d.toward_v else g.edge(d.edge).length
         else:
             base = x.offset
-        ends.append((1 / arm, EdgePoint(d.edge, base + arm if d.toward_v
-                                        else base - arm)))
-    total_conductance = sum(c for c, _ in ends)
-    return sum(c * f.eval(p) for c, p in ends) / total_conductance - f.eval(x)
+        o, v = f.next_breakpoint(d.edge, base, d.toward_v)
+        dist = abs(o - base)
+        weighted += v / dist
+        conductance += 1 / dist
+    return (weighted / conductance - f.eval(x)) / 2
 
 
 def default_pole_sample(f: PAFunction) -> list[GraphPoint]:

@@ -42,9 +42,12 @@ def smooth_max(eps, a, b):
     Works over any ordered field."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if abs(a - b) >= eps:
-        return a if a > b else b
-    return (a + b + theta(eps, a - b)) / 2
+    t = a - b
+    if t >= eps:
+        return a
+    if -t >= eps:
+        return b
+    return (a + b + theta(eps, t)) / 2
 
 
 def _poly_mul(p: list[float], q: list[float]) -> list[float]:
@@ -197,31 +200,39 @@ class RegularizationSequence:
         (edge id, offset, f, (f_0, f_1, ...)) per sample, each f_k equal
         to terms[k].value at that point.
 
-        f is affine on every edge of the working graph, so it is read off
-        the edge's profile (its ends are the vertex values); f and G_x are
-        computed once per sample and only the per-term rule runs k times.
+        f and G_x are affine on every edge of the working graph, so each
+        steps by a fixed amount from sample to sample; eps_k / 2 is
+        computed once per term.
         """
         centers = {patch.center for patch in self.patches}
         cone = {eid: arc for patch in self.patches
                 for eid, arc in patch.cone.items()}
-        epsilons = [term.eps for term in self.terms]
+        epsilons = [(term.eps, term.eps / 2) for term in self.terms]
         rows = []
         for e in self.graph.edges:
             (_, fu), (_, fv) = self.base.profiles[e.id]
+            step = e.length / per_edge
+            df = (fv - fu) / per_edge
             arc = cone.get(e.id)
+            if arc is not None:
+                gu, gv = arc
+                dg = (gv - gu) / per_edge
             for i in range(per_edge + 1):
-                off = e.length * i / per_edge
                 if i in (0, per_edge):
                     fp = fu if i == 0 else fv
-                    at_center = (e.u if i == 0 else e.v) in centers
-                    gp = None
+                    if (e.u if i == 0 else e.v) in centers:
+                        fks = tuple(fp + eps for eps, _ in epsilons)
+                    else:
+                        fks = (fp,) * len(epsilons)
                 else:
-                    fp = _along((fu, fv), off, e.length)
-                    at_center = False
-                    gp = None if arc is None else _along(arc, off, e.length)
-                rows.append((e.id, off, fp,
-                             tuple(_term_rule(eps, fp, at_center, gp)
-                                   for eps in epsilons)))
+                    fp = fu + df * i
+                    if arc is None:
+                        fks = (fp,) * len(epsilons)
+                    else:
+                        gp = gu + dg * i
+                        fks = tuple(smooth_max(half, gp + eps, fp)
+                                    for eps, half in epsilons)
+                rows.append((e.id, step * i, fp, fks))
         return rows
 
 

@@ -522,6 +522,11 @@ class FormParseError(ValueError):
 # expands: the cost of p^n grows without bound in n.
 MAX_EXPONENT = 100
 
+# Largest ambient dimension r the command line accepts, inferred or
+# given: every form carries r-long exponent lists, and the positivity
+# test checks O(r^2) points with an r x r matrix each.
+MAX_DIM = 16
+
 # Longest digit run the parser reads as a constant or an index: int()
 # refuses long runs, and Python lets that limit be set as low as 640.
 MAX_DIGITS = 600

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from skelpot.cli import main
+from skelpot.cli import SUBCOMMANDS, build_parser, main
 
 from conftest import kinked_subharmonic, subprocess_env
 
@@ -363,6 +364,103 @@ def test_superform_long_digit_run_is_exit_2(capsys, expr):
     assert captured.out == ""
     assert "a run of 5000 digits is above the maximum" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["x99999999999999999999", "--op", "dprime"],
+    ["x17", "--op", "positivity"],
+    ["x1", "--op", "wedge", "--with", "x40"],
+    ["x1", "--op", "dprime", "--r", "17"],
+    ["x1", "--op", "dprime", "--r", "9" * 30],
+])
+def test_superform_dimension_above_limit_is_exit_2(capsys, argv):
+    rc = main(["superform", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "above the maximum 16" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_superform_dimension_at_limit_runs(capsys):
+    assert main(["superform", "x16^2", "--op", "dprime"]) == 0
+    assert capsys.readouterr().out == "(2*x16) d'x16\n"
+
+
+def test_superform_result_above_printing_limit_is_exit_2(capsys):
+    rc = main(["superform", f"x1*({'9' * 600})^10", "--op", "dprime"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"more than {sys.get_int_max_str_digits()} digits" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_superform_other_printing_error_propagates(monkeypatch):
+    """Only str() refusing a long integer becomes the printing-limit
+    message; any other ValueError from the printer is a bug and stays."""
+    from skelpot import superforms as sf
+
+    def broken(form):
+        raise ValueError("something else")
+    monkeypatch.setattr(sf, "format_form", broken)
+    with pytest.raises(ValueError, match="something else"):
+        main(["superform", "x1^2", "--op", "dprime"])
+
+
+def test_superform_long_point_coordinate_is_exit_2(capsys):
+    rc = main(["superform", "x1^2", "--op", "positivity",
+               "--points", "1" * 5000])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# one-subcommand parsing
+# ---------------------------------------------------------------------------
+
+def _parse(parser, argv):
+    """(stdout, stderr, exit code or parsed namespace) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return out.getvalue(), err.getvalue(), result
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_one_subcommand_parser_matches_full_parser(name):
+    """Help, usage errors and parsed arguments are the same bytes and
+    exit codes whether the parser holds one subcommand or all of them."""
+    calls = [[name, "--help"], [name, "-h", "x"], [name], [name, "--bogus"],
+             [name, "a", "b", "c"], [name, "f.json", "--zzz", "1"],
+             [name, "--k", "0"], [name, "--seed", "x"],
+             [name, "f.json", "--method", "slope"],
+             [name, "--graph", "g.json", "--point", "v1"],
+             [name, "--graph", "g.json", "--values", "v.json"],
+             [name, "--f", "f.json", "--g", "g.json"],
+             [name, "x1", "--op", "J", "--r", "0"],
+             [name, "x1", "--op", "dprime", "--with", "x2"],
+             [name, "f.json", "--k", "2", "--samples", "3"],
+             [name, "--seed", "5"]]
+    for argv in calls:
+        full = _parse(build_parser(), argv)
+        one = _parse(build_parser(name), argv)
+        assert one == full, argv
+    assert _parse(build_parser(), [name, "--help"])[2] == 0
+
+
+def test_full_parser_for_anything_but_a_subcommand(capsys):
+    for argv in ([], ["--help"], ["bogus"], ["-x", "ddc"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        full = _parse(build_parser(), argv)
+        assert capsys.readouterr()[:2] == full[:2]
+        assert exc.value.code == full[2]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skelpot import (DiscreteMeasure, EdgePoint, GraphError, PAFunction,
-                     Vertex, integrate, linear_combine)
-from skelpot.randgen import random_graph, random_pa_function
+                     Vertex, dirichlet_solve, green, integrate,
+                     linear_combine)
+from skelpot.randgen import (random_boundary_values, random_graph,
+                             random_pa_function)
 
 from conftest import graph_from, pa
 
@@ -220,6 +222,110 @@ def test_json_roundtrip(path3):
 def test_measure_json_roundtrip(unit_edge):
     m = tent(unit_edge).ddc()
     assert DiscreteMeasure.from_json_list(m.to_json_list()) == m
+
+
+def _scan_eval(f, p):
+    """Reference evaluation: a linear scan through the edge's profile."""
+    if isinstance(p, Vertex):
+        return f.vertex_value(p.id)
+    prof = f.profiles[p.edge]
+    for (o1, v1), (o2, v2) in zip(prof, prof[1:]):
+        if o1 <= p.offset <= o2:
+            return v1 + (v2 - v1) * (p.offset - o1) / (o2 - o1)
+    raise AssertionError(f"{p} is outside its edge")
+
+
+def _scan_next_breakpoint(f, edge_id, offset, toward_v):
+    prof = f.profiles[edge_id]
+    if toward_v:
+        return next((ov for ov in prof if ov[0] > offset), None)
+    return next((ov for ov in reversed(prof) if ov[0] < offset), None)
+
+
+def _probe_points(rng, g, f):
+    """Every vertex, every breakpoint of f, both edge ends as edge points,
+    and random offsets on every edge."""
+    pts = [Vertex(v) for v in g.vertices]
+    for e in g.edges:
+        pts += [EdgePoint(e.id, o) for o, _ in f.profiles[e.id]]
+        pts += [EdgePoint(e.id, e.length * F(rng.randint(1, 999), 1000))
+                for _ in range(3)]
+    return pts
+
+
+def _seeded_functions(seed, count=30):
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_graph(rng, max_vertices=7, max_edges=10)
+        yield rng, g, random_pa_function(rng, g, max_kinks=4)
+
+
+def test_indexed_lookups_match_linear_scans():
+    """eval and next_breakpoint bisect the offset index and integrate
+    reads it through eval: all equal a linear scan."""
+    for rng, g, f in _seeded_functions(17):
+        other = random_pa_function(rng, g, max_kinks=4)
+        mu = other.ddc()
+        for p in _probe_points(rng, g, f):
+            assert f.eval(p) == _scan_eval(f, p)
+            if isinstance(p, EdgePoint):
+                for toward_v in (True, False):
+                    assert f.next_breakpoint(p.edge, p.offset, toward_v) == \
+                        _scan_next_breakpoint(f, p.edge, p.offset, toward_v)
+        assert integrate(f, mu) == sum(
+            (_scan_eval(f, p) * m for p, m in mu.support), F(0))
+
+
+def test_eval_off_the_graph_is_graph_error(unit_edge):
+    f = tent(unit_edge)
+    for p in (Vertex("z"), EdgePoint("x", F(1, 2)), EdgePoint("e", F(-1)),
+              EdgePoint("e", F(3, 2))):
+        with pytest.raises(GraphError, match="is not on the graph"):
+            f.eval(p)
+
+
+def _rebuilt(f):
+    """The trusted result f, rebuilt by the validating constructor; also
+    checks what the constructor derives besides the profiles."""
+    g = PAFunction(f.graph, f.profiles)
+    assert g == f
+    assert g._vertex_values == f._vertex_values
+    assert g._offsets == f._offsets
+    assert all(type(x) is Fraction for prof in f.profiles.values()
+               for bp in prof for x in bp)
+    assert all(type(x) is Fraction for x in f._vertex_values.values())
+    return g
+
+
+def test_trusted_results_equal_validated_ones():
+    """PAFunction._of(...) == PAFunction(...) for each trusted caller:
+    from_vertex_values (Dirichlet and Green at vertex poles), Green at
+    edge poles, promote_interior_breakpoints and linear_combine."""
+    for rng, g, f in _seeded_functions(23):
+        _rebuilt(_rebuilt(f).promote_interior_breakpoints())
+        terms = [(F(rng.randint(-5, 5), rng.randint(1, 5)), f),
+                 (F(rng.randint(-5, 5), rng.randint(1, 5)),
+                  random_pa_function(rng, g, max_kinks=4)),
+                 (2, f)]
+        combo = _rebuilt(linear_combine(terms))
+        for p in _probe_points(rng, g, combo):
+            assert combo.eval(p) == sum((c * _scan_eval(k, p)
+                                         for c, k in terms), F(0))
+        _rebuilt(dirichlet_solve(g, random_boundary_values(rng, g)).result)
+        interior = [v for v in g.vertices if v not in g.boundary]
+        if interior:
+            _rebuilt(green(g, Vertex(rng.choice(interior))).result)
+        e = rng.choice(g.edges)
+        pole = EdgePoint(e.id, e.length * F(rng.randint(1, 99), 100))
+        _rebuilt(green(g, pole).result)
+
+
+def test_from_vertex_values_rejects_isolated_vertices():
+    g = graph_from({"vertices": ["a", "b", "c"],
+                    "edges": [{"u": "a", "v": "b", "len": 1, "id": "e"}],
+                    "boundary": ["a"]})
+    with pytest.raises(GraphError, match="isolated vertices carry no value"):
+        PAFunction.from_vertex_values(g, {"a": 0, "b": 1, "c": 2})
 
 
 @st.composite

@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from skelpot import (EdgePoint, MetricGraph, NotHarmonicError,
+from skelpot import (EdgePoint, GraphError, MetricGraph, NotHarmonicError,
                      NotSubharmonicError, PAFunction, Vertex, dirichlet_solve,
                      evaluation_formula_check, green, green_to_json_dict,
                      integrate, is_subharmonic_green, linear_combine,
                      local_green_pairing, maximum_principle_check)
-from skelpot.potential import _arm_length
 from skelpot.randgen import random_graph, random_pa_function, random_subharmonic
 
-from conftest import graph_from, pa
+from conftest import graph_from, kinked_subharmonic, pa
 
 
 F = Fraction
@@ -167,6 +166,103 @@ def test_local_pairing_sign_matches_mass():
             pairing = local_green_pairing(f, p)
             assert (pairing > 0) == (mass > 0)
             assert (pairing < 0) == (mass < 0)
+
+
+def _arm_length(f, base, edge_id, toward_v):
+    """Half the distance from base to the nearest breakpoint (or endpoint)
+    of f along the given edge-end: inside that arm f is affine."""
+    e = f.graph.edge(edge_id)
+    if isinstance(base, Vertex):
+        base_off = F(0) if toward_v else e.length
+    else:
+        base_off = base.offset
+    offsets = [o for o, _ in f.profiles[edge_id]]
+    if toward_v:
+        nxt = min(o for o in offsets + [e.length] if o > base_off)
+        return (nxt - base_off) / 2
+    prv = max(o for o in offsets + [F(0)] if o < base_off)
+    return (base_off - prv) / 2
+
+
+def _reference_pairing(f, x):
+    """The local pairing evaluated at the arm ends: sum_i w_i f(end_i) -
+    f(x) with w_i = (1/a_i) / sum_j (1/a_j), arms found by scanning."""
+    g = f.graph
+    ends = []
+    for d in g.star(x):
+        arm = _arm_length(f, x, d.edge, d.toward_v)
+        if isinstance(x, Vertex):
+            base = F(0) if d.toward_v else g.edge(d.edge).length
+        else:
+            base = x.offset
+        ends.append((1 / arm, EdgePoint(d.edge, base + arm if d.toward_v
+                                        else base - arm)))
+    total_conductance = sum(c for c, _ in ends)
+    return sum(c * f.eval(p) for c, p in ends) / total_conductance - f.eval(x)
+
+
+def _looped_function(rng):
+    """Random kinked PA function on a vertex c with one boundary edge to
+    b and one or two self-loops at c."""
+    fc = F(rng.randint(-9, 9), rng.randint(1, 5))
+    edges, profiles = [], {}
+    for i in range(rng.randint(1, 2) + 1):
+        length = F(rng.randint(1, 40), rng.randint(1, 9))
+        offs = sorted({length * F(rng.randint(1, 99), 100)
+                       for _ in range(rng.randint(0, 3))})
+        prof = [(o, F(rng.randint(-9, 9), rng.randint(1, 5)))
+                for o in [F(0)] + offs + [length]]
+        if i == 0:
+            edges.append({"id": "s", "u": "c", "v": "b", "len": str(length)})
+            prof[0] = (F(0), fc)
+        else:
+            edges.append({"id": f"loop{i}", "u": "c", "v": "c",
+                          "len": str(length)})
+            prof[0], prof[-1] = (F(0), fc), (length, fc)
+        profiles[edges[-1]["id"]] = prof
+    g = graph_from({"vertices": ["b", "c"], "edges": edges,
+                    "boundary": ["b"]}, allow_loops=True, allow_parallel=True)
+    return pa(g, profiles)
+
+
+def _poles(rng, f):
+    """Interior vertices, every interior breakpoint, every edge midpoint
+    and one random point per edge."""
+    g = f.graph
+    poles = [Vertex(v) for v in g.vertices if v not in g.boundary]
+    for e in g.edges:
+        poles += [EdgePoint(e.id, o) for o, _ in f.profiles[e.id][1:-1]]
+        poles.append(EdgePoint(e.id, e.length / 2))
+        poles.append(EdgePoint(e.id, e.length * F(rng.randint(1, 999), 1000)))
+    return poles
+
+
+def test_pairing_equals_arm_end_reference():
+    """The bisecting pairing is the same Fraction as the pairing read off
+    at the arm ends, on vertex poles (self-loops included), kinks,
+    midpoints and random edge points."""
+    rng = random.Random(5)
+    functions = [_looped_function(rng) for _ in range(40)]
+    for _ in range(20):
+        g = random_graph(rng, max_vertices=7, max_edges=10)
+        functions.append(random_pa_function(rng, g))
+        if any(v not in g.boundary for v in g.vertices):
+            functions.append(kinked_subharmonic(rng, g))
+    poles = 0
+    for f in functions:
+        for x in _poles(rng, f):
+            assert local_green_pairing(f, x) == _reference_pairing(f, x)
+            poles += 1
+    assert poles > 1000
+
+
+def test_pairing_errors(star3):
+    f = PAFunction.constant(star3, F(1))
+    for x, message in ((Vertex("l0"), "pole on the boundary"),
+                       (Vertex("zz"), "is not on the graph"),
+                       (EdgePoint("a0", F(1)), "is not on the graph")):
+        with pytest.raises(GraphError, match=message):
+            local_green_pairing(f, x)
 
 
 def _star_green_pairing(f, x):
