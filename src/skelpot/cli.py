@@ -131,6 +131,10 @@ def cmd_harmonic(args) -> int:
     raw = _load_json(args.values)
     _require(isinstance(raw, dict), args.values, "the top level",
              "a JSON object")
+    extra = raw.keys() - g.boundary
+    if extra:
+        raise InputError(f"{args.values}: values for vertices off the "
+                         f"boundary {sorted(extra)}")
     try:
         values = {k: parse_rational(v) for k, v in raw.items()}
         h = dirichlet_solve(g, values)

@@ -76,8 +76,7 @@ class MetricGraph:
     """
 
     def __init__(self, vertices: Iterable[str], edges, boundary: Iterable[str],
-                 allow_loops: bool = False, allow_parallel: bool = False,
-                 check: bool = True):
+                 allow_loops: bool = False, allow_parallel: bool = False):
         self.vertices = tuple(sorted(vertices))
         norm_edges = []
         for i, e in enumerate(edges):
@@ -105,10 +104,9 @@ class MetricGraph:
                 ends[e.u].append((e, True))
             if e.v in ends:
                 ends[e.v].append((e, False))
-        if check:
-            violations = self.validate()
-            if violations:
-                raise GraphError("; ".join(violations))
+        violations = self.validate()
+        if violations:
+            raise GraphError("; ".join(violations))
 
     # -- structure ---------------------------------------------------------
 

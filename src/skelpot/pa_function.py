@@ -13,6 +13,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .graph import (Edge, EdgePoint, GraphError, GraphPoint, MetricGraph,
                     TangentDirection, Vertex, point_from_json, point_sort_key,
@@ -20,6 +21,8 @@ from .graph import (Edge, EdgePoint, GraphError, GraphPoint, MetricGraph,
 from .rational import format_rational, parse_rational
 
 Profile = tuple[tuple[Fraction, Fraction], ...]
+
+_OFFSET = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -79,9 +82,10 @@ class PAFunction:
     """Continuous piecewise-affine function, one breakpoint profile per edge.
 
     Profiles run from offset 0 (value at u) to offset = length (value at v);
-    the function is affine between consecutive breakpoints.  Every
-    constructor also keeps each edge's offsets as a list, so that
-    lookups bisect instead of scanning the profile.
+    the function is affine between consecutive breakpoints.  Lookups
+    bisect the profile by offset.  The only other stored data is the
+    vertex-value index, derived from the profile ends by
+    _check_continuity.
     """
 
     def __init__(self, graph: MetricGraph, profiles: dict):
@@ -103,22 +107,17 @@ class PAFunction:
             raise GraphError(f"profiles for unknown edges {sorted(extra)}")
         self.profiles = norm
         self._vertex_values = self._check_continuity()
-        self._offsets = {eid: [o for o, _ in prof]
-                         for eid, prof in norm.items()}
 
     @classmethod
-    def _of(cls, graph: MetricGraph, profiles: dict,
-            vertex_values: dict) -> "PAFunction":
-        """Trusted constructor for data that is already valid: one
-        profile per edge of the graph, a tuple of (Fraction, Fraction)
-        pairs spanning the edge with increasing offsets, and every
-        vertex's value, equal to the profile ends at that vertex."""
+    def _of(cls, graph: MetricGraph, profiles: dict) -> "PAFunction":
+        """Constructor for profiles that are already normalized: one per
+        edge of the graph, a tuple of (Fraction, Fraction) pairs spanning
+        the edge with increasing offsets.  Only continuity at the
+        vertices is checked, as it derives the vertex values."""
         self = object.__new__(cls)
         self.graph = graph
         self.profiles = profiles
-        self._vertex_values = vertex_values
-        self._offsets = {eid: [o for o, _ in prof]
-                         for eid, prof in profiles.items()}
+        self._vertex_values = self._check_continuity()
         return self
 
     def _check_continuity(self) -> dict[str, Fraction]:
@@ -148,19 +147,19 @@ class PAFunction:
         if isinstance(p, Vertex):
             if p.id in self._vertex_values:
                 return self._vertex_values[p.id]
-        elif p.edge in self._offsets and \
-                0 <= p.offset <= self._offsets[p.edge][-1]:
+        elif p.edge in self.profiles and \
+                0 <= p.offset <= self.profiles[p.edge][-1][0]:
             return self._on_edge(p.edge, p.offset)
         raise GraphError(f"point {p!r} is not on the graph")
 
     def _on_edge(self, eid: str, offset) -> Fraction:
         """Value at an offset in [0, length] of edge eid."""
-        offs = self._offsets[eid]
-        i = bisect_left(offs, offset)
-        o2, v2 = self.profiles[eid][i]
+        prof = self.profiles[eid]
+        i = bisect_left(prof, offset, key=_OFFSET)
+        o2, v2 = prof[i]
         if o2 == offset:
             return v2
-        o1, v1 = self.profiles[eid][i - 1]
+        o1, v1 = prof[i - 1]
         return v1 + (v2 - v1) * (offset - o1) / (o2 - o1)
 
     def next_breakpoint(self, edge_id: str, offset,
@@ -168,10 +167,10 @@ class PAFunction:
         """The breakpoint (offset, value) of the edge's profile nearest
         to `offset` and strictly beyond it, toward v or toward u; None
         past the edge's end."""
-        offs = self._offsets[edge_id]
-        i = bisect_right(offs, offset) if toward_v \
-            else bisect_left(offs, offset) - 1
-        return self.profiles[edge_id][i] if 0 <= i < len(offs) else None
+        prof = self.profiles[edge_id]
+        i = bisect_right(prof, offset, key=_OFFSET) if toward_v \
+            else bisect_left(prof, offset, key=_OFFSET) - 1
+        return prof[i] if 0 <= i < len(prof) else None
 
     def outgoing_slope(self, d: TangentDirection) -> Fraction:
         """One-sided derivative at d.base in the direction of d."""
@@ -186,8 +185,7 @@ class PAFunction:
             if d.base.edge != e.id:
                 raise GraphError(f"direction {d} not on its base's edge")
             base_off = d.base.offset
-        base_val = self.eval(d.base) if isinstance(d.base, EdgePoint) \
-            else self._vertex_values[d.base.id]
+        base_val = self.eval(d.base)
         nxt = self.next_breakpoint(e.id, base_off, d.toward_v)
         if nxt is None:
             raise GraphError(f"no room in direction {d}")
@@ -267,7 +265,6 @@ class PAFunction:
         vertices = set(g.vertices)
         edges = {e.id: e for e in g.edges}
         profiles = dict(self.profiles)
-        values = dict(self._vertex_values)
         heapq.heapify(pending)
         while pending:
             eid = heapq.heappop(pending)
@@ -288,21 +285,18 @@ class PAFunction:
             profiles[right] = tuple((q - o, v) for q, v in prof[1:])
             if len(prof) > 3:
                 heapq.heappush(pending, right)
-            values[new_v] = prof[1][1]
         graph = MetricGraph(vertices, edges.values(), g.boundary,
                             allow_loops=g.allow_loops, allow_parallel=True)
         return PAFunction._of(graph, {e.id: profiles[e.id]
-                                      for e in graph.edges}, values)
+                                      for e in graph.edges})
 
     # -- serialization ----------------------------------------------------------
 
-    def to_json_dict(self, inline_graph: bool = True) -> dict:
-        d = {"profiles": {eid: [[format_rational(o), format_rational(v)]
-                                for o, v in prof]
-                          for eid, prof in sorted(self.profiles.items())}}
-        if inline_graph:
-            d["graph"] = self.graph.to_json_dict()
-        return d
+    def to_json_dict(self) -> dict:
+        return {"profiles": {eid: [[format_rational(o), format_rational(v)]
+                                   for o, v in prof]
+                             for eid, prof in sorted(self.profiles.items())},
+                "graph": self.graph.to_json_dict()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -332,17 +326,9 @@ class PAFunction:
     @classmethod
     def from_vertex_values(cls, graph: MetricGraph, values: dict) -> "PAFunction":
         """Edge-affine interpolation of per-vertex values."""
-        vv = {}
-        profiles = {}
-        for e in graph.edges:
-            fu = vv[e.u] = Fraction(values[e.u])
-            fv = vv[e.v] = Fraction(values[e.v])
-            profiles[e.id] = ((Fraction(0), fu), (e.length, fv))
-        missing = set(graph.vertices) - vv.keys()
-        if missing:
-            raise GraphError(
-                f"isolated vertices carry no value: {sorted(missing)}")
-        return cls._of(graph, profiles, vv)
+        return cls._of(graph, {e.id: ((Fraction(0), Fraction(values[e.u])),
+                                      (e.length, Fraction(values[e.v])))
+                               for e in graph.edges})
 
     def max_abs_slope(self) -> Fraction:
         """A Lipschitz constant (exact, metric-graph arc length)."""
@@ -373,15 +359,12 @@ def linear_combine(coeffs: list[tuple[Fraction, PAFunction]]) -> PAFunction:
     coeffs = [(Fraction(c), f) for c, f in coeffs]
     profiles = {}
     for e in graph.edges:
-        offsets = sorted({o for _, f in coeffs for o in f._offsets[e.id]})
+        offsets = sorted({o for _, f in coeffs for o, _ in f.profiles[e.id]})
         profiles[e.id] = tuple(
             (o, sum((c * f._on_edge(e.id, o) for c, f in coeffs),
                     Fraction(0)))
             for o in offsets)
-    values = {v: sum((c * f._vertex_values[v] for c, f in coeffs),
-                     Fraction(0))
-              for v in graph.vertices}
-    return PAFunction._of(graph, profiles, values)
+    return PAFunction._of(graph, profiles)
 
 
 def integrate(f: PAFunction, mu: DiscreteMeasure) -> Fraction:

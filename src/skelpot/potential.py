@@ -105,8 +105,7 @@ def green(g: MetricGraph, x: GraphPoint) -> GreenFunction:
             mid = ((x.offset, values[pole_vid]),) if e.id == x.edge else ()
             profiles[e.id] = ((Fraction(0), values[e.u]), *mid,
                               (e.length, values[e.v]))
-        result = PAFunction._of(g, profiles,
-                                {v: values[v] for v in g.vertices})
+        result = PAFunction._of(g, profiles)
     else:
         result = PAFunction.from_vertex_values(g, values)
 

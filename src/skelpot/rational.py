@@ -10,8 +10,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_DECIMAL_RE = re.compile(r"^-?\d+\.\d+$")
-_FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
+# an optional '-', a digit run, then an optional "/digits" or ".digits"
+_RATIONAL_RE = re.compile(r"(-?)(\d+)(?:/(\d+)|\.(\d+))?")
 
 
 class RationalParseError(ValueError):
@@ -22,23 +22,19 @@ def parse_rational(value) -> Fraction:
     """Parse an int, "p/q" string, or exact decimal string into a Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        s = value.strip()
-        if _FRACTION_RE.match(s):
-            try:
-                return Fraction(s)
-            except ZeroDivisionError as exc:
-                raise RationalParseError(
-                    f"zero denominator: {value!r}") from exc
-        if _DECIMAL_RE.match(s):
-            whole, frac = s.split(".")
-            sign = -1 if whole.startswith("-") else 1
-            whole_i = int(whole)
-            return Fraction(whole_i) + sign * Fraction(int(frac), 10 ** len(frac))
+    m = _RATIONAL_RE.fullmatch(value.strip()) \
+        if isinstance(value, str) else None
+    if m is None:
         raise RationalParseError(f"not a rational literal: {value!r}")
-    raise RationalParseError(f"not a rational literal: {value!r}")
+    sign, whole, den, frac = m.groups()
+    num, den = int(whole), int(den or 1)
+    if frac is not None:
+        num, den = num * 10 ** len(frac) + int(frac), 10 ** len(frac)
+    if den == 0:
+        raise RationalParseError(f"zero denominator: {value!r}")
+    return Fraction(-num if sign else num, den)
 
 
 def format_rational(x: Fraction) -> str:

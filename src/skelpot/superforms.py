@@ -313,41 +313,36 @@ class SuperForm:
         return f"SuperForm({format_form(self)})"
 
 
-def d_prime(alpha: SuperForm) -> SuperForm:
-    """d': differentiate coefficients, prepend d'x_k (degree overflow -> 0)."""
+def _differential(alpha: SuperForm, second: bool) -> SuperForm:
+    """Differentiate coefficients and insert dx_k into the d'-block (or,
+    with second, the d''-block with the crossing sign (-1)^p); a degree
+    overflow gives 0."""
+    cross = (-1) ** alpha.p if second else 1
     cs: dict = {}
     for (i, j), poly in alpha.coeffs.items():
         for k in range(alpha.r):
             dp = poly.diff(k)
             if dp.is_zero():
                 continue
-            ins = _insert_sign(k, i)
+            ins = _insert_sign(k, j if second else i)
             if ins is None:
                 continue
-            sign, i2 = ins
-            key = (i2, j)
-            add = dp * sign
+            sign, block = ins
+            key = (i, block) if second else (block, j)
+            add = dp * (sign * cross)
             cs[key] = cs[key] + add if key in cs else add
-    return SuperForm(alpha.r, alpha.p + 1, alpha.q, cs)
+    p, q = (alpha.p, alpha.q + 1) if second else (alpha.p + 1, alpha.q)
+    return SuperForm(alpha.r, p, q, cs)
+
+
+def d_prime(alpha: SuperForm) -> SuperForm:
+    """d': differentiate coefficients, prepend d'x_k (degree overflow -> 0)."""
+    return _differential(alpha, second=False)
 
 
 def d_second(alpha: SuperForm) -> SuperForm:
     """d'': like d' on the second block, with the crossing sign (-1)^p."""
-    sgn_cross = (-1) ** alpha.p
-    cs: dict = {}
-    for (i, j), poly in alpha.coeffs.items():
-        for k in range(alpha.r):
-            dp = poly.diff(k)
-            if dp.is_zero():
-                continue
-            ins = _insert_sign(k, j)
-            if ins is None:
-                continue
-            sign, j2 = ins
-            key = (i, j2)
-            add = dp * (sign * sgn_cross)
-            cs[key] = cs[key] + add if key in cs else add
-    return SuperForm(alpha.r, alpha.p, alpha.q + 1, cs)
+    return _differential(alpha, second=True)
 
 
 def wedge(alpha: SuperForm, beta: SuperForm) -> SuperForm:

@@ -136,6 +136,18 @@ def test_harmonic_values_list_is_exit_2(tmp_path, capsys):
     assert "vals.json: the top level must be a JSON object" in captured.err
 
 
+def test_harmonic_values_off_the_boundary_are_exit_2(tmp_path, capsys):
+    g = write_json(tmp_path, "g.json", PATH3)
+    vals = write_json(tmp_path, "vals.json",
+                      {"a": "1", "c": "2", "zz": "5", "b": "7"})
+    rc = main(["harmonic", "--graph", g, "--values", vals])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {vals}: values for vertices off the "
+                            "boundary ['b', 'zz']\n")
+
+
 # ---------------------------------------------------------------------------
 # subharmonic
 # ---------------------------------------------------------------------------
@@ -533,6 +545,18 @@ def test_graph_file_shape_errors_are_exit_2(tmp_path, capsys, doc, where):
     err = capsys.readouterr().err
     assert rc == 2
     assert f"g.json: {where} must be" in err
+
+
+@pytest.mark.parametrize("doc", [
+    _with_graph(edges=[{"id": "e", "u": "a", "v": "b", "len": True}]),
+    {"graph": UNIT_EDGE, "profiles": {"e": [["0", False], ["1", "1"]]}},
+])
+def test_boolean_literals_are_exit_2(tmp_path, capsys, doc):
+    rc = main(["ddc", write_json(tmp_path, "f.json", doc)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "not a rational literal" in captured.err
 
 
 # ---------------------------------------------------------------------------

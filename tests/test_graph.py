@@ -12,13 +12,15 @@ def test_validate_minimal_graph_clean(unit_edge):
 
 
 def test_validate_reports_nonpositive_length():
-    g = MetricGraph(["a", "b"], [("a", "b", Fraction(0))], ["a"], check=False)
-    assert any("length" in v for v in g.validate())
+    with pytest.raises(GraphError) as info:
+        MetricGraph(["a", "b"], [("a", "b", Fraction(0))], ["a"])
+    assert str(info.value) == "edge e0: non-positive length 0"
 
 
 def test_validate_reports_unknown_boundary():
-    g = MetricGraph(["a", "b"], [("a", "b", Fraction(1))], ["z"], check=False)
-    assert any("boundary" in v for v in g.validate())
+    with pytest.raises(GraphError) as info:
+        MetricGraph(["a", "b"], [("a", "b", Fraction(1))], ["z"])
+    assert str(info.value) == "boundary not a subset of vertices"
 
 
 def test_constructor_rejects_invalid():

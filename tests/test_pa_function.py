@@ -290,7 +290,6 @@ def _rebuilt(f):
     g = PAFunction(f.graph, f.profiles)
     assert g == f
     assert g._vertex_values == f._vertex_values
-    assert g._offsets == f._offsets
     assert all(type(x) is Fraction for prof in f.profiles.values()
                for bp in prof for x in bp)
     assert all(type(x) is Fraction for x in f._vertex_values.values())
@@ -318,6 +317,22 @@ def test_trusted_results_equal_validated_ones():
         e = rng.choice(g.edges)
         pole = EdgePoint(e.id, e.length * F(rng.randint(1, 99), 100))
         _rebuilt(green(g, pole).result)
+
+
+def test_trusted_constructor_checks_continuity():
+    g = graph_from({"vertices": ["a", "b", "c"],
+                    "edges": [{"u": "a", "v": "b", "len": 1, "id": "e"},
+                              {"u": "b", "v": "c", "len": 2, "id": "f"}],
+                    "boundary": ["a"]})
+    profiles = {"e": ((F(0), F(0)), (F(1), F(1))),
+                "f": ((F(0), F(3)), (F(2), F(1)))}
+    with pytest.raises(GraphError, match="discontinuity at vertex b"):
+        PAFunction._of(g, profiles)
+    g2 = graph_from({"vertices": ["a", "b", "c"],
+                     "edges": [{"u": "a", "v": "b", "len": 1, "id": "e"}],
+                     "boundary": ["a"]})
+    with pytest.raises(GraphError, match="isolated vertices carry no value"):
+        PAFunction._of(g2, {"e": profiles["e"]})
 
 
 def test_from_vertex_values_rejects_isolated_vertices():

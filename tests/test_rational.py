@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,8 @@ def test_format_is_canonical():
     assert format_rational(Fraction(5)) == "5"
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "a/b", "1.2.3", "1e5", None])
+@pytest.mark.parametrize("bad", ["", "1/0", "a/b", "1.2.3", "1e5", None,
+                                 "+1", "1/-2", ".5", "5.", "1/2.5", "1_000"])
 def test_rejects_malformed(bad):
     with pytest.raises((RationalParseError, TypeError)):
         parse_rational(bad)
@@ -39,3 +41,27 @@ def test_rejects_malformed(bad):
 @given(st.fractions())
 def test_roundtrip(x):
     assert parse_rational(format_rational(x)) == x
+
+
+def test_zero_denominator_message():
+    with pytest.raises(RationalParseError, match="zero denominator"):
+        parse_rational("-3/000")
+
+
+def _digits(rng):
+    return "0" * rng.randint(0, 2) + str(rng.randint(0, 10 ** rng.randint(0, 30)))
+
+
+def test_equals_fraction_of_the_string():
+    rng = random.Random(8)
+    for _ in range(2000):
+        s = rng.choice(["", "-"]) + _digits(rng)
+        kind = rng.randrange(3)
+        if kind == 1:
+            s += "/" + "0" * rng.randint(0, 2) + str(rng.randint(1, 10 ** 12))
+        elif kind == 2:
+            s += "." + _digits(rng)
+        x = parse_rational(s)
+        assert type(x) is Fraction and x == Fraction(s), s
+    for s in ["-0.0", "-0", "0/7", "-000.000", "007/003", "-0.50"]:
+        assert parse_rational(s) == Fraction(s)
