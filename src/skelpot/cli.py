@@ -37,7 +37,10 @@ class InputError(ValueError):
 def _load_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            # integer literals too go through parse_rational's digit limit
+            return json.load(fh, parse_int=parse_rational)
+    except RationalParseError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -103,8 +106,8 @@ def _parse_point(text: str):
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # one write: json.dump would write each of its thousands of chunks
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -206,8 +209,7 @@ def cmd_regularize(args) -> int:
                                 for eid, v in sorted(p.arc_eps.items())},
                 } for p in seq.patches],
             }
-            json.dump(dump, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(dump, indent=2, sort_keys=True) + "\n")
     return 0
 
 

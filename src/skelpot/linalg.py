@@ -1,6 +1,11 @@
 """Exact rational linear algebra.
 
-`solve_exact` runs a sparse elimination on integer rows: each row is a
+`solve_exact` takes each row of A in either of two forms: a dense list
+of n entries, or a `{column: entry}` dict of its nonzeros.  `potential`
+assembles graph Laplacians in the dict form (about five nonzeros per
+row), each row scaled to integer entries, and reads a Green's
+function's boundary masses off the solution, so neither side of a
+solve builds or scans anything of size n^2.  It runs a sparse elimination on integer rows: each row is a
 `{column: int}` dict (the right-hand side is column n), cleared to
 integers once and divided by its content after every update, so its
 entries stay primitive.  The pivot row is the live row with the fewest
@@ -31,13 +36,16 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
+                b: list[Fraction]) -> list[Fraction]:
     """Solve A x = b exactly; A must be square and nonsingular, with
-    rational (int or Fraction) entries."""
+    rational (int or Fraction) entries.  Each row of A is a dense list
+    or a {column: entry} dict; entries a dict leaves out are zero."""
     n = len(a)
     rows = []
     for i in range(n):
-        row = {j: x for j, x in enumerate(a[i]) if x}
+        row = {j: x for j, x in (a[i].items() if isinstance(a[i], dict)
+                                 else enumerate(a[i])) if x}
         if b[i]:
             row[n] = b[i]
         den = lcm(*(x.denominator for x in row.values()))

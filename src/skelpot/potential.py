@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex)
 from .linalg import solve_exact
@@ -47,25 +48,36 @@ def _check_dirichlet_pre(g: MetricGraph):
 def _solve_laplacian(g: MetricGraph, boundary_values: dict,
                      sources: dict | None = None) -> dict:
     """Vertex values with fixed boundary data and prescribed Laplacian
-    masses at interior vertices (sum of outgoing slopes = sources[v])."""
+    masses at interior vertices (sum of outgoing slopes = sources[v]).
+
+    Row i of the system holds only the nonzeros of interior vertex i:
+    each edge end adds 1/length on the diagonal and subtracts it at an
+    interior neighbour's column, or moves it, times the boundary value,
+    into b.  A self-loop's two ends cancel, so loops are left out.  The
+    row and its b entry are scaled by the lcm of the numerators of its
+    lengths, which makes the row's entries integers."""
     sources = sources or {}
     interior = [v for v in g.vertices if v not in g.boundary]
     index = {v: i for i, v in enumerate(interior)}
-    n = len(interior)
-    a = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(-sources.get(v, Fraction(0))) for v in interior]
-    for v in interior:
-        i = index[v]
-        for e, tv in g.incident_ends(v):
-            w = e.v if tv else e.u
-            c = Fraction(1) / e.length
-            a[i][i] += c
-            if w in index:
-                a[i][index[w]] -= c
-            else:
-                b[i] += c * Fraction(boundary_values[w])
-    x = solve_exact(a, b) if n else []
     values = {v: Fraction(boundary_values[v]) for v in g.boundary}
+    a, b = [], []
+    for i, v in enumerate(interior):
+        ends = [(e.length, w) for e, tv in g.incident_ends(v)
+                if (w := e.v if tv else e.u) != v]
+        scale = lcm(*(length.numerator for length, _ in ends))
+        row = {i: 0}
+        rhs = -scale * sources.get(v, 0)
+        for length, w in ends:
+            c = scale // length.numerator * length.denominator  # scale/length
+            row[i] += c
+            j = index.get(w)
+            if j is None:
+                rhs += c * values[w]
+            else:
+                row[j] = row.get(j, 0) - c
+        a.append(row)
+        b.append(rhs)
+    x = solve_exact(a, b) if a else []
     values.update({v: x[index[v]] for v in interior})
     return values
 
@@ -85,7 +97,10 @@ def dirichlet_solve(g: MetricGraph, boundary_values: dict) -> HarmonicExtension:
 
 def green(g: MetricGraph, x: GraphPoint) -> GreenFunction:
     """Green's function with pole x: zero on the boundary, Laplacian mass
-    -1 at x, nonnegative boundary masses summing to 1."""
+    -1 at x, nonnegative boundary masses summing to 1.  The masses are
+    the outgoing slopes at the boundary vertices alone, read from the
+    solved vertex values; they equal ddc of the result restricted to
+    the boundary."""
     _check_dirichlet_pre(g)
     g.require_point(x)
     if isinstance(x, Vertex) and x.id in g.boundary:
@@ -109,8 +124,11 @@ def green(g: MetricGraph, x: GraphPoint) -> GreenFunction:
     else:
         result = PAFunction.from_vertex_values(g, values)
 
-    masses = result.ddc().restrict(
-        lambda p: isinstance(p, Vertex) and p.id in g.boundary)
+    # the result is affine on every edge of the subdivided graph, which
+    # has the same boundary
+    masses = DiscreteMeasure.of(
+        (Vertex(u), (values[e.v if tv else e.u] - values[u]) / e.length)
+        for u in sub.boundary for e, tv in sub.incident_ends(u))
     return GreenFunction(x, result, masses)
 
 

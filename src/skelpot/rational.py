@@ -8,6 +8,7 @@ integers, never through floats.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 # an optional '-', a digit run, then an optional "/digits" or ".digits"
@@ -19,7 +20,11 @@ class RationalParseError(ValueError):
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an int, "p/q" string, or exact decimal string into a Fraction."""
+    """Parse an int, "p/q" string, or exact decimal string into a Fraction.
+
+    A digit run longer than the interpreter's integer-string limit
+    (`sys.get_int_max_str_digits()`, 4300 by default) is refused with a
+    RationalParseError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -29,6 +34,12 @@ def parse_rational(value) -> Fraction:
     if m is None:
         raise RationalParseError(f"not a rational literal: {value!r}")
     sign, whole, den, frac = m.groups()
+    # int() refuses digit runs above the interpreter's limit (0: none)
+    limit = sys.get_int_max_str_digits()
+    longest = max(map(len, m.groups("")))
+    if limit and longest > limit:
+        raise RationalParseError(f"a run of {longest} digits is above the "
+                                 f"maximum {limit}")
     num, den = int(whole), int(den or 1)
     if frac is not None:
         num, den = num * 10 ** len(frac) + int(frac), 10 ** len(frac)
@@ -39,5 +50,4 @@ def parse_rational(value) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Canonical form: reduced fraction, '-' sign only, no denominator 1."""
-    x = Fraction(x)
-    return str(x)
+    return str(x if isinstance(x, Fraction) else Fraction(x))

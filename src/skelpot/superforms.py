@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import add
 
 from .linalg import is_psd_exact, rank_exact
@@ -527,6 +528,26 @@ MAX_DIM = 16
 MAX_DIGITS = 600
 
 
+# Most terms a product or power step of the parser may produce: the term
+# count grows as C(k + n, n) in the exponent n of a sum of k variables,
+# so "(1+x1+x2+x3+x4+x5+x6)^12" would expand to 18564 terms.
+MAX_TERMS = 5000
+
+
+def _product(p: Poly, q: Poly) -> Poly:
+    """p * q, refused before it is expanded when it could have more than
+    MAX_TERMS terms: it has at most one per pair of terms, and at most
+    one per monomial of degree up to deg p + deg q in the variables that
+    p or q use."""
+    used = sum(1 for column in zip(*p.terms, *q.terms) if any(column))
+    bound = min(len(p.terms) * len(q.terms),
+                comb(used + p.degree() + q.degree(), used))
+    if bound > MAX_TERMS:
+        raise FormParseError(f"a product of up to {bound} terms is above "
+                             f"the maximum {MAX_TERMS}")
+    return p * q
+
+
 def _parse_int(t: str) -> int:
     if len(t) > MAX_DIGITS:
         raise FormParseError(f"a run of {len(t)} digits is above the "
@@ -627,7 +648,7 @@ def _parse_poly_expr(tk: _Tok, r: int) -> Poly:
                                      f"above the maximum {MAX_EXPONENT}")
             acc = Poly.const(r, 1)
             for _ in range(n):
-                acc = acc * p
+                acc = _product(acc, p)
             p = acc
         return p
 
@@ -637,7 +658,7 @@ def _parse_poly_expr(tk: _Tok, r: int) -> Poly:
             op = tk.next()
             q = power()
             if op == '*':
-                p = p * q
+                p = _product(p, q)
             else:
                 if q.degree() != 0:
                     raise FormParseError("can only divide by a constant")

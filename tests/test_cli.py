@@ -108,6 +108,48 @@ def test_green_boundary_pole_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("harmonic", ["harmonic", "--graph", "graph.json",
+                  "--values", "values.json"]),
+    ("green_vertex", ["green", "--graph", "graph.json", "--point", "c"]),
+    ("green_edge", ["green", "--graph", "graph.json", "--point", "e1:1/5"]),
+    ("ddc", ["ddc", "function.json"]),
+])
+def test_json_output_matches_golden(capsys, name, argv):
+    """The JSON output bytes on a fixed five-vertex graph, as committed
+    in tests/data/golden/<name>.out."""
+    golden = DATA / "golden"
+    rc = main([str(golden / a) if a.endswith(".json") else a for a in argv])
+    assert rc == 0
+    assert capsys.readouterr().out == (golden / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("literal", ['"' + "1" * 5000 + '"', "1" * 5000],
+                         ids=["string", "integer"])
+def test_json_rational_above_digit_limit_is_exit_2(tmp_path, capsys, literal):
+    """A rational of 5000 digits, as a string or a bare JSON integer, is
+    rejected by the library's own digit limit, not Python's."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(PATH3).replace('"len": "1"',
+                                              '"len": ' + literal, 1))
+    rc = main(["green", "--graph", str(path), "--point", "b"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: a run of 5000 digits is above "
+                            f"the maximum {sys.get_int_max_str_digits()}\n")
+
+
+def test_point_offset_above_digit_limit_is_exit_2(tmp_path, capsys):
+    g = write_json(tmp_path, "g.json", PATH3)
+    rc = main(["green", "--graph", g, "--point", "e0:" + "1" * 5000])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: a run of 5000 digits is above the "
+                            f"maximum {sys.get_int_max_str_digits()}\n")
+
+
 def test_harmonic_star_mean(tmp_path, capsys):
     star = {
         "vertices": ["c", "l0", "l1", "l2"],
@@ -392,6 +434,26 @@ def test_superform_dimension_above_limit_is_exit_2(capsys, argv):
     assert captured.out == ""
     assert "above the maximum 16" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_superform_above_term_limit_is_exit_2(capsys):
+    """(1+x1+...+x6)^12 would expand to 18564 terms: refused before the
+    power step that could pass the limit, with one line naming it."""
+    rc = main(["superform", "1*(1+x1+x2+x3+x4+x5+x6)^12", "--op", "dprime"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "above the maximum 5000" in captured.err
+
+
+def test_superform_just_under_term_limit_runs(capsys):
+    """(1+x1+...+x16)^4 has C(20, 4) = 4845 terms, all kept."""
+    from skelpot.superforms import parse_form
+    expr = "1*(1+" + "+".join(f"x{i}" for i in range(1, 17)) + ")^4"
+    assert len(parse_form(expr, 16).coeffs[(), ()].terms) == 4845
+    assert main(["superform", expr, "--op", "dprime"]) == 0
+    assert capsys.readouterr().out.startswith("(4*x1^3 + ")
 
 
 def test_superform_dimension_at_limit_runs(capsys):

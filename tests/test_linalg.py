@@ -34,7 +34,10 @@ def test_singular_raises():
 
 
 def _apply(a, x):
-    return [sum(r[j] * x[j] for j in range(len(x))) for r in a]
+    """A x, for dense rows or {column: entry} dict rows."""
+    return [sum(r[j] * x[j] for j in (r if isinstance(r, dict)
+                                      else range(len(x))))
+            for r in a]
 
 
 def _random_system(rng):
@@ -57,17 +60,24 @@ def _random_system(rng):
 
 
 def test_solve_random_systems_exact_or_singular():
+    """Each system is solved exactly or found singular, and the same
+    system given as {column: entry} dict rows (zeros at odd columns kept,
+    others left out) gets the same solution or verdict."""
     rng = random.Random(11)
     singular = 0
     for _ in range(1500):
         a, b = _random_system(rng)
         n = len(a)
+        rows = [{j: x for j, x in enumerate(r) if x or j % 2} for r in a]
         if rank_exact(a) < n:
             singular += 1
-            with pytest.raises(SingularMatrixError):
-                solve_exact(a, b)
+            for form in (a, rows):
+                with pytest.raises(SingularMatrixError):
+                    solve_exact(form, b)
         else:
-            assert _apply(a, solve_exact(a, b)) == b
+            x = solve_exact(a, b)
+            assert _apply(a, x) == b
+            assert solve_exact(rows, b) == x
     assert 100 < singular < 1400
 
 

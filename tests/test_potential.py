@@ -8,6 +8,7 @@ from skelpot import (EdgePoint, GraphError, MetricGraph, NotHarmonicError,
                      evaluation_formula_check, green, green_to_json_dict,
                      integrate, is_subharmonic_green, linear_combine,
                      local_green_pairing, maximum_principle_check)
+from skelpot.graph import Edge
 from skelpot.randgen import random_graph, random_pa_function, random_subharmonic
 
 from conftest import graph_from, kinked_subharmonic, pa
@@ -89,6 +90,37 @@ def test_green_invariants(star3):
     assert all(gf.result.vertex_value(v) == 0 for v in star3.boundary)
     assert gf.result.is_harmonic_on(
         {Vertex("c")} | {Vertex(v) for v in star3.boundary})
+
+
+def test_green_boundary_masses_equal_restricted_ddc():
+    """The boundary masses, summed from the solve's slopes, are exactly
+    the Laplacian of the result restricted to the boundary: at vertex
+    poles and at edge poles at random offsets, on graphs with parallel
+    edges and loops at boundary vertices (poles on those too)."""
+    rng = random.Random(13)
+    poles_seen = 0
+    for _ in range(30):
+        base = random_graph(rng, max_vertices=8, max_edges=12)
+        edges = list(base.edges)
+        for _ in range(rng.randint(1, 3)):
+            b = rng.choice(sorted(base.boundary))
+            e = rng.choice(base.edges)
+            edges.append(Edge(f"x{len(edges)}", b, b,
+                              F(rng.randint(1, 9), rng.randint(1, 4))))
+            edges.append(Edge(f"x{len(edges)}", e.u, e.v,
+                              F(rng.randint(1, 9), rng.randint(1, 4))))
+        g = MetricGraph(base.vertices, edges, base.boundary,
+                        allow_loops=True, allow_parallel=True)
+        poles = [Vertex(v) for v in g.vertices if v not in g.boundary]
+        for e in rng.choices(base.edges, k=2) + edges[len(base.edges):]:
+            poles.append(EdgePoint(e.id, e.length * rng.randint(1, 11) / 12))
+        for x in poles:
+            gf = green(g, x)
+            assert gf.boundary_masses == gf.result.ddc().restrict(
+                lambda p: isinstance(p, Vertex) and p.id in g.boundary)
+            assert gf.boundary_masses.total_mass() == 1
+            poles_seen += 1
+    assert poles_seen > 200
 
 
 def test_green_rejects_boundary_pole(star3):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,17 @@ def test_roundtrip(x):
 def test_zero_denominator_message():
     with pytest.raises(RationalParseError, match="zero denominator"):
         parse_rational("-3/000")
+
+
+def test_digit_runs_above_the_integer_limit():
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational("7" * limit) == int("7" * limit)
+    for text in ["1" * (limit + 1), "-0." + "1" * (limit + 1),
+                 "1/" + "3" * (limit + 1)]:
+        with pytest.raises(RationalParseError,
+                           match=f"a run of {limit + 1} digits is above "
+                                 f"the maximum {limit}"):
+            parse_rational(text)
 
 
 def _digits(rng):
