@@ -124,6 +124,20 @@ def test_json_output_matches_golden(capsys, name, argv):
     assert capsys.readouterr().out == (golden / f"{name}.out").read_text()
 
 
+def test_regularize_output_matches_golden(tmp_path, capsys):
+    """The CSV and --patches bytes of regularize on a subharmonic function
+    with peaks at two vertices and inside two edges, as committed in
+    tests/data/golden/regularize.out and regularize_patches.out."""
+    golden = DATA / "golden"
+    patches = tmp_path / "patches.json"
+    rc = main(["regularize", str(golden / "subharmonic.json"), "--k", "4",
+               "--samples", "5", "--patches", str(patches)])
+    assert rc == 0
+    assert capsys.readouterr().out == (golden / "regularize.out").read_text()
+    assert patches.read_text() == \
+        (golden / "regularize_patches.out").read_text()
+
+
 @pytest.mark.parametrize("literal", ['"' + "1" * 5000 + '"', "1" * 5000],
                          ids=["string", "integer"])
 def test_json_rational_above_digit_limit_is_exit_2(tmp_path, capsys, literal):
