@@ -36,9 +36,11 @@ class InputError(ValueError):
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             # integer literals too go through parse_rational's digit limit
             return json.load(fh, parse_int=parse_rational)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 ({exc.reason})") from exc
     except RationalParseError as exc:
         raise InputError(f"{path}: {exc}") from exc
     except OSError as exc:
@@ -189,13 +191,20 @@ def cmd_regularize(args) -> int:
     with patches as fh:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["k", "edge", "offset", "f_k", "f", "f_k_minus_f"])
-        table = [(eid, format_rational(off), float(fp), fks)
-                 for eid, off, fp, fks in seq.sample(args.samples)]
-        for k in range(len(seq.terms)):
-            for eid, off, fv, fks in table:
-                fk = float(fks[k])
-                writer.writerow([k, eid, off, repr(fk), repr(fv),
-                                 repr(fk - fv)])
+        # per sample, the (f_k, f, f_k - f) columns of every term: f is
+        # rounded once, and f_k only where it is not f itself
+        table = []
+        for eid, off, fp, fks in seq.sample(args.samples):
+            fv = float(fp)
+            rv = repr(fv)
+            same = (rv, rv, "0.0")
+            cols = [same if fk is fp else
+                    (repr(fkv := float(fk)), rv, repr(fkv - fv))
+                    for fk in fks]
+            table.append((eid, format_rational(off), cols))
+        writer.writerows((k, eid, off, *cols[k])
+                         for k in range(len(seq.terms))
+                         for eid, off, cols in table)
         if fh is not None:
             dump = {
                 "epsilons": [format_rational(e) for e in seq.epsilons],
@@ -255,7 +264,17 @@ def cmd_superform(args) -> int:
     elif args.op == "wedge":
         if not args.second:
             raise InputError("wedge needs a second form (--with)")
-        out = sf.wedge(alpha, _parse_form(args.second, r))
+        beta = _parse_form(args.second, r)
+        # the coefficient products wedge expands: bounded as the parser
+        # bounds its own
+        try:
+            for (i1, j1), p in alpha.coeffs.items():
+                for (i2, j2), q in beta.coeffs.items():
+                    if set(i1).isdisjoint(i2) and set(j1).isdisjoint(j2):
+                        sf.check_product(p, q)
+        except sf.FormParseError as exc:
+            raise InputError(f"wedge: {exc}") from exc
+        out = sf.wedge(alpha, beta)
     else:  # positivity
         if (alpha.p, alpha.q) == (0, 0):
             alpha = sf.hessian_form(alpha.coeffs.get(((), ()),

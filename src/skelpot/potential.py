@@ -8,13 +8,16 @@ All solves are exact over the rationals.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex)
+from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex,
+                    point_to_json)
 from .linalg import solve_exact
 from .pa_function import DiscreteMeasure, PAFunction, integrate
+from .rational import format_rational
 
 
 class NotHarmonicError(ValueError):
@@ -222,13 +225,22 @@ def is_subharmonic_green(f: PAFunction,
     return GreenVerdict(not bad, tuple(bad))
 
 
+def require_subharmonic(f: PAFunction) -> None:
+    """Raise NotSubharmonicError naming the slope oracle's witnesses, as
+    the JSON list `subharmonic` prints, unless f is subharmonic."""
+    verdict = f.is_subharmonic_slope()
+    if not verdict.ok:
+        witnesses = [{"at": point_to_json(p),
+                      "incoming_slope_sum": format_rational(s)}
+                     for p, s in verdict.witnesses]
+        raise NotSubharmonicError(
+            f"f is not subharmonic; witnesses: {json.dumps(witnesses)}")
+
+
 def maximum_principle_check(f: PAFunction) -> bool:
     """For subharmonic f: the harmonic extension of its boundary values
     dominates it at every vertex and breakpoint."""
-    verdict = f.is_subharmonic_slope()
-    if not verdict.ok:
-        raise NotSubharmonicError(
-            f"f is not subharmonic; witnesses: {verdict.witnesses}")
+    require_subharmonic(f)
     g = f.graph
     _check_dirichlet_pre(g)
     h = dirichlet_solve(g, {v: f.vertex_value(v) for v in g.boundary}).result
@@ -236,7 +248,6 @@ def maximum_principle_check(f: PAFunction) -> bool:
 
 
 def green_to_json_dict(gf: GreenFunction) -> dict:
-    from .graph import point_to_json
     return {"pole": point_to_json(gf.pole),
             "function": gf.result.to_json_dict(),
             "boundary_masses": gf.boundary_masses.to_json_list()}

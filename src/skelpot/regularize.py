@@ -16,12 +16,13 @@ arc_second_difference round the exact value to a float once, at the end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex
 from .pa_function import DiscreteMeasure, PAFunction
-from .potential import NotSubharmonicError
+from .potential import require_subharmonic
 
 
 # -- scalar smooth-max calculus ------------------------------------------------
@@ -186,6 +187,11 @@ def arc_second_difference(s: RegularizationTerm, edge_id: str, offset,
     return float((vm - 2 * v0 + vp) / step ** 2)
 
 
+def _over(x: Fraction, den: int) -> int:
+    """The numerator of x over den, a multiple of x's denominator."""
+    return x.numerator * (den // x.denominator)
+
+
 @dataclass(frozen=True)
 class RegularizationSequence:
     base: PAFunction              # f on the (subdivided) working graph
@@ -200,39 +206,62 @@ class RegularizationSequence:
         (edge id, offset, f, (f_0, f_1, ...)) per sample, each f_k equal
         to terms[k].value at that point.
 
-        f and G_x are affine on every edge of the working graph, so each
-        steps by a fixed amount from sample to sample; eps_k / 2 is
-        computed once per term.
+        On each edge, f's end values, the cone's ends and every eps_k are
+        brought to one denominator nd = d * per_edge, so that f, G_x + eps_k
+        and their difference T are integer numerators F, A and T at every
+        sample.  With E the numerator of eps_k, m_{eps/2}(a, f) is a if
+        2T >= E, f if -2T >= E, and otherwise
+        (4E(A + F) + 4T^2 + E^2) / (8 nd E).  Each value is built as one
+        Fraction, and a value equal to f by the term's rule is f itself.
         """
+        n = per_edge
         centers = {patch.center for patch in self.patches}
         cone = {eid: arc for patch in self.patches
                 for eid, arc in patch.cone.items()}
-        epsilons = [(term.eps, term.eps / 2) for term in self.terms]
+        epsilons = [term.eps for term in self.terms]
+        eps_den = math.lcm(*(eps.denominator for eps in epsilons))
         rows = []
         for e in self.graph.edges:
             (_, fu), (_, fv) = self.base.profiles[e.id]
-            step = e.length / per_edge
-            df = (fv - fu) / per_edge
             arc = cone.get(e.id)
+            d = math.lcm(eps_den, fu.denominator, fv.denominator,
+                         *(() if arc is None else
+                           (x.denominator for x in arc)))
+            nd = d * n
+            # numerators over nd: f at sample i is f0 + df * i
+            f0, df = _over(fu, nd), _over(fv, d) - _over(fu, d)
+            eks = [_over(eps, nd) for eps in epsilons]
             if arc is not None:
                 gu, gv = arc
-                dg = (gv - gu) / per_edge
-            for i in range(per_edge + 1):
-                if i in (0, per_edge):
-                    fp = fu if i == 0 else fv
+                g0, dg = _over(gu, nd), _over(gv, d) - _over(gu, d)
+            length_num, length_den = e.length.numerator, e.length.denominator
+            for i in range(n + 1):
+                fnum = f0 + df * i
+                fp = Fraction(fnum, nd)
+                if i in (0, n):
                     if (e.u if i == 0 else e.v) in centers:
-                        fks = tuple(fp + eps for eps, _ in epsilons)
+                        fks = tuple(Fraction(fnum + ek, nd) for ek in eks)
                     else:
-                        fks = (fp,) * len(epsilons)
+                        fks = (fp,) * len(eks)
+                elif arc is None:
+                    fks = (fp,) * len(eks)
                 else:
-                    fp = fu + df * i
-                    if arc is None:
-                        fks = (fp,) * len(epsilons)
-                    else:
-                        gp = gu + dg * i
-                        fks = tuple(smooth_max(half, gp + eps, fp)
-                                    for eps, half in epsilons)
-                rows.append((e.id, step * i, fp, fks))
+                    gnum = g0 + dg * i
+                    fks = []
+                    for ek in eks:
+                        a = gnum + ek
+                        t = a - fnum
+                        if 2 * t >= ek:
+                            fks.append(Fraction(a, nd))
+                        elif -2 * t >= ek:
+                            fks.append(fp)
+                        else:
+                            fks.append(Fraction(
+                                4 * ek * (a + fnum) + 4 * t * t + ek * ek,
+                                8 * nd * ek))
+                    fks = tuple(fks)
+                rows.append((e.id, Fraction(length_num * i, length_den * n),
+                             fp, fks))
         return rows
 
 
@@ -265,10 +294,7 @@ def build_regularization(graph: MetricGraph, f: PAFunction,
     """
     if f.graph != graph:
         raise GraphError("function lives on a different graph")
-    verdict = f.is_subharmonic_slope()
-    if not verdict.ok:
-        raise NotSubharmonicError(
-            f"f is not subharmonic; witnesses: {verdict.witnesses}")
+    require_subharmonic(f)
 
     f = f.promote_interior_breakpoints()
     f, measure = _subdivide_between_peaks(f)

@@ -534,8 +534,8 @@ MAX_DIGITS = 600
 MAX_TERMS = 5000
 
 
-def _product(p: Poly, q: Poly) -> Poly:
-    """p * q, refused before it is expanded when it could have more than
+def check_product(p: Poly, q: Poly) -> None:
+    """Refuse p * q before it is expanded when it could have more than
     MAX_TERMS terms: it has at most one per pair of terms, and at most
     one per monomial of degree up to deg p + deg q in the variables that
     p or q use."""
@@ -545,6 +545,10 @@ def _product(p: Poly, q: Poly) -> Poly:
     if bound > MAX_TERMS:
         raise FormParseError(f"a product of up to {bound} terms is above "
                              f"the maximum {MAX_TERMS}")
+
+
+def _product(p: Poly, q: Poly) -> Poly:
+    check_product(p, q)
     return p * q
 
 

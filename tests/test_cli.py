@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -261,7 +262,12 @@ def test_regularize_csv_and_patches(tmp_path, capsys):
 def test_regularize_rejects_non_subharmonic(tmp_path, capsys):
     rc = main(["regularize", tent_function(tmp_path), "--k", "2"])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # the witnesses are point JSON, as `subharmonic` prints them
+    witnesses = json.loads(err.split("witnesses: ", 1)[1])
+    assert witnesses == [{"at": {"edge": "e", "offset": "1/2"},
+                          "incoming_slope_sum": "-4"}]
 
 
 def test_regularize_unwritable_patches_is_exit_2(tmp_path, capsys):
@@ -461,6 +467,29 @@ def test_superform_above_term_limit_is_exit_2(capsys):
     assert "above the maximum 5000" in captured.err
 
 
+def test_superform_wedge_above_term_limit_is_exit_2(capsys):
+    """Two coefficients of 3003 terms each are under the parser's limit,
+    but their product could have up to C(22, 6) = 74613 terms: refused
+    before wedge expands it."""
+    expr = "1*(1+x1+x2+x3+x4+x5+x6)^8"
+    t0 = time.perf_counter()
+    rc = main(["superform", expr, "--op", "wedge", "--with", expr])
+    assert time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: wedge: a product of up to 74613 terms "
+                            "is above the maximum 5000\n")
+
+
+def test_superform_wedge_skips_products_it_does_not_expand(capsys):
+    """d'x1 ^ d'x1 = 0: wedge multiplies no coefficients, so their size
+    is not refused."""
+    expr = "1*(1+x1+x2+x3+x4+x5+x6)^8 d'x1"
+    assert main(["superform", expr, "--op", "wedge", "--with", expr]) == 0
+    assert capsys.readouterr().out == "0 [bidegree (2,0)]\n"
+
+
 def test_superform_just_under_term_limit_runs(capsys):
     """(1+x1+...+x16)^4 has C(20, 4) = 4845 terms, all kept."""
     from skelpot.superforms import parse_form
@@ -559,6 +588,16 @@ def test_missing_file_is_exit_2(capsys):
     rc = main(["ddc", "/nonexistent/path.json"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_file_is_exit_2(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b'{"a": "\xff\xfe"}')
+    rc = main(["ddc", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {p}: not UTF-8 (invalid start byte)\n"
 
 
 def test_malformed_json_reports_location(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -292,3 +294,82 @@ def test_sample_without_peaks_is_f(path3):
     assert seq.patches == ()
     assert _assert_sample_matches_terms(seq, 5) == 0
     assert all(fks == (fp,) * 3 for _, _, fp, fks in seq.sample(5))
+
+
+def test_sample_with_one_sample_per_edge():
+    """per_edge = 1: only the two ends of every edge, no interior sample."""
+    rng = random.Random(25)
+    at_centers = 0
+    for _ in range(6):
+        g = random_graph(rng, max_vertices=6, max_edges=8)
+        seq = build_regularization(g, kinked_subharmonic(rng, g), n_terms=3)
+        at_centers += _assert_sample_matches_terms(seq, 1)
+        assert len(seq.sample(1)) == 2 * len(seq.graph.edges)
+    assert at_centers > 0
+
+
+def test_sample_of_harmonic_functions_without_peaks():
+    from skelpot import dirichlet_solve
+    rng = random.Random(26)
+    for _ in range(4):
+        g = random_graph(rng, max_vertices=6, max_edges=8)
+        h = dirichlet_solve(g, {v: F(rng.randint(-9, 9), rng.randint(1, 9))
+                                for v in g.boundary}).result
+        seq = build_regularization(g, h, n_terms=2)
+        assert seq.patches == ()
+        for per_edge in (1, 3, 7):
+            assert _assert_sample_matches_terms(seq, per_edge) == 0
+
+
+def _with_epsilons(seq, epsilons):
+    """seq with one term per eps in epsilons, peaks and cones kept."""
+    terms = tuple(replace(seq.terms[0], eps=eps) for eps in epsilons)
+    return replace(seq, epsilons=tuple(epsilons), terms=terms)
+
+
+def test_sample_with_epsilons_coprime_to_the_edge_data():
+    """eps_k over primes that divide no length, value or cone end, in no
+    particular order: the common denominator must take them in."""
+    rng = random.Random(27)
+    epsilons = [F(5, 1009), F(1, 1013 * 1019), F(2, 1021), F(3, 1031)]
+    for _ in range(6):
+        g = random_graph(rng, max_vertices=6, max_edges=8)
+        seq = build_regularization(g, kinked_subharmonic(rng, g), n_terms=1)
+        data = [x for e in seq.graph.edges
+                for x in (e.length, *(v for _, v in seq.base.profiles[e.id]),
+                          *seq.terms[0].cone.get(e.id, ()))]
+        assert all(math.gcd(x.denominator, eps.denominator) == 1
+                   for x in data for eps in epsilons)
+        _assert_sample_matches_terms(_with_epsilons(seq, epsilons),
+                                     rng.randint(1, 9))
+
+
+def test_sample_on_an_edge_with_centers_at_both_ends():
+    """Centers b and c joined by the arc e1 of b's star, with lengths,
+    values, cone ends and epsilons over different primes on each edge, so
+    every edge has its own common denominator."""
+    from skelpot import MetricGraph, PAFunction
+    from skelpot.regularize import (Patch, RegularizationSequence,
+                                    RegularizationTerm)
+    g = MetricGraph.from_json_dict({
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [{"id": "e0", "u": "a", "v": "b", "len": "1/3"},
+                  {"id": "e1", "u": "b", "v": "c", "len": "2/5"},
+                  {"id": "e2", "u": "c", "v": "d", "len": "3/7"}],
+        "boundary": ["a", "d"]})
+    f = pa(g, {"e0": [(0, 1), (F(1, 3), 0)],
+               "e1": [(0, 0), (F(2, 5), F(1, 11))],
+               "e2": [(0, F(1, 11)), (F(3, 7), 2)]})
+    b_cone = {"e0": (F(-1, 2), 0), "e1": (0, F(-1, 13))}
+    c_cone = {"e2": (F(1, 11), F(1, 17))}
+    patches = (Patch("b", F(1), b_cone, {}), Patch("c", F(1), c_cone, {}))
+    epsilons = (F(1, 19), F(1, 19 * 4), F(1, 19 * 16))
+    cone = {**b_cone, **c_cone}
+    terms = tuple(RegularizationTerm(f, eps, frozenset("bc"), cone)
+                  for eps in epsilons)
+    seq = RegularizationSequence(f, g, patches, epsilons, terms)
+    for per_edge in (1, 2, 5, 12):
+        assert _assert_sample_matches_terms(seq, per_edge) == 4
+    smoothed = [fks for eid, off, fp, fks in seq.sample(12)
+                if eid == "e1" and 0 < off < F(2, 5) and fks[0] != fp]
+    assert smoothed
