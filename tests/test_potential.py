@@ -9,6 +9,7 @@ from skelpot import (EdgePoint, GraphError, MetricGraph, NotHarmonicError,
                      integrate, is_subharmonic_green, linear_combine,
                      local_green_pairing, maximum_principle_check)
 from skelpot.graph import Edge
+from skelpot.potential import GreenVerdict
 from skelpot.randgen import random_graph, random_pa_function, random_subharmonic
 
 from conftest import graph_from, kinked_subharmonic, pa
@@ -269,23 +270,55 @@ def _poles(rng, f):
     return poles
 
 
-def test_pairing_equals_arm_end_reference():
-    """The bisecting pairing is the same Fraction as the pairing read off
-    at the arm ends, on vertex poles (self-loops included), kinks,
-    midpoints and random edge points."""
-    rng = random.Random(5)
+def _seeded_functions(rng):
+    """40 functions with self-loops, then random and kinked subharmonic
+    functions on random graphs."""
     functions = [_looped_function(rng) for _ in range(40)]
     for _ in range(20):
         g = random_graph(rng, max_vertices=7, max_edges=10)
         functions.append(random_pa_function(rng, g))
         if any(v not in g.boundary for v in g.vertices):
             functions.append(kinked_subharmonic(rng, g))
+    return functions
+
+
+def test_pairing_equals_arm_end_reference():
+    """The bisecting pairing is the same Fraction as the pairing read off
+    at the arm ends, on vertex poles (self-loops included), kinks,
+    midpoints and random edge points."""
+    rng = random.Random(5)
+    functions = _seeded_functions(rng)
     poles = 0
     for f in functions:
         for x in _poles(rng, f):
             assert local_green_pairing(f, x) == _reference_pairing(f, x)
             poles += 1
     assert poles > 1000
+
+
+def _sampled_green_verdict(f):
+    """The Green oracle's verdict over interior vertices, interior
+    breakpoints and every edge midpoint that is not a breakpoint."""
+    g = f.graph
+    sample = [Vertex(v) for v in g.vertices if v not in g.boundary]
+    for e in g.edges:
+        offsets = [o for o, _ in f.profiles[e.id]]
+        sample += [EdgePoint(e.id, o) for o in offsets[1:-1]]
+        if e.length / 2 not in offsets:
+            sample.append(EdgePoint(e.id, e.length / 2))
+    bad = [(x, val) for x in sample
+           if (val := local_green_pairing(f, x)) < 0]
+    bad.sort(key=lambda pv: str(pv[0]))
+    return GreenVerdict(not bad, tuple(bad))
+
+
+def test_green_oracle_equals_sampled_verdict():
+    """Poles at the breakpoints of f give the verdict and the violations,
+    in order, of a sample that adds the edge midpoints."""
+    functions = _seeded_functions(random.Random(5))
+    verdicts = [is_subharmonic_green(f) for f in functions]
+    assert verdicts == [_sampled_green_verdict(f) for f in functions]
+    assert 0 < sum(v.ok for v in verdicts) < len(verdicts)
 
 
 def test_pairing_errors(star3):

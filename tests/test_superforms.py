@@ -473,6 +473,36 @@ def test_parse_errors():
         parse_form("x3", 2)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("d'x", "bad generator at 0"),
+    ("x1 ^ d''x", "bad generator at 5"),
+    ("x1 + x", "bad variable at 5"),
+    ("xx1", "bad variable at 0"),
+    ("x1 @ x2", "unexpected character '@' at 3"),
+    ("d'y1", "unexpected character 'd' at 0"),
+    ("(x1 x2)", "expected ')'"),
+    ("((x1)", "unexpected end of input"),
+    ("2 + ", "unexpected end in polynomial"),
+    ("x1 )", "trailing input at token ')'"),
+    ("d'x1 ^ ^ d''x1", "trailing input at token '^'"),
+    ("x1^x2", "exponent must be an integer"),
+    ("x1^101", "exponent above the maximum 100"),
+    ("x1*(x1^20)^20", "power of degree 400 above the maximum 100"),
+    pytest.param("9" * 601, "a run of 601 digits is above the maximum 600",
+                 id="long-constant"),
+    pytest.param("d''x" + "0" * 700 + "1",
+                 "a run of 701 digits is above the maximum 600",
+                 id="long-generator"),
+    ("x1 / 0", "division by zero"),
+    ("x1 / (x1)", "can only divide by a constant"),
+    ("x3", "variable x3 out of range (r=2)"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(FormParseError) as exc:
+        parse_form(text, 2)
+    assert str(exc.value) == message
+
+
 def test_parse_exponent_limit():
     x1 = Poly.var(1, 0)
     assert parse_form(f"x1^{MAX_EXPONENT}", 1) == \
