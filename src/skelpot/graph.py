@@ -161,7 +161,8 @@ class MetricGraph:
 
     def require_point(self, p: GraphPoint):
         if not self.contains_point(p):
-            raise GraphError(f"point {p!r} is not on the graph")
+            raise GraphError(f"point {json.dumps(point_to_json(p))} is not on "
+                             "the graph")
 
     def normalize_point(self, p: GraphPoint) -> GraphPoint:
         """Canonical form: edge offsets 0 / length become the endpoint

@@ -150,7 +150,8 @@ class PAFunction:
         elif p.edge in self.profiles and \
                 0 <= p.offset <= self.profiles[p.edge][-1][0]:
             return self._on_edge(p.edge, p.offset)
-        raise GraphError(f"point {p!r} is not on the graph")
+        raise GraphError(f"point {json.dumps(point_to_json(p))} is not on the "
+                         "graph")
 
     def _on_edge(self, eid: str, offset) -> Fraction:
         """Value at an offset in [0, length] of edge eid."""

@@ -168,7 +168,6 @@ def local_green_pairing(f: PAFunction, x: GraphPoint) -> Fraction:
     (sum_i (v_i / d_i) / sum_i (1 / d_i) - f(x)) / 2.
     """
     g = f.graph
-    g.require_point(x)
     dirs = g.star(x)
     if isinstance(x, Vertex) and x.id in g.boundary:
         raise GraphError("pole on the boundary")
@@ -187,41 +186,22 @@ def local_green_pairing(f: PAFunction, x: GraphPoint) -> Fraction:
     return (weighted / conductance - f.eval(x)) / 2
 
 
-def default_pole_sample(f: PAFunction) -> list[GraphPoint]:
-    """Interior vertices, interior breakpoints of f, and edge midpoints.
-
-    The pairing vanishes at non-kink poles, so this sample makes the
-    Green-pairing verdict exact for piecewise-affine f.
-    """
-    g = f.graph
-    pts: list[GraphPoint] = [Vertex(v) for v in g.vertices
-                             if v not in g.boundary]
-    for p in f.breakpoints():
-        if isinstance(p, EdgePoint):
-            pts.append(p)
-    for e in g.edges:
-        mid = EdgePoint(e.id, e.length / 2)
-        if all(o != mid.offset for o, _ in f.profiles[e.id]):
-            pts.append(mid)
-    return pts
-
-
-def is_subharmonic_green(f: PAFunction,
-                         sample: list[GraphPoint] | None = None) -> GreenVerdict:
+def is_subharmonic_green(f: PAFunction) -> GreenVerdict:
     """Subharmonicity via Green pairings: f is subharmonic iff the pairing
     of f against ddc of a local Green kernel is >= 0 for every interior pole.
 
-    With the default sample (all kinks plus midpoints) the verdict is
-    exact, since the pairing is zero at poles where f has no kink.
+    The poles are the points of f.breakpoints() off the boundary: f is
+    affine around any other point (an edge midpoint, say), so its pairing
+    there is exactly 0, and the verdict is exact.
     """
-    if sample is None:
-        sample = default_pole_sample(f)
+    boundary = f.graph.boundary
     bad = []
-    for x in sample:
-        val = local_green_pairing(f, x)
-        if val < 0:
-            bad.append((x, val))
-    bad.sort(key=lambda pv: (str(pv[0])))
+    for x in f.breakpoints():
+        if not (isinstance(x, Vertex) and x.id in boundary):
+            val = local_green_pairing(f, x)
+            if val < 0:
+                bad.append((x, val))
+    bad.sort(key=lambda pv: str(pv[0]))
     return GreenVerdict(not bad, tuple(bad))
 
 

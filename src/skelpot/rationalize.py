@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import GraphError, Vertex
+from .graph import GraphError, Vertex, point_to_json
 from .pa_function import PAFunction, integrate, linear_combine
 from .rational import format_rational
 
@@ -50,9 +50,10 @@ def _snap(x: Fraction, max_den: int) -> Fraction:
 
 def rationalize(f: PAFunction, g_in: PAFunction,
                 tol: Fraction) -> RationalizationCertificate:
-    """Steps: (1) snap kink offsets, (2) snap values (boundary pinned to 0,
-    interior kept strictly positive), (3) verify rational slopes; then
-    recompute the pairing exactly and certify it stayed negative.
+    """Snap vertex values (boundary pinned to 0, interior kept strictly
+    positive), then each edge's kink offsets and values, and record the
+    rational slopes; then recompute the pairing exactly and certify it
+    stayed negative.
     """
     if f.graph != g_in.graph:
         raise GraphError("f and G live on different graphs")
@@ -67,22 +68,7 @@ def rationalize(f: PAFunction, g_in: PAFunction,
     max_offset_snap = Fraction(0)
     max_value_snap = Fraction(0)
 
-    # Step 1: kink offsets onto denominators <= max_den.
-    step1 = {}
-    for e in graph.edges:
-        prof = list(g_in.profiles[e.id])
-        new = [prof[0]]
-        for o, v in prof[1:-1]:
-            o2 = _snap(o, max_den)
-            if not (new[-1][0] < o2 < e.length):
-                raise RationalizationError(
-                    f"edge {e.id}: snapped offsets collide (tol too coarse)")
-            max_offset_snap = max(max_offset_snap, abs(o2 - o))
-            new.append((o2, v))
-        new.append(prof[-1])
-        step1[e.id] = new
-
-    # Step 2: values; boundary vertices exactly 0, interior strictly > 0.
+    # Values: boundary vertices exactly 0, interior strictly > 0.
     def snap_value(v: Fraction) -> Fraction:
         v2 = _snap(v, max_den)
         if v > 0 and v2 <= 0:
@@ -98,20 +84,24 @@ def rationalize(f: PAFunction, g_in: PAFunction,
             vertex_snapped[vid] = snap_value(old)
         max_value_snap = max(max_value_snap, abs(vertex_snapped[vid] - old))
 
-    step2 = {}
+    # Kink offsets onto denominators <= max_den, and their values.
+    profiles = {}
     for e in graph.edges:
-        prof = step1[e.id]
         new = [(Fraction(0), vertex_snapped[e.u])]
-        for o, v in prof[1:-1]:
-            v2 = snap_value(v)
+        for o, v in g_in.profiles[e.id][1:-1]:
+            o2, v2 = _snap(o, max_den), snap_value(v)
+            if not (new[-1][0] < o2 < e.length):
+                raise RationalizationError(
+                    f"edge {e.id}: snapped offsets collide (tol too coarse)")
+            max_offset_snap = max(max_offset_snap, abs(o2 - o))
             max_value_snap = max(max_value_snap, abs(v2 - v))
-            new.append((o, v2))
+            new.append((o2, v2))
         new.append((e.length, vertex_snapped[e.v]))
-        step2[e.id] = new
+        profiles[e.id] = new
 
-    g_out = PAFunction(graph, step2)
+    g_out = PAFunction(graph, profiles)
 
-    # Step 3: with rational offsets and values every slope is rational by
+    # With rational offsets and values every slope is rational by
     # construction; record them as the verification witness.
     slopes = {}
     for e in graph.edges:
@@ -141,7 +131,8 @@ def rationalize(f: PAFunction, g_in: PAFunction,
                             "max_value_snap": format_rational(max_value_snap)},
         "slopes_rational": {"pass": True, "slopes": slopes},
         "interior_positive": {"pass": not interior_bad,
-                              "witnesses": [repr(p) for p in interior_bad]},
+                              "witnesses": [point_to_json(p)
+                                            for p in interior_bad]},
         "boundary_zero": {"pass": all(g_out.vertex_value(b) == 0
                                       for b in graph.boundary)},
         "pairing_negative": {"pass": bool(pairing < 0),

@@ -12,6 +12,7 @@ an exact equality.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -559,46 +560,35 @@ def _parse_int(t: str) -> int:
     return int(t)
 
 
+# \s and \d match exactly what str.isspace and str.isdecimal accept
+_TOKEN = re.compile(r"\s+|d''?x\d+|x\d+|\d+|[-+*/^()]")
+
+
 class _Tok:
+    """The tokens of a form's text: generators d'x<i> and d''x<i>,
+    variables x<i>, digit runs and the operators + - * / ^ ( ), with
+    whitespace dropped.  A digit is a Unicode decimal digit, which int()
+    reads; other digit characters, such as superscripts, are errors."""
+
     def __init__(self, text: str):
         self.toks = []
-        i = 0
+        self.pos = i = 0
         while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif text.startswith("d'x", i) or text.startswith("d''x", i):
-                j = i + (4 if text.startswith("d''x", i) else 3)
-                k = j
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                if k == j:
+            m = _TOKEN.match(text, i)
+            if m is None:
+                if text.startswith(("d'x", "d''x"), i):
                     raise FormParseError(f"bad generator at {i}")
-                self.toks.append(text[i:k])
-                i = k
-            elif ch.isdigit():
-                k = i
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                self.toks.append(text[i:k])
-                i = k
-            elif ch == 'x':
-                k = i + 1
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                if k == i + 1:
+                if text[i] == 'x':
                     raise FormParseError(f"bad variable at {i}")
-                self.toks.append(text[i:k])
-                i = k
-            elif ch in "+-*/^()":
-                self.toks.append(ch)
-                i += 1
-            else:
-                raise FormParseError(f"unexpected character {ch!r} at {i}")
-        self.pos = 0
+                raise FormParseError(
+                    f"unexpected character {text[i]!r} at {i}")
+            if not m.group().isspace():
+                self.toks.append(m.group())
+            i = m.end()
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def peek(self, ahead: int = 0):
+        i = self.pos + ahead
+        return self.toks[i] if i < len(self.toks) else None
 
     def next(self):
         t = self.peek()
@@ -688,6 +678,9 @@ def parse_form(text: str, r: int) -> SuperForm:
     tk = _Tok(text)
     total = None
 
+    def at_gen(ahead: int = 0) -> bool:
+        return (tk.peek(ahead) or "").startswith("d'")
+
     def parse_term(negate: bool):
         nonlocal total
         t = tk.peek()
@@ -702,29 +695,21 @@ def parse_form(text: str, r: int) -> SuperForm:
             poly = _parse_poly_expr(tk, r)
         else:
             poly = Poly.const(r, 1)
-        gens_i, gens_j = [], []
-        expect_gen = tk.peek() is not None and tk.peek().startswith("d'")
-        while expect_gen:
+        # all indices are read before any generator is built, so that a
+        # digit-run error is reported before an index-range one
+        gens = []
+        while at_gen():
             t = tk.next()
-            if t.startswith("d''x"):
-                gens_j.append(_parse_int(t[4:]) - 1)
-            else:
-                gens_i.append(_parse_int(t[3:]) - 1)
-            if tk.peek() == '^':
-                nxt = tk.toks[tk.pos + 1] if tk.pos + 1 < len(tk.toks) else None
-                if nxt is not None and nxt.startswith("d'"):
-                    tk.next()
-                    expect_gen = True
-                    continue
-            expect_gen = tk.peek() is not None and tk.peek().startswith("d'")
-        # assemble with shuffle signs via wedge of generators
+            gens.append((t.startswith("d''"),
+                         _parse_int(t.rpartition('x')[2]) - 1))
+            if tk.peek() == '^' and at_gen(1):
+                tk.next()
+        # each generator is wedged on in the order written
         form = SuperForm.function(poly if not negate else -poly)
-        for k in gens_i:
-            g = SuperForm(r, 1, 0, {((k,), ()): Poly.const(r, 1)})
-            form = wedge(form, g)
-        for k in gens_j:
-            g = SuperForm(r, 0, 1, {((), (k,)): Poly.const(r, 1)})
-            form = wedge(form, g)
+        one = Poly.const(r, 1)
+        for second, k in gens:
+            form = wedge(form, SuperForm(r, 0, 1, {((), (k,)): one}) if second
+                         else SuperForm(r, 1, 0, {((k,), ()): one}))
         if total is None:
             total = form
         else:

@@ -109,6 +109,16 @@ def test_green_boundary_pole_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_green_off_graph_pole_names_point_json(tmp_path, capsys):
+    g = write_json(tmp_path, "g.json", PATH3)
+    rc = main(["green", "--graph", g, "--point", "e0:5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ('error: point {"edge": "e0", "offset": "5"} '
+                            'is not on the graph\n')
+
+
 @pytest.mark.parametrize("name, argv", [
     ("harmonic", ["harmonic", "--graph", "graph.json",
                   "--values", "values.json"]),
@@ -391,6 +401,34 @@ def test_superform_parse_error(capsys):
     rc = main(["superform", "d'x", "--op", "dprime"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("x\u00b2", "bad variable at 0"),
+    ("\u00b2", "unexpected character '\u00b2' at 0"),
+    ("3*\u2460", "unexpected character '\u2460' at 2"),
+    ("d'x\u00b9", "bad generator at 0"),
+], ids=["superscript-index", "superscript", "circled-digit", "generator"])
+def test_superform_digit_int_cannot_read_is_exit_2(capsys, expr, message):
+    """Digit characters that are not decimal digits (str.isdigit but not
+    str.isdecimal) are parse errors, not a crash."""
+    rc = main(["superform", expr, "--op", "dprime"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {expr!r}: {message}\n"
+
+
+def test_superform_reads_decimal_digits_of_other_scripts(capsys):
+    rc = main(["superform", "x\u0663^2", "--op", "dprime"])   # Arabic-Indic 3
+    assert rc == 0
+    assert capsys.readouterr().out == "(2*x3) d'x3\n"
+
+
+def test_superform_generator_order_keeps_its_sign(capsys):
+    rc = main(["superform", "d''x2 ^ d'x1", "--op", "J", "--r", "2"])
+    assert rc == 0
+    assert capsys.readouterr().out == "(1) d'x2 ^ d''x1\n"
 
 
 @pytest.mark.parametrize("argv", [

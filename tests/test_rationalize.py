@@ -86,6 +86,16 @@ def test_interior_positivity_enforced_on_tiny_values():
     assert cert.checks["interior_positive"]["pass"]
 
 
+def test_nonpositive_interior_witnesses_are_point_json():
+    g = _path3()
+    f = pa(g, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})
+    g_in = pa(g, {"e0": [(0, 0), (F(1, 2), F(-1, 3)), (1, F(1, 2))],
+                  "e1": [(0, F(1, 2)), (1, 0)]})
+    check = rationalize(f, g_in, F(1, 100)).checks["interior_positive"]
+    assert check == {"pass": False,
+                     "witnesses": [{"edge": "e0", "offset": "1/2"}]}
+
+
 def test_boundary_pinned_to_zero():
     g = _path3()
     f = pa(g, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})

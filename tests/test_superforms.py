@@ -456,6 +456,21 @@ def test_parse_shuffle_sign():
     assert a == SuperForm(2, 2, 0, {((0, 1), ()): Poly.const(2, -1)})
 
 
+def test_parse_wedges_generators_in_the_order_written():
+    """A term with its generators in any order, d'' before d' included,
+    is the left-to-right wedge of its separately parsed factors."""
+    rng = random.Random(11)
+    for _ in range(300):
+        r = rng.randint(1, 3)
+        text = f"({format_poly(_random_poly(rng, r))})"
+        expected = parse_form(text, r)
+        for i in range(rng.randint(0, 4)):
+            gen = rng.choice(["d'", "d''"]) + f"x{rng.randint(1, r)}"
+            expected = wedge(expected, parse_form(gen, r))
+            text += (rng.choice([" ", " ^ "]) if i else " ") + gen
+        assert parse_form(text, r) == expected
+
+
 def test_parse_format_roundtrip():
     rng = random.Random(10)
     for _ in range(100):
