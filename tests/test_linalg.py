@@ -166,6 +166,44 @@ def test_psd_matches_minor_oracle():
         assert is_psd_exact(gram)
 
 
+def test_psd_matches_minor_oracle_up_to_5():
+    """Rational symmetric matrices, rank-deficient Gram matrices (and their
+    negatives) and matrices with zero diagonal entries, for n up to 5."""
+    rng = random.Random(17)
+    verdicts = []
+    for trial in range(240):
+        n = rng.randint(1, 5)
+        kind = trial % 4
+        raw = [[F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n)]
+               for _ in range(n)]
+        if kind == 0:
+            m = [[raw[i][j] + raw[j][i] for j in range(n)] for i in range(n)]
+        elif kind in (1, 2):
+            k = rng.randint(0, n - 1)
+            m = [[sum((raw[i][t] * raw[j][t] for t in range(k)), F(0))
+                  * (1 if kind == 1 else -1) for j in range(n)]
+                 for i in range(n)]
+        else:
+            # a Gram matrix with zero rows, or a symmetric one, with some
+            # diagonal entries set to zero
+            if rng.random() < 0.5:
+                for i in range(n):
+                    if rng.random() < 0.4:
+                        raw[i] = [F(0)] * n
+                m = [[sum((raw[i][t] * raw[j][t] for t in range(n)), F(0))
+                      for j in range(n)] for i in range(n)]
+            else:
+                m = [[raw[i][j] + raw[j][i] for j in range(n)]
+                     for i in range(n)]
+            for i in range(n):
+                if rng.random() < 0.5:
+                    m[i][i] = F(0)
+        got = is_psd_exact(m)
+        assert got == psd_minor_oracle(m)
+        verdicts.append(got)
+    assert verdicts.count(True) >= 60 and verdicts.count(False) >= 60
+
+
 def test_psd_rejects_asymmetric():
     with pytest.raises(ValueError):
         is_psd_exact([[F(1), F(2)], [F(0), F(1)]])

@@ -68,7 +68,7 @@ def _random_poly(rng, r, max_deg=2):
     return Poly(r, terms)
 
 
-def _random_form(rng, r, p=None, q=None):
+def _random_form(rng, r, p=None, q=None, max_deg=2):
     p = rng.randint(0, r) if p is None else p
     q = rng.randint(0, r) if q is None else q
     coeffs = {}
@@ -76,7 +76,7 @@ def _random_form(rng, r, p=None, q=None):
     all_j = list(combinations(range(r), q))
     for _ in range(rng.randint(1, 3)):
         coeffs_key = (rng.choice(all_i), rng.choice(all_j))
-        coeffs[coeffs_key] = _random_poly(rng, r)
+        coeffs[coeffs_key] = _random_poly(rng, r, max_deg)
     return SuperForm(r, p, q, coeffs)
 
 
@@ -221,6 +221,130 @@ def test_pullback_commutes_with_d_prime():
         a = _random_form(rng, 3)
         assert pullback(f, d_prime(a)) == d_prime(pullback(f, a))
         assert pullback(f, d_second(a)) == d_second(pullback(f, a))
+
+
+def _substitute_ref(poly, affines):
+    """poly composed with x_i = affines[i], by repeated products."""
+    r2 = affines[0].r
+    acc = Poly(r2, {})
+    for e, c in poly.terms.items():
+        term = Poly.const(r2, c)
+        for a, k in zip(affines, e):
+            for _ in range(k):
+                term = term * a
+        acc = acc + term
+    return acc
+
+
+def _pullback_ref(f_map, alpha):
+    """The pullback one generator at a time: substitute the coefficient,
+    then wedge on the pullback sum_s A[i][s] d'y_s of each d'x_i, and
+    likewise for each d''x_j."""
+    r2 = f_map.r_in
+    affines = [Poly(r2, {tuple(1 if t == s else 0 for t in range(r2)):
+                         f_map.matrix[i][s] for s in range(r2)})
+               + Poly.const(r2, f_map.translation[i])
+               for i in range(f_map.r_out)]
+
+    def gen_pull(i, primed):
+        cs = {}
+        for s in range(r2):
+            c = f_map.matrix[i][s]
+            if c == 0:
+                continue
+            key = ((s,), ()) if primed else ((), (s,))
+            cs[key] = Poly.const(r2, c)
+        return SuperForm(r2, 1 if primed else 0, 0 if primed else 1, cs)
+
+    total = SuperForm.zero(r2, alpha.p, alpha.q)
+    for (i, j), poly in alpha.coeffs.items():
+        term = SuperForm.function(_substitute_ref(poly, affines))
+        for k in i:
+            term = wedge(term, gen_pull(k, True))
+        for k in j:
+            term = wedge(term, gen_pull(k, False))
+        total = total + term
+    return total
+
+
+def _random_map(rng, r_out, r_in, kind):
+    """An affine map R^r_in -> R^r_out whose matrix is integer, rational,
+    or singular (a product through a dimension below min(r_out, r_in))."""
+    def entry():
+        if kind == "integer":
+            return rng.randint(-2, 2)
+        return F(rng.randint(-5, 5), rng.randint(1, 4))
+
+    if kind == "singular":
+        k = min(r_out, r_in) - 1
+        left = [[entry() for _ in range(k)] for _ in range(r_out)]
+        right = [[entry() for _ in range(r_in)] for _ in range(k)]
+        matrix = [[sum((left[i][t] * right[t][s] for t in range(k)), F(0))
+                   for s in range(r_in)] for i in range(r_out)]
+    else:
+        matrix = [[entry() for _ in range(r_in)] for _ in range(r_out)]
+    return AffineMap.of(matrix, [entry() for _ in range(r_out)])
+
+
+def test_pullback_equals_wedge_reference():
+    """Every bidegree on R^1..R^4, pulled back by integer, rational and
+    singular maps from R^1..R^4 (so non-square ones too).  On R^4 the
+    coefficients are affine in each variable, to keep the reference's
+    expansions small."""
+    rng = random.Random(12)
+    kinds = ("integer", "rational", "singular")
+    for r in range(1, 5):
+        for p in range(r + 1):
+            for q in range(r + 1):
+                for r_in in range(1, 5):
+                    f_map = _random_map(rng, r, r_in, rng.choice(kinds))
+                    alpha = _random_form(rng, r, p, q, 2 if r < 4 else 1)
+                    assert pullback(f_map, alpha) == \
+                        _pullback_ref(f_map, alpha)
+    # each kind on the two named non-square shapes, R^1 -> R^2 and
+    # R^3 -> R^2, for every bidegree on R^2
+    for r_in in (1, 3):
+        for kind in kinds:
+            f_map = _random_map(rng, 2, r_in, kind)
+            for p in range(3):
+                for q in range(3):
+                    alpha = _random_form(rng, 2, p, q)
+                    got = pullback(f_map, alpha)
+                    assert got == _pullback_ref(f_map, alpha)
+                    _assert_clean(got)
+
+
+def test_substitute_affine_matches_repeated_products():
+    """Against term-by-term products of the affines, with rational
+    coefficients; the result keeps only nonzero Fraction coefficients."""
+    rng = random.Random(13)
+
+    def affine(r2):
+        terms = {tuple(1 if t == s else 0 for t in range(r2)):
+                 F(rng.randint(-4, 4), rng.randint(1, 5)) for s in range(r2)
+                 if rng.random() < 0.7}
+        if rng.random() < 0.7:
+            terms[(0,) * r2] = F(rng.randint(-4, 4), rng.randint(1, 5))
+        return Poly(r2, terms)
+
+    for _ in range(200):
+        r, r2 = rng.randint(1, 3), rng.randint(1, 3)
+        poly = _random_poly(rng, r, max_deg=3)
+        affines = [affine(r2) for _ in range(r)]
+        got = poly.substitute_affine(affines)
+        assert got == _substitute_ref(poly, affines)
+        for e, c in got.terms.items():
+            assert type(c) is F and c != 0
+            assert type(e) is tuple and len(e) == r2
+    # terms that cancel exactly leave nothing behind
+    t = Poly.var(1, 0)
+    x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
+    half = t * F(1, 3) + Poly.const(1, F(1, 2))
+    assert (x1 - x2).substitute_affine([half, half]).is_zero()
+    assert (x1 * x1 - x2 * x2 + x1 - x2).substitute_affine(
+        [half, half]).is_zero()
+    assert (x1 * x1 + x2).substitute_affine(
+        [t * F(2, 3), t * F(-4, 9)]).terms == {(2,): F(4, 9), (1,): F(-4, 9)}
 
 
 def test_affine_map_validation():
