@@ -122,26 +122,48 @@ def rank_exact(a: list[list[Fraction]]) -> int:
 
 
 def is_psd_exact(a: list[list[Fraction]]) -> bool:
-    """Exact positive-semidefiniteness of a symmetric rational matrix,
-    via pivoted LDL^T (Schur complements on the largest diagonal entry)."""
+    """Exact positive-semidefiniteness of a symmetric rational matrix.
+
+    The entries are wrapped in `Fraction` and the matrix is checked for
+    symmetry (`ValueError` otherwise); `_psd` then runs a fraction-free
+    pivoted LDL^T on integers."""
     n = len(a)
     m = [[Fraction(x) for x in row] for row in a]
     for i in range(n):
         for j in range(i):
             if m[i][j] != m[j][i]:
                 raise ValueError("matrix is not symmetric")
-    idx = list(range(n))
+    return _psd(m)
+
+
+def _psd(m: list[list[Fraction]]) -> bool:
+    """PSD test of a symmetric matrix of ints or Fractions, unchecked.
+
+    The matrix is scaled to integers by the positive lcm of its
+    denominators, which keeps its verdict.  Each step pivots on the
+    largest diagonal entry d: if d < 0 the matrix is not PSD, and if
+    d == 0 every diagonal entry left is <= 0, so the matrix is PSD iff
+    the block left is zero.  Otherwise the block left becomes
+    d*m[i][j] - m[i][p]*m[p][j], d times the Schur complement, divided by
+    the previous pivot.  That division is exact (Bareiss): each entry is
+    then a minor of the scaled matrix, so entries stay bounded, and it
+    is by a positive number, so no sign changes."""
+    den = lcm(*(x.denominator for row in m for x in row))
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    idx = list(range(len(m)))
+    prev = 1
     while idx:
         piv = max(idx, key=lambda i: m[i][i])
-        if m[piv][piv] < 0:
-            return False
-        if m[piv][piv] == 0:
-            # all diagonal entries <= 0 here; PSD iff remaining block is zero
-            return all(m[i][j] == 0 for i in idx for j in idx)
         d = m[piv][piv]
-        rest = [i for i in idx if i != piv]
-        for i in rest:
-            for j in rest:
-                m[i][j] -= m[i][piv] * m[piv][j] / d
-        idx = rest
+        if d < 0:
+            return False
+        if d == 0:
+            return all(m[i][j] == 0 for i in idx for j in idx)
+        idx.remove(piv)
+        row = m[piv]
+        for k, i in enumerate(idx):
+            mi, c = m[i], row[i]
+            for j in idx[k:]:
+                mi[j] = m[j][i] = (d * mi[j] - c * row[j]) // prev
+        prev = d
     return True

@@ -72,6 +72,11 @@ class DiscreteMeasure:
                       for d in lst)
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction; one that already is a Fraction is kept as is."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 @dataclass(frozen=True)
 class SlopeVerdict:
     ok: bool
@@ -94,7 +99,7 @@ class PAFunction:
         for e in graph.edges:
             if e.id not in profiles:
                 raise GraphError(f"missing profile for edge {e.id}")
-            prof = tuple((Fraction(o), Fraction(v)) for o, v in profiles[e.id])
+            prof = tuple((_exact(o), _exact(v)) for o, v in profiles[e.id])
             if len(prof) < 2 or prof[0][0] != 0 or prof[-1][0] != e.length:
                 raise GraphError(
                     f"edge {e.id}: profile must span offsets 0..{e.length}")

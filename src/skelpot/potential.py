@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex,
-                    point_to_json)
+                    point_sort_key, point_to_json)
 from .linalg import solve_exact
 from .pa_function import DiscreteMeasure, PAFunction, integrate
 from .rational import format_rational
@@ -201,7 +201,7 @@ def is_subharmonic_green(f: PAFunction) -> GreenVerdict:
             val = local_green_pairing(f, x)
             if val < 0:
                 bad.append((x, val))
-    bad.sort(key=lambda pv: str(pv[0]))
+    bad.sort(key=lambda pv: point_sort_key(pv[0]))
     return GreenVerdict(not bad, tuple(bad))
 
 

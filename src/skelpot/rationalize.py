@@ -97,9 +97,10 @@ def rationalize(f: PAFunction, g_in: PAFunction,
             max_value_snap = max(max_value_snap, abs(v2 - v))
             new.append((o2, v2))
         new.append((e.length, vertex_snapped[e.v]))
-        profiles[e.id] = new
+        profiles[e.id] = tuple(new)
 
-    g_out = PAFunction(graph, profiles)
+    # the collision check above keeps every profile's offsets increasing
+    g_out = PAFunction._of(graph, profiles)
 
     # With rational offsets and values every slope is rational by
     # construction; record them as the verification witness.

@@ -13,12 +13,13 @@ an exact equality.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import add
 
-from .linalg import is_psd_exact, rank_exact
+from .linalg import _psd, rank_exact
 from .rational import format_rational
 
 
@@ -91,13 +92,7 @@ class Poly:
                 return -self
             return Poly._of(self.r, {e: c * other
                                      for e, c in self.terms.items()})
-        t: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                v = c1 * c2
-                t[e] = t[e] + v if e in t else v
-        return Poly._of(self.r, t)
+        return Poly._of(self.r, _term_product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -118,18 +113,18 @@ class Poly:
         return _evaluator(point)(self)
 
     def substitute_affine(self, affines: list["Poly"]) -> "Poly":
-        """Compose with x_i = affines[i] (polynomials in the new variables)."""
-        if not affines:
+        """Compose with x_i = affines[i] (polynomials in the new variables).
+
+        The work is on integer numerators: with the affines over one
+        denominator D and the coefficients over one denominator C, each
+        output coefficient is one Fraction(v, C * D^deg) of an integer v
+        (see `_substitute`)."""
+        if not affines or len(affines) != self.r:
             raise ValueError("need one substitution per variable")
         r2 = affines[0].r
-        acc = Poly(r2, {})
-        for e, c in self.terms.items():
-            term = Poly._of(r2, {(0,) * r2: c})
-            for i, ei in enumerate(e):
-                for _ in range(ei):
-                    term = term * affines[i]
-            acc = acc + term
-        return acc
+        nums, den_a = _integer_affines(affines)
+        num, den = _substitute(self, nums, den_a, r2)
+        return Poly._of(r2, {e: Fraction(v, den) for e, v in num.items()})
 
     def integrate_box(self, box) -> Fraction:
         """Exact integral over a product of intervals [(lo, hi), ...]."""
@@ -149,6 +144,51 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
+
+
+def _integer_affines(affines: list[Poly]) -> tuple[list[dict], int]:
+    """The affines as integer-coefficient dicts over one denominator."""
+    den = lcm(*(c.denominator for a in affines for c in a.terms.values()))
+    return [{e: c.numerator * (den // c.denominator)
+             for e, c in a.terms.items()} for a in affines], den
+
+
+def _term_product(p: dict, q: dict) -> dict:
+    """The exponent -> coefficient dict of a product, zeros included."""
+    t: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            v = c1 * c2
+            t[e] = t[e] + v if e in t else v
+    return t
+
+
+def _substitute(poly: Poly, nums: list[dict], den_a: int,
+                r2: int) -> tuple[dict, int]:
+    """poly composed with x_i = nums[i] / den_a, as (v, den): an
+    exponent -> nonzero int dict and one positive denominator.
+
+    With the coefficients c = c_num / C over one denominator C and n the
+    degree of poly, a monomial x^e of degree |e| becomes
+    c_num * den_a^(n - |e|) * prod nums[i]^e_i over C * den_a^n.  The
+    powers of each nums[i] are built once per call."""
+    n = poly.degree()
+    c_den = lcm(*(c.denominator for c in poly.terms.values()))
+    one = {(0,) * r2: 1}
+    powers = [[one] for _ in nums]
+    acc: dict = {}
+    for e, c in poly.terms.items():
+        term = {(0,) * r2: c.numerator * (c_den // c.denominator)
+                * den_a ** (n - sum(e))}
+        for pw, base, k in zip(powers, nums, e):
+            while len(pw) <= k:
+                pw.append(_term_product(pw[-1], base))
+            if k:
+                term = _term_product(term, pw[k])
+        for m, v in term.items():
+            acc[m] = acc.get(m, 0) + v
+    return {m: v for m, v in acc.items() if v}, c_den * den_a ** n
 
 
 def _evaluator(point):
@@ -376,35 +416,58 @@ def j_involution(alpha: SuperForm) -> SuperForm:
 
 
 def pullback(f_map: AffineMap, alpha: SuperForm) -> SuperForm:
-    """Substitute coordinates and transform the generators linearly;
-    commutes with d' and d''."""
+    """Pull alpha back along x = A y + b; commutes with d' and d''.
+
+    The generators pull back linearly, d'x_i = sum_s A[i][s] d'y_s, so
+    d'x_I ^ d''x_J pulls back to the sum over sorted S and T of
+    det A[I,S] * det A[J,T] * d'y_S ^ d''y_T.  Each output coefficient is
+    thus an integer combination of the substituted coefficients
+    (`_substitute`), over the denominator D^(p+q) of the minors of the
+    integer matrix D*A and the lcm of the substitutions' denominators."""
     if alpha.r != f_map.r_out:
         raise BidegreeError("form/map dimension mismatch")
     r2 = f_map.r_in
-    affines = [Poly(r2, {tuple(1 if t == s else 0 for t in range(r2)):
-                         f_map.matrix[i][s] for s in range(r2)})
-               + Poly.const(r2, f_map.translation[i])
-               for i in range(f_map.r_out)]
+    zero = (0,) * r2
+    units = [zero[:s] + (1,) + zero[s + 1:] for s in range(r2)]
+    nums, den_a = _integer_affines(
+        [Poly._of(r2, {**dict(zip(units, row)), zero: b})
+         for row, b in zip(f_map.matrix, f_map.translation)])
+    int_a = [[num.get(u, 0) for u in units] for num in nums]
 
-    def gen_pull(i: int, primed: bool) -> SuperForm:
-        cs = {}
-        for s in range(r2):
-            c = f_map.matrix[i][s]
-            if c == 0:
-                continue
-            key = ((s,), ()) if primed else ((), (s,))
-            cs[key] = Poly.const(r2, c)
-        return SuperForm(r2, 1 if primed else 0, 0 if primed else 1, cs)
+    # det (D*A)[I,S] for every sorted S, by expansion along the first row
+    # of I; each I is expanded once per call
+    minors: dict = {(): {(): 1}}
 
-    total = SuperForm.zero(r2, alpha.p, alpha.q)
-    for (i, j), poly in alpha.coeffs.items():
-        term = SuperForm.function(poly.substitute_affine(affines))
-        for k in i:
-            term = wedge(term, gen_pull(k, True))
-        for k in j:
-            term = wedge(term, gen_pull(k, False))
-        total = total + term
-    return total
+    def minors_of(rows: tuple) -> dict:
+        if rows not in minors:
+            out: dict = {}
+            first = int_a[rows[0]]
+            for cols, d in minors_of(rows[1:]).items():
+                for s in range(r2):
+                    if first[s] and s not in cols:
+                        k = bisect_left(cols, s)
+                        key = cols[:k] + (s,) + cols[k:]
+                        out[key] = out.get(key, 0) + (-1) ** k * first[s] * d
+            minors[rows] = {c: d for c, d in out.items() if d}
+        return minors[rows]
+
+    pulled = [(minors_of(i), minors_of(j), _substitute(poly, nums, den_a, r2))
+              for (i, j), poly in alpha.coeffs.items()]
+    den = lcm(*(d for _, _, (_, d) in pulled))
+    acc: dict = {}
+    for rows_i, rows_j, (num, d) in pulled:
+        scale = den // d
+        for s_cols, ds in rows_i.items():
+            for t_cols, dt in rows_j.items():
+                w = ds * dt * scale
+                out = acc.setdefault((s_cols, t_cols), {})
+                for e, v in num.items():
+                    out[e] = out.get(e, 0) + w * v
+    den *= den_a ** (alpha.p + alpha.q)
+    return SuperForm(r2, alpha.p, alpha.q,
+                     {k: Poly._of(r2, {e: Fraction(v, den)
+                                       for e, v in t.items() if v})
+                      for k, t in acc.items()})
 
 
 # -- positivity and convexity ---------------------------------------------------
@@ -453,7 +516,7 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
                 raise ValueError("coefficient matrix is not symmetric")
     bad = []
     for pt in points:
-        if not is_psd_exact(_symmetric_values(m, _evaluator(pt))):
+        if not _psd(_symmetric_values(m, _evaluator(pt))):
             bad.append(tuple(Fraction(x) for x in pt))
     return PositivityVerdict(not bad, tuple(bad))
 
@@ -476,7 +539,7 @@ def restrict_convexity_check(psi: Poly, basis, points) -> PositivityVerdict:
         comp = [[sum(basis[a][i] * h[i][j] * basis[b][j]
                      for i in range(r) for j in range(r))
                  for b in range(k)] for a in range(k)]
-        if not is_psd_exact(comp):
+        if not _psd(comp):
             bad.append(tuple(Fraction(x) for x in pt))
     return PositivityVerdict(not bad, tuple(bad))
 

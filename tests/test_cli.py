@@ -242,6 +242,30 @@ def test_subharmonic_valley_passes(tmp_path, capsys):
     assert out["slope"]["witnesses"] == []
 
 
+def test_subharmonic_green_witnesses_in_point_order(tmp_path, capsys):
+    """Both oracles list their witnesses in point_sort_key order: the
+    vertex first, then each edge's points by offset (9/2 before 11),
+    with edge ids compared as strings (e10 before e2)."""
+    path = write_json(tmp_path, "path.json", {
+        "graph": {"vertices": ["a", "b", "c"],
+                  "edges": [{"id": "e2", "u": "a", "v": "b", "len": "16"},
+                            {"id": "e10", "u": "b", "v": "c", "len": "16"}],
+                  "boundary": ["a", "c"]},
+        "profiles": {"e2": [["0", "0"], ["9/2", "9"], ["11", "12"],
+                            ["16", "13"]],
+                     "e10": [["0", "13"], ["9/2", "13"], ["11", "12"],
+                             ["16", "0"]]},
+    })
+    rc = main(["subharmonic", path, "--method", "both"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    expected = [{"vertex": "b"}] + [{"edge": e, "offset": o}
+                                    for e in ("e10", "e2")
+                                    for o in ("9/2", "11")]
+    assert [w["pole"] for w in out["green"]["witnesses"]] == expected
+    assert [w["at"] for w in out["slope"]["witnesses"]] == expected
+
+
 # ---------------------------------------------------------------------------
 # regularize
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from skelpot import (EdgePoint, GraphError, MetricGraph, NotHarmonicError,
                      evaluation_formula_check, green, green_to_json_dict,
                      integrate, is_subharmonic_green, linear_combine,
                      local_green_pairing, maximum_principle_check)
-from skelpot.graph import Edge
+from skelpot.graph import Edge, point_sort_key
 from skelpot.potential import GreenVerdict
 from skelpot.randgen import random_graph, random_pa_function, random_subharmonic
 
@@ -308,7 +308,7 @@ def _sampled_green_verdict(f):
             sample.append(EdgePoint(e.id, e.length / 2))
     bad = [(x, val) for x in sample
            if (val := local_green_pairing(f, x)) < 0]
-    bad.sort(key=lambda pv: str(pv[0]))
+    bad.sort(key=lambda pv: point_sort_key(pv[0]))
     return GreenVerdict(not bad, tuple(bad))
 
 
