@@ -3,7 +3,8 @@
 Subcommands: ddc, green, harmonic, subharmonic, regularize, rationalize,
 superform, selftest.  All results go to stdout; diagnostics and timings
 go to stderr.  Exit codes: 0 success / true verdict, 1 negative verdict,
-2 malformed input, 3 stdout closed before all output was written.
+2 malformed input, 3 stdout closed before all output was written or an
+unexpected internal error.
 """
 
 from __future__ import annotations
@@ -481,6 +482,13 @@ def main(argv=None) -> int:
             RationalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a bug, not a verdict: one line and "could not finish", where a
+        # traceback would exit 1 and read as a negative verdict
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -72,6 +72,23 @@ class DiscreteMeasure:
                       for d in lst)
 
 
+def _slopes(prof: Profile) -> list[Fraction]:
+    """The slope (v2 - v1) / (o2 - o1) of each piece of a profile.  With
+    o = p/q and v = a/b, each slope is the one Fraction
+    (a2*b1 - a1*b2)*q1*q2 / (b1*b2*(p2*q1 - p1*q2)) of integers, where
+    the quotient of two differences would build three."""
+    (o1, v1), *rest = prof
+    p1, q1, a1, b1 = o1.numerator, o1.denominator, v1.numerator, v1.denominator
+    out = []
+    for o2, v2 in rest:
+        p2, q2, a2, b2 = o2.numerator, o2.denominator, \
+            v2.numerator, v2.denominator
+        out.append(Fraction((a2 * b1 - a1 * b2) * q1 * q2,
+                            b1 * b2 * (p2 * q1 - p1 * q2)))
+        p1, q1, a1, b1 = p2, q2, a2, b2
+    return out
+
+
 def _exact(x) -> Fraction:
     """x as a Fraction; one that already is a Fraction is kept as is."""
     return x if type(x) is Fraction else Fraction(x)
@@ -201,27 +218,31 @@ class PAFunction:
     # -- Laplacian measure ----------------------------------------------------
 
     def breakpoints(self) -> list[GraphPoint]:
-        """All vertices plus interior profile breakpoints (kinked or not)."""
+        """All vertices plus interior profile breakpoints (kinked or not),
+        in point_sort_key order: vertices in graph order, then each
+        edge's breakpoints by offset."""
         pts: list[GraphPoint] = [Vertex(v) for v in self.graph.vertices]
         for e in self.graph.edges:
-            for o, _ in self.profiles[e.id][1:-1]:
-                pts.append(EdgePoint(e.id, o))
-        pts.sort(key=point_sort_key)
+            pts += [EdgePoint(e.id, o) for o, _ in self.profiles[e.id][1:-1]]
         return pts
 
     def ddc(self) -> DiscreteMeasure:
-        """Sum of outgoing slopes at every vertex and interior breakpoint."""
-        pairs = []
+        """Sum of outgoing slopes at every vertex and interior breakpoint.
+
+        The support comes out in point_sort_key order without a sort:
+        the vertices in graph order, then each edge's kinks by offset."""
+        masses = dict.fromkeys(self.graph.vertices, Fraction(0))
+        kinks = []
         for e in self.graph.edges:
             prof = self.profiles[e.id]
-            slopes = [(v2 - v1) / (o2 - o1)
-                      for (o1, v1), (o2, v2) in zip(prof, prof[1:])]
-            pairs.append((Vertex(e.u), slopes[0]))
-            pairs.append((Vertex(e.v), -slopes[-1]))
-            for i, (o, _) in enumerate(prof[1:-1], start=1):
-                kink = slopes[i] - slopes[i - 1]
-                pairs.append((EdgePoint(e.id, o), kink))
-        return DiscreteMeasure.of(pairs)
+            slopes = _slopes(prof)
+            masses[e.u] += slopes[0]
+            masses[e.v] -= slopes[-1]
+            for (o, _), s1, s2 in zip(prof[1:-1], slopes, slopes[1:]):
+                if s1 != s2:
+                    kinks.append((EdgePoint(e.id, o), s2 - s1))
+        return DiscreteMeasure(tuple(
+            [(Vertex(v), m) for v, m in masses.items() if m] + kinks))
 
     # -- predicates -----------------------------------------------------------
 
@@ -312,8 +333,19 @@ class PAFunction:
                        **graph_kw) -> "PAFunction":
         if graph is None:
             graph = MetricGraph.from_json_dict(d["graph"], **graph_kw)
-        profiles = {eid: [(parse_rational(o), parse_rational(v))
-                          for o, v in prof]
+        # a literal that repeats in the file (offset 0, a shared vertex
+        # value) is parsed once; only strings are memoized, so any other
+        # value meets parse_rational and its error every time
+        memo: dict[str, Fraction] = {}
+
+        def rational(x) -> Fraction:
+            if type(x) is not str:
+                return parse_rational(x)
+            r = memo.get(x)
+            if r is None:
+                r = memo[x] = parse_rational(x)
+            return r
+        profiles = {eid: [(rational(o), rational(v)) for o, v in prof]
                     for eid, prof in d["profiles"].items()}
         return cls(graph, profiles)
 
@@ -338,12 +370,9 @@ class PAFunction:
 
     def max_abs_slope(self) -> Fraction:
         """A Lipschitz constant (exact, metric-graph arc length)."""
-        best = Fraction(0)
-        for e in self.graph.edges:
-            prof = self.profiles[e.id]
-            for (o1, v1), (o2, v2) in zip(prof, prof[1:]):
-                best = max(best, abs((v2 - v1) / (o2 - o1)))
-        return best
+        return max((abs(s) for e in self.graph.edges
+                    for s in _slopes(self.profiles[e.id])),
+                   default=Fraction(0))
 
     def __eq__(self, other):
         return (isinstance(other, PAFunction)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex,
-                    point_sort_key, point_to_json)
+                    point_to_json)
 from .linalg import solve_exact
 from .pa_function import DiscreteMeasure, PAFunction, integrate
 from .rational import format_rational
@@ -193,15 +193,32 @@ def is_subharmonic_green(f: PAFunction) -> GreenVerdict:
     The poles are the points of f.breakpoints() off the boundary: f is
     affine around any other point (an edge midpoint, say), so its pairing
     there is exactly 0, and the verdict is exact.
+
+    Each pairing is local_green_pairing's closed form, read off the
+    profiles in one pass: ((v_a*d2 + v_c*d1) / (d1 + d2) - v_b) / 2 at a
+    breakpoint b between a and c, and sum(v/d) / sum(1/d) over the edge
+    ends at a vertex (prof[1] at a u end, prof[-2] at a v end).  The
+    violations come out in point_sort_key order, vertices first.
     """
-    boundary = f.graph.boundary
-    bad = []
-    for x in f.breakpoints():
-        if not (isinstance(x, Vertex) and x.id in boundary):
-            val = local_green_pairing(f, x)
+    g = f.graph
+    weighted = {v: Fraction(0) for v in g.vertices if v not in g.boundary}
+    conductance = dict(weighted)
+    edge_bad = []
+    for e in g.edges:
+        prof = f.profiles[e.id]
+        (o_u, v_u), (o_v, v_v) = prof[1], prof[-2]
+        for vid, v, d in ((e.u, v_u, o_u), (e.v, v_v, e.length - o_v)):
+            if vid in weighted:
+                weighted[vid] += v / d
+                conductance[vid] += 1 / d
+        for (o1, v1), (o2, v2), (o3, v3) in zip(prof, prof[1:], prof[2:]):
+            d1, d2 = o2 - o1, o3 - o2
+            val = ((v1 * d2 + v3 * d1) / (d1 + d2) - v2) / 2
             if val < 0:
-                bad.append((x, val))
-    bad.sort(key=lambda pv: point_sort_key(pv[0]))
+                edge_bad.append((EdgePoint(e.id, o2), val))
+    bad = [(Vertex(vid), val) for vid, w in weighted.items()
+           if (val := (w / conductance[vid] - f.vertex_value(vid)) / 2) < 0]
+    bad += edge_bad
     return GreenVerdict(not bad, tuple(bad))
 
 

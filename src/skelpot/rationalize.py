@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import GraphError, Vertex, point_to_json
-from .pa_function import PAFunction, integrate, linear_combine
+from .pa_function import PAFunction, _slopes, integrate, linear_combine
 from .rational import format_rational
 
 
@@ -104,11 +104,8 @@ def rationalize(f: PAFunction, g_in: PAFunction,
 
     # With rational offsets and values every slope is rational by
     # construction; record them as the verification witness.
-    slopes = {}
-    for e in graph.edges:
-        prof = g_out.profiles[e.id]
-        slopes[e.id] = [format_rational((v2 - v1) / (o2 - o1))
-                        for (o1, v1), (o2, v2) in zip(prof, prof[1:])]
+    slopes = {e.id: [format_rational(s) for s in _slopes(profiles[e.id])]
+              for e in graph.edges}
 
     pairing = integrate(f, g_out.ddc())
     pairing_in = integrate(f, g_in.ddc())

@@ -576,16 +576,19 @@ def test_superform_result_above_printing_limit_is_exit_2(capsys):
     assert len(captured.err.splitlines()) == 1
 
 
-def test_superform_other_printing_error_propagates(monkeypatch):
+def test_superform_other_printing_error_propagates(monkeypatch, capsys):
     """Only str() refusing a long integer becomes the printing-limit
-    message; any other ValueError from the printer is a bug and stays."""
+    message; any other ValueError from the printer is a bug and goes on
+    to main's internal-error exit."""
     from skelpot import superforms as sf
 
     def broken(form):
         raise ValueError("something else")
     monkeypatch.setattr(sf, "format_form", broken)
-    with pytest.raises(ValueError, match="something else"):
-        main(["superform", "x1^2", "--op", "dprime"])
+    rc = main(["superform", "x1^2", "--op", "dprime"])
+    assert rc == 3
+    assert capsys.readouterr().err == \
+        "error: internal: ValueError: something else\n"
 
 
 def test_superform_long_point_coordinate_is_exit_2(capsys):
@@ -737,6 +740,31 @@ def test_boolean_literals_are_exit_2(tmp_path, capsys, doc):
     assert "not a rational literal" in captured.err
 
 
+_BIG = "7" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("profile, message", [
+    ('[["0", "1"], ["1", true]]', "not a rational literal: True"),
+    ('[["0", 1], ["1", true]]', "not a rational literal: True"),
+    ('[["0", "0.5"], ["1", 0.5]]', "not a rational literal: 0.5"),
+    (f'[["0", "{_BIG}"], ["1", "{_BIG}"]]',
+     f"a run of {len(_BIG)} digits is above the maximum {len(_BIG) - 1}"),
+])
+def test_repeated_literals_keep_their_errors(tmp_path, capsys, profile,
+                                             message):
+    """The loader parses each distinct string literal of a file once; a
+    value that is not a string still fails on its own, whatever string
+    equal to it came before, and a refused string is refused again."""
+    p = tmp_path / "f.json"
+    p.write_text('{"graph": %s, "profiles": {"e": %s}}'
+                 % (json.dumps(UNIT_EDGE), profile))
+    rc = main(["ddc", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {p}: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # selftest determinism (subprocess: the report must be byte-identical)
 # ---------------------------------------------------------------------------
@@ -767,6 +795,29 @@ def test_selftest_env_seed_override():
     r_env = _run_selftest(["--seed", "123"], env_extra={"SKELPOT_SEED": "7"})
     assert r_env.returncode == 0
     assert r_env.stdout == r_flag.stdout
+
+
+def test_unexpected_error_is_exit_3_on_one_line(tmp_path, monkeypatch,
+                                                capsys):
+    """A bug inside a subcommand is not a verdict: exit 3 and one stderr
+    line naming the exception, with no traceback."""
+    def broken(args):
+        raise RuntimeError("boom\non two lines")
+    monkeypatch.setitem(SUBCOMMANDS, "ddc", (broken,) + SUBCOMMANDS["ddc"][1:])
+    rc = main(["ddc", affine_function(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == "error: internal: RuntimeError: boom on two lines\n"
+
+
+@pytest.mark.parametrize("exc", [SystemExit(4), KeyboardInterrupt()])
+def test_exit_and_interrupt_pass_through_main(tmp_path, monkeypatch, exc):
+    def stopped(args):
+        raise exc
+    monkeypatch.setitem(SUBCOMMANDS, "ddc", (stopped,) + SUBCOMMANDS["ddc"][1:])
+    with pytest.raises(type(exc)):
+        main(["ddc", affine_function(tmp_path)])
 
 
 def test_closed_stdout_is_exit_3_without_traceback(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -7,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 from skelpot import (DiscreteMeasure, EdgePoint, GraphError, PAFunction,
                      Vertex, dirichlet_solve, green, integrate,
                      linear_combine)
+from skelpot.pa_function import _slopes
+from skelpot.rational import parse_rational
 from skelpot.randgen import (random_boundary_values, random_graph,
                              random_pa_function)
 
 from conftest import graph_from, pa
+from test_potential import _seeded_functions as looped_and_kinked_functions
 
 
 F = Fraction
@@ -136,6 +140,88 @@ def test_ddc_linearity(path3):
     assert lhs == rhs
 
 
+def _reference_ddc(f):
+    """ddc as the sum of every edge end's outgoing slope and every
+    breakpoint's kink, gathered and sorted by DiscreteMeasure.of."""
+    pairs = []
+    for e in f.graph.edges:
+        prof = f.profiles[e.id]
+        slopes = [(v2 - v1) / (o2 - o1)
+                  for (o1, v1), (o2, v2) in zip(prof, prof[1:])]
+        pairs.append((Vertex(e.u), slopes[0]))
+        pairs.append((Vertex(e.v), -slopes[-1]))
+        for i, (o, _) in enumerate(prof[1:-1], start=1):
+            pairs.append((EdgePoint(e.id, o), slopes[i] - slopes[i - 1]))
+    return DiscreteMeasure.of(pairs)
+
+
+def _with_collinear_breakpoints(f):
+    """f with a breakpoint added at a third of every piece: the same
+    function, with a zero kink at each new breakpoint."""
+    profiles = {}
+    for eid, prof in f.profiles.items():
+        new = [prof[0]]
+        for (o1, v1), (o2, v2) in zip(prof, prof[1:]):
+            new += [(o1 + (o2 - o1) / 3, v1 + (v2 - v1) / 3), (o2, v2)]
+        profiles[eid] = new
+    return PAFunction(f.graph, profiles)
+
+
+def test_ddc_equals_sorted_reference():
+    """The sort-free ddc is the reference measure, support order
+    included, on self-loops, parallel edges, random and kinked functions,
+    and the same functions with collinear breakpoints (zero kinks)."""
+    functions = looped_and_kinked_functions(random.Random(5))
+    kinks = 0
+    for f in functions:
+        measure = f.ddc()
+        assert measure == _reference_ddc(f)
+        assert _with_collinear_breakpoints(f).ddc() == measure
+        kinks += sum(isinstance(p, EdgePoint) for p, _ in measure.support)
+    assert kinks > 100
+
+
+def test_ddc_drops_cancelled_vertex_mass(path3):
+    """At b the two outgoing slopes of an affine path cancel, and so do
+    the two ends of a self-loop at b and the edge into b."""
+    line = pa(path3, {"e0": [(0, 0), (F(1, 2), 1), (1, 2)],
+                      "e1": [(0, 2), (1, 4)]})
+    assert line.ddc().support == ((Vertex("a"), 2), (Vertex("c"), -2))
+    assert line.ddc() == _reference_ddc(line)
+    g = graph_from({"vertices": ["a", "b"],
+                    "edges": [{"id": "s", "u": "a", "v": "b", "len": "1"},
+                              {"id": "t", "u": "b", "v": "b", "len": "2"}],
+                    "boundary": ["a"]}, allow_loops=True)
+    looped = pa(g, {"s": [(0, -1), (1, 1)], "t": [(0, 1), (1, 2), (2, 1)]})
+    assert looped.ddc().support == ((Vertex("a"), 2),
+                                    (EdgePoint("t", F(1)), -2))
+    assert looped.ddc() == _reference_ddc(looped)
+
+
+def test_slopes_equal_difference_quotients():
+    """_slopes builds each slope from integers; it is the quotient of the
+    two differences on negative values, integer profiles and numerators
+    and denominators far above 2**64."""
+    rng = random.Random(11)
+    for size in (1, 10, 2 ** 70, 10 ** 40):
+        for _ in range(50):
+            n = rng.randint(2, 6)
+            offsets = sorted({F(rng.randint(0, size), rng.randint(1, size))
+                              for _ in range(n)})
+            values = [F(rng.randint(-size, size), rng.randint(1, size))
+                      for _ in offsets]
+            prof = tuple(zip(offsets, values))
+            if len(prof) < 2:
+                continue
+            assert _slopes(prof) == [(v2 - v1) / (o2 - o1)
+                                     for (o1, v1), (o2, v2)
+                                     in zip(prof, prof[1:])]
+    assert _slopes(((F(0), F(3)), (F(2), F(-1)), (F(5), F(-1)))) == [-2, 0]
+    big = F(2 ** 80 + 1, 3)
+    assert _slopes(((F(0), -big), (F(1, 2 ** 70), big))) == \
+        [2 * big * 2 ** 70]
+
+
 def test_subdivide_at_preserves_values(unit_edge):
     f = tent(unit_edge)
     f2, vid = f.subdivide_at(EdgePoint("e", F(1, 4)))
@@ -217,6 +303,34 @@ def test_json_roundtrip(path3):
     f = pa(path3, {"e0": [(0, 0), (F(1, 2), 1), (1, 0)],
                    "e1": [(0, 0), (1, 2)]})
     assert PAFunction.from_json(f.to_json()) == f
+
+
+def test_repeated_literals_load_as_parsed_one_by_one():
+    """A file whose literals repeat (offset 0, lengths, shared values,
+    integers among strings) loads to the function parsed value by value."""
+    rng = random.Random(3)
+    literals = ["0", "1/3", "2", "-1/3", "0.5", "5/10", "7"]
+    edges, profiles = [], {}
+    for i in range(12):
+        length = rng.choice(["2", "7", "0.5"])
+        edges.append({"id": f"e{i}", "u": "c", "v": f"l{i}", "len": length})
+        mids = sorted({F(rng.randint(1, 9), 10) for _ in range(3)})
+        profiles[f"e{i}"] = (
+            [["0", "1/3"]]
+            + [[str(m * parse_rational(length)), rng.choice(literals + [1])]
+               for m in mids]
+            + [[length, rng.choice(literals)]])
+    text = json.dumps({"graph": {"vertices": ["c"] + [f"l{i}"
+                                                      for i in range(12)],
+                                 "edges": edges, "boundary": ["l0"]},
+                       "profiles": profiles})
+    d = json.loads(text, parse_int=parse_rational)
+    f = PAFunction.from_json_dict(d)
+    by_value = PAFunction(f.graph, {
+        eid: [(parse_rational(o), parse_rational(v)) for o, v in prof]
+        for eid, prof in d["profiles"].items()})
+    assert f == by_value
+    assert f._vertex_values == by_value._vertex_values
 
 
 def test_measure_json_roundtrip(unit_edge):
