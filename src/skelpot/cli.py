@@ -58,7 +58,7 @@ def _require(ok: bool, path: str, where: str, shape: str) -> None:
 
 
 def _check_graph_shape(d, path: str) -> None:
-    """Container types of a graph object, and string vertex and edge ids."""
+    """Container types of a graph object, edge fields and string ids."""
     _require(isinstance(d, dict), path, "graph", "a JSON object")
     for key in ("vertices", "edges", "boundary"):
         _require(isinstance(d.get(key, []), list), path, f"graph.{key}",
@@ -70,6 +70,8 @@ def _check_graph_shape(d, path: str) -> None:
     for i, e in enumerate(d.get("edges", [])):
         _require(isinstance(e, dict), path, f"graph.edges[{i}]",
                  "a JSON object")
+        for key in ("u", "v", "len"):
+            _require(key in e, path, f"graph.edges[{i}].{key}", "present")
         for key in ("id", "u", "v"):
             _require(isinstance(e.get(key, ""), str), path,
                      f"graph.edges[{i}].{key}", "a string")

@@ -7,6 +7,7 @@ every metric computation below is an exact equality test.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -207,19 +208,51 @@ class MetricGraph:
     def subdivide(self, p: GraphPoint) -> tuple["MetricGraph", str]:
         """Promote an edge-interior point to a vertex; lengths on the two
         new edges sum to the original."""
+        g, pieces = self.split(self._cut_at(p))
+        return g, pieces[p.edge][0].v
+
+    def _cut_at(self, p: GraphPoint) -> dict[str, list]:
+        """The cuts for split that make edge-interior point p a vertex."""
         if isinstance(p, Vertex):
             raise GraphError("subdivide: point is already a vertex")
         self.require_point(p)
-        e = self.edge(p.edge)
-        new_v = f"{e.id}@{p.offset}"
-        if new_v in self._incident:
-            raise GraphError(f"subdivide: vertex id collision on {new_v}")
-        new_edges = [x for x in self.edges if x.id != e.id]
-        new_edges.append(Edge(f"{e.id}.l", e.u, new_v, p.offset))
-        new_edges.append(Edge(f"{e.id}.r", new_v, e.v, e.length - p.offset))
-        g = MetricGraph(list(self.vertices) + [new_v], new_edges, self.boundary,
-                        allow_loops=self.allow_loops, allow_parallel=True)
-        return g, new_v
+        return {p.edge: [p.offset]}
+
+    def split(self, cuts: dict) -> tuple["MetricGraph", dict[str, list[Edge]]]:
+        """Cut edges at interior points, building the new graph once.
+
+        cuts maps an edge id to increasing offsets inside that edge.  The
+        result, collisions included, is that of repeated subdivide calls
+        at the first cut in point order: edge e cut at o1 < o2 < ...
+        becomes e.l, e.r.l, ... through vertices e@o1, e.r@(o2 - o1), ...
+        Returns the graph (loops as allowed here, parallel edges allowed)
+        and every cut edge's pieces from u to v."""
+        vertices, edges = set(self.vertices), dict(self._by_id)
+        pieces = {eid: [self.edge(eid)] for eid, offsets in cuts.items()
+                  if offsets}
+        # a heap (sorted) of (edge cut next, its original edge, cut index)
+        pending = sorted((eid, eid, 0) for eid in pieces)
+        while pending:
+            cur, eid, k = heapq.heappop(pending)
+            e, offsets = edges.pop(cur), cuts[eid]
+            o = offsets[k] - offsets[k - 1] if k else offsets[0]
+            new_v = f"{cur}@{o}"
+            if new_v in vertices:
+                raise GraphError(f"subdivide: vertex id collision on {new_v}")
+            vertices.add(new_v)
+            left, right = f"{cur}.l", f"{cur}.r"
+            if dups := [x for x in (left, right) if x in edges]:
+                raise GraphError("; ".join(f"duplicate edge id {x}"
+                                           for x in dups))
+            edges[left] = Edge(left, e.u, new_v, o)
+            edges[right] = Edge(right, new_v, e.v, e.length - o)
+            # the edge just cut is always its original's last piece
+            pieces[eid][-1:] = edges[left], edges[right]
+            if k + 1 < len(offsets):
+                heapq.heappush(pending, (right, eid, k + 1))
+        graph = MetricGraph(vertices, edges.values(), self.boundary,
+                            allow_loops=self.allow_loops, allow_parallel=True)
+        return graph, pieces
 
     def distance(self, p: GraphPoint, q: GraphPoint) -> Fraction:
         """Exact path metric (Dijkstra over rationals)."""
@@ -239,7 +272,6 @@ class MetricGraph:
             best = abs(p.offset - q.offset)
 
         dist = {v: None for v in self.vertices}
-        import heapq
         heap = []
         for v, d in anchors(p):
             heapq.heappush(heap, (d, v))

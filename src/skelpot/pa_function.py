@@ -8,14 +8,13 @@ linearity) are tested with exact equality.
 
 from __future__ import annotations
 
-import heapq
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .graph import (Edge, EdgePoint, GraphError, GraphPoint, MetricGraph,
+from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph,
                     TangentDirection, Vertex, point_from_json, point_sort_key,
                     point_to_json)
 from .rational import format_rational, parse_rational
@@ -260,62 +259,39 @@ class PAFunction:
 
     # -- surgery --------------------------------------------------------------
 
+    def split(self, cuts: dict) -> tuple["PAFunction", dict]:
+        """Carry this function onto self.graph.split(cuts), cutting each
+        cut edge's profile onto its pieces.  Returns the function and the
+        pieces; with no cuts, self and no pieces."""
+        if not any(cuts.values()):
+            return self, {}
+        graph, pieces = self.graph.split(cuts)
+        profiles = dict(self.profiles)
+        for eid, edge_pieces in pieces.items():
+            prof = profiles.pop(eid)
+            i, a, va = 1, Fraction(0), prof[0][1]
+            # piece [a, b] takes the breakpoints prof[i:j] strictly inside
+            for piece, b in zip(edge_pieces, [*cuts[eid], prof[-1][0]]):
+                j = bisect_left(prof, b, i, key=_OFFSET)
+                at_b = prof[j][0] == b
+                vb = prof[j][1] if at_b else self._on_edge(eid, b)
+                profiles[piece.id] = ((Fraction(0), va),
+                                      *((o - a, v) for o, v in prof[i:j]),
+                                      (piece.length, vb))
+                i, a, va = j + at_b, b, vb
+        return PAFunction._of(graph, {e.id: profiles[e.id]
+                                      for e in graph.edges}), pieces
+
     def subdivide_at(self, p: EdgePoint) -> tuple["PAFunction", str]:
         """Carry this function onto the graph subdivided at p."""
-        g2, new_v = self.graph.subdivide(p)
-        e = self.graph.edge(p.edge)
-        val = self.eval(p)
-        prof = self.profiles[e.id]
-        left = [bp for bp in prof if bp[0] < p.offset] + [(p.offset, val)]
-        right = [(Fraction(0), val)] + \
-                [(o - p.offset, v) for o, v in prof if o > p.offset]
-        profiles = {eid: pr for eid, pr in self.profiles.items() if eid != e.id}
-        profiles[f"{e.id}.l"] = left
-        profiles[f"{e.id}.r"] = right
-        return PAFunction(g2, profiles), new_v
+        f, pieces = self.split(self.graph._cut_at(p))
+        return f, pieces[p.edge][0].v
 
     def promote_interior_breakpoints(self) -> "PAFunction":
-        """Subdivide the graph at every interior breakpoint, making the
-        function affine on every edge.
-
-        The result is that of repeated subdivide_at calls on the first
-        breakpoint in point order (lowest edge id, then lowest offset):
-        edge e with breakpoints o1 < o2 < ... becomes e.l, e.r.l, e.r.r.l,
-        ... through vertices e@o1, e.r@(o2 - o1), ...  Every piece is made
-        first and the graph and the function are built once; collisions
-        raise the GraphError that subdivision in that order would raise.
-        """
-        pending = [eid for eid, prof in self.profiles.items() if len(prof) > 2]
-        if not pending:
-            return self
-        g = self.graph
-        vertices = set(g.vertices)
-        edges = {e.id: e for e in g.edges}
-        profiles = dict(self.profiles)
-        heapq.heapify(pending)
-        while pending:
-            eid = heapq.heappop(pending)
-            e, prof = edges.pop(eid), profiles.pop(eid)
-            o = prof[1][0]
-            new_v = f"{eid}@{o}"
-            if new_v in vertices:
-                raise GraphError(f"subdivide: vertex id collision on {new_v}")
-            vertices.add(new_v)
-            left, right = f"{eid}.l", f"{eid}.r"
-            taken = sorted({left, right} & edges.keys())
-            if taken:
-                raise GraphError("; ".join(f"duplicate edge id {x}"
-                                           for x in taken))
-            edges[left] = Edge(left, e.u, new_v, o)
-            edges[right] = Edge(right, new_v, e.v, e.length - o)
-            profiles[left] = prof[:2]
-            profiles[right] = tuple((q - o, v) for q, v in prof[1:])
-            if len(prof) > 3:
-                heapq.heappush(pending, right)
-        graph = MetricGraph(vertices, edges.values(), g.boundary,
-                            allow_loops=g.allow_loops, allow_parallel=True)
-        return PAFunction._of(graph, {e.id: profiles[e.id]
-                                      for e in graph.edges})
+        """Split the graph at every interior breakpoint, making the
+        function affine on every edge."""
+        return self.split({eid: [o for o, _ in prof[1:-1]]
+                           for eid, prof in self.profiles.items()})[0]
 
     # -- serialization ----------------------------------------------------------
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex
-from .pa_function import DiscreteMeasure, PAFunction
+from .pa_function import PAFunction
 from .potential import require_subharmonic
 
 
@@ -265,23 +265,6 @@ class RegularizationSequence:
         return rows
 
 
-def _subdivide_between_peaks(
-        f: PAFunction) -> tuple[PAFunction, DiscreteMeasure]:
-    """Split every edge whose two endpoints both carry positive interior
-    Laplacian mass, so peak stars are pairwise disjoint.  Returns the
-    split function and its Laplacian measure."""
-    while True:
-        measure = f.ddc()
-        peaks = {p.id for p, m in measure.support
-                 if isinstance(p, Vertex) and m > 0
-                 and p.id not in f.graph.boundary}
-        target = next((e for e in f.graph.edges
-                       if e.u in peaks and e.v in peaks), None)
-        if target is None:
-            return f, measure
-        f, _ = f.subdivide_at(EdgePoint(target.id, target.length / 2))
-
-
 def build_regularization(graph: MetricGraph, f: PAFunction,
                          n_terms: int = 10) -> RegularizationSequence:
     """Monotone sequence of smoothed functions decreasing to subharmonic f.
@@ -297,12 +280,18 @@ def build_regularization(graph: MetricGraph, f: PAFunction,
     require_subharmonic(f)
 
     f = f.promote_interior_breakpoints()
-    f, measure = _subdivide_between_peaks(f)
+    # f is affine on every edge now: its ddc lives on the vertices, and a
+    # midpoint split adds no mass, so measure and peaks stay valid
+    measure = f.ddc()
+    peaks = {p.id for p, m in measure.support
+             if m > 0 and p.id not in graph.boundary}
+    f, _ = f.split({e.id: [e.length / 2] for e in f.graph.edges
+                    if e.u in peaks and e.v in peaks})
     g = f.graph
 
     patches = []
     for p, mass in measure.support:
-        if not isinstance(p, Vertex) or p.id in g.boundary or mass <= 0:
+        if p.id not in peaks:
             continue
         dirs = g.star(p)
         deg = len(dirs)

@@ -728,6 +728,23 @@ def test_graph_file_shape_errors_are_exit_2(tmp_path, capsys, doc, where):
     assert f"g.json: {where} must be" in err
 
 
+@pytest.mark.parametrize("edge, key", [
+    ({"id": "e", "v": "b", "len": "1"}, "u"),
+    ({"id": "e", "u": "a", "len": "1"}, "v"),
+    ({"id": "e", "u": "a", "v": "b"}, "len"),
+])
+def test_missing_edge_fields_name_the_field(tmp_path, capsys, edge, key):
+    """A function file and a graph file whose edge lacks a field exit 2
+    with one line naming that field."""
+    f = write_json(tmp_path, "f.json", _with_graph(edges=[edge]))
+    g = write_json(tmp_path, "g.json", dict(UNIT_EDGE, edges=[edge]))
+    for argv, path in ((["ddc", f], f),
+                       (["green", "--graph", g, "--point", "a"], g)):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: graph.edges[0].{key} must be present\n"
+
+
 @pytest.mark.parametrize("doc", [
     _with_graph(edges=[{"id": "e", "u": "a", "v": "b", "len": True}]),
     {"graph": UNIT_EDGE, "profiles": {"e": [["0", False], ["1", "1"]]}},
@@ -835,3 +852,16 @@ def test_closed_stdout_is_exit_3_without_traceback(tmp_path):
     assert r.returncode == 3
     assert "Traceback" not in r.stderr
     assert "BrokenPipeError" not in r.stderr
+
+
+def test_package_imports_only_the_standard_library():
+    """Importing the package, its CLI, the checks and randgen loads no
+    top-level module outside the standard library (dependencies = [])."""
+    code = ("import sys\n"
+            "before = {m.partition('.')[0] for m in sys.modules}\n"
+            "import skelpot, skelpot.cli, skelpot.checks, skelpot.randgen\n"
+            "added = {m.partition('.')[0] for m in sys.modules} - before\n"
+            "print(sorted(added - sys.stdlib_module_names - {'skelpot'}))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=subprocess_env(), check=True)
+    assert r.stdout == "[]\n"

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skelpot import (DiscreteMeasure, EdgePoint, GraphError, PAFunction,
-                     Vertex, dirichlet_solve, green, integrate,
+from skelpot import (DiscreteMeasure, EdgePoint, GraphError, MetricGraph,
+                     PAFunction, Vertex, dirichlet_solve, green, integrate,
                      linear_combine)
+from skelpot.graph import Edge
 from skelpot.pa_function import _slopes
 from skelpot.rational import parse_rational
 from skelpot.randgen import (random_boundary_values, random_graph,
@@ -229,6 +230,47 @@ def test_subdivide_at_preserves_values(unit_edge):
     assert f2.graph.distance(Vertex("a"), Vertex(vid)) == F(1, 4)
 
 
+def _subdivide_ref(f, p):
+    """Reference subdivision, one point and one graph build at a time,
+    sharing no code with MetricGraph.split: f carried onto its graph with
+    the edge-interior point p made a vertex, and that vertex's id."""
+    g = f.graph
+    if isinstance(p, Vertex):
+        raise GraphError("subdivide: point is already a vertex")
+    g.require_point(p)
+    e = g.edge(p.edge)
+    new_v = f"{e.id}@{p.offset}"
+    if new_v in g.vertices:
+        raise GraphError(f"subdivide: vertex id collision on {new_v}")
+    new_edges = [x for x in g.edges if x.id != e.id]
+    new_edges.append(Edge(f"{e.id}.l", e.u, new_v, p.offset))
+    new_edges.append(Edge(f"{e.id}.r", new_v, e.v, e.length - p.offset))
+    g2 = MetricGraph(list(g.vertices) + [new_v], new_edges, g.boundary,
+                     allow_loops=g.allow_loops, allow_parallel=True)
+    val = f.eval(p)
+    prof = f.profiles[e.id]
+    left = [bp for bp in prof if bp[0] < p.offset] + [(p.offset, val)]
+    right = [(F(0), val)] + [(o - p.offset, v) for o, v in prof
+                             if o > p.offset]
+    profiles = {eid: pr for eid, pr in f.profiles.items() if eid != e.id}
+    profiles[f"{e.id}.l"] = left
+    profiles[f"{e.id}.r"] = right
+    return PAFunction(g2, profiles), new_v
+
+
+def _split_by_subdivision(f, cuts):
+    """Reference split: _subdivide_ref at the first cut in point order
+    (lowest edge id, then lowest offset) until no cut is left."""
+    pending = {eid: list(offsets) for eid, offsets in cuts.items() if offsets}
+    while pending:
+        eid = min(pending)
+        o, *rest = pending.pop(eid)
+        f, _ = _subdivide_ref(f, EdgePoint(eid, o))
+        if rest:
+            pending[f"{eid}.r"] = [x - o for x in rest]
+    return f
+
+
 def _promote_by_subdivision(f):
     """Reference promotion: subdivide at the first interior breakpoint in
     point order until none is left."""
@@ -237,7 +279,76 @@ def _promote_by_subdivision(f):
                   None)
         if pt is None:
             return f
-        f, _ = f.subdivide_at(pt)
+        f, _ = _subdivide_ref(f, pt)
+
+
+def _same_split(f, cuts):
+    """f.split(cuts) equals the reference split, flags included, and its
+    pieces run from u to v with the lengths between the cuts."""
+    got, pieces = f.split(cuts)
+    want = _split_by_subdivision(f, cuts)
+    assert got == want
+    assert got.graph.vertices == want.graph.vertices
+    assert got.graph.edges == want.graph.edges
+    assert got.graph.allow_loops == want.graph.allow_loops
+    assert got.graph.allow_parallel == want.graph.allow_parallel
+    assert got.profiles == {eid: tuple(prof)
+                            for eid, prof in want.profiles.items()}
+    assert got._vertex_values == want._vertex_values
+    assert pieces.keys() == {eid for eid, offsets in cuts.items() if offsets}
+    for eid, edge_pieces in pieces.items():
+        e = f.graph.edge(eid)
+        ends = [F(0), *cuts[eid], e.length]
+        assert [x.length for x in edge_pieces] == \
+            [b - a for a, b in zip(ends, ends[1:])]
+        assert [x.u for x in edge_pieces] == \
+            [e.u] + [x.v for x in edge_pieces[:-1]]
+        assert edge_pieces[-1].v == e.v
+        assert all(got.graph.edge(x.id) == x for x in edge_pieces)
+    return got
+
+
+def _random_cuts(rng, f):
+    """Per edge (some left uncut): a random mix of interior breakpoints
+    and points off them, increasing."""
+    cuts = {}
+    for e in f.graph.edges:
+        if rng.random() < 0.3:
+            continue
+        on = [o for o, _ in f.profiles[e.id][1:-1] if rng.random() < 0.5]
+        off = [e.length * F(rng.randint(1, 99), 100)
+               for _ in range(rng.randint(0, 3))]
+        cuts[e.id] = sorted(set(on + off))
+    return cuts
+
+
+def test_split_matches_sequential_subdivision():
+    """One split equals repeated one-point subdivision on looped, random
+    and kinked functions; so do subdivide_at and subdivide at one point."""
+    rng = random.Random(43)
+    functions = looped_and_kinked_functions(rng)
+    parallel = graph_from({
+        "vertices": ["a", "b"],
+        "edges": [{"u": "a", "v": "b", "len": 2, "id": "p"},
+                  {"u": "b", "v": "a", "len": 1, "id": "q"}],
+        "boundary": ["a"]}, allow_parallel=True)
+    functions.append(pa(parallel, {"p": [(0, 0), (1, 3), (2, 1)],
+                                   "q": [(0, 1), (F(1, 2), -1), (1, 0)]}))
+    several = 0
+    for f in functions:
+        for _ in range(3):
+            cuts = _random_cuts(rng, f)
+            _same_split(f, cuts)
+            several += sum(len(offsets) > 1 for offsets in cuts.values())
+        e = rng.choice(f.graph.edges)
+        p = EdgePoint(e.id, e.length * F(rng.randint(1, 9), 10))
+        got, want = f.subdivide_at(p), _subdivide_ref(f, p)
+        assert got == want
+        assert f.graph.subdivide(p) == (want[0].graph, want[1])
+    assert several > 100
+    # the parallel pair, cut at and between breakpoints
+    _same_split(functions[-1], {"p": [F(1, 2), 1], "q": [F(1, 2)]})
+    assert functions[-1].split({}) == (functions[-1], {})
 
 
 def _same_promotion(f):
@@ -284,6 +395,12 @@ def test_promotion_matches_sequential_subdivision():
     # a split edge's right half would reuse an input edge id
     (["a", "b", "c"], [("e", "a", "b", 1), ("e.r", "b", "c", 1)],
      {"e": [(0, 0), (F(1, 2), 1), (1, 0)], "e.r": [(0, 0), (1, 0)]}),
+    # two collisions: edge e-x comes after e but before its right half e.r
+    (["a", "b", "e.r@1/4", "e-x@1/2"],
+     [("e", "a", "b", 1), ("e-x", "b", "e.r@1/4", 1),
+      ("y", "e.r@1/4", "e-x@1/2", 1)],
+     {"e": [(0, 0), (F(1, 2), 1), (F(3, 4), 2), (1, 0)],
+      "e-x": [(0, 0), (F(1, 2), 1), (1, 0)], "y": [(0, 0), (1, 0)]}),
 ])
 def test_promotion_collisions_match_sequential_subdivision(vertices, edges,
                                                            profiles):
@@ -294,9 +411,13 @@ def test_promotion_collisions_match_sequential_subdivision(vertices, edges,
     f = pa(g, profiles)
     with pytest.raises(GraphError) as want:
         _promote_by_subdivision(f)
-    with pytest.raises(GraphError) as got:
-        f.promote_interior_breakpoints()
-    assert str(got.value) == str(want.value)
+    cuts = {eid: [o for o, _ in prof[1:-1]]
+            for eid, prof in f.profiles.items()}
+    for promote in (f.promote_interior_breakpoints, lambda: f.split(cuts),
+                    lambda: g.split(cuts)):
+        with pytest.raises(GraphError) as got:
+            promote()
+        assert str(got.value) == str(want.value)
 
 
 def test_json_roundtrip(path3):

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skelpot import (EdgePoint, NotSubharmonicError, Vertex,
+from skelpot import (EdgePoint, NotSubharmonicError, PAFunction, Vertex,
                      arc_second_difference, build_regularization,
                      eval_smoothed, sample_points, smooth_max, smooth_max_n,
                      theta)
@@ -125,6 +126,23 @@ def test_build_rejects_non_subharmonic(unit_edge):
     f = pa(unit_edge, {"e": [(0, 0), (F(1, 2), 1), (1, 0)]})
     with pytest.raises(NotSubharmonicError):
         build_regularization(unit_edge, f)
+
+
+def test_peak_separation_adds_no_ddc(monkeypatch):
+    """On the golden subharmonic file, whose working graph splits
+    peak-to-peak edges, ddc runs once for the subharmonicity check and
+    once on the promoted function."""
+    path = pathlib.Path(__file__).parent / "data" / "golden" / \
+        "subharmonic.json"
+    f = PAFunction.from_json(path.read_text())
+    promoted = f.promote_interior_breakpoints()
+    calls = []
+    ddc = PAFunction.ddc
+    monkeypatch.setattr(PAFunction, "ddc",
+                        lambda self: calls.append(self) or ddc(self))
+    seq = build_regularization(f.graph, f)
+    assert len(calls) <= 2
+    assert len(seq.graph.edges) > len(promoted.graph.edges)
 
 
 def test_harmonic_input_passes_through(path3):
