@@ -124,6 +124,8 @@ def test_green_off_graph_pole_names_point_json(tmp_path, capsys):
                   "--values", "values.json"]),
     ("green_vertex", ["green", "--graph", "graph.json", "--point", "c"]),
     ("green_edge", ["green", "--graph", "graph.json", "--point", "e1:1/5"]),
+    ("green_edge_boundary", ["green", "--graph", "graph.json",
+                             "--point", "e2:1/3"]),
     ("ddc", ["ddc", "function.json"]),
 ])
 def test_json_output_matches_golden(capsys, name, argv):
