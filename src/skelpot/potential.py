@@ -31,7 +31,6 @@ class NotSubharmonicError(ValueError):
 @dataclass(frozen=True)
 class HarmonicExtension:
     result: PAFunction
-    boundary_values: dict
 
 
 @dataclass(frozen=True)
@@ -93,45 +92,47 @@ def dirichlet_solve(g: MetricGraph, boundary_values: dict) -> HarmonicExtension:
     if missing:
         raise GraphError(f"missing boundary values for {sorted(missing)}")
     values = _solve_laplacian(g, boundary_values)
-    result = PAFunction.from_vertex_values(g, values)
-    return HarmonicExtension(result, {v: Fraction(boundary_values[v])
-                                      for v in sorted(g.boundary)})
+    return HarmonicExtension(PAFunction.from_vertex_values(g, values))
 
 
 def green(g: MetricGraph, x: GraphPoint) -> GreenFunction:
     """Green's function with pole x: zero on the boundary, Laplacian mass
-    -1 at x, nonnegative boundary masses summing to 1.  The masses are
-    the outgoing slopes at the boundary vertices alone, read from the
-    solved vertex values; they equal ddc of the result restricted to
-    the boundary."""
+    -1 at x, nonnegative boundary masses summing to 1.
+
+    At a vertex pole it is the edge-affine solve with source -1 at x.  At
+    offset t inside edge e = (u, v) of length L, the sources are -(L-t)/L
+    at u and -t/L at v, and e carries on top the tent of peak t(L-t)/L at
+    x: the Green's function of e alone, whose outgoing slopes at u and v
+    cancel those sources.  The masses are the outgoing slopes at the
+    boundary vertices, read off the end pieces of the result; they equal
+    ddc of the result restricted to the boundary."""
     _check_dirichlet_pre(g)
     g.require_point(x)
     if isinstance(x, Vertex) and x.id in g.boundary:
         raise GraphError("pole on the boundary")
 
     if isinstance(x, EdgePoint):
-        sub, pole_vid = g.subdivide(x)
+        e, t = g.edge(x.edge), x.offset
+        sources = {e.u: (t - e.length) / e.length}
+        sources[e.v] = sources.get(e.v, 0) - t / e.length  # u = v on a loop
     else:
-        sub, pole_vid = g, x.id
+        sources = {x.id: Fraction(-1)}
+    zero = {v: Fraction(0) for v in g.boundary}
+    values = _solve_laplacian(g, zero, sources)
 
-    zero = {v: Fraction(0) for v in sub.boundary}
-    values = _solve_laplacian(sub, zero, sources={pole_vid: Fraction(-1)})
-
+    profiles = {e.id: ((Fraction(0), values[e.u]), (e.length, values[e.v]))
+                for e in g.edges}
     if isinstance(x, EdgePoint):
-        profiles = {}
-        for e in g.edges:
-            mid = ((x.offset, values[pole_vid]),) if e.id == x.edge else ()
-            profiles[e.id] = ((Fraction(0), values[e.u]), *mid,
-                              (e.length, values[e.v]))
-        result = PAFunction._of(g, profiles)
-    else:
-        result = PAFunction.from_vertex_values(g, values)
+        (_, a), (length, b) = profiles[x.edge]
+        peak = (a * (length - t) + (b + length - t) * t) / length
+        profiles[x.edge] = ((Fraction(0), a), (t, peak), (length, b))
+    result = PAFunction._of(g, profiles)
 
-    # the result is affine on every edge of the subdivided graph, which
-    # has the same boundary
+    # the slope of the piece at each boundary edge end, pole's edge too
     masses = DiscreteMeasure.of(
-        (Vertex(u), (values[e.v if tv else e.u] - values[u]) / e.length)
-        for u in sub.boundary for e, tv in sub.incident_ends(u))
+        (Vertex(u), (q[1] - p[1]) / abs(q[0] - p[0]))
+        for u in g.boundary for e, tv in g.incident_ends(u)
+        for p, q in [profiles[e.id][:2] if tv else profiles[e.id][:-3:-1]])
     return GreenFunction(x, result, masses)
 
 
@@ -239,7 +240,6 @@ def maximum_principle_check(f: PAFunction) -> bool:
     dominates it at every vertex and breakpoint."""
     require_subharmonic(f)
     g = f.graph
-    _check_dirichlet_pre(g)
     h = dirichlet_solve(g, {v: f.vertex_value(v) for v in g.boundary}).result
     return all(f.eval(p) <= h.eval(p) for p in f.breakpoints())
 

@@ -119,6 +119,32 @@ def test_green_off_graph_pole_names_point_json(tmp_path, capsys):
                             'is not on the graph\n')
 
 
+@pytest.mark.parametrize("doc, taken", [
+    ({"vertices": ["a", "b", "c"],
+      "edges": [{"id": "e0", "u": "a", "v": "b", "len": "3"},
+                {"id": "e0.l", "u": "b", "v": "c", "len": "1"}],
+      "boundary": ["a", "b"]}, "e0.l"),
+    ({"vertices": ["a", "e0@1"],
+      "edges": [{"id": "e0", "u": "a", "v": "e0@1", "len": "3"}],
+      "boundary": ["a", "e0@1"]}, "e0@1"),
+], ids=["edge-id", "vertex-id"])
+def test_green_edge_pole_ignores_subdivision_names(tmp_path, capsys, doc,
+                                                    taken):
+    """An edge pole on a graph that already has an id a subdivision at it
+    would make gives the values it gives with that id renamed."""
+    rc = main(["green", "--graph", write_json(tmp_path, "g.json", doc),
+               "--point", "e0:1"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    out = json.loads(captured.out)
+    renamed = json.loads(json.dumps(doc).replace(f'"{taken}"', '"x"'))
+    assert main(["green", "--graph", write_json(tmp_path, "r.json", renamed),
+                 "--point", "e0:1"]) == 0
+    want = json.loads(capsys.readouterr().out.replace('"x"', f'"{taken}"'))
+    assert out == want
+    assert out["function"]["profiles"]["e0"][1] == ["1", "2/3"]
+
+
 @pytest.mark.parametrize("name, argv", [
     ("harmonic", ["harmonic", "--graph", "graph.json",
                   "--values", "values.json"]),

@@ -9,7 +9,9 @@ from skelpot import (EdgePoint, GraphError, MetricGraph, NotHarmonicError,
                      integrate, is_subharmonic_green, linear_combine,
                      local_green_pairing, maximum_principle_check)
 from skelpot.graph import Edge, point_sort_key
-from skelpot.potential import GreenVerdict
+from skelpot.pa_function import DiscreteMeasure
+from skelpot.potential import (GreenFunction, GreenVerdict,
+                               _check_dirichlet_pre, _solve_laplacian)
 from skelpot.randgen import random_graph, random_pa_function, random_subharmonic
 
 from conftest import graph_from, kinked_subharmonic, pa
@@ -93,11 +95,42 @@ def test_green_invariants(star3):
         {Vertex("c")} | {Vertex(v) for v in star3.boundary})
 
 
+def _green_by_subdivision(g, x):
+    """Reference Green's function: an edge pole made a vertex of a
+    subdivided graph, solved there with source -1, and the result carried
+    back onto g with the pole's value as a breakpoint."""
+    _check_dirichlet_pre(g)
+    g.require_point(x)
+    if isinstance(x, Vertex) and x.id in g.boundary:
+        raise GraphError("pole on the boundary")
+    if isinstance(x, EdgePoint):
+        sub, pole_vid = g.subdivide(x)
+    else:
+        sub, pole_vid = g, x.id
+    zero = {v: F(0) for v in sub.boundary}
+    values = _solve_laplacian(sub, zero, sources={pole_vid: F(-1)})
+    if isinstance(x, EdgePoint):
+        profiles = {}
+        for e in g.edges:
+            mid = ((x.offset, values[pole_vid]),) if e.id == x.edge else ()
+            profiles[e.id] = ((F(0), values[e.u]), *mid,
+                              (e.length, values[e.v]))
+        result = PAFunction(g, profiles)
+    else:
+        result = PAFunction.from_vertex_values(g, values)
+    masses = DiscreteMeasure.of(
+        (Vertex(u), (values[e.v if tv else e.u] - values[u]) / e.length)
+        for u in sub.boundary for e, tv in sub.incident_ends(u))
+    return GreenFunction(x, result, masses)
+
+
 def test_green_boundary_masses_equal_restricted_ddc():
-    """The boundary masses, summed from the solve's slopes, are exactly
-    the Laplacian of the result restricted to the boundary: at vertex
-    poles and at edge poles at random offsets, on graphs with parallel
-    edges and loops at boundary vertices (poles on those too)."""
+    """The boundary masses, read off the result's end pieces, are exactly
+    the Laplacian of the result restricted to the boundary, and the whole
+    Green's function is the one solved on the graph subdivided at the
+    pole: at vertex poles and at edge poles at random offsets, on graphs
+    with parallel edges and with loops at boundary and at other vertices
+    (poles on those too)."""
     rng = random.Random(13)
     poles_seen = 0
     for _ in range(30):
@@ -108,6 +141,9 @@ def test_green_boundary_masses_equal_restricted_ddc():
             e = rng.choice(base.edges)
             edges.append(Edge(f"x{len(edges)}", b, b,
                               F(rng.randint(1, 9), rng.randint(1, 4))))
+            w = rng.choice(base.vertices)
+            edges.append(Edge(f"x{len(edges)}", w, w,
+                              F(rng.randint(1, 9), rng.randint(1, 4))))
             edges.append(Edge(f"x{len(edges)}", e.u, e.v,
                               F(rng.randint(1, 9), rng.randint(1, 4))))
         g = MetricGraph(base.vertices, edges, base.boundary,
@@ -117,6 +153,7 @@ def test_green_boundary_masses_equal_restricted_ddc():
             poles.append(EdgePoint(e.id, e.length * rng.randint(1, 11) / 12))
         for x in poles:
             gf = green(g, x)
+            assert gf == _green_by_subdivision(g, x)
             assert gf.boundary_masses == gf.result.ddc().restrict(
                 lambda p: isinstance(p, Vertex) and p.id in g.boundary)
             assert gf.boundary_masses.total_mass() == 1
