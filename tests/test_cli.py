@@ -150,9 +150,9 @@ def test_green_edge_pole_ignores_subdivision_names(tmp_path, capsys, doc,
                   "--values", "values.json"]),
     ("green_vertex", ["green", "--graph", "graph.json", "--point", "c"]),
     ("green_edge", ["green", "--graph", "graph.json", "--point", "e1:1/5"]),
+    ("ddc", ["ddc", "function.json"]),
     ("green_edge_boundary", ["green", "--graph", "graph.json",
                              "--point", "e2:1/3"]),
-    ("ddc", ["ddc", "function.json"]),
 ])
 def test_json_output_matches_golden(capsys, name, argv):
     """The JSON output bytes on a fixed five-vertex graph, as committed
