@@ -163,6 +163,25 @@ def test_json_output_matches_golden(capsys, name, argv):
     assert capsys.readouterr().out == (golden / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize("name, argv, code", [
+    ("positivity_positive",
+     ["superform", "x1^2 + x1*x2 + x2^2 + x3^4 + x3^2 + (x1 + x3)^4"], 0),
+    ("positivity_violations",
+     ["superform", "x1^3 + x1*x2 + x2^2 + x2*x3^2/2 + x3^2", "--points",
+      "1,0,0;1/13,0,0;1/12,0,0;-1/2,1/3,2/9;5/3,1/2,-1/4;2,-7/3,1/7;"
+      "3/10,-1,1;-3,-1,1/2;7/5,4,-2"], 1),
+])
+def test_positivity_output_matches_golden(capsys, name, argv, code):
+    """The verdict and violation lines of `superform --op positivity` on
+    a convex quartic at the default points, and on a cubic at rational
+    points (1/12 makes a singular PSD matrix), as committed in
+    tests/data/golden/<name>.out."""
+    rc = main(argv + ["--op", "positivity"])
+    assert rc == code
+    assert capsys.readouterr().out == \
+        (DATA / "golden" / f"{name}.out").read_text()
+
+
 def test_regularize_output_matches_golden(tmp_path, capsys):
     """The CSV and --patches bytes of regularize on a subharmonic function
     with peaks at two vertices and inside two edges, as committed in
