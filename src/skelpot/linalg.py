@@ -5,16 +5,16 @@ of n entries, or a `{column: entry}` dict of its nonzeros.  `potential`
 assembles graph Laplacians in the dict form (about five nonzeros per
 row), each row scaled to integer entries, and reads a Green's
 function's boundary masses off the solution, so neither side of a
-solve builds or scans anything of size n^2.  It runs a sparse elimination on integer rows: each row is a
-`{column: int}` dict (the right-hand side is column n), cleared to
-integers once and divided by its content after every update, so its
-entries stay primitive.  The pivot row is the live row with the fewest
-entries (greedy minimum degree), so on a graph Laplacian the degree-1
-and degree-2 chain vertices are eliminated first, as in series
-reduction, and fill-in stays small.  Back-substitution forms each
-unknown as one `Fraction` of an integer sum over a common denominator.
-A nonsingular system has one solution, so the result does not depend on
-the pivot order.
+solve builds or scans anything of size n^2.  It runs a sparse
+elimination on integer rows: each row is a `{column: int}` dict (the
+right-hand side is column n), cleared to integers once and divided by
+its content after every update, so its entries stay primitive.  The
+pivot row is the live row with the fewest entries (greedy minimum
+degree), so on a graph Laplacian the degree-1 and degree-2 chain
+vertices are eliminated first, as in series reduction, and fill-in
+stays small.  Back-substitution forms each unknown as one `Fraction` of
+an integer sum over a common denominator.  A nonsingular system has one
+solution, so the result does not depend on the pivot order.
 """
 
 from __future__ import annotations
@@ -40,12 +40,21 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
                 b: list[Fraction]) -> list[Fraction]:
     """Solve A x = b exactly; A must be square and nonsingular, with
     rational (int or Fraction) entries.  Each row of A is a dense list
-    or a {column: entry} dict; entries a dict leaves out are zero."""
+    or a {column: entry} dict; entries a dict leaves out are zero.  A
+    dense row of other than n entries, a dict column outside 0..n-1 or
+    a b of other than n entries is a `ValueError`."""
     n = len(a)
+    if len(b) != n:
+        raise ValueError(f"{n} rows but {len(b)} right-hand side entries")
     rows = []
-    for i in range(n):
-        row = {j: x for j, x in (a[i].items() if isinstance(a[i], dict)
-                                 else enumerate(a[i])) if x}
+    for i, ai in enumerate(a):
+        if isinstance(ai, dict):
+            if ai and (min(ai) < 0 or max(ai) >= n):
+                raise ValueError(f"row {i} has a column outside 0..{n - 1}")
+        elif len(ai) != n:
+            raise ValueError(f"row {i} has {len(ai)} entries, not {n}")
+        row = {j: x for j, x in (ai.items() if isinstance(ai, dict)
+                                 else enumerate(ai)) if x}
         if b[i]:
             row[n] = b[i]
         den = lcm(*(x.denominator for x in row.values()))
@@ -124,32 +133,34 @@ def rank_exact(a: list[list[Fraction]]) -> int:
 def is_psd_exact(a: list[list[Fraction]]) -> bool:
     """Exact positive-semidefiniteness of a symmetric rational matrix.
 
-    The entries are wrapped in `Fraction` and the matrix is checked for
-    symmetry (`ValueError` otherwise); `_psd` then runs a fraction-free
-    pivoted LDL^T on integers."""
+    The matrix must be square and symmetric (`ValueError` otherwise).
+    Its entries are wrapped in `Fraction` and it is scaled to integers
+    by the positive lcm of their denominators, which keeps the verdict;
+    `_psd` then tests the integer matrix."""
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
     m = [[Fraction(x) for x in row] for row in a]
     for i in range(n):
         for j in range(i):
             if m[i][j] != m[j][i]:
                 raise ValueError("matrix is not symmetric")
-    return _psd(m)
-
-
-def _psd(m: list[list[Fraction]]) -> bool:
-    """PSD test of a symmetric matrix of ints or Fractions, unchecked.
-
-    The matrix is scaled to integers by the positive lcm of its
-    denominators, which keeps its verdict.  Each step pivots on the
-    largest diagonal entry d: if d < 0 the matrix is not PSD, and if
-    d == 0 every diagonal entry left is <= 0, so the matrix is PSD iff
-    the block left is zero.  Otherwise the block left becomes
-    d*m[i][j] - m[i][p]*m[p][j], d times the Schur complement, divided by
-    the previous pivot.  That division is exact (Bareiss): each entry is
-    then a minor of the scaled matrix, so entries stay bounded, and it
-    is by a positive number, so no sign changes."""
     den = lcm(*(x.denominator for row in m for x in row))
-    m = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    return _psd([[x.numerator * (den // x.denominator) for x in row]
+                 for row in m])
+
+
+def _psd(m: list[list[int]]) -> bool:
+    """PSD test of a symmetric integer matrix, unchecked; m is
+    overwritten.
+
+    Each step pivots on the largest diagonal entry d: if d < 0 the
+    matrix is not PSD, and if d == 0 every diagonal entry left is <= 0,
+    so the matrix is PSD iff the block left is zero.  Otherwise the
+    block left becomes d*m[i][j] - m[i][p]*m[p][j], d times the Schur
+    complement, divided by the previous pivot.  That division is exact
+    (Bareiss): each entry is then a minor of m, so entries stay bounded,
+    and it is by a positive number, so no sign changes."""
     idx = list(range(len(m)))
     prev = 1
     while idx:

@@ -16,8 +16,8 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
-from operator import add
+from math import comb, lcm, prod
+from operator import add, mul
 
 from .linalg import _psd, rank_exact
 from .rational import format_rational
@@ -110,7 +110,9 @@ class Poly:
                                  for e, c in self.terms.items() if e[i]})
 
     def eval(self, point) -> Fraction:
-        return _evaluator(point)(self)
+        pt = [Fraction(x) for x in point]
+        return sum((c * prod(map(pow, pt, e)) for e, c in self.terms.items()),
+                   _ZERO)
 
     def substitute_affine(self, affines: list["Poly"]) -> "Poly":
         """Compose with x_i = affines[i] (polynomials in the new variables).
@@ -122,7 +124,7 @@ class Poly:
         if not affines or len(affines) != self.r:
             raise ValueError("need one substitution per variable")
         r2 = affines[0].r
-        nums, den_a = _integer_affines(affines)
+        nums, den_a = _integer_polys(affines)
         num, den = _substitute(self, nums, den_a, r2)
         return Poly._of(r2, {e: Fraction(v, den) for e, v in num.items()})
 
@@ -146,11 +148,11 @@ class Poly:
         return f"Poly({format_poly(self)})"
 
 
-def _integer_affines(affines: list[Poly]) -> tuple[list[dict], int]:
-    """The affines as integer-coefficient dicts over one denominator."""
-    den = lcm(*(c.denominator for a in affines for c in a.terms.values()))
+def _integer_polys(polys: list[Poly]) -> tuple[list[dict], int]:
+    """The polys as integer-coefficient dicts over one denominator."""
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
     return [{e: c.numerator * (den // c.denominator)
-             for e, c in a.terms.items()} for a in affines], den
+             for e, c in p.terms.items()} for p in polys], den
 
 
 def _term_product(p: dict, q: dict) -> dict:
@@ -189,33 +191,6 @@ def _substitute(poly: Poly, nums: list[dict], den_a: int,
         for m, v in term.items():
             acc[m] = acc.get(m, 0) + v
     return {m: v for m, v in acc.items() if v}, c_den * den_a ** n
-
-
-def _evaluator(point):
-    """Exact evaluation at one point: the coordinates are converted once
-    and each monomial's value is cached for every polynomial evaluated
-    there.  Integral coordinates stay ints, which is exact and cheaper."""
-    pt = []
-    for x in point:
-        x = Fraction(x)
-        pt.append(x.numerator if x.denominator == 1 else x)
-    monomials: dict = {}
-
-    def value(poly: Poly) -> Fraction:
-        acc = _ZERO
-        for e, c in poly.terms.items():
-            m = monomials.get(e)
-            if m is None:
-                m = 1
-                for x, k in zip(pt, e):
-                    if k:
-                        m *= x ** k
-                monomials[e] = m
-            if m:
-                acc += c if m == 1 else c * m
-        return acc
-
-    return value
 
 
 def format_poly(p: Poly) -> str:
@@ -429,7 +404,7 @@ def pullback(f_map: AffineMap, alpha: SuperForm) -> SuperForm:
     r2 = f_map.r_in
     zero = (0,) * r2
     units = [zero[:s] + (1,) + zero[s + 1:] for s in range(r2)]
-    nums, den_a = _integer_affines(
+    nums, den_a = _integer_polys(
         [Poly._of(r2, {**dict(zip(units, row)), zero: b})
          for row, b in zip(f_map.matrix, f_map.translation)])
     int_a = [[num.get(u, 0) for u in units] for num in nums]
@@ -494,15 +469,33 @@ def _coeff_matrix(alpha: SuperForm) -> list[list[Poly]]:
     return m
 
 
-def _symmetric_values(m: list[list[Poly]], value) -> list[list[Fraction]]:
-    """Values of a symmetric polynomial matrix at one point, evaluating
-    only the upper triangle."""
+def _psd_at(m: list[list[Poly]], points) -> PositivityVerdict:
+    """Pointwise PSD test of a symmetric polynomial matrix, on integers.
+
+    The upper-triangle entries are brought to one denominator D, and
+    each point's coordinates to one denominator q with numerators n_i.
+    With n the largest degree of an entry, a monomial x^e is the integer
+    q^(n - |e|) * prod n_i^e_i, computed once per point and shared by
+    every entry, so each entry is one integer sum.  The integer matrix
+    is D * q^n > 0 times the true one and has the same verdict."""
     r = len(m)
-    out = [[_ZERO] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i, r):
-            out[i][j] = out[j][i] = value(m[i][j])
-    return out
+    upper = [(i, j) for i in range(r) for j in range(i, r)]
+    polys, _ = _integer_polys([m[i][j] for i, j in upper])
+    exps = {e: sum(e) for p in polys for e in p}
+    n = max(exps.values(), default=0)
+    bad = []
+    for pt in points:
+        pt = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in pt)
+        q = lcm(*(x.denominator for x in pt))
+        nums = [x.numerator * (q // x.denominator) for x in pt]
+        value = {e: q ** (n - d) * prod(map(pow, nums, e))
+                 for e, d in exps.items()}
+        h = [[0] * r for _ in range(r)]
+        for (i, j), p in zip(upper, polys):
+            h[i][j] = h[j][i] = sum(map(mul, p.values(), map(value.get, p)))
+        if not _psd(h):
+            bad.append(pt)
+    return PositivityVerdict(not bad, tuple(bad))
 
 
 def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
@@ -514,11 +507,7 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
         for j in range(i):
             if m[i][j] != m[j][i]:
                 raise ValueError("coefficient matrix is not symmetric")
-    bad = []
-    for pt in points:
-        if not _psd(_symmetric_values(m, _evaluator(pt))):
-            bad.append(tuple(Fraction(x) for x in pt))
-    return PositivityVerdict(not bad, tuple(bad))
+    return _psd_at(m, points)
 
 
 def restrict_convexity_check(psi: Poly, basis, points) -> PositivityVerdict:
@@ -532,16 +521,10 @@ def restrict_convexity_check(psi: Poly, basis, points) -> PositivityVerdict:
         raise ValueError("degenerate basis")
     r = psi.r
     hess = [[psi.diff(i).diff(j) for j in range(r)] for i in range(r)]
-    bad = []
-    for pt in points:
-        h = _symmetric_values(hess, _evaluator(pt))
-        k = len(basis)
-        comp = [[sum(basis[a][i] * h[i][j] * basis[b][j]
-                     for i in range(r) for j in range(r))
-                 for b in range(k)] for a in range(k)]
-        if not _psd(comp):
-            bad.append(tuple(Fraction(x) for x in pt))
-    return PositivityVerdict(not bad, tuple(bad))
+    zero = Poly(r, {})
+    comp = [[sum((hess[i][j] * (u[i] * v[j]) for i in range(r)
+                  for j in range(r)), zero) for v in basis] for u in basis]
+    return _psd_at(comp, points)
 
 
 def integrate_box(alpha: SuperForm, box) -> Fraction:

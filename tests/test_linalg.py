@@ -207,3 +207,31 @@ def test_psd_matches_minor_oracle_up_to_5():
 def test_psd_rejects_asymmetric():
     with pytest.raises(ValueError):
         is_psd_exact([[F(1), F(2)], [F(0), F(1)]])
+
+
+def test_psd_rejects_non_square():
+    with pytest.raises(ValueError, match="not square"):
+        is_psd_exact([[1, 2]])
+
+
+def test_psd_rejects_ragged_rows():
+    for m in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="not square"):
+            is_psd_exact(m)
+
+
+def test_solve_rejects_dense_row_of_wrong_length():
+    with pytest.raises(ValueError, match="row 0 has 2 entries, not 1"):
+        solve_exact([[1, 2]], [1])
+
+
+def test_solve_rejects_b_of_wrong_length():
+    for b in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_exact([[1, 0], {1: 1}], b)
+
+
+def test_solve_rejects_dict_column_out_of_range():
+    for row in ({0: 1, 2: 1}, {-1: 1, 1: 1}, {2: 0}):
+        with pytest.raises(ValueError, match="row 1 has a column outside"):
+            solve_exact([{0: 1}, row], [1, 1])

@@ -1,10 +1,13 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skelpot.cli import _positivity_points
+from skelpot.cli import _positivity_points, main
 from skelpot.linalg import is_psd_exact
 from skelpot.superforms import (MAX_DIGITS, MAX_EXPONENT, AffineMap,
                                 BidegreeError,
@@ -454,15 +457,36 @@ def _positivity_ref(alpha, points):
     return not bad, tuple(bad)
 
 
-def _random_symmetric_11(rng, r):
+def _poly_of_degree(rng, r, deg):
+    """A random polynomial with a term of total degree deg and up to two
+    terms of lower degree."""
+    terms = {}
+    for d in [deg] + [rng.randint(0, deg) for _ in range(rng.randint(0, 2))]:
+        e = [0] * r
+        for _ in range(d):
+            e[rng.randrange(r)] += 1
+        terms[tuple(e)] = F(rng.choice([-1, 1]) * rng.randint(1, 9),
+                            rng.randint(1, 6))
+    return Poly(r, terms)
+
+
+def _random_symmetric_11(rng, r, max_deg=None):
     """A random symmetric (1,1)-form: a Gram matrix B B^T of random
     polynomials (PSD everywhere), a random symmetric matrix, or the first
-    plus a small random symmetric perturbation, so both verdicts occur."""
+    plus a small random symmetric perturbation, so both verdicts occur.
+    With max_deg, each entry of the symmetric matrix and of B has its own
+    total degree, at most max_deg and max_deg // 2."""
+    def poly(top):
+        if max_deg is None:
+            return _random_poly(rng, r, max_deg=2 if top else 1)
+        return _poly_of_degree(rng, r, rng.randint(0, max_deg if top
+                                                   else max_deg // 2))
+
     def sym():
         m = [[None] * r for _ in range(r)]
         for i in range(r):
             for j in range(i, r):
-                m[i][j] = m[j][i] = (_random_poly(rng, r)
+                m[i][j] = m[j][i] = (poly(True)
                                      if rng.random() < 0.8 else Poly(r, {}))
         return m
 
@@ -470,8 +494,7 @@ def _random_symmetric_11(rng, r):
     if kind == 1:
         m = sym()
     else:
-        b = [[_random_poly(rng, r, max_deg=1) for _ in range(r)]
-             for _ in range(r)]
+        b = [[poly(False) for _ in range(r)] for _ in range(r)]
         m = [[Poly(r, {}) for _ in range(r)] for _ in range(r)]
         for i in range(r):
             for j in range(r):
@@ -501,6 +524,92 @@ def test_positivity_matches_per_entry_reference():
                     _positivity_ref(alpha, points)
                 verdicts.append(got.ok)
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+    # r = 1 to 4 with the zero form and entries of unequal degrees up to
+    # 6, at points with coprime denominators up to 10^6, plain ints, and
+    # both mixed in one point
+    verdicts = []
+    primes = [999983, 999979, 999961, 999959]
+    for r in (1, 2, 3, 4):
+        def big():
+            return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        point_sets = (
+            [[F(rng.randint(-10**6, 10**6), d) for d in primes[:r]]
+             for _ in range(3)],
+            [[big() for _ in range(r)] for _ in range(3)],
+            [[rng.randint(-9, 9) for _ in range(r)] for _ in range(6)],
+            [[rng.choice([rng.randint(-3, 3), big()]) for _ in range(r)]
+             for _ in range(4)])
+        forms = [SuperForm(r, 1, 1, {})] + \
+            [_random_symmetric_11(rng, r, max_deg=6) for _ in range(6)]
+        for alpha in forms:
+            for points in point_sets:
+                got = is_positive_11(alpha, points)
+                assert (got.ok, got.violations) == \
+                    _positivity_ref(alpha, points)
+                verdicts.append(got.ok)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def _poly_text(poly):
+    """poly as the parser's text, written here rather than by
+    format_poly: signed rational coefficient times x<i>^k factors."""
+    terms = [f"{c.numerator}/{c.denominator}" + "".join(
+        f"*x{i + 1}^{k}" for i, k in enumerate(e) if k)
+        for e, c in poly.terms.items()]
+    return " + ".join(terms) or "0"
+
+
+_small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def _positivity_call(draw):
+    """(argv, form, points, dimension right) of one `superform --op
+    positivity` call on a symmetric (1,1)-form with entries of degree at
+    most 3, at 1 to 5 points; a point of the wrong dimension makes the
+    call malformed."""
+    r = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * r).filter(lambda e: sum(e) <= 3)
+    entry = st.dictionaries(exps, _small, max_size=3).map(
+        lambda t: Poly(r, t))
+    m = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            m[i][j] = m[j][i] = draw(entry)
+    alpha = SuperForm(r, 1, 1, {((i,), (j,)): m[i][j]
+                                for i in range(r) for j in range(r)})
+    width = draw(st.sampled_from([r] * 9 + [r + 1]))
+    points = draw(st.lists(st.lists(_small, min_size=width,
+                                    max_size=width), min_size=1, max_size=5))
+    text = " + ".join(f"({_poly_text(m[i][j])}) d'x{i + 1} ^ d''x{j + 1}"
+                      for i in range(r) for j in range(r))
+    # --points=...: a separate "-1,0" would be read as an option
+    argv = ["superform", text, "--r", str(r), "--op", "positivity",
+            "--points=" + ";".join(",".join(map(str, pt)) for pt in points)]
+    return argv, alpha, points, width == r
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_positivity_call())
+def test_positivity_cli_fuzz_matches_reference(call):
+    """The CLI's verdict and violation lines on random symmetric forms
+    and points equal the per-entry reference; a malformed call exits 2;
+    nothing ends in a traceback."""
+    argv, alpha, points, well_formed = call
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if not well_formed:
+        assert rc == 2 and out.getvalue() == ""
+        return
+    ok, bad = _positivity_ref(alpha, points)
+    lines = out.getvalue().splitlines()
+    assert rc == (0 if ok else 1)
+    assert lines[0] == ("positive" if ok else "not positive")
+    assert [tuple(map(F, line[len("violation at ("):-1].split(", ")))
+            for line in lines[1:]] == list(bad)
 
 
 def test_restricted_convexity_matches_per_entry_reference():
