@@ -51,10 +51,12 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
         if isinstance(ai, dict):
             if ai and (min(ai) < 0 or max(ai) >= n):
                 raise ValueError(f"row {i} has a column outside 0..{n - 1}")
+            items = ai.items()
         elif len(ai) != n:
             raise ValueError(f"row {i} has {len(ai)} entries, not {n}")
-        row = {j: x for j, x in (ai.items() if isinstance(ai, dict)
-                                 else enumerate(ai)) if x}
+        else:
+            items = enumerate(ai)
+        row = {j: x for j, x in items if x}
         if b[i]:
             row[n] = b[i]
         den = lcm(*(x.denominator for x in row.values()))

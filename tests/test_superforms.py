@@ -528,11 +528,12 @@ def test_positivity_matches_per_entry_reference():
     # r = 1 to 4 with the zero form and entries of unequal degrees up to
     # 6, at points with coprime denominators up to 10^6, plain ints, and
     # both mixed in one point
+    def big():
+        return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
     verdicts = []
     primes = [999983, 999979, 999961, 999959]
     for r in (1, 2, 3, 4):
-        def big():
-            return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
         point_sets = (
             [[F(rng.randint(-10**6, 10**6), d) for d in primes[:r]]
              for _ in range(3)],
