@@ -23,9 +23,6 @@ from .linalg import _psd, rank_exact
 from .rational import format_rational
 
 
-_ZERO = Fraction(0)
-
-
 class BidegreeError(ValueError):
     pass
 
@@ -112,7 +109,7 @@ class Poly:
     def eval(self, point) -> Fraction:
         pt = [Fraction(x) for x in point]
         return sum((c * prod(map(pow, pt, e)) for e, c in self.terms.items()),
-                   _ZERO)
+                   Fraction(0))
 
     def substitute_affine(self, affines: list["Poly"]) -> "Poly":
         """Compose with x_i = affines[i] (polynomials in the new variables).
@@ -474,7 +471,7 @@ def _psd_at(m: list[list[Poly]], points) -> PositivityVerdict:
 
     The upper-triangle entries are brought to one denominator D, and
     each point's coordinates to one denominator q with numerators n_i.
-    With n the largest degree of an entry, a monomial x^e is the integer
+    With n the largest degree of a monomial, x^e is the integer
     q^(n - |e|) * prod n_i^e_i, computed once per point and shared by
     every entry, so each entry is one integer sum.  The integer matrix
     is D * q^n > 0 times the true one and has the same verdict."""
