@@ -182,6 +182,21 @@ def test_positivity_output_matches_golden(capsys, name, argv, code):
         (DATA / "golden" / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize("name, file, code", [
+    ("subharmonic_negative", "function.json", 1),
+    ("subharmonic_positive", "subharmonic.json", 0),
+])
+def test_subharmonic_output_matches_golden(capsys, name, file, code):
+    """Both oracles' verdicts and witnesses on a function with two
+    concave kinks, and on a subharmonic one, as committed in
+    tests/data/golden/<name>.out."""
+    rc = main(["subharmonic", str(DATA / "golden" / file),
+               "--method", "both"])
+    assert rc == code
+    assert capsys.readouterr().out == \
+        (DATA / "golden" / f"{name}.out").read_text()
+
+
 def test_regularize_output_matches_golden(tmp_path, capsys):
     """The CSV and --patches bytes of regularize on a subharmonic function
     with peaks at two vertices and inside two edges, as committed in
