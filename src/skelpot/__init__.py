@@ -11,9 +11,9 @@ from .graph import (Edge, EdgePoint, GraphError, MetricGraph,
                     point_sort_key)
 from .pa_function import (DiscreteMeasure, PAFunction, SlopeVerdict,
                           integrate, linear_combine)
-from .linalg import SingularMatrixError, is_psd_exact, rank_exact, solve_exact
-from .potential import (GreenFunction, GreenVerdict, HarmonicExtension,
-                        NotHarmonicError, NotSubharmonicError, dirichlet_solve,
+from .linalg import SingularMatrixError, is_psd_exact, solve_exact
+from .potential import (GreenFunction, GreenVerdict, NotHarmonicError,
+                        NotSubharmonicError, dirichlet_solve,
                         evaluation_formula_check, green, green_to_json_dict,
                         is_subharmonic_green, local_green_pairing,
                         maximum_principle_check)
@@ -21,12 +21,11 @@ from .regularize import (RegularizationSequence, arc_second_difference,
                          build_regularization, eval_smoothed, sample_points,
                          smooth_max, smooth_max_n, theta)
 from .rationalize import (RationalizationCertificate, RationalizationError,
-                          insert_collar, rationalize, tent_decompose,
-                          tent_reconstruction)
+                          rationalize, tent_decompose, tent_reconstruction)
 from .superforms import (AffineMap, Poly, SuperForm, d_prime, d_second,
                          format_form, hessian_form, integrate_box,
                          is_positive_11, j_involution, parse_form, pullback,
-                         restrict_convexity_check, wedge)
+                         wedge)
 from .rational import RationalParseError, format_rational, parse_rational
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -85,7 +85,7 @@ def poisson_formula(rng, graphs: int, max_vertices: int,
         done += 1
         for b in g.boundary:
             values = {w: F(1 if w == b else 0) for w in g.boundary}
-            h = dirichlet_solve(g, values).result
+            h = dirichlet_solve(g, values)
             for x in interior:
                 lhs, rhs = evaluation_formula_check(g, Vertex(x), h)
                 if lhs != rhs:

@@ -148,7 +148,7 @@ def cmd_harmonic(args) -> int:
         h = dirichlet_solve(g, values)
     except (RationalParseError, ValueError) as exc:
         raise InputError(f"{args.values}: {exc}") from exc
-    _emit(h.result.to_json_dict())
+    _emit(h.to_json_dict())
     return 0
 
 
@@ -182,10 +182,7 @@ def cmd_subharmonic(args) -> int:
 
 def cmd_regularize(args) -> int:
     f = _load_function(args.file)
-    try:
-        seq = build_regularization(f.graph, f, n_terms=args.k)
-    except NotSubharmonicError as exc:
-        raise InputError(str(exc)) from exc
+    seq = build_regularization(f.graph, f, n_terms=args.k)
     try:
         patches = (open(args.patches, "w") if args.patches
                    else contextlib.nullcontext())
@@ -435,7 +432,9 @@ SUBCOMMANDS = {
         ("--with", dict(dest="second", help="second form (wedge)")),
         ("--r", dict(type=_positive_int,
                      help="ambient dimension (default: infer)")),
-        ("--points", dict(help='positivity sample points "1,0;0,1/2"'))]),
+        ("--points", dict(help='positivity sample points "1,0;0,1/2"; '
+                               'write --points=-1/2,0;1,0 for a list '
+                               'that starts with a minus sign'))]),
     "selftest": (cmd_selftest, "deterministic seeded self-check", [
         ("--seed", dict(type=int, default=0,
                         help="RNG seed (env SKELPOT_SEED overrides)"))]),

@@ -111,27 +111,6 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
     return x
 
 
-def rank_exact(a: list[list[Fraction]]) -> int:
-    """Row rank over the rationals (plain exact elimination)."""
-    m = [[Fraction(x) for x in row] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            if m[i][c] != 0:
-                f = m[i][c] / m[r][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def is_psd_exact(a: list[list[Fraction]]) -> bool:
     """Exact positive-semidefiniteness of a symmetric rational matrix.
 

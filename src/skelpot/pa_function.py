@@ -52,15 +52,6 @@ class DiscreteMeasure:
     def total_variation(self) -> Fraction:
         return sum((abs(m) for _, m in self.support), Fraction(0))
 
-    def restrict(self, keep) -> "DiscreteMeasure":
-        return DiscreteMeasure.of((p, m) for p, m in self.support if keep(p))
-
-    def scale(self, c: Fraction) -> "DiscreteMeasure":
-        return DiscreteMeasure.of((p, c * m) for p, m in self.support)
-
-    def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
-        return DiscreteMeasure.of(list(self.support) + list(other.support))
-
     def to_json_list(self) -> list:
         return [{"at": point_to_json(p), "mass": format_rational(m)}
                 for p, m in self.support]

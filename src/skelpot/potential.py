@@ -29,11 +29,6 @@ class NotSubharmonicError(ValueError):
 
 
 @dataclass(frozen=True)
-class HarmonicExtension:
-    result: PAFunction
-
-
-@dataclass(frozen=True)
 class GreenFunction:
     pole: GraphPoint
     result: PAFunction
@@ -84,7 +79,7 @@ def _solve_laplacian(g: MetricGraph, boundary_values: dict,
     return values
 
 
-def dirichlet_solve(g: MetricGraph, boundary_values: dict) -> HarmonicExtension:
+def dirichlet_solve(g: MetricGraph, boundary_values: dict) -> PAFunction:
     """Unique edge-affine function matching the boundary values with
     Kirchhoff balance at every interior vertex."""
     _check_dirichlet_pre(g)
@@ -92,7 +87,7 @@ def dirichlet_solve(g: MetricGraph, boundary_values: dict) -> HarmonicExtension:
     if missing:
         raise GraphError(f"missing boundary values for {sorted(missing)}")
     values = _solve_laplacian(g, boundary_values)
-    return HarmonicExtension(PAFunction.from_vertex_values(g, values))
+    return PAFunction.from_vertex_values(g, values)
 
 
 def green(g: MetricGraph, x: GraphPoint) -> GreenFunction:
@@ -240,7 +235,7 @@ def maximum_principle_check(f: PAFunction) -> bool:
     dominates it at every vertex and breakpoint."""
     require_subharmonic(f)
     g = f.graph
-    h = dirichlet_solve(g, {v: f.vertex_value(v) for v in g.boundary}).result
+    h = dirichlet_solve(g, {v: f.vertex_value(v) for v in g.boundary})
     return all(f.eval(p) <= h.eval(p) for p in f.breakpoints())
 
 

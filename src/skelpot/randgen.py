@@ -90,7 +90,7 @@ def random_subharmonic(rng: random.Random, g: MetricGraph,
                        max_poles: int = 3) -> PAFunction:
     """Harmonic extension of random boundary data plus a nonnegative
     combination of negated Green's functions, hence subharmonic."""
-    h = dirichlet_solve(g, random_boundary_values(rng, g)).result
+    h = dirichlet_solve(g, random_boundary_values(rng, g))
     terms = [(Fraction(1), h)]
     interior = [v for v in g.vertices if v not in g.boundary]
     n_poles = rng.randint(0, max_poles) if interior else 0

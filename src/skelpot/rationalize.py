@@ -143,21 +143,6 @@ def rationalize(f: PAFunction, g_in: PAFunction,
     return RationalizationCertificate(g_out, ok, pairing, pairing_in, checks)
 
 
-def insert_collar(length: Fraction, val_left: Fraction, val_right: Fraction,
-                  collar: Fraction):
-    """Edge profile that is flat on end collars and affine on a middle
-    segment of rational length, so the one nonzero slope is rational even
-    when the caller treats the total length as non-canonical."""
-    length = Fraction(length)
-    collar = Fraction(collar)
-    if not 0 < 2 * collar < length:
-        raise ValueError("collar must leave a nonempty middle segment")
-    return [(Fraction(0), Fraction(val_left)),
-            (collar, Fraction(val_left)),
-            (length - collar, Fraction(val_right)),
-            (length, Fraction(val_right))]
-
-
 def tent_decompose(f: PAFunction, x: str):
     """Write f near the vertex x as  sum |l_i| * F_i + f(x)  on the inner
     half-star, where each tent F_i has slope sgn(l_i) leaving x on arc i,

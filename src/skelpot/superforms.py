@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, lcm, prod
 from operator import add, mul
 
-from .linalg import _psd, rank_exact
+from .linalg import _psd
 from .rational import format_rational
 
 
@@ -108,6 +108,8 @@ class Poly:
 
     def eval(self, point) -> Fraction:
         pt = [Fraction(x) for x in point]
+        if len(pt) != self.r:
+            raise ValueError(f"point has {len(pt)} coordinates, not {self.r}")
         return sum((c * prod(map(pow, pt, e)) for e, c in self.terms.items()),
                    Fraction(0))
 
@@ -442,7 +444,7 @@ def pullback(f_map: AffineMap, alpha: SuperForm) -> SuperForm:
                       for k, t in acc.items()})
 
 
-# -- positivity and convexity ---------------------------------------------------
+# -- positivity -----------------------------------------------------------------
 
 
 def hessian_form(psi: Poly) -> SuperForm:
@@ -466,8 +468,10 @@ def _coeff_matrix(alpha: SuperForm) -> list[list[Poly]]:
     return m
 
 
-def _psd_at(m: list[list[Poly]], points) -> PositivityVerdict:
-    """Pointwise PSD test of a symmetric polynomial matrix, on integers.
+def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
+    """Pointwise PSD test of the coefficient matrix of a (1,1)-form, on
+    integers; raises if the matrix is not symmetric as polynomials or a
+    point has other than r coordinates.
 
     The upper-triangle entries are brought to one denominator D, and
     each point's coordinates to one denominator q with numerators n_i.
@@ -475,7 +479,12 @@ def _psd_at(m: list[list[Poly]], points) -> PositivityVerdict:
     q^(n - |e|) * prod n_i^e_i, computed once per point and shared by
     every entry, so each entry is one integer sum.  The integer matrix
     is D * q^n > 0 times the true one and has the same verdict."""
-    r = len(m)
+    m = _coeff_matrix(alpha)
+    r = alpha.r
+    for i in range(r):
+        for j in range(i):
+            if m[i][j] != m[j][i]:
+                raise ValueError("coefficient matrix is not symmetric")
     upper = [(i, j) for i in range(r) for j in range(i, r)]
     polys, _ = _integer_polys([m[i][j] for i, j in upper])
     exps = {e: sum(e) for p in polys for e in p}
@@ -483,6 +492,8 @@ def _psd_at(m: list[list[Poly]], points) -> PositivityVerdict:
     bad = []
     for pt in points:
         pt = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in pt)
+        if len(pt) != r:
+            raise ValueError(f"point has {len(pt)} coordinates, not {r}")
         q = lcm(*(x.denominator for x in pt))
         nums = [x.numerator * (q // x.denominator) for x in pt]
         value = {e: q ** (n - d) * prod(map(pow, nums, e))
@@ -493,35 +504,6 @@ def _psd_at(m: list[list[Poly]], points) -> PositivityVerdict:
         if not _psd(h):
             bad.append(pt)
     return PositivityVerdict(not bad, tuple(bad))
-
-
-def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
-    """Pointwise PSD test of the coefficient matrix of a (1,1)-form;
-    raises if the matrix is not symmetric as polynomials."""
-    m = _coeff_matrix(alpha)
-    r = alpha.r
-    for i in range(r):
-        for j in range(i):
-            if m[i][j] != m[j][i]:
-                raise ValueError("coefficient matrix is not symmetric")
-    return _psd_at(m, points)
-
-
-def restrict_convexity_check(psi: Poly, basis, points) -> PositivityVerdict:
-    """Sampled convexity of psi restricted to an affine subspace: PSD test
-    of the Hessian compressed to the span of the basis vectors, at each
-    sample point (a certificate at those points only)."""
-    basis = [[Fraction(x) for x in v] for v in basis]
-    if not basis:
-        raise ValueError("empty basis")
-    if rank_exact(basis) != len(basis):
-        raise ValueError("degenerate basis")
-    r = psi.r
-    hess = [[psi.diff(i).diff(j) for j in range(r)] for i in range(r)]
-    zero = Poly(r, {})
-    comp = [[sum((hess[i][j] * (u[i] * v[j]) for i in range(r)
-                  for j in range(r)), zero) for v in basis] for u in basis]
-    return _psd_at(comp, points)
 
 
 def integrate_box(alpha: SuperForm, box) -> Fraction:

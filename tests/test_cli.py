@@ -483,6 +483,21 @@ def test_superform_positivity_verdicts(capsys):
     assert any(line.startswith("violation at") for line in lines[1:])
 
 
+def test_positivity_points_starting_with_a_minus_sign(capsys):
+    """--points=-1/2,0;1,0, the form the help text shows, gives a verdict;
+    argparse reads a separate "-1/2,0" as an option and exits 2."""
+    argv = ["superform", "x1^3 + x2^2", "--op", "positivity"]
+    assert main(argv + ["--points=-1/2,0;1,0"]) == 1
+    assert capsys.readouterr().out == "not positive\nviolation at (-1/2, 0)\n"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--points", "-1/2,0;1,0"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["superform", "--help"])
+    assert "--points=-1/2,0;1,0" in capsys.readouterr().out
+
+
 def test_superform_parse_error(capsys):
     rc = main(["superform", "d'x", "--op", "dprime"])
     assert rc == 2

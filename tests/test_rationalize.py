@@ -5,9 +5,8 @@ import pytest
 
 from skelpot import (EdgePoint, GraphError, MetricGraph, PAFunction, Vertex,
                      green, integrate, linear_combine)
-from skelpot.rationalize import (RationalizationError, insert_collar,
-                                 rationalize, tent_decompose,
-                                 tent_reconstruction)
+from skelpot.rationalize import (RationalizationError, rationalize,
+                                 tent_decompose, tent_reconstruction)
 
 from conftest import graph_from, pa
 
@@ -217,26 +216,6 @@ def test_rejects_invalid_inputs(path3):
     f2 = pa(other, {"e0": [(0, 0), (2, 1)], "e1": [(0, 1), (1, 0)]})
     with pytest.raises(GraphError):
         rationalize(f2, g_in, F(1, 100))
-
-
-# ---------------------------------------------------------------------------
-# insert_collar
-# ---------------------------------------------------------------------------
-
-def test_collar_profile_shape_and_slope():
-    prof = insert_collar(F(7, 5), F(0), F(1), F(1, 4))
-    assert prof == [(F(0), F(0)), (F(1, 4), F(0)),
-                    (F(23, 20), F(1)), (F(7, 5), F(1))]
-    # The single nonzero slope is rational regardless of the total length.
-    mid_slope = (prof[2][1] - prof[1][1]) / (prof[2][0] - prof[1][0])
-    assert mid_slope == F(10, 9)
-
-
-def test_collar_must_leave_middle_segment():
-    with pytest.raises(ValueError):
-        insert_collar(F(1), F(0), F(1), F(1, 2))
-    with pytest.raises(ValueError):
-        insert_collar(F(1), F(0), F(1), F(0))
 
 
 # ---------------------------------------------------------------------------

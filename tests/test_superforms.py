@@ -15,7 +15,7 @@ from skelpot.superforms import (MAX_DIGITS, MAX_EXPONENT, AffineMap,
                                 SuperForm, d_prime, d_second, format_form,
                                 format_poly, hessian_form, integrate_box,
                                 is_positive_11, j_involution, parse_form,
-                                pullback, restrict_convexity_check, wedge)
+                                pullback, wedge)
 
 F = Fraction
 
@@ -361,7 +361,7 @@ def test_affine_map_validation():
 
 
 # ---------------------------------------------------------------------------
-# positivity / convexity
+# positivity
 # ---------------------------------------------------------------------------
 
 GRID = [(F(a), F(b)) for a in range(-2, 3) for b in range(-2, 3)]
@@ -395,18 +395,17 @@ def test_positivity_rejects_asymmetric_and_wrong_degree():
         is_positive_11(SuperForm.one(2), GRID)
 
 
-def test_restrict_convexity_examples():
+def test_points_of_the_wrong_dimension_are_value_errors():
+    """A point with fewer or more than r coordinates is refused, not cut
+    to r by zip: x1*x2 at (3) is not 3, and the Hessian of x1^2*x2 is
+    not tested at the 1-tuple (1)."""
     x, y = Poly.var(2, 0), Poly.var(2, 1)
-    # x^2 restricted to the y-axis is flat, hence convex.
-    assert restrict_convexity_check(x * x, [[0, 1]], GRID).ok
-    # -x^2 restricted to the x-axis is concave.
-    assert not restrict_convexity_check(-(x * x), [[1, 0]], GRID).ok
-    # xy restricted to the span of (1, 1) is t^2/... convex.
-    assert restrict_convexity_check(x * y, [[1, 1]], GRID).ok
-    with pytest.raises(ValueError):
-        restrict_convexity_check(x * y, [[1, 1], [2, 2]], GRID)
-    with pytest.raises(ValueError):
-        restrict_convexity_check(x * y, [], GRID)
+    for pt in ([3], [1, 2, 3], []):
+        with pytest.raises(ValueError, match="coordinates"):
+            (x * y).eval(pt)
+        with pytest.raises(ValueError, match="coordinates"):
+            is_positive_11(hessian_form(x * x * y), [[1, 0], pt])
+    assert (x * y).eval([3, 2]) == 6
 
 
 def test_integrate_box_top_degree():
@@ -611,25 +610,6 @@ def test_positivity_cli_fuzz_matches_reference(call):
     assert lines[0] == ("positive" if ok else "not positive")
     assert [tuple(map(F, line[len("violation at ("):-1].split(", ")))
             for line in lines[1:]] == list(bad)
-
-
-def test_restricted_convexity_matches_per_entry_reference():
-    rng = random.Random(77)
-    for _ in range(40):
-        r = rng.randint(2, 3)
-        psi = _random_poly(rng, r, max_deg=3)
-        basis = [[rng.randint(-2, 2) for _ in range(r)]]
-        if not any(basis[0]):
-            basis[0][0] = 1
-        points = [[F(rng.randint(-5, 5), rng.randint(1, 3))
-                   for _ in range(r)] for _ in range(8)]
-        hess = [[psi.diff(i).diff(j) for j in range(r)] for i in range(r)]
-        bad = tuple(tuple(F(x) for x in pt) for pt in points
-                    if sum(basis[0][i] * _value_ref(hess[i][j], pt)
-                           * basis[0][j]
-                           for i in range(r) for j in range(r)) < 0)
-        got = restrict_convexity_check(psi, basis, points)
-        assert (got.ok, got.violations) == (not bad, bad)
 
 
 def test_poly_eval_matches_reference():
