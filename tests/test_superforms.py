@@ -2,7 +2,7 @@ import contextlib
 import io
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -767,3 +767,226 @@ def test_superform_key_validation():
         SuperForm(2, 1, 0, {((5,), ()): Poly.const(2, 1)})
     with pytest.raises(BidegreeError):
         SuperForm.one(2)._match(SuperForm.one(3))
+
+
+# ---------------------------------------------------------------------------
+# Poly and form operations against a {exponent: Fraction} reference
+# ---------------------------------------------------------------------------
+
+def _ref_clean(t):
+    return {e: c for e, c in t.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _ref_clean(out)
+
+
+def _ref_scale(a, c):
+    return _ref_clean({e: v * c for e, v in a.items()})
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_diff(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in a.items() if e[i]}
+
+
+def _ref_eval(a, pt):
+    acc = F(0)
+    for e, c in a.items():
+        for x, k in zip(pt, e):
+            c *= F(x) ** k
+        acc += c
+    return acc
+
+
+def _ref_substitute(a, affines, r2):
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * r2: c}
+        for aff, k in zip(affines, e):
+            for _ in range(k):
+                term = _ref_mul(term, aff)
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_coeff(rng):
+    """A small rational, or one with numerator and denominator up to
+    10^15."""
+    if rng.random() < 0.3:
+        return F(rng.randint(-10**15, 10**15), rng.randint(1, 10**15))
+    return F(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _ref_poly(rng, r, max_deg=2):
+    return _ref_clean({tuple(rng.randint(0, max_deg) for _ in range(r)):
+                       _ref_coeff(rng) for _ in range(rng.randint(1, 3))})
+
+
+def _ref_point(rng, r):
+    return [rng.choice([rng.randint(-3, 3), F(rng.randint(-7, 7), 3),
+                        F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))])
+            for _ in range(r)]
+
+
+def test_poly_operations_match_fraction_reference():
+    """+, -, unary -, scalar and poly *, diff, eval and substitute_affine
+    on r = 1 to 3, with denominators up to 10^15, against dict-of-Fraction
+    arithmetic; the second operand sometimes cancels terms of the first."""
+    rng = random.Random(1801)
+    for _ in range(300):
+        r = rng.randint(1, 3)
+        a, b = _ref_poly(rng, r), _ref_poly(rng, r)
+        if rng.random() < 0.3:
+            b = _ref_add(b, {e: -c for e, c in a.items()
+                             if rng.random() < 0.7})
+        pa, pb = Poly(r, a), Poly(r, b)
+        assert pa.terms == a
+        assert (pa + pb).terms == _ref_add(a, b)
+        assert (pa - pb).terms == _ref_add(a, _ref_scale(b, -1))
+        assert (pa - pa).terms == {}
+        assert (-pa).terms == _ref_scale(a, -1)
+        c = rng.choice([0, 1, -1, rng.randint(-9, 9), _ref_coeff(rng)])
+        assert (pa * c).terms == (c * pa).terms == _ref_scale(a, c)
+        assert (pa * pb).terms == _ref_mul(a, b)
+        for i in range(r):
+            assert pa.diff(i).terms == _ref_diff(a, i)
+        pt = _ref_point(rng, r)
+        assert pa.eval(pt) == _ref_eval(a, pt)
+        r2 = rng.randint(1, 3)
+        affines = [_ref_poly(rng, r2, max_deg=1) for _ in range(r)]
+        assert pa.substitute_affine([Poly(r2, t) for t in affines]).terms \
+            == _ref_substitute(a, affines, r2)
+
+
+def _sort_sign(idx):
+    """(sign, sorted idx) of the permutation that sorts idx, by counting
+    inversions; None if an index repeats."""
+    if len(set(idx)) < len(idx):
+        return None
+    inversions = sum(1 for s in range(len(idx)) for t in range(s + 1, len(idx))
+                     if idx[s] > idx[t])
+    return (-1) ** inversions, tuple(sorted(idx))
+
+
+def _ref_accumulate(out, key, sign, t):
+    out[key] = _ref_add(out.get(key, {}), _ref_scale(t, sign))
+
+
+def _ref_form(rng, r):
+    """(p, q, {(I, J): reference poly}) with one to three keys."""
+    p, q = rng.randint(0, r), rng.randint(0, r)
+    keys = (list(combinations(range(r), p)), list(combinations(range(r), q)))
+    return p, q, _ref_clean({(rng.choice(keys[0]), rng.choice(keys[1])):
+                             _ref_poly(rng, r)
+                             for _ in range(rng.randint(1, 3))})
+
+
+def _ref_d(a, r, p, second):
+    """d' inserts d'x_k in front; d'' inserts d''x_k in front, which is
+    (-1)^p times d''x_k in front of the d''-block."""
+    out = {}
+    for (i, j), t in a.items():
+        for k in range(r):
+            s = _sort_sign((k,) + (j if second else i))
+            if s is not None:
+                key = (i, s[1]) if second else (s[1], j)
+                sign = s[0] * (-1) ** p if second else s[0]
+                _ref_accumulate(out, key, sign, _ref_diff(t, k))
+    return _ref_clean(out)
+
+
+def _ref_wedge(a, b):
+    out = {}
+    for (i1, j1), t1 in a.items():
+        for (i2, j2), t2 in b.items():
+            si, sj = _sort_sign(i1 + i2), _sort_sign(j1 + j2)
+            if si is not None and sj is not None:
+                sign = si[0] * sj[0] * (-1) ** (len(i2) * len(j1))
+                _ref_accumulate(out, (si[1], sj[1]), sign, _ref_mul(t1, t2))
+    return _ref_clean(out)
+
+
+def _ref_pullback(f_map, a):
+    """Substitute each coefficient, and expand d'x_I ^ d''x_J into every
+    tuple of generators d'y_S ^ d''y_T with the product of the matrix
+    entries, sorted by inversion count."""
+    r2, m = f_map.r_in, f_map.matrix
+    zero = (0,) * r2
+    affines = [_ref_clean({**{zero[:s] + (1,) + zero[s + 1:]: m[i][s]
+                              for s in range(r2)}, zero: b})
+               for i, b in enumerate(f_map.translation)]
+    out = {}
+    for (i, j), t in a.items():
+        sub = _ref_substitute(t, affines, r2)
+        for ss in product(range(r2), repeat=len(i)):
+            for tt in product(range(r2), repeat=len(j)):
+                si, sj = _sort_sign(ss), _sort_sign(tt)
+                if si is None or sj is None:
+                    continue
+                c = F(si[0] * sj[0])
+                for row, col in zip(i + j, ss + tt):
+                    c *= m[row][col]
+                _ref_accumulate(out, (si[1], sj[1]), c, sub)
+    return _ref_clean(out)
+
+
+def _form_terms(alpha):
+    return {k: poly.terms for k, poly in alpha.coeffs.items()}
+
+
+def test_form_operations_match_fraction_reference():
+    """d', d'', J, wedge and pullback (by integer, rational and singular
+    maps, also non-square) against the reference, with big denominators
+    among the coefficients."""
+    rng = random.Random(1802)
+    kinds = ("integer", "rational", "singular")
+    for _ in range(300):
+        r = rng.randint(1, 3)
+        (pa, qa, a), (pb, qb, b) = _ref_form(rng, r), _ref_form(rng, r)
+        fa = SuperForm(r, pa, qa, {k: Poly(r, t) for k, t in a.items()})
+        fb = SuperForm(r, pb, qb, {k: Poly(r, t) for k, t in b.items()})
+        for got, want, bideg in (
+                (d_prime(fa), _ref_d(a, r, pa, False), (pa + 1, qa)),
+                (d_second(fa), _ref_d(a, r, pa, True), (pa, qa + 1)),
+                (j_involution(fa),
+                 {(j, i): _ref_scale(t, (-1) ** (pa * qa))
+                  for (i, j), t in a.items()}, (qa, pa)),
+                (wedge(fa, fb), _ref_wedge(a, b), (pa + pb, qa + qb))):
+            assert (got.p, got.q) == bideg
+            assert _form_terms(got) == want
+        r_in = rng.randint(1, 3)
+        f_map = _random_map(rng, r, r_in, rng.choice(kinds))
+        got = pullback(f_map, fa)
+        assert (got.r, got.p, got.q) == (r_in, pa, qa)
+        assert _form_terms(got) == _ref_pullback(f_map, a)
+
+
+def test_equal_polys_built_by_different_routes_are_equal():
+    """Equality and hash do not depend on how a poly was reached."""
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    e = (1, 0)
+    for p, q in ((x * F(1, 2) + x * F(1, 2), x),
+                 (Poly(2, {e: F(2, 4)}), Poly(2, {e: F(1, 2)})),
+                 (Poly(2, {e: 3, (0, 1): 0}), 3 * x),
+                 ((x + 1 * Poly.const(2, 1)) * (x - Poly.const(2, 1)),
+                  x * x - Poly.const(2, 1)),
+                 ((x * x * F(1, 2)).diff(0), x),
+                 (x * F(2, 3) * F(3, 2), x),
+                 (x * y * F(1, 6) + x * y * F(1, 3), x * y * F(1, 2)),
+                 ((x * F(1, 3)).substitute_affine([y * 3, x]), y),
+                 (x - x, Poly(2, {}))):
+        assert p == q and hash(p) == hash(q)
+    assert x * F(1, 2) != x and Poly(1, {(1,): 1}) != Poly(2, {e: 1})
