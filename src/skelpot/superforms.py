@@ -16,7 +16,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, mul
 
 from .linalg import _psd
@@ -31,51 +31,83 @@ class BidegreeError(ValueError):
 
 
 class Poly:
-    """Multivariate polynomial in x_1..x_r with Fraction coefficients,
-    stored as exponent-tuple -> coefficient with zeros dropped."""
+    """Multivariate polynomial in x_1..x_r with rational coefficients,
+    stored as integer numerators over one denominator: `nums` maps
+    exponent tuples to nonzero ints, `den` is a positive int, and
+    gcd(den, *nums) == 1, so equal polynomials have equal fields."""
 
-    __slots__ = ("r", "terms")
+    __slots__ = ("r", "nums", "den")
 
     def __init__(self, r: int, terms: dict | None = None):
-        self.r = r
-        t = {}
+        coeffs = {}
+        den = 1
         for exp, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                t[tuple(exp)] = c
-        self.terms = t
+            exp = tuple(exp)
+            if len(exp) != r or (exp and min(exp) < 0):
+                raise ValueError(f"exponent {exp} is not {r} nonnegative "
+                                 "integers")
+            if not isinstance(c, (int, Fraction)):
+                c = Fraction(c)
+            if c:
+                coeffs[exp] = c
+                den = lcm(den, c.denominator)
+        # reduced coefficients over their lcm have no common factor left
+        self.r = r
+        self.nums = {e: c.numerator * (den // c.denominator)
+                     for e, c in coeffs.items()}
+        self.den = den
 
     @classmethod
-    def _of(cls, r: int, terms: dict) -> "Poly":
-        """Trusted constructor for exponent tuples and Fraction
-        coefficients that are already clean: it only drops zeros."""
+    def _of(cls, r: int, nums: dict, den: int = 1) -> "Poly":
+        """Trusted constructor for exponent tuples of length r and int
+        numerators over a positive den: it drops zero numerators and
+        divides out the common factor."""
         p = cls.__new__(cls)
         p.r = r
-        p.terms = {e: c for e, c in terms.items() if c}
+        nums = {e: v for e, v in nums.items() if v}
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {e: v // g for e, v in nums.items()}
+        p.nums, p.den = nums, den
         return p
+
+    @property
+    def terms(self) -> dict:
+        """Exponent tuple -> Fraction coefficient, derived from nums."""
+        return {e: Fraction(v, self.den) for e, v in self.nums.items()}
 
     # construction helpers
     @classmethod
     def const(cls, r: int, c) -> "Poly":
-        return cls(r, {(0,) * r: Fraction(c)})
+        return cls(r, {(0,) * r: c})
 
     @classmethod
     def var(cls, r: int, i: int) -> "Poly":
         exp = [0] * r
         exp[i] = 1
-        return cls(r, {tuple(exp): Fraction(1)})
+        return cls._of(r, {tuple(exp): 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
+
+    def _match(self, other: "Poly"):
+        if self.r != other.r:
+            raise ValueError(f"polynomials in {self.r} and {other.r} "
+                             "variables")
 
     def __add__(self, other: "Poly") -> "Poly":
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t[e] + c if e in t else c
-        return Poly._of(self.r, t)
+        self._match(other)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        t = {e: v * sa for e, v in self.nums.items()}
+        for e, v in other.nums.items():
+            t[e] = t[e] + v * sb if e in t else v * sb
+        return Poly._of(self.r, t, den)
 
     def __neg__(self) -> "Poly":
-        return Poly._of(self.r, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.r, {e: -v for e, v in self.nums.items()},
+                        self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -87,45 +119,48 @@ class Poly:
                 return self
             if other == -1:
                 return -self
-            return Poly._of(self.r, {e: c * other
-                                     for e, c in self.terms.items()})
-        return Poly._of(self.r, _term_product(self.terms, other.terms))
+            c = other.numerator
+            return Poly._of(self.r, {e: v * c for e, v in self.nums.items()},
+                            self.den * other.denominator)
+        self._match(other)
+        return Poly._of(self.r, _term_product(self.nums, other.nums),
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.r == other.r
-                and self.terms == other.terms)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.r, frozenset(self.terms.items())))
+        return hash((self.r, self.den, frozenset(self.nums.items())))
 
     def diff(self, i: int) -> "Poly":
         # lowering e[i] maps distinct exponents to distinct exponents
         return Poly._of(self.r, {e[:i] + (e[i] - 1,) + e[i + 1:]:
-                                 c if e[i] == 1 else c * e[i]
-                                 for e, c in self.terms.items() if e[i]})
+                                 v if e[i] == 1 else v * e[i]
+                                 for e, v in self.nums.items() if e[i]},
+                        self.den)
 
     def eval(self, point) -> Fraction:
-        pt = [Fraction(x) for x in point]
-        if len(pt) != self.r:
-            raise ValueError(f"point has {len(pt)} coordinates, not {self.r}")
-        return sum((c * prod(map(pow, pt, e)) for e, c in self.terms.items()),
-                   Fraction(0))
+        exps = {e: sum(e) for e in self.nums}
+        value, scale = _monomials(_point(point, self.r), exps,
+                                  max(exps.values(), default=0))
+        return Fraction(sum(map(mul, self.nums.values(),
+                                map(value.get, self.nums))),
+                        self.den * scale)
 
     def substitute_affine(self, affines: list["Poly"]) -> "Poly":
-        """Compose with x_i = affines[i] (polynomials in the new variables).
-
-        The work is on integer numerators: with the affines over one
-        denominator D and the coefficients over one denominator C, each
-        output coefficient is one Fraction(v, C * D^deg) of an integer v
+        """Compose with x_i = affines[i] (polynomials in the new
+        variables), on the affines' numerators over one denominator
         (see `_substitute`)."""
         if not affines or len(affines) != self.r:
             raise ValueError("need one substitution per variable")
         r2 = affines[0].r
+        for a in affines:
+            affines[0]._match(a)
         nums, den_a = _integer_polys(affines)
-        num, den = _substitute(self, nums, den_a, r2)
-        return Poly._of(r2, {e: Fraction(v, den) for e, v in num.items()})
+        return Poly._of(r2, *_substitute(self, nums, den_a, r2))
 
     def integrate_box(self, box) -> Fraction:
         """Exact integral over a product of intervals [(lo, hi), ...]."""
@@ -141,17 +176,36 @@ class Poly:
         return acc
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.nums), default=0)
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
 
 
 def _integer_polys(polys: list[Poly]) -> tuple[list[dict], int]:
-    """The polys as integer-coefficient dicts over one denominator."""
-    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return [{e: c.numerator * (den // c.denominator)
-             for e, c in p.terms.items()} for p in polys], den
+    """The polys' numerator dicts brought to one denominator."""
+    den = lcm(*(p.den for p in polys))
+    return [p.nums if p.den == den else
+            {e: v * (den // p.den) for e, v in p.nums.items()}
+            for p in polys], den
+
+
+def _point(point, r: int) -> tuple:
+    """point as a tuple of r Fractions; ValueError for another length."""
+    pt = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in point)
+    if len(pt) != r:
+        raise ValueError(f"point has {len(pt)} coordinates, not {r}")
+    return pt
+
+
+def _monomials(pt: tuple, exps: dict, n: int) -> tuple[dict, int]:
+    """q^n * x^e at pt for each e of exps (which maps e to |e| <= n), and
+    q^n: with pt's coordinates over one denominator q and numerators n_i,
+    each is the integer q^(n - |e|) * prod n_i^e_i."""
+    q = lcm(*(x.denominator for x in pt))
+    nums = [x.numerator * (q // x.denominator) for x in pt]
+    return ({e: q ** (n - d) * prod(map(pow, nums, e))
+             for e, d in exps.items()}, q ** n)
 
 
 def _term_product(p: dict, q: dict) -> dict:
@@ -168,20 +222,18 @@ def _term_product(p: dict, q: dict) -> dict:
 def _substitute(poly: Poly, nums: list[dict], den_a: int,
                 r2: int) -> tuple[dict, int]:
     """poly composed with x_i = nums[i] / den_a, as (v, den): an
-    exponent -> nonzero int dict and one positive denominator.
+    exponent -> int dict, zeros included, and one positive denominator.
 
-    With the coefficients c = c_num / C over one denominator C and n the
-    degree of poly, a monomial x^e of degree |e| becomes
-    c_num * den_a^(n - |e|) * prod nums[i]^e_i over C * den_a^n.  The
-    powers of each nums[i] are built once per call."""
+    With n the degree of poly, a monomial x^e of degree |e| and
+    numerator c becomes c * den_a^(n - |e|) * prod nums[i]^e_i over
+    poly.den * den_a^n.  The powers of each nums[i] are built once per
+    call."""
     n = poly.degree()
-    c_den = lcm(*(c.denominator for c in poly.terms.values()))
     one = {(0,) * r2: 1}
     powers = [[one] for _ in nums]
     acc: dict = {}
-    for e, c in poly.terms.items():
-        term = {(0,) * r2: c.numerator * (c_den // c.denominator)
-                * den_a ** (n - sum(e))}
+    for e, c in poly.nums.items():
+        term = {(0,) * r2: c * den_a ** (n - sum(e))}
         for pw, base, k in zip(powers, nums, e):
             while len(pw) <= k:
                 pw.append(_term_product(pw[-1], base))
@@ -189,16 +241,15 @@ def _substitute(poly: Poly, nums: list[dict], den_a: int,
                 term = _term_product(term, pw[k])
         for m, v in term.items():
             acc[m] = acc.get(m, 0) + v
-    return {m: v for m, v in acc.items() if v}, c_den * den_a ** n
+    return acc, poly.den * den_a ** n
 
 
 def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for e in sorted(p.terms, reverse=True):
-        c = p.terms[e]
-        factors = [format_rational(c)]
+    for e in sorted(p.nums, reverse=True):
+        factors = [format_rational(Fraction(p.nums[e], p.den))]
         for i, ei in enumerate(e):
             if ei == 1:
                 factors.append(f"x{i + 1}")
@@ -275,6 +326,9 @@ class SuperForm:
                 raise BidegreeError("multi-indices must be strictly increasing")
             if any(k >= r or k < 0 for k in i + j):
                 raise BidegreeError("index out of range")
+            if poly.r != r:
+                raise BidegreeError(f"coefficient in {poly.r} variables "
+                                    f"on R^{r}")
             if not poly.is_zero():
                 cs[(i, j)] = poly
         if p > r or q > r:
@@ -282,12 +336,21 @@ class SuperForm:
         self.coeffs = cs
 
     @classmethod
+    def _of(cls, r: int, p: int, q: int, coeffs: dict) -> "SuperForm":
+        """Trusted constructor for keys that are sorted, in range and of
+        bidegree (p, q) by construction: it only drops zero coefficients."""
+        alpha = cls.__new__(cls)
+        alpha.r, alpha.p, alpha.q = r, p, q
+        alpha.coeffs = {k: v for k, v in coeffs.items() if v.nums}
+        return alpha
+
+    @classmethod
     def zero(cls, r: int, p: int = 0, q: int = 0) -> "SuperForm":
         return cls(r, p, q, {})
 
     @classmethod
     def function(cls, poly: Poly) -> "SuperForm":
-        return cls(poly.r, 0, 0, {((), ()): poly})
+        return cls._of(poly.r, 0, 0, {((), ()): poly})
 
     @classmethod
     def one(cls, r: int) -> "SuperForm":
@@ -301,18 +364,19 @@ class SuperForm:
         cs = dict(self.coeffs)
         for k, poly in other.coeffs.items():
             cs[k] = cs[k] + poly if k in cs else poly
-        return SuperForm(self.r, self.p, self.q, cs)
+        return SuperForm._of(self.r, self.p, self.q, cs)
 
     def __neg__(self) -> "SuperForm":
-        return SuperForm(self.r, self.p, self.q,
-                         {k: -v for k, v in self.coeffs.items()})
+        return SuperForm._of(self.r, self.p, self.q,
+                             {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other: "SuperForm") -> "SuperForm":
         return self + (-other)
 
     def scale(self, c) -> "SuperForm":
-        return SuperForm(self.r, self.p, self.q,
-                         {k: v * Fraction(c) for k, v in self.coeffs.items()})
+        c = Fraction(c)
+        return SuperForm._of(self.r, self.p, self.q,
+                             {k: v * c for k, v in self.coeffs.items()})
 
     def _match(self, other: "SuperForm"):
         if self.r != other.r:
@@ -348,7 +412,7 @@ def _differential(alpha: SuperForm, second: bool) -> SuperForm:
             add = dp * (sign * cross)
             cs[key] = cs[key] + add if key in cs else add
     p, q = (alpha.p, alpha.q + 1) if second else (alpha.p + 1, alpha.q)
-    return SuperForm(alpha.r, p, q, cs)
+    return SuperForm._of(alpha.r, p, q, cs)
 
 
 def d_prime(alpha: SuperForm) -> SuperForm:
@@ -379,14 +443,14 @@ def wedge(alpha: SuperForm, beta: SuperForm) -> SuperForm:
             key = (i3, j3)
             add = (p1 * p2) * (cross * si * sj)
             cs[key] = cs[key] + add if key in cs else add
-    return SuperForm(alpha.r, alpha.p + beta.p, alpha.q + beta.q, cs)
+    return SuperForm._of(alpha.r, alpha.p + beta.p, alpha.q + beta.q, cs)
 
 
 def j_involution(alpha: SuperForm) -> SuperForm:
     """J: swap the two index blocks with the sign (-1)^{pq}."""
     sgn = (-1) ** (alpha.p * alpha.q)
     cs = {(j, i): poly * sgn for (i, j), poly in alpha.coeffs.items()}
-    return SuperForm(alpha.r, alpha.q, alpha.p, cs)
+    return SuperForm._of(alpha.r, alpha.q, alpha.p, cs)
 
 
 def pullback(f_map: AffineMap, alpha: SuperForm) -> SuperForm:
@@ -397,16 +461,19 @@ def pullback(f_map: AffineMap, alpha: SuperForm) -> SuperForm:
     det A[I,S] * det A[J,T] * d'y_S ^ d''y_T.  Each output coefficient is
     thus an integer combination of the substituted coefficients
     (`_substitute`), over the denominator D^(p+q) of the minors of the
-    integer matrix D*A and the lcm of the substitutions' denominators."""
+    integer matrix D*A, with D the map's common denominator, and the lcm
+    of the substitutions' denominators."""
     if alpha.r != f_map.r_out:
         raise BidegreeError("form/map dimension mismatch")
     r2 = f_map.r_in
     zero = (0,) * r2
-    units = [zero[:s] + (1,) + zero[s + 1:] for s in range(r2)]
-    nums, den_a = _integer_polys(
-        [Poly._of(r2, {**dict(zip(units, row)), zero: b})
-         for row, b in zip(f_map.matrix, f_map.translation)])
-    int_a = [[num.get(u, 0) for u in units] for num in nums]
+    units = [zero[:s] + (1,) + zero[s + 1:] for s in range(r2)] + [zero]
+    # the rows of D * [A | b] as ints, with D the map's common denominator
+    aug = [(*row, b) for row, b in zip(f_map.matrix, f_map.translation)]
+    den_a = lcm(*(x.denominator for row in aug for x in row))
+    int_a = [[x.numerator * (den_a // x.denominator) for x in row]
+             for row in aug]
+    nums = [{e: v for e, v in zip(units, row) if v} for row in int_a]
 
     # det (D*A)[I,S] for every sorted S, by expansion along the first row
     # of I; each I is expanded once per call
@@ -438,10 +505,8 @@ def pullback(f_map: AffineMap, alpha: SuperForm) -> SuperForm:
                 for e, v in num.items():
                     out[e] = out.get(e, 0) + w * v
     den *= den_a ** (alpha.p + alpha.q)
-    return SuperForm(r2, alpha.p, alpha.q,
-                     {k: Poly._of(r2, {e: Fraction(v, den)
-                                       for e, v in t.items() if v})
-                      for k, t in acc.items()})
+    return SuperForm._of(r2, alpha.p, alpha.q,
+                         {k: Poly._of(r2, t, den) for k, t in acc.items()})
 
 
 # -- positivity -----------------------------------------------------------------
@@ -461,7 +526,7 @@ class PositivityVerdict:
 def _coeff_matrix(alpha: SuperForm) -> list[list[Poly]]:
     if (alpha.p, alpha.q) != (1, 1):
         raise BidegreeError("positivity test needs a (1,1)-form")
-    zero = Poly(alpha.r, {})
+    zero = Poly._of(alpha.r, {})
     m = [[zero] * alpha.r for _ in range(alpha.r)]
     for (i, j), poly in alpha.coeffs.items():
         m[i[0]][j[0]] = poly
@@ -491,13 +556,8 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
     n = max(exps.values(), default=0)
     bad = []
     for pt in points:
-        pt = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in pt)
-        if len(pt) != r:
-            raise ValueError(f"point has {len(pt)} coordinates, not {r}")
-        q = lcm(*(x.denominator for x in pt))
-        nums = [x.numerator * (q // x.denominator) for x in pt]
-        value = {e: q ** (n - d) * prod(map(pow, nums, e))
-                 for e, d in exps.items()}
+        pt = _point(pt, r)
+        value, _ = _monomials(pt, exps, n)
         h = [[0] * r for _ in range(r)]
         for (i, j), p in zip(upper, polys):
             h[i][j] = h[j][i] = sum(map(mul, p.values(), map(value.get, p)))
@@ -565,8 +625,8 @@ def check_product(p: Poly, q: Poly) -> None:
     MAX_TERMS terms: it has at most one per pair of terms, and at most
     one per monomial of degree up to deg p + deg q in the variables that
     p or q use."""
-    used = sum(1 for column in zip(*p.terms, *q.terms) if any(column))
-    bound = min(len(p.terms) * len(q.terms),
+    used = sum(1 for column in zip(*p.nums, *q.nums) if any(column))
+    bound = min(len(p.nums) * len(q.nums),
                 comb(used + p.degree() + q.degree(), used))
     if bound > MAX_TERMS:
         raise FormParseError(f"a product of up to {bound} terms is above "
@@ -623,7 +683,8 @@ class _Tok:
         return t
 
 
-def _parse_poly_expr(tk: _Tok, r: int) -> Poly:
+def _parse_poly_expr(tk: _Tok, r: int, term_only: bool = False) -> Poly:
+    """A sum of terms, or with term_only one term: a product of powers."""
     def atom() -> Poly:
         t = tk.peek()
         if t == '(':
@@ -632,9 +693,6 @@ def _parse_poly_expr(tk: _Tok, r: int) -> Poly:
             if tk.next() != ')':
                 raise FormParseError("expected ')'")
             return p
-        if t == '-':
-            tk.next()
-            return -atom()
         if t is None:
             raise FormParseError("unexpected end in polynomial")
         if t[0].isdigit():
@@ -649,6 +707,10 @@ def _parse_poly_expr(tk: _Tok, r: int) -> Poly:
         raise FormParseError(f"unexpected token {t!r} in polynomial")
 
     def power() -> Poly:
+        if tk.peek() == '-':
+            # a unary minus negates a whole power, as in Python
+            tk.next()
+            return -power()
         p = atom()
         while tk.peek() == '^':
             tk.next()
@@ -681,10 +743,9 @@ def _parse_poly_expr(tk: _Tok, r: int) -> Poly:
             else:
                 if q.degree() != 0:
                     raise FormParseError("can only divide by a constant")
-                c = q.eval([0] * r)
-                if c == 0:
+                if q.is_zero():
                     raise FormParseError("division by zero")
-                p = Poly(r, {e: v / c for e, v in p.terms.items()})
+                p = p * Fraction(q.den, q.nums[(0,) * r])
         return p
 
     def expr() -> Poly:
@@ -695,7 +756,7 @@ def _parse_poly_expr(tk: _Tok, r: int) -> Poly:
             p = p + q if op == '+' else p - q
         return p
 
-    return expr()
+    return term() if term_only else expr()
 
 
 def parse_form(text: str, r: int) -> SuperForm:
@@ -710,11 +771,9 @@ def parse_form(text: str, r: int) -> SuperForm:
         nonlocal total
         t = tk.peek()
         if t == '(':
-            # parenthesized coefficient (may itself be the whole term)
-            tk.next()
-            poly = _parse_poly_expr(tk, r)
-            if tk.next() != ')':
-                raise FormParseError("expected ')'")
+            # a parenthesized coefficient, continued by ^, * and / as the
+            # first factor of a product; a + or - after it ends the term
+            poly = _parse_poly_expr(tk, r, term_only=True)
         elif t is not None and (t[0].isdigit() or t.startswith('x')
                                 or t == '-'):
             poly = _parse_poly_expr(tk, r)

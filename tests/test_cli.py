@@ -462,6 +462,17 @@ def test_superform_dprime(capsys):
     assert out == "(2*x1) d'x1"
 
 
+@pytest.mark.parametrize("expr, out", [
+    ("(x1+x2)^2", "(2*x1 + 2*x2) d'x1 + (2*x1 + 2*x2) d'x2\n"),
+    ("(x1)^2 d'x2", "(2*x1) d'x1 ^ d'x2\n"),
+    ("x2 + -x1^2", "(-2*x1) d'x1 + (1) d'x2\n"),
+])
+def test_superform_leading_group_and_unary_minus(capsys, expr, out):
+    """A leading group goes on as a product, and -a^n is -(a^n)."""
+    assert main(["superform", expr, "--op", "dprime"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_superform_wedge_and_roundtrip(capsys):
     rc = main(["superform", "d'x1 ^ d''x1", "--op", "wedge",
                "--with", "d'x2 ^ d''x2"])

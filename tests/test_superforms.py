@@ -1,5 +1,7 @@
 import contextlib
 import io
+import math
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -685,6 +687,40 @@ def test_parse_wedges_generators_in_the_order_written():
         assert parse_form(text, r) == expected
 
 
+def test_parse_leading_group_is_the_first_factor_of_its_term():
+    """A term that begins with a parenthesized group goes on with ^, *
+    and / as a product; a + or - after the group's product still begins
+    the next term of the form."""
+    x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
+    s = x1 + x2
+    for text, want in (("(x1+x2)^2", s * s),
+                       ("(x1+x2)*x1", s * x1),
+                       ("(x1+x2)/2*x2^2 - x1", s * x2 * x2 * F(1, 2) - x1),
+                       ("(x1)^2^3", x1 * x1 * x1 * x1 * x1 * x1)):
+        assert parse_form(text, 2) == SuperForm.function(want)
+    assert parse_form("(x1)^2 d'x1 + (x2)*x1/3 d'x2", 2) == SuperForm(
+        2, 1, 0, {((0,), ()): x1 * x1, ((1,), ()): x1 * x2 * F(1, 3)})
+    with pytest.raises(BidegreeError):
+        parse_form("(x1)^2 + x2 d'x1", 2)
+
+
+def test_parse_unary_minus_negates_a_whole_power():
+    """-a^n is -(a^n), as in Python, also after an operator."""
+    x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
+    s = x1 + x2
+    for text, want in (("-x1^2", -(x1 * x1)),
+                       ("-2^2", Poly.const(2, -4)),
+                       ("3*-x1^2", x1 * x1 * -3),
+                       ("--x1^2", x1 * x1),
+                       ("-(x1+x2)^2", -(s * s)),
+                       ("x2 + -x1^2", x2 - x1 * x1),
+                       ("x1 - -x2^3", x1 + x2 * x2 * x2),
+                       ("x2^2*-x1^3/2", x2 * x2 * x1 * x1 * x1 * F(-1, 2))):
+        assert parse_form(text, 2) == SuperForm.function(want)
+    assert parse_form("-x1^2 d'x2", 2) == SuperForm(
+        2, 1, 0, {((1,), ()): -(x1 * x1)})
+
+
 def test_parse_format_roundtrip():
     rng = random.Random(10)
     for _ in range(100):
@@ -767,6 +803,34 @@ def test_superform_key_validation():
         SuperForm(2, 1, 0, {((5,), ()): Poly.const(2, 1)})
     with pytest.raises(BidegreeError):
         SuperForm.one(2)._match(SuperForm.one(3))
+
+
+@pytest.mark.parametrize("terms", [{(1,): 5}, {(-1, 2): 5}, {(1, 0, 0): 1}],
+                         ids=["short", "negative", "long"])
+def test_poly_refuses_exponents_of_the_wrong_shape(terms):
+    with pytest.raises(ValueError, match="exponent"):
+        Poly(2, terms)
+
+
+def test_poly_arithmetic_refuses_mixed_dimensions():
+    x, y = Poly.var(2, 0), Poly.var(3, 0)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="2 and 3 variables"):
+            op(x, y)
+    with pytest.raises(ValueError, match="1 and 2 variables"):
+        x.substitute_affine([Poly.var(1, 0), Poly.var(2, 0)])
+
+
+def test_superform_refuses_a_coefficient_of_another_dimension():
+    with pytest.raises(BidegreeError, match="coefficient in 3 variables"):
+        SuperForm(2, 0, 0, {((), ()): Poly.var(3, 2)})
+
+
+def test_positivity_of_a_function_of_another_dimension_is_refused():
+    """The Hessian of a function in 3 variables cannot be checked at
+    points of R^2: the function is refused when it is built."""
+    with pytest.raises(ValueError, match="exponent"):
+        is_positive_11(hessian_form(Poly(2, {(2, 0, 0): 1})), [[1, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -990,3 +1054,37 @@ def test_equal_polys_built_by_different_routes_are_equal():
                  (x - x, Poly(2, {}))):
         assert p == q and hash(p) == hash(q)
     assert x * F(1, 2) != x and Poly(1, {(1,): 1}) != Poly(2, {e: 1})
+
+
+def _assert_canonical(poly):
+    assert type(poly.den) is int and poly.den > 0
+    assert all(type(v) is int and v for v in poly.nums.values())
+    assert math.gcd(poly.den, *poly.nums.values()) == 1
+    assert all(type(e) is tuple and len(e) == poly.r for e in poly.nums)
+
+
+def test_results_are_in_canonical_form():
+    """Every Poly an operation returns has a positive denominator that
+    shares no factor with its numerators, and no zero numerator."""
+    rng = random.Random(1803)
+    for _ in range(200):
+        r = rng.randint(1, 3)
+        a, b = _ref_poly(rng, r), _ref_poly(rng, r)
+        b = _ref_add(b, {e: -c for e, c in a.items() if rng.random() < 0.5})
+        pa, pb = Poly(r, a), Poly(r, b)
+        affines = [Poly(2, _ref_poly(rng, 2, max_deg=1)) for _ in range(r)]
+        for p in (pa, pb, pa + pb, pa - pb, pa - pa, -pa, pa * pb,
+                  pa * 0, pa * 6, pa * _ref_coeff(rng), pa * F(2, 3),
+                  pa.substitute_affine(affines), *map(pa.diff, range(r))):
+            _assert_canonical(p)
+        (pf, qf, fa), (pg, qg, fb) = _ref_form(rng, r), _ref_form(rng, r)
+        fa = SuperForm(r, pf, qf, {k: Poly(r, t) for k, t in fa.items()})
+        fb = SuperForm(r, pg, qg, {k: Poly(r, t) for k, t in fb.items()})
+        f_map = _random_map(rng, r, rng.randint(1, 3), "rational")
+        for alpha in (d_prime(fa), d_second(fa), wedge(fa, fb),
+                      j_involution(fa), pullback(f_map, fa), fa - fa,
+                      fa.scale(F(4, 6)),
+                      parse_form(format_form(fa), r) if fa.coeffs else fa):
+            for poly in alpha.coeffs.values():
+                assert not poly.is_zero()
+                _assert_canonical(poly)
