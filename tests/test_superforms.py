@@ -614,6 +614,45 @@ def test_positivity_cli_fuzz_matches_reference(call):
             for line in lines[1:]] == list(bad)
 
 
+_FORM_TEXTS = ["(2*x1^2 + x2) d'x1 ^ d''x2", "x1^2 + x2^2 - x1*x2/3",
+               "(x1+x2)^2*x2", "-x1^3/2 d'x1 + (x2)*x1 d'x2",
+               "d'x1 ^ d''x1 + (x1*x2) d'x2 ^ d''x2", "3*-x1^2*(x2 - 1)/4",
+               "(x1 - 2) d''x2 d'x1 - x2^2 d'x2 ^ d''x2", "x1*x2^3 + 7"]
+_TEXT_PIECES = list("()^*/+-0123456789x") + ["d'"]
+
+
+@st.composite
+def _mutated_text(draw):
+    """A valid form text with one or two single-character edits: a
+    piece inserted, a character replaced by a piece, or one deleted."""
+    text = draw(st.sampled_from(_FORM_TEXTS))
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(text) - 1))
+        piece = draw(st.sampled_from(_TEXT_PIECES))
+        text = draw(st.sampled_from([text[:i] + piece + text[i:],
+                                     text[:i] + piece + text[i + 1:],
+                                     text[:i] + text[i + 1:]]))
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_mutated_text(), _mutated_text(),
+       st.sampled_from(["dprime", "dsecond", "J", "wedge", "positivity"]))
+def test_superform_cli_fuzz_on_mutated_texts(text, second, op):
+    """Every mutated text exits 0, 1 or 2 without a traceback, and a
+    malformed one (exit 2) prints nothing on stdout."""
+    argv = ["superform", "--op", op, "--", text]
+    if op == "wedge":
+        argv[3:3] = ["--with=" + second]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
 def test_poly_eval_matches_reference():
     rng = random.Random(5)
     for _ in range(200):
