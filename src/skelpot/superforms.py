@@ -31,10 +31,9 @@ class BidegreeError(ValueError):
 
 
 class Poly:
-    """Multivariate polynomial in x_1..x_r with rational coefficients,
-    stored as integer numerators over one denominator: `nums` maps
-    exponent tuples to nonzero ints, `den` is a positive int, and
-    gcd(den, *nums) == 1, so equal polynomials have equal fields."""
+    """Multivariate polynomial in x_1..x_r with rational coefficients:
+    `nums` maps exponent tuples to nonzero ints over one positive int
+    `den`, with gcd(den, *nums) == 1, so equal polys have equal fields."""
 
     __slots__ = ("r", "nums", "den")
 
@@ -44,10 +43,8 @@ class Poly:
         for exp, c in (terms or {}).items():
             exp = tuple(exp)
             if len(exp) != r or (exp and min(exp) < 0):
-                raise ValueError(f"exponent {exp} is not {r} nonnegative "
-                                 "integers")
-            if not isinstance(c, (int, Fraction)):
-                c = Fraction(c)
+                raise ValueError(f"exponent {exp} is not {r} natural numbers")
+            c = c if isinstance(c, (int, Fraction)) else Fraction(c)
             if c:
                 coeffs[exp] = c
                 den = lcm(den, c.denominator)
@@ -59,9 +56,8 @@ class Poly:
 
     @classmethod
     def _of(cls, r: int, nums: dict, den: int = 1) -> "Poly":
-        """Trusted constructor for exponent tuples of length r and int
-        numerators over a positive den: it drops zero numerators and
-        divides out the common factor."""
+        """Trusted constructor for r-long exponent tuples and int
+        numerators over den > 0: drops zeros, divides out common factors."""
         p = cls.__new__(cls)
         p.r = r
         nums = {e: v for e, v in nums.items() if v}
@@ -93,16 +89,14 @@ class Poly:
 
     def _match(self, other: "Poly"):
         if self.r != other.r:
-            raise ValueError(f"polynomials in {self.r} and {other.r} "
-                             "variables")
+            raise ValueError(f"polys in {self.r} and {other.r} variables")
 
     def __add__(self, other: "Poly") -> "Poly":
         self._match(other)
         den = lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        t = {e: v * sa for e, v in self.nums.items()}
+        t = {e: v * (den // self.den) for e, v in self.nums.items()}
         for e, v in other.nums.items():
-            t[e] = t[e] + v * sb if e in t else v * sb
+            t[e] = t.get(e, 0) + v * (den // other.den)
         return Poly._of(self.r, t, den)
 
     def __neg__(self) -> "Poly":
@@ -137,15 +131,13 @@ class Poly:
 
     def diff(self, i: int) -> "Poly":
         # lowering e[i] maps distinct exponents to distinct exponents
-        return Poly._of(self.r, {e[:i] + (e[i] - 1,) + e[i + 1:]:
-                                 v if e[i] == 1 else v * e[i]
+        return Poly._of(self.r, {e[:i] + (e[i] - 1,) + e[i + 1:]: v * e[i]
                                  for e, v in self.nums.items() if e[i]},
                         self.den)
 
     def eval(self, point) -> Fraction:
         exps = {e: sum(e) for e in self.nums}
-        value, scale = _monomials(_point(point, self.r), exps,
-                                  max(exps.values(), default=0))
+        _, value, scale = _monomials(point, self.r, exps, self.degree())
         return Fraction(sum(map(mul, self.nums.values(),
                                 map(value.get, self.nums))),
                         self.den * scale)
@@ -190,22 +182,18 @@ def _integer_polys(polys: list[Poly]) -> tuple[list[dict], int]:
             for p in polys], den
 
 
-def _point(point, r: int) -> tuple:
-    """point as a tuple of r Fractions; ValueError for another length."""
+def _monomials(point, r: int, exps: dict, n: int) -> tuple[tuple, dict, int]:
+    """point as r Fractions (ValueError for another length), q^n * x^e
+    there for each e of exps (which maps e to |e| <= n), and q^n: with
+    the coordinates over one denominator q and numerators n_i, q^n * x^e
+    is the integer q^(n - |e|) * prod n_i^e_i."""
     pt = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in point)
     if len(pt) != r:
         raise ValueError(f"point has {len(pt)} coordinates, not {r}")
-    return pt
-
-
-def _monomials(pt: tuple, exps: dict, n: int) -> tuple[dict, int]:
-    """q^n * x^e at pt for each e of exps (which maps e to |e| <= n), and
-    q^n: with pt's coordinates over one denominator q and numerators n_i,
-    each is the integer q^(n - |e|) * prod n_i^e_i."""
     q = lcm(*(x.denominator for x in pt))
     nums = [x.numerator * (q // x.denominator) for x in pt]
-    return ({e: q ** (n - d) * prod(map(pow, nums, e))
-             for e, d in exps.items()}, q ** n)
+    return pt, {e: q ** (n - d) * prod(map(pow, nums, e))
+                for e, d in exps.items()}, q ** n
 
 
 def _term_product(p: dict, q: dict) -> dict:
@@ -331,8 +319,6 @@ class SuperForm:
                                     f"on R^{r}")
             if not poly.is_zero():
                 cs[(i, j)] = poly
-        if p > r or q > r:
-            cs = {}
         self.coeffs = cs
 
     @classmethod
@@ -374,9 +360,8 @@ class SuperForm:
         return self + (-other)
 
     def scale(self, c) -> "SuperForm":
-        c = Fraction(c)
-        return SuperForm._of(self.r, self.p, self.q,
-                             {k: v * c for k, v in self.coeffs.items()})
+        return SuperForm._of(self.r, self.p, self.q, {
+            k: v * Fraction(c) for k, v in self.coeffs.items()})
 
     def _match(self, other: "SuperForm"):
         if self.r != other.r:
@@ -461,8 +446,7 @@ def pullback(f_map: AffineMap, alpha: SuperForm) -> SuperForm:
     det A[I,S] * det A[J,T] * d'y_S ^ d''y_T.  Each output coefficient is
     thus an integer combination of the substituted coefficients
     (`_substitute`), over the denominator D^(p+q) of the minors of the
-    integer matrix D*A, with D the map's common denominator, and the lcm
-    of the substitutions' denominators."""
+    integer matrix D*A and the lcm of the substitutions' denominators."""
     if alpha.r != f_map.r_out:
         raise BidegreeError("form/map dimension mismatch")
     r2 = f_map.r_in
@@ -556,8 +540,7 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
     n = max(exps.values(), default=0)
     bad = []
     for pt in points:
-        pt = _point(pt, r)
-        value, _ = _monomials(pt, exps, n)
+        pt, value, _ = _monomials(pt, r, exps, n)
         h = [[0] * r for _ in range(r)]
         for (i, j), p in zip(upper, polys):
             h[i][j] = h[j][i] = sum(map(mul, p.values(), map(value.get, p)))
@@ -770,13 +753,10 @@ def parse_form(text: str, r: int) -> SuperForm:
     def parse_term(negate: bool):
         nonlocal total
         t = tk.peek()
-        if t == '(':
-            # a parenthesized coefficient, continued by ^, * and / as the
-            # first factor of a product; a + or - after it ends the term
-            poly = _parse_poly_expr(tk, r, term_only=True)
-        elif t is not None and (t[0].isdigit() or t.startswith('x')
-                                or t == '-'):
-            poly = _parse_poly_expr(tk, r)
+        if t is not None and (t[0].isdigit() or t[0] in "x(-"):
+            # a leading group is the first factor of a product: a + or -
+            # after that product begins the next term
+            poly = _parse_poly_expr(tk, r, term_only=t == '(')
         else:
             poly = Poly.const(r, 1)
         # all indices are read before any generator is built, so that a
