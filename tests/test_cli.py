@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -10,6 +11,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skelpot.cli import SUBCOMMANDS, build_parser, main
 
@@ -868,6 +870,81 @@ def test_repeated_literals_keep_their_errors(tmp_path, capsys, profile,
     assert rc == 2
     assert captured.out == ""
     assert captured.err == f"error: {p}: {message}\n"
+
+
+# the six subcommands that read files: (argv, the files it names)
+_FILE_CALLS = [
+    (["ddc", "{0}"], ["function.json"]),
+    (["subharmonic", "{0}"], ["function.json"]),
+    (["subharmonic", "{0}", "--method", "green"], ["subharmonic.json"]),
+    (["regularize", "{0}", "--k", "2", "--samples", "2"],
+     ["subharmonic.json"]),
+    (["rationalize", "--f", "{0}", "--g", "{1}"],
+     ["subharmonic.json", "function.json"]),
+    (["green", "--graph", "{0}", "--point", "e1:1/5"], ["graph.json"]),
+    (["harmonic", "--graph", "{0}", "--values", "{1}"],
+     ["graph.json", "values.json"]),
+]
+_REPLACEMENTS = [None, 0, 1, -2, 7, 0.5, -1.25, "", "a", "e0", "1/2", "x",
+                 [], ["a"], ["0", "1"], {}, {"a": "1"}, {"u": "a"}]
+_DELETE = object()
+
+
+def _json_paths(doc, path=()):
+    """The path (keys and indices) of every value in a JSON document."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_file_call(draw):
+    """A file-reading call with one or two edits to one of its golden
+    files: a key or list item deleted, or a value swapped for null, a
+    number, a float, a string, a list or an object."""
+    argv, files = draw(st.sampled_from(_FILE_CALLS))
+    docs = [json.loads((DATA / "golden" / name).read_text())
+            for name in files]
+    which = draw(st.integers(0, len(docs) - 1))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_json_paths(docs[which]))))
+        new = draw(st.sampled_from(_REPLACEMENTS + [_DELETE] * bool(path)))
+        if new is not _DELETE:
+            new = copy.deepcopy(new)    # a later edit may change it
+        if not path:
+            docs[which] = new
+            continue
+        parent = docs[which]
+        for key in path[:-1]:
+            parent = parent[key]
+        if new is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+    return argv, docs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_mutated_file_call())
+def test_json_fuzz_on_mutated_golden_files(tmp_path_factory, call):
+    """Every golden input file with one or two edits exits 0, 1 or 2
+    without a traceback, and a malformed one (exit 2) prints nothing on
+    stdout."""
+    argv, docs = call
+    tmp = tmp_path_factory.getbasetemp()
+    paths = []
+    for i, doc in enumerate(docs):
+        paths.append(tmp / f"fuzz{i}.json")
+        paths[-1].write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([a.format(*paths) for a in argv])
+    assert rc in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
