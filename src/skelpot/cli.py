@@ -35,70 +35,23 @@ class InputError(ValueError):
     pass
 
 
-def _load_json(path: str):
+def _load(path: str, reader):
+    """reader(the JSON in the file at path); the path goes in front of
+    any ValueError the file or the reader raises."""
     try:
         with open(path, encoding="utf-8") as fh:
             # integer literals too go through parse_rational's digit limit
-            return json.load(fh, parse_int=parse_rational)
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 ({exc.reason})") from exc
-    except RationalParseError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+            d = json.load(fh, parse_int=parse_rational)
+        return reader(d)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
         ) from exc
-
-
-def _require(ok: bool, path: str, where: str, shape: str) -> None:
-    if not ok:
-        raise InputError(f"{path}: {where} must be {shape}")
-
-
-def _check_graph_shape(d, path: str) -> None:
-    """Container types of a graph object, edge fields and string ids."""
-    _require(isinstance(d, dict), path, "graph", "a JSON object")
-    for key in ("vertices", "edges", "boundary"):
-        _require(isinstance(d.get(key, []), list), path, f"graph.{key}",
-                 "a JSON list")
-    for key in ("vertices", "boundary"):
-        for i, vid in enumerate(d.get(key, [])):
-            _require(isinstance(vid, str), path, f"graph.{key}[{i}]",
-                     "a string")
-    for i, e in enumerate(d.get("edges", [])):
-        _require(isinstance(e, dict), path, f"graph.edges[{i}]",
-                 "a JSON object")
-        for key in ("u", "v", "len"):
-            _require(key in e, path, f"graph.edges[{i}].{key}", "present")
-        for key in ("id", "u", "v"):
-            _require(isinstance(e.get(key, ""), str), path,
-                     f"graph.edges[{i}].{key}", "a string")
-
-
-def _load_function(path: str) -> PAFunction:
-    d = _load_json(path)
-    _require(isinstance(d, dict), path, "the top level", "a JSON object")
-    _check_graph_shape(d.get("graph"), path)
-    profiles = d.get("profiles")
-    _require(isinstance(profiles, dict), path, "profiles", "a JSON object")
-    for eid, prof in profiles.items():
-        _require(isinstance(prof, list)
-                 and all(isinstance(bp, list) and len(bp) == 2 for bp in prof),
-                 path, f"profiles.{eid}", "a list of [offset, value] pairs")
-    try:
-        return PAFunction.from_json_dict(d)
-    except (GraphError, RationalParseError, ValueError, KeyError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_graph(path: str) -> MetricGraph:
-    d = _load_json(path)
-    _check_graph_shape(d, path)
-    try:
-        return MetricGraph.from_json_dict(d)
-    except (GraphError, RationalParseError, ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -119,41 +72,35 @@ def _emit(obj) -> None:
 
 
 def cmd_ddc(args) -> int:
-    f = _load_function(args.file)
+    f = _load(args.file, PAFunction.from_json_dict)
     _emit(f.ddc().to_json_list())
     return 0
 
 
 def cmd_green(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        gf = green(g, _parse_point(args.point))
-    except (GraphError, RationalParseError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
-    _emit(green_to_json_dict(gf))
+    g = _load(args.graph, MetricGraph.from_json_dict)
+    _emit(green_to_json_dict(green(g, _parse_point(args.point))))
     return 0
 
 
 def cmd_harmonic(args) -> int:
-    g = _load_graph(args.graph)
-    raw = _load_json(args.values)
-    _require(isinstance(raw, dict), args.values, "the top level",
-             "a JSON object")
-    extra = raw.keys() - g.boundary
-    if extra:
-        raise InputError(f"{args.values}: values for vertices off the "
-                         f"boundary {sorted(extra)}")
-    try:
-        values = {k: parse_rational(v) for k, v in raw.items()}
-        h = dirichlet_solve(g, values)
-    except (RationalParseError, ValueError) as exc:
-        raise InputError(f"{args.values}: {exc}") from exc
-    _emit(h.to_json_dict())
+    g = _load(args.graph, MetricGraph.from_json_dict)
+
+    def solve(raw) -> PAFunction:
+        if not isinstance(raw, dict):
+            raise InputError("the top level must be a JSON object")
+        extra = raw.keys() - g.boundary
+        if extra:
+            raise InputError(f"values for vertices off the boundary "
+                             f"{sorted(extra)}")
+        return dirichlet_solve(g, {k: parse_rational(v)
+                                   for k, v in raw.items()})
+    _emit(_load(args.values, solve).to_json_dict())
     return 0
 
 
 def cmd_subharmonic(args) -> int:
-    f = _load_function(args.file)
+    f = _load(args.file, PAFunction.from_json_dict)
     out = {"method": args.method}
     verdicts = []
     if args.method in ("slope", "both"):
@@ -181,7 +128,7 @@ def cmd_subharmonic(args) -> int:
 
 
 def cmd_regularize(args) -> int:
-    f = _load_function(args.file)
+    f = _load(args.file, PAFunction.from_json_dict)
     seq = build_regularization(f.graph, f, n_terms=args.k)
     try:
         patches = (open(args.patches, "w") if args.patches
@@ -223,13 +170,9 @@ def cmd_regularize(args) -> int:
 
 
 def cmd_rationalize(args) -> int:
-    f = _load_function(args.f)
-    g_in = _load_function(args.g)
-    try:
-        tol = parse_rational(args.tol)
-        cert = rationalize(f, g_in, tol)
-    except (RationalParseError, RationalizationError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    f = _load(args.f, PAFunction.from_json_dict)
+    g_in = _load(args.g, PAFunction.from_json_dict)
+    cert = rationalize(f, g_in, parse_rational(args.tol))
     _emit(cert.to_json_dict())
     return 0 if cert.ok else 1
 
@@ -281,11 +224,7 @@ def cmd_superform(args) -> int:
                                                      sf.Poly(r, {})))
         if (alpha.p, alpha.q) != (1, 1):
             raise InputError("positivity needs a (1,1)-form or a function")
-        try:
-            points = _positivity_points(args.points, r)
-            verdict = sf.is_positive_11(alpha, points)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        verdict = sf.is_positive_11(alpha, _positivity_points(args.points, r))
         print("positive" if verdict.ok else "not positive")
         for pt in verdict.violations:
             print("violation at (" +
@@ -480,7 +419,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 3
     except (InputError, GraphError, NotSubharmonicError, RationalParseError,
-            RationalizationError) as exc:
+            RationalizationError, sf.BidegreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -17,7 +17,14 @@ from .rational import format_rational, parse_rational
 
 
 class GraphError(ValueError):
-    """Structural error: a point or direction does not fit the graph."""
+    """Structural error: a point or direction does not fit the graph, or
+    a JSON object is not the shape of a graph or function."""
+
+
+def require_shape(ok: bool, where: str, shape: str) -> None:
+    """Raise GraphError `<where> must be <shape>` unless ok."""
+    if not ok:
+        raise GraphError(f"{where} must be {shape}")
 
 
 @dataclass(frozen=True)
@@ -309,10 +316,28 @@ class MetricGraph:
 
     @classmethod
     def from_json_dict(cls, d: dict, allow_loops=False, allow_parallel=False) -> "MetricGraph":
-        edges = []
-        for i, e in enumerate(d.get("edges", [])):
-            eid = e.get("id", f"e{i}")
-            edges.append(Edge(eid, e["u"], e["v"], parse_rational(e["len"])))
+        """The graph of a JSON object {"vertices", "edges", "boundary"}.
+        A malformed shape raises GraphError naming its location, such as
+        `graph.edges[3].len must be present`."""
+        require_shape(isinstance(d, dict), "graph", "a JSON object")
+        for key in ("vertices", "edges", "boundary"):
+            require_shape(isinstance(d.get(key, []), list), f"graph.{key}",
+                          "a JSON list")
+        for key in ("vertices", "boundary"):
+            for i, vid in enumerate(d.get(key, [])):
+                require_shape(isinstance(vid, str), f"graph.{key}[{i}]",
+                              "a string")
+        edges = d.get("edges", [])
+        for i, e in enumerate(edges):
+            require_shape(isinstance(e, dict), f"graph.edges[{i}]",
+                          "a JSON object")
+            for key in ("u", "v", "len"):
+                require_shape(key in e, f"graph.edges[{i}].{key}", "present")
+            for key in ("id", "u", "v"):
+                require_shape(isinstance(e.get(key, ""), str),
+                              f"graph.edges[{i}].{key}", "a string")
+        edges = [Edge(e.get("id", f"e{i}"), e["u"], e["v"],
+                      parse_rational(e["len"])) for i, e in enumerate(edges)]
         return cls(d.get("vertices", []), edges, d.get("boundary", []),
                    allow_loops=allow_loops, allow_parallel=allow_parallel)
 

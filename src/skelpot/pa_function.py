@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph,
                     TangentDirection, Vertex, point_from_json, point_sort_key,
-                    point_to_json)
+                    point_to_json, require_shape)
 from .rational import format_rational, parse_rational
 
 Profile = tuple[tuple[Fraction, Fraction], ...]
@@ -296,10 +296,19 @@ class PAFunction:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, d: dict, graph: MetricGraph | None = None,
-                       **graph_kw) -> "PAFunction":
-        if graph is None:
-            graph = MetricGraph.from_json_dict(d["graph"], **graph_kw)
+    def from_json_dict(cls, d: dict) -> "PAFunction":
+        """The function of a JSON object {"graph", "profiles"}.  A
+        malformed shape raises GraphError naming its location, such as
+        `profiles.e2 must be a list of [offset, value] pairs`; the graph
+        is built, and so checked, before the profiles."""
+        require_shape(isinstance(d, dict), "the top level", "a JSON object")
+        graph = MetricGraph.from_json_dict(d.get("graph"))
+        profiles = d.get("profiles")
+        require_shape(isinstance(profiles, dict), "profiles", "a JSON object")
+        for eid, prof in profiles.items():
+            require_shape(isinstance(prof, list) and all(
+                isinstance(bp, list) and len(bp) == 2 for bp in prof),
+                f"profiles.{eid}", "a list of [offset, value] pairs")
         # a literal that repeats in the file (offset 0, a shared vertex
         # value) is parsed once; only strings are memoized, so any other
         # value meets parse_rational and its error every time
@@ -312,13 +321,12 @@ class PAFunction:
             if r is None:
                 r = memo[x] = parse_rational(x)
             return r
-        profiles = {eid: [(rational(o), rational(v)) for o, v in prof]
-                    for eid, prof in d["profiles"].items()}
-        return cls(graph, profiles)
+        return cls(graph, {eid: [(rational(o), rational(v)) for o, v in prof]
+                           for eid, prof in profiles.items()})
 
     @classmethod
-    def from_json(cls, s: str, **kw) -> "PAFunction":
-        return cls.from_json_dict(json.loads(s), **kw)
+    def from_json(cls, s: str) -> "PAFunction":
+        return cls.from_json_dict(json.loads(s))
 
     # -- misc ---------------------------------------------------------------
 

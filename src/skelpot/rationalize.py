@@ -59,7 +59,7 @@ def rationalize(f: PAFunction, g_in: PAFunction,
         raise GraphError("f and G live on different graphs")
     tol = Fraction(tol)
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise RationalizationError("tol must be positive")
     graph = f.graph
     if not graph.boundary:
         raise GraphError("empty boundary")

@@ -533,7 +533,7 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
     for i in range(r):
         for j in range(i):
             if m[i][j] != m[j][i]:
-                raise ValueError("coefficient matrix is not symmetric")
+                raise BidegreeError("coefficient matrix is not symmetric")
     upper = [(i, j) for i in range(r) for j in range(i, r)]
     polys, _ = _integer_polys([m[i][j] for i, j in upper])
     exps = {e: sum(e) for p in polys for e in p}

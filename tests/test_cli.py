@@ -13,7 +13,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skelpot import GraphError, MetricGraph, PAFunction
 from skelpot.cli import SUBCOMMANDS, build_parser, main
+from skelpot.rational import RationalParseError
 
 from conftest import kinked_subharmonic, subprocess_env
 
@@ -277,6 +279,18 @@ def test_harmonic_values_off_the_boundary_are_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"error: {vals}: values for vertices off the "
                             "boundary ['b', 'zz']\n")
+
+
+def test_harmonic_values_reader_names_missing_vertices_in_order(tmp_path,
+                                                                capsys):
+    vals = write_json(tmp_path, "vals.json", {})
+    rc = main(["harmonic", "--graph", str(DATA / "golden" / "graph.json"),
+               "--values", vals])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {vals}: missing boundary values for "
+                            "['a', 'd', 'e']\n")
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +937,7 @@ def _mutated_file_call(draw):
             del parent[path[-1]]
         else:
             parent[path[-1]] = new
-    return argv, docs
+    return argv, files, docs
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -932,7 +946,7 @@ def test_json_fuzz_on_mutated_golden_files(tmp_path_factory, call):
     """Every golden input file with one or two edits exits 0, 1 or 2
     without a traceback, and a malformed one (exit 2) prints nothing on
     stdout."""
-    argv, docs = call
+    argv, _, docs = call
     tmp = tmp_path_factory.getbasetemp()
     paths = []
     for i, doc in enumerate(docs):
@@ -945,6 +959,21 @@ def test_json_fuzz_on_mutated_golden_files(tmp_path_factory, call):
     assert "Traceback" not in err.getvalue()
     if rc == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_mutated_file_call())
+def test_library_readers_raise_typed_errors_on_mutated_files(call):
+    """The library readers build an edited golden graph or function file
+    or refuse it with GraphError or RationalParseError, never another
+    exception."""
+    _, files, docs = call
+    for name, doc in zip(files, docs):
+        if name != "values.json":
+            reader = (MetricGraph.from_json_dict if name == "graph.json"
+                      else PAFunction.from_json_dict)
+            with contextlib.suppress(GraphError, RationalParseError):
+                reader(doc)
 
 
 # ---------------------------------------------------------------------------

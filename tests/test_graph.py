@@ -131,3 +131,27 @@ def test_normalize_point(unit_edge):
         Vertex("b")
     inner = EdgePoint("e", Fraction(1, 3))
     assert unit_edge.normalize_point(inner) == inner
+
+
+_AB = {"vertices": ["a", "b"], "boundary": ["a"]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "graph must be a JSON object"),
+    (dict(_AB, vertices="ab"), "graph.vertices must be a JSON list"),
+    (dict(_AB, edges={"e": 1}), "graph.edges must be a JSON list"),
+    (dict(_AB, boundary=[["a"]]), "graph.boundary[0] must be a string"),
+    (dict(_AB, edges=[["a", "b", "1"]]), "graph.edges[0] must be a JSON object"),
+    (dict(_AB, edges=[{"u": "a", "len": "1"}]),
+     "graph.edges[0].v must be present"),
+    (dict(_AB, edges=[{"u": "a", "v": "b", "len": "1"}, {"u": "a", "v": "b"}]),
+     "graph.edges[1].len must be present"),
+    (dict(_AB, edges=[{"id": 0, "u": "a", "v": "b", "len": "1"}]),
+     "graph.edges[0].id must be a string"),
+])
+def test_graph_reader_refuses_malformed_shapes(doc, message):
+    """The library reader refuses each shape the CLI refuses, with a
+    GraphError naming the location."""
+    with pytest.raises(GraphError) as exc:
+        MetricGraph.from_json_dict(doc)
+    assert str(exc.value) == message

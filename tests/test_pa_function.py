@@ -615,3 +615,31 @@ def test_subharmonicity_invariance(f, shift, scale):
     g = linear_combine([(scale, f),
                         (F(1), PAFunction.constant(f.graph, shift))])
     assert g.is_subharmonic_slope().ok == base
+
+
+_UNIT = {"vertices": ["a", "b"],
+         "edges": [{"id": "e", "u": "a", "v": "b", "len": "1"}],
+         "boundary": ["a", "b"]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "the top level must be a JSON object"),
+    ({"profiles": {}}, "graph must be a JSON object"),
+    ({"graph": dict(_UNIT, edges=[["a", "b", "1"]]), "profiles": {}},
+     "graph.edges[0] must be a JSON object"),
+    ({"graph": _UNIT}, "profiles must be a JSON object"),
+    ({"graph": _UNIT, "profiles": []}, "profiles must be a JSON object"),
+    ({"graph": _UNIT, "profiles": {"e": 5}},
+     "profiles.e must be a list of [offset, value] pairs"),
+    ({"graph": _UNIT, "profiles": {"e": [["0", "0", "0"], ["1", "1"]]}},
+     "profiles.e must be a list of [offset, value] pairs"),
+    ({"graph": _UNIT, "profiles": {"e": [["0", "0"], ["1", "1"]],
+                                   "x3": [], "x1": [], "x0": [], "x2": []}},
+     "profiles for unknown edges ['x0', 'x1', 'x2', 'x3']"),
+])
+def test_function_reader_refuses_malformed_shapes(doc, message):
+    """The library reader refuses each shape the CLI refuses, with a
+    GraphError naming the location; a set of edges is named in order."""
+    with pytest.raises(GraphError) as exc:
+        PAFunction.from_json_dict(doc)
+    assert str(exc.value) == message
