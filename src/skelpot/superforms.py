@@ -597,6 +597,11 @@ MAX_DIM = 16
 MAX_DIGITS = 600
 
 
+# Deepest nesting of parentheses the parser reads: it recurses once per
+# level, and Python's recursion limit must not be what refuses a form.
+MAX_DEPTH = 100
+
+
 # Most terms a product or power step of the parser may produce: the term
 # count grows as C(k + n, n) in the exponent n of a sum of k variables,
 # so "(1+x1+x2+x3+x4+x5+x6)^12" would expand to 18564 terms.
@@ -668,11 +673,19 @@ class _Tok:
 
 def _parse_poly_expr(tk: _Tok, r: int, term_only: bool = False) -> Poly:
     """A sum of terms, or with term_only one term: a product of powers."""
+    depth = 0
+
     def atom() -> Poly:
+        nonlocal depth
         t = tk.peek()
         if t == '(':
+            if depth == MAX_DEPTH:
+                raise FormParseError(f"parentheses nested deeper than the "
+                                     f"maximum {MAX_DEPTH}")
             tk.next()
+            depth += 1
             p = expr()
+            depth -= 1
             if tk.next() != ')':
                 raise FormParseError("expected ')'")
             return p
@@ -690,10 +703,12 @@ def _parse_poly_expr(tk: _Tok, r: int, term_only: bool = False) -> Poly:
         raise FormParseError(f"unexpected token {t!r} in polynomial")
 
     def power() -> Poly:
-        if tk.peek() == '-':
-            # a unary minus negates a whole power, as in Python
+        # a unary minus negates a whole power, as in Python; read as a
+        # run, an odd count of them negates
+        negate = False
+        while tk.peek() == '-':
             tk.next()
-            return -power()
+            negate = not negate
         p = atom()
         while tk.peek() == '^':
             tk.next()
@@ -714,7 +729,7 @@ def _parse_poly_expr(tk: _Tok, r: int, term_only: bool = False) -> Poly:
             for _ in range(n):
                 acc = _product(acc, p)
             p = acc
-        return p
+        return -p if negate else p
 
     def term() -> Poly:
         p = power()

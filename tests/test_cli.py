@@ -584,6 +584,26 @@ def test_superform_exponent_above_limit_is_exit_2(capsys, expr):
     assert "Traceback" not in captured.err
 
 
+def test_superform_deep_nesting_and_long_minus_runs(capsys):
+    """A form nested 100 deep prints what the flat form prints; 260 deep
+    is exit 2 on one line; 1000 minus signs in a row are read, not
+    recursed into."""
+    outputs = []
+    for expr in ["x1^2 - x2", "(" * 100 + "x1^2 - x2" + ")" * 100,
+                 "x1*" + "-" * 1000 + "x1 - x2"]:
+        assert main(["superform", "--op", "dprime", "--", expr]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs == ["(2*x1) d'x1 + (-1) d'x2\n"] * 3
+    rc = main(["superform", "--op", "dprime", "--",
+               "(" * 260 + "x1" + ")" * 260])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "': parentheses nested deeper than the maximum 100\n")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_superform_r_below_one_is_usage_error(capsys, value):
     with pytest.raises(SystemExit) as exc:

@@ -11,13 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from skelpot.cli import _positivity_points, main
 from skelpot.linalg import is_psd_exact
-from skelpot.superforms import (MAX_DIGITS, MAX_EXPONENT, AffineMap,
-                                BidegreeError,
-                                FormParseError, Poly, PositivityVerdict,
-                                SuperForm, d_prime, d_second, format_form,
-                                format_poly, hessian_form, integrate_box,
-                                is_positive_11, j_involution, parse_form,
-                                pullback, wedge)
+from skelpot.superforms import (MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT,
+                                AffineMap, BidegreeError, FormParseError,
+                                Poly, PositivityVerdict, SuperForm, d_prime,
+                                d_second, format_form, format_poly,
+                                hessian_form, integrate_box, is_positive_11,
+                                j_involution, parse_form, pullback, wedge)
 
 F = Fraction
 
@@ -827,6 +826,32 @@ def test_parse_digit_limit():
                 "d'x" + "1" * (MAX_DIGITS + 1), "d''x" + "0" * 5000 + "1"]:
         with pytest.raises(FormParseError, match=f"maximum {MAX_DIGITS}"):
             parse_form(bad, 1)
+
+
+def test_parse_depth_limit():
+    """Parentheses nest up to MAX_DEPTH deep, in a leading group too;
+    one more level is a parse error, not a RecursionError."""
+    p = Poly.var(1, 0) + Poly.const(1, 1)
+    for depth, wrap, c in ((MAX_DEPTH, "{}", 1), (MAX_DEPTH - 1, "2*({})", 2)):
+        text = wrap.format("(" * depth + "x1 + 1" + ")" * depth)
+        assert parse_form(text + " d'x1", 1) == \
+            SuperForm(1, 1, 0, {((0,), ()): p * c})
+    for bad in ["(" * (MAX_DEPTH + 1) + "x1" + ")" * (MAX_DEPTH + 1),
+                "x1 - " + "(" * 5000 + "x1", "(" * 5000]:
+        with pytest.raises(FormParseError) as exc:
+            parse_form(bad, 1)
+        assert str(exc.value) == \
+            f"parentheses nested deeper than the maximum {MAX_DEPTH}"
+
+
+def test_parse_runs_of_unary_minus():
+    """A run of minus signs is read in a loop: an odd count negates."""
+    x1 = Poly.var(1, 0)
+    for n in (1000, 1001, 5000):
+        want = x1 * x1 * (-1) ** n
+        assert parse_form("x1*" + "-" * n + "x1", 1) == \
+            SuperForm.function(want)
+        assert parse_form("-" * n + "x1^2", 1) == SuperForm.function(want)
 
 
 # ---------------------------------------------------------------------------
