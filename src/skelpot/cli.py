@@ -105,12 +105,8 @@ def cmd_subharmonic(args) -> int:
     verdicts = []
     if args.method in ("slope", "both"):
         v = f.is_subharmonic_slope()
-        out["slope"] = {
-            "subharmonic": v.ok,
-            "witnesses": [{"at": point_to_json(p),
-                           "incoming_slope_sum": format_rational(s)}
-                          for p, s in v.witnesses],
-        }
+        out["slope"] = {"subharmonic": v.ok,
+                        "witnesses": v.witnesses_to_json()}
         verdicts.append(v.ok)
     if args.method in ("green", "both"):
         v = is_subharmonic_green(f)

@@ -89,6 +89,11 @@ class SlopeVerdict:
     ok: bool
     witnesses: tuple[tuple[GraphPoint, Fraction], ...]
 
+    def witnesses_to_json(self) -> list:
+        """The witnesses as `subharmonic` prints them."""
+        return [{"at": point_to_json(p), "incoming_slope_sum":
+                 format_rational(s)} for p, s in self.witnesses]
+
 
 class PAFunction:
     """Continuous piecewise-affine function, one breakpoint profile per edge.

@@ -17,7 +17,6 @@ from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex,
                     point_to_json)
 from .linalg import solve_exact
 from .pa_function import DiscreteMeasure, PAFunction, integrate
-from .rational import format_rational
 
 
 class NotHarmonicError(ValueError):
@@ -223,11 +222,8 @@ def require_subharmonic(f: PAFunction) -> None:
     the JSON list `subharmonic` prints, unless f is subharmonic."""
     verdict = f.is_subharmonic_slope()
     if not verdict.ok:
-        witnesses = [{"at": point_to_json(p),
-                      "incoming_slope_sum": format_rational(s)}
-                     for p, s in verdict.witnesses]
-        raise NotSubharmonicError(
-            f"f is not subharmonic; witnesses: {json.dumps(witnesses)}")
+        raise NotSubharmonicError("f is not subharmonic; witnesses: "
+                                  + json.dumps(verdict.witnesses_to_json()))
 
 
 def maximum_principle_check(f: PAFunction) -> bool:
