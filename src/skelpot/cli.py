@@ -5,6 +5,11 @@ superform, selftest.  All results go to stdout; diagnostics and timings
 go to stderr.  Exit codes: 0 success / true verdict, 1 negative verdict,
 2 malformed input, 3 stdout closed before all output was written or an
 unexpected internal error.
+
+The library owns the file formats: its readers refuse a malformed graph
+or function with a typed error naming the key at fault, and _load only
+puts the file path in front.  main's exit-2 clause is the one place
+that maps the library's typed errors to exit 2.
 """
 
 from __future__ import annotations
@@ -361,7 +366,9 @@ SUBCOMMANDS = {
         ("--tol", dict(default="1/1000", help="snapping tolerance"))]),
     "superform": (cmd_superform, "superform algebra operations", [
         ("expr", dict(help="form expression, e.g. "
-                           "\"(2*x1^2 + x2) d'x1 ^ d''x2\"")),
+                           "\"(2*x1^2 + x2) d'x1 ^ d''x2\"; put one that "
+                           "starts with a minus sign after --, as in "
+                           "--op dprime -- -x1^2")),
         ("--op", dict(required=True, choices=["dprime", "dsecond", "wedge",
                                               "J", "positivity"])),
         ("--with", dict(dest="second", help="second form (wedge)")),

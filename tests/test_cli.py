@@ -525,6 +525,22 @@ def test_positivity_points_starting_with_a_minus_sign(capsys):
     assert "--points=-1/2,0;1,0" in capsys.readouterr().out
 
 
+def test_expression_starting_with_a_minus_sign_goes_after_dashes(capsys):
+    """An expression after --, as the help text shows, gives a result;
+    argparse reads a leading "-x1^2" as an option and exits 2."""
+    assert main(["superform", "--op", "dprime", "--", "-x1^2"]) == 0
+    assert capsys.readouterr().out == "(-2*x1) d'x1\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["superform", "-x1^2", "--op", "dprime"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: expr" in \
+        capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["superform", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "after --, as in --op dprime -- -x1^2" in help_text
+
+
 def test_superform_parse_error(capsys):
     rc = main(["superform", "d'x", "--op", "dprime"])
     assert rc == 2
