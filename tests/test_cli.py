@@ -186,6 +186,17 @@ def test_positivity_output_matches_golden(capsys, name, argv, code):
         (DATA / "golden" / f"{name}.out").read_text()
 
 
+def test_positivity_default_grid_matches_golden(capsys):
+    """The default sample points in order, repeats included: the Hessian
+    of -|x|^2 is -2I, so every point of the grid on R^3 is a violation,
+    as committed in tests/data/golden/positivity_default_grid.out."""
+    rc = main(["superform", "--op", "positivity", "--",
+               "-x1^2 - x2^2 - x3^2"])
+    assert rc == 1
+    assert capsys.readouterr().out == \
+        (DATA / "golden" / "positivity_default_grid.out").read_text()
+
+
 @pytest.mark.parametrize("name, file, code", [
     ("subharmonic_negative", "function.json", 1),
     ("subharmonic_positive", "subharmonic.json", 0),
