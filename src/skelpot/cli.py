@@ -6,6 +6,10 @@ go to stderr.  Exit codes: 0 success / true verdict, 1 negative verdict,
 2 malformed input, 3 stdout closed before all output was written or an
 unexpected internal error.
 
+SUBCOMMANDS holds each subcommand's handler, help and arguments.  main
+parses with one parser, built from it at the first call and kept for the
+process, and looks the handler up in SUBCOMMANDS at each call.
+
 The library owns the file formats: its readers refuse a malformed graph
 or function with a typed error naming the key at fault, and _load only
 puts the file path in front.  main's exit-2 clause is the one place
@@ -18,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -25,6 +30,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache, partial
 
 from .graph import EdgePoint, GraphError, MetricGraph, Vertex, point_to_json
 from .pa_function import PAFunction
@@ -45,8 +51,11 @@ def _load(path: str, reader):
     any ValueError the file or the reader raises."""
     try:
         with open(path, encoding="utf-8") as fh:
-            # integer literals too go through parse_rational's digit limit
-            d = json.load(fh, parse_int=parse_rational)
+            try:
+                # integer literals too go through parse_rational's digit limit
+                d = json.load(fh, parse_int=parse_rational)
+            except RecursionError as exc:
+                raise InputError("JSON nested too deeply") from exc
         return reader(d)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -194,17 +203,18 @@ def _parse_form(text: str, r: int) -> sf.SuperForm:
         raise InputError(f"{text!r}: {exc}") from exc
 
 
+# --op name -> operation on the one form; wedge and positivity need more
+UNARY_OPS = {"dprime": sf.d_prime, "dsecond": sf.d_second,
+             "J": sf.j_involution}
+
+
 def cmd_superform(args) -> int:
     r = _infer_dim(args.expr, args.second or "") if args.r is None else args.r
     if r > sf.MAX_DIM:
         raise InputError(f"dimension {r} is above the maximum {sf.MAX_DIM}")
     alpha = _parse_form(args.expr, r)
-    if args.op == "dprime":
-        out = sf.d_prime(alpha)
-    elif args.op == "dsecond":
-        out = sf.d_second(alpha)
-    elif args.op == "J":
-        out = sf.j_involution(alpha)
+    if args.op in UNARY_OPS:
+        out = UNARY_OPS[args.op](alpha)
     elif args.op == "wedge":
         if not args.second:
             raise InputError("wedge needs a second form (--with)")
@@ -253,21 +263,12 @@ def _positivity_points(spec_text: str | None, r: int):
                 raise InputError(f"point {chunk!r} has wrong dimension")
             pts.append(coords)
         return pts
-    vals = [Fraction(-1), Fraction(0), Fraction(1)]
-    pts = [[Fraction(0)] * r]
-    for i in range(r):
-        for v in vals:
-            pt = [Fraction(0)] * r
-            pt[i] = v
-            pts.append(pt)
-    for i in range(r):
-        for j in range(i + 1, r):
-            for vi in vals:
-                for vj in vals:
-                    pt = [Fraction(0)] * r
-                    pt[i], pt[j] = vi, vj
-                    pts.append(pt)
-    return pts
+    # the origin, then each coordinate and each pair of coordinates set to
+    # every value in {-1, 0, 1}, the others 0: a zero value repeats a point
+    vals = (Fraction(-1), Fraction(0), Fraction(1))
+    return [[dict(zip(axes, vs)).get(i, Fraction(0)) for i in range(r)]
+            for n in range(3) for axes in itertools.combinations(range(r), n)
+            for vs in itertools.product(vals, repeat=n)]
 
 
 # -- selftest -------------------------------------------------------------------
@@ -275,10 +276,12 @@ def _positivity_points(spec_text: str | None, r: int):
 
 def cmd_selftest(args) -> int:
     # imported here so that `import skelpot.cli` does not pay for it
-    from functools import partial
     from . import checks
-    seed = os.environ.get("SKELPOT_SEED")
-    seed = int(seed) if seed is not None else args.seed
+    env = os.environ.get("SKELPOT_SEED")
+    try:
+        seed = args.seed if env is None else int(env)
+    except ValueError as exc:
+        raise InputError(f"SKELPOT_SEED={env!r} is not an integer") from exc
     digest = hashlib.sha256(f"skelpot-selftest-{seed}".encode()).hexdigest()
     rng = random.Random(seed)
     suite = [
@@ -383,35 +386,27 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser: every subcommand, or only `command`.  The
-    usage line lists every subcommand either way, so the messages of a
-    one-subcommand parser are those of the full one."""
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser for every subcommand, built at the first call;
+    it holds no handler, so main reads each from SUBCOMMANDS."""
     ap = argparse.ArgumentParser(
         prog="skelpot",
         description="Potential theory on metric graphs: exact Laplacians, "
                     "Green's functions, regularization, and superforms.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text, arguments) in SUBCOMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for arg, kw in arguments:
-                p.add_argument(arg, **kw)
-            p.set_defaults(fn=fn)
-    if command is not None:
-        sub.metavar = "{" + ",".join(SUBCOMMANDS) + "}"
+    for name, (_, help_text, arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg, kw in arguments:
+            p.add_argument(arg, **kw)
     return ap
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # a call names its subcommand first: build only that one's parser
-    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     try:
         try:
-            args = build_parser(command).parse_args(argv)
-            return args.fn(args)
+            args = build_parser().parse_args(argv)
+            return SUBCOMMANDS[args.command][0](args)
         finally:
             sys.stdout.flush()      # a closed reader shows up here at the latest
     except BrokenPipeError:

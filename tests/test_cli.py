@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skelpot import GraphError, MetricGraph, PAFunction
-from skelpot.cli import SUBCOMMANDS, build_parser, main
+from skelpot.cli import SUBCOMMANDS, UNARY_OPS, build_parser, main
 from skelpot.rational import RationalParseError
 
 from conftest import kinked_subharmonic, subprocess_env
@@ -752,7 +752,7 @@ def test_superform_long_point_coordinate_is_exit_2(capsys):
 
 
 # ---------------------------------------------------------------------------
-# one-subcommand parsing
+# parsing
 # ---------------------------------------------------------------------------
 
 def _parse(parser, argv):
@@ -766,26 +766,47 @@ def _parse(parser, argv):
     return out.getvalue(), err.getvalue(), result
 
 
-@pytest.mark.parametrize("name", list(SUBCOMMANDS))
-def test_one_subcommand_parser_matches_full_parser(name):
-    """Help, usage errors and parsed arguments are the same bytes and
-    exit codes whether the parser holds one subcommand or all of them."""
-    calls = [[name, "--help"], [name, "-h", "x"], [name], [name, "--bogus"],
-             [name, "a", "b", "c"], [name, "f.json", "--zzz", "1"],
-             [name, "--k", "0"], [name, "--seed", "x"],
-             [name, "f.json", "--method", "slope"],
-             [name, "--graph", "g.json", "--point", "v1"],
-             [name, "--graph", "g.json", "--values", "v.json"],
-             [name, "--f", "f.json", "--g", "g.json"],
-             [name, "x1", "--op", "J", "--r", "0"],
-             [name, "x1", "--op", "dprime", "--with", "x2"],
-             [name, "f.json", "--k", "2", "--samples", "3"],
-             [name, "--seed", "5"]]
-    for argv in calls:
-        full = _parse(build_parser(), argv)
-        one = _parse(build_parser(name), argv)
-        assert one == full, argv
-    assert _parse(build_parser(), [name, "--help"])[2] == 0
+def test_one_parser_per_process(tmp_path, monkeypatch, capsys):
+    """main builds its parser once, at the first call, and reads the
+    handler from SUBCOMMANDS at every call: a usage error, help and a
+    valid call print the same bytes and exit codes when repeated, and a
+    handler patched in after the parser was built is the one that runs."""
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (*capsys.readouterr(), code)
+
+    calls = [["ddc", "a", "b"], ["ddc", "--help"],
+             ["ddc", affine_function(tmp_path)]]
+    build_parser.cache_clear()
+    first = [call(argv) for argv in calls]
+    assert [code for *_, code in first] == [2, 0, 0]
+    assert [call(argv) for argv in calls] == first
+    ran = []
+
+    def patched(args):
+        ran.append(args.file)
+        return ddc(args)
+    ddc = SUBCOMMANDS["ddc"][0]
+    monkeypatch.setitem(SUBCOMMANDS, "ddc", (patched,) + SUBCOMMANDS["ddc"][1:])
+    assert call(calls[2]) == first[2]
+    assert ran == [calls[2][1]]
+    assert build_parser.cache_info().misses == 1
+    r = subprocess.run(
+        [sys.executable, "-c", "import skelpot.cli as c; "
+                               "print(c.build_parser.cache_info().misses)"],
+        capture_output=True, text=True, env=subprocess_env(), check=True)
+    assert r.stdout == "0\n"   # not built at import
+
+
+def test_superform_op_choices_are_the_unary_table_and_two_more():
+    """The --op choices stay written out, as their order is in the help
+    text; they must still be the table's operations, wedge and positivity."""
+    op = dict(SUBCOMMANDS["superform"][2])["--op"]
+    assert sorted(op["choices"]) == sorted([*UNARY_OPS, "wedge",
+                                            "positivity"])
 
 
 def test_full_parser_for_anything_but_a_subcommand(capsys):
@@ -800,6 +821,24 @@ def test_full_parser_for_anything_but_a_subcommand(capsys):
 # ---------------------------------------------------------------------------
 # input errors
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    '{"graph": ' * 5000 + "{}" + "}" * 5000,
+], ids=["list", "graph"])
+def test_deeply_nested_json_is_exit_2(tmp_path, capsys, text):
+    """JSON nested deeper than the decoder can recurse is malformed input,
+    not an internal error."""
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    rc = main(["ddc", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {p}: ")
+    assert captured.err.count("\n") == 1
+    assert "internal" not in captured.err
+
 
 def test_missing_file_is_exit_2(capsys):
     rc = main(["ddc", "/nonexistent/path.json"])
@@ -1053,6 +1092,15 @@ def test_selftest_env_seed_override():
     r_env = _run_selftest(["--seed", "123"], env_extra={"SKELPOT_SEED": "7"})
     assert r_env.returncode == 0
     assert r_env.stdout == r_flag.stdout
+
+
+def test_non_integer_env_seed_is_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("SKELPOT_SEED", "abc")
+    rc = main(["selftest", "--seed", "7"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: SKELPOT_SEED='abc' is not an integer\n"
 
 
 def test_unexpected_error_is_exit_3_on_one_line(tmp_path, monkeypatch,
