@@ -784,12 +784,11 @@ def test_one_parser_per_process(tmp_path, monkeypatch, capsys):
     first = [call(argv) for argv in calls]
     assert [code for *_, code in first] == [2, 0, 0]
     assert [call(argv) for argv in calls] == first
-    ran = []
+    ran, ddc = [], SUBCOMMANDS["ddc"][0]
 
     def patched(args):
         ran.append(args.file)
         return ddc(args)
-    ddc = SUBCOMMANDS["ddc"][0]
     monkeypatch.setitem(SUBCOMMANDS, "ddc", (patched,) + SUBCOMMANDS["ddc"][1:])
     assert call(calls[2]) == first[2]
     assert ran == [calls[2][1]]
