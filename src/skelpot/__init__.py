@@ -7,8 +7,7 @@ tent decompositions, and a Lagerberg-style superform calculus.
 """
 
 from .graph import (Edge, EdgePoint, GraphError, MetricGraph,
-                    TangentDirection, Vertex, point_from_json, point_to_json,
-                    point_sort_key)
+                    TangentDirection, Vertex, point_to_json, point_sort_key)
 from .pa_function import (DiscreteMeasure, PAFunction, SlopeVerdict,
                           integrate, linear_combine)
 from .linalg import SingularMatrixError, is_psd_exact, solve_exact

@@ -100,16 +100,20 @@ def cmd_green(args) -> int:
 def cmd_harmonic(args) -> int:
     g = _load(args.graph, MetricGraph.from_json_dict)
 
-    def solve(raw) -> PAFunction:
+    def read_values(raw) -> dict:
         if not isinstance(raw, dict):
             raise InputError("the top level must be a JSON object")
         extra = raw.keys() - g.boundary
         if extra:
             raise InputError(f"values for vertices off the boundary "
                              f"{sorted(extra)}")
-        return dirichlet_solve(g, {k: parse_rational(v)
-                                   for k, v in raw.items()})
-    _emit(_load(args.values, solve).to_json_dict())
+        values = {k: parse_rational(v) for k, v in raw.items()}
+        missing = g.boundary - values.keys()
+        if missing:
+            raise InputError(f"missing boundary values for {sorted(missing)}")
+        return values
+    # after both loads, so a fault of the graph is not blamed on the values
+    _emit(dirichlet_solve(g, _load(args.values, read_values)).to_json_dict())
     return 0
 
 

@@ -83,22 +83,11 @@ class MetricGraph:
     lexicographic order of ids (edge order likewise by edge id).
     """
 
-    def __init__(self, vertices: Iterable[str], edges, boundary: Iterable[str],
+    def __init__(self, vertices: Iterable[str], edges: Iterable[Edge],
+                 boundary: Iterable[str],
                  allow_loops: bool = False, allow_parallel: bool = False):
         self.vertices = tuple(sorted(vertices))
-        norm_edges = []
-        for i, e in enumerate(edges):
-            if isinstance(e, Edge):
-                norm_edges.append(e)
-            else:
-                # (u, v, length) or (u, v, length, id)
-                if len(e) == 3:
-                    u, v, length = e
-                    eid = f"e{i}"
-                else:
-                    u, v, length, eid = e
-                norm_edges.append(Edge(eid, u, v, Fraction(length)))
-        self.edges = tuple(sorted(norm_edges, key=lambda e: e.id))
+        self.edges = tuple(sorted(edges, key=lambda e: e.id))
         self.boundary = frozenset(boundary)
         self.allow_loops = allow_loops
         self.allow_parallel = allow_parallel
@@ -122,7 +111,10 @@ class MetricGraph:
         out = []
         vs = set(self.vertices)
         if len(self.vertices) != len(vs):
-            out.append("duplicate vertex ids")
+            # the ids are sorted, so each repeat follows its first copy
+            ids = self.vertices
+            dups = {v for v, w in zip(ids, ids[1:]) if v == w}
+            out.extend(f"duplicate vertex id {v}" for v in sorted(dups))
         seen_ids = set()
         seen_pairs = set()
         for e in self.edges:
@@ -132,7 +124,8 @@ class MetricGraph:
             if e.length <= 0:
                 out.append(f"edge {e.id}: non-positive length {e.length}")
             if e.u not in vs or e.v not in vs:
-                out.append(f"edge {e.id}: endpoint not a vertex")
+                out.extend(f"edge {e.id}: endpoint {x} is not a vertex"
+                           for x in sorted({e.u, e.v} - vs))
             if e.u == e.v and not self.allow_loops:
                 out.append(f"edge {e.id}: self-loop not allowed")
             pair = frozenset((e.u, e.v))
@@ -140,7 +133,8 @@ class MetricGraph:
                 out.append(f"edge {e.id}: parallel edge not allowed")
             seen_pairs.add(pair)
         if not self.boundary <= vs:
-            out.append("boundary not a subset of vertices")
+            out.append(f"boundary vertices {sorted(self.boundary - vs)} "
+                       "are not vertices")
         return out
 
     def edge(self, edge_id: str) -> Edge:
@@ -156,9 +150,6 @@ class MetricGraph:
         so loops contribute two distinct ends at the same vertex.
         """
         return list(self._incident.get(vertex_id, ()))
-
-    def degree(self, vertex_id: str) -> int:
-        return len(self._incident.get(vertex_id, ()))
 
     def contains_point(self, p: GraphPoint) -> bool:
         if isinstance(p, Vertex):
@@ -311,9 +302,6 @@ class MetricGraph:
             "boundary": sorted(self.boundary),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, d: dict, allow_loops=False, allow_parallel=False) -> "MetricGraph":
         """The graph of a JSON object {"vertices", "edges", "boundary"}.
@@ -341,10 +329,6 @@ class MetricGraph:
         return cls(d.get("vertices", []), edges, d.get("boundary", []),
                    allow_loops=allow_loops, allow_parallel=allow_parallel)
 
-    @classmethod
-    def from_json(cls, s: str, **kw) -> "MetricGraph":
-        return cls.from_json_dict(json.loads(s), **kw)
-
     # -- equality ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -365,9 +349,3 @@ def point_to_json(p: GraphPoint) -> dict:
     if isinstance(p, Vertex):
         return {"vertex": p.id}
     return {"edge": p.edge, "offset": format_rational(p.offset)}
-
-
-def point_from_json(d: dict) -> GraphPoint:
-    if "vertex" in d:
-        return Vertex(d["vertex"])
-    return EdgePoint(d["edge"], parse_rational(d["offset"]))

@@ -15,8 +15,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph,
-                    TangentDirection, Vertex, point_from_json, point_sort_key,
-                    point_to_json, require_shape)
+                    TangentDirection, Vertex, point_sort_key, point_to_json,
+                    require_shape)
 from .rational import format_rational, parse_rational
 
 Profile = tuple[tuple[Fraction, Fraction], ...]
@@ -55,11 +55,6 @@ class DiscreteMeasure:
     def to_json_list(self) -> list:
         return [{"at": point_to_json(p), "mass": format_rational(m)}
                 for p, m in self.support]
-
-    @classmethod
-    def from_json_list(cls, lst) -> "DiscreteMeasure":
-        return cls.of((point_from_json(d["at"]), parse_rational(d["mass"]))
-                      for d in lst)
 
 
 def _slopes(prof: Profile) -> list[Fraction]:
@@ -297,9 +292,6 @@ class PAFunction:
                              for eid, prof in sorted(self.profiles.items())},
                 "graph": self.graph.to_json_dict()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "PAFunction":
         """The function of a JSON object {"graph", "profiles"}.  A
@@ -328,10 +320,6 @@ class PAFunction:
             return r
         return cls(graph, {eid: [(rational(o), rational(v)) for o, v in prof]
                            for eid, prof in profiles.items()})
-
-    @classmethod
-    def from_json(cls, s: str) -> "PAFunction":
-        return cls.from_json_dict(json.loads(s))
 
     # -- misc ---------------------------------------------------------------
 

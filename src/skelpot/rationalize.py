@@ -9,7 +9,6 @@ Decimal inputs are parsed exactly (scaled integers); "irrational" means
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,9 +34,6 @@ class RationalizationCertificate:
             "checks": self.checks,
             "output": self.output.to_json_dict(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 class RationalizationError(ValueError):

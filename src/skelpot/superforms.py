@@ -331,16 +331,8 @@ class SuperForm:
         return alpha
 
     @classmethod
-    def zero(cls, r: int, p: int = 0, q: int = 0) -> "SuperForm":
-        return cls(r, p, q, {})
-
-    @classmethod
     def function(cls, poly: Poly) -> "SuperForm":
         return cls._of(poly.r, 0, 0, {((), ()): poly})
-
-    @classmethod
-    def one(cls, r: int) -> "SuperForm":
-        return cls.function(Poly.const(r, 1))
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from skelpot import GraphError, MetricGraph, PAFunction
 from skelpot.cli import SUBCOMMANDS, UNARY_OPS, build_parser, main
-from skelpot.rational import RationalParseError
+from skelpot.rational import RationalParseError, parse_rational
 
 from conftest import kinked_subharmonic, subprocess_env
 
@@ -69,12 +69,11 @@ def test_ddc_affine_edge(tmp_path, capsys):
 
 
 def test_ddc_output_reparses_as_measure(tmp_path, capsys):
-    from skelpot import DiscreteMeasure
     main(["ddc", tent_function(tmp_path)])
     out = capsys.readouterr().out
-    mu = DiscreteMeasure.from_json_list(json.loads(out))
-    assert mu.total_mass() == 0
-    assert mu.total_variation() == 8
+    masses = [parse_rational(e["mass"]) for e in json.loads(out)]
+    assert sum(masses) == 0
+    assert sum(map(abs, masses)) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +289,25 @@ def test_harmonic_values_off_the_boundary_are_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"error: {vals}: values for vertices off the "
                             "boundary ['b', 'zz']\n")
+
+
+@pytest.mark.parametrize("graph, values, message", [
+    ({"vertices": ["a", "b", "c"],
+      "edges": [{"u": "a", "v": "b", "len": 1}], "boundary": ["a", "c"]},
+     {"a": "0", "c": "1"}, "graph is not connected"),
+    ({"vertices": ["a", "b"],
+      "edges": [{"u": "a", "v": "b", "len": 1}], "boundary": []},
+     {}, "empty boundary"),
+])
+def test_harmonic_graph_faults_name_no_values_file(tmp_path, capsys, graph,
+                                                   values, message):
+    g = write_json(tmp_path, "g.json", graph)
+    vals = write_json(tmp_path, "vals.json", values)
+    rc = main(["harmonic", "--graph", g, "--values", vals])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_harmonic_values_reader_names_missing_vertices_in_order(tmp_path,

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from skelpot import EdgePoint, GraphError, MetricGraph, Vertex
+from skelpot import Edge, EdgePoint, GraphError, MetricGraph, Vertex
 
-from conftest import graph_from
+from conftest import graph_from, roundtrip_json
 
 
 def test_validate_minimal_graph_clean(unit_edge):
@@ -13,31 +13,33 @@ def test_validate_minimal_graph_clean(unit_edge):
 
 def test_validate_reports_nonpositive_length():
     with pytest.raises(GraphError) as info:
-        MetricGraph(["a", "b"], [("a", "b", Fraction(0))], ["a"])
+        MetricGraph(["a", "b"], [Edge("e0", "a", "b", Fraction(0))], ["a"])
     assert str(info.value) == "edge e0: non-positive length 0"
 
 
 def test_validate_reports_unknown_boundary():
     with pytest.raises(GraphError) as info:
-        MetricGraph(["a", "b"], [("a", "b", Fraction(1))], ["z"])
-    assert str(info.value) == "boundary not a subset of vertices"
+        MetricGraph(["a", "b"], [Edge("e0", "a", "b", Fraction(1))], ["z"])
+    assert str(info.value) == "boundary vertices ['z'] are not vertices"
 
 
 def test_constructor_rejects_invalid():
     with pytest.raises(GraphError):
-        MetricGraph(["a", "b"], [("a", "b", Fraction(-1))], ["a"])
+        MetricGraph(["a", "b"], [Edge("e0", "a", "b", Fraction(-1))], ["a"])
 
 
 def test_loops_and_parallel_need_flags():
+    loop = [Edge("e0", "a", "a", Fraction(1))]
+    parallel = [Edge("e0", "a", "b", Fraction(1)),
+                Edge("e1", "b", "a", Fraction(2))]
     with pytest.raises(GraphError):
-        MetricGraph(["a"], [("a", "a", Fraction(1))], ["a"])
+        MetricGraph(["a"], loop, ["a"])
     with pytest.raises(GraphError):
-        MetricGraph(["a", "b"], [("a", "b", 1), ("b", "a", 2)], ["a"])
-    g = MetricGraph(["a", "b"], [("a", "b", 1), ("b", "a", 2)], ["a"],
-                    allow_parallel=True)
+        MetricGraph(["a", "b"], parallel, ["a"])
+    g = MetricGraph(["a", "b"], parallel, ["a"], allow_parallel=True)
     assert len(g.edges) == 2
-    g = MetricGraph(["a"], [("a", "a", Fraction(1))], ["a"], allow_loops=True)
-    assert g.degree("a") == 2
+    g = MetricGraph(["a"], loop, ["a"], allow_loops=True)
+    assert len(g.incident_ends("a")) == 2
 
 
 def test_star_counts(star3, unit_edge):
@@ -113,7 +115,8 @@ def test_distance_takes_shortcut():
 
 
 def test_json_roundtrip(path3):
-    assert MetricGraph.from_json(path3.to_json()) == path3
+    d = roundtrip_json(path3.to_json_dict())
+    assert MetricGraph.from_json_dict(d) == path3
 
 
 def test_edge_id_defaulting():
@@ -148,6 +151,14 @@ _AB = {"vertices": ["a", "b"], "boundary": ["a"]}
      "graph.edges[1].len must be present"),
     (dict(_AB, edges=[{"id": 0, "u": "a", "v": "b", "len": "1"}]),
      "graph.edges[0].id must be a string"),
+    (dict(_AB, vertices=["c", "a", "b", "c", "a", "c"]),
+     "duplicate vertex id a; duplicate vertex id c"),
+    (dict(_AB, edges=[{"u": "q", "v": "a", "len": "1"},
+                      {"u": "q", "v": "p", "len": "1", "id": "f"}]),
+     "edge e0: endpoint q is not a vertex; "
+     "edge f: endpoint p is not a vertex; edge f: endpoint q is not a vertex"),
+    (dict(_AB, boundary=["z", "a", "y"]),
+     "boundary vertices ['y', 'z'] are not vertices"),
 ])
 def test_graph_reader_refuses_malformed_shapes(doc, message):
     """The library reader refuses each shape the CLI refuses, with a

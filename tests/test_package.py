@@ -1,0 +1,60 @@
+"""The package as a whole: the names `skelpot` exports, written out so
+that an addition or a removal shows in review, and no import in the
+sources or the tests that nothing reads."""
+
+import ast
+import pathlib
+
+import skelpot
+
+ROOT = pathlib.Path(__file__).parent.parent
+
+PUBLIC_API = [
+    "AffineMap", "DiscreteMeasure", "Edge", "EdgePoint", "GraphError",
+    "GreenFunction", "GreenVerdict", "MetricGraph", "NotHarmonicError",
+    "NotSubharmonicError", "PAFunction", "Poly", "RationalParseError",
+    "RationalizationCertificate", "RationalizationError",
+    "RegularizationSequence", "SingularMatrixError", "SlopeVerdict",
+    "SuperForm", "TangentDirection", "Vertex", "arc_second_difference",
+    "build_regularization", "d_prime", "d_second", "dirichlet_solve",
+    "eval_smoothed", "evaluation_formula_check", "format_form",
+    "format_rational", "graph", "green", "green_to_json_dict",
+    "hessian_form", "integrate", "integrate_box", "is_positive_11",
+    "is_psd_exact", "is_subharmonic_green", "j_involution", "linalg",
+    "linear_combine", "local_green_pairing", "maximum_principle_check",
+    "pa_function", "parse_form", "parse_rational", "point_sort_key",
+    "point_to_json", "potential", "pullback", "rational", "rationalize",
+    "regularize", "sample_points", "smooth_max", "smooth_max_n",
+    "solve_exact", "superforms", "tent_decompose", "tent_reconstruction",
+    "theta", "wedge",
+]
+
+
+def test_public_api_is_the_written_list():
+    assert sorted(skelpot.__all__) == PUBLIC_API
+
+
+def _unread_imports(path: pathlib.Path) -> list[str]:
+    """`file:line: name` for each name the file imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported.items() if name not in read]
+
+
+def test_no_unread_imports():
+    """The package's __init__ imports only to export, so it is left out."""
+    sources = [p for p in sorted((ROOT / "src" / "skelpot").glob("*.py"))
+               if p.name != "__init__.py"]
+    sources += sorted((ROOT / "tests").glob("*.py"))
+    assert [hit for p in sources for hit in _unread_imports(p)] == []

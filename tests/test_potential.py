@@ -6,8 +6,8 @@ import pytest
 from skelpot import (EdgePoint, GraphError, MetricGraph, NotHarmonicError,
                      NotSubharmonicError, PAFunction, Vertex, dirichlet_solve,
                      evaluation_formula_check, green, green_to_json_dict,
-                     integrate, is_subharmonic_green, linear_combine,
-                     local_green_pairing, maximum_principle_check)
+                     integrate, is_subharmonic_green, local_green_pairing,
+                     maximum_principle_check)
 from skelpot.graph import Edge, point_sort_key
 from skelpot.pa_function import DiscreteMeasure
 from skelpot.potential import (GreenFunction, GreenVerdict,
@@ -380,7 +380,7 @@ def _star_green_pairing(f, x):
         else:
             base = x.offset
         leaves.append(f"l{i}")
-        edges.append(("c", f"l{i}", arm, f"a{i}"))
+        edges.append(Edge(f"a{i}", "c", f"l{i}", arm))
         ends[f"l{i}"] = EdgePoint(d.edge, base + arm if d.toward_v
                                   else base - arm)
     star = MetricGraph(["c"] + leaves, edges, leaves, allow_parallel=True)

@@ -1,14 +1,13 @@
-import json
 from fractions import Fraction
 
 import pytest
 
-from skelpot import (EdgePoint, GraphError, MetricGraph, PAFunction, Vertex,
-                     green, integrate, linear_combine)
+from skelpot import (Edge, EdgePoint, GraphError, MetricGraph, PAFunction,
+                     Vertex, green, integrate)
 from skelpot.rationalize import (RationalizationError, rationalize,
                                  tent_decompose, tent_reconstruction)
 
-from conftest import graph_from, pa
+from conftest import graph_from, pa, roundtrip_json
 
 F = Fraction
 
@@ -141,7 +140,7 @@ def test_certificate_checks_are_rederivable():
     assert cert.pairing == integrate(f, cert.output.ddc())
     assert cert.ok == (cert.checks["pairing_negative"]["pass"]
                        and cert.checks["interior_positive"]["pass"])
-    blob = json.loads(cert.to_json())
+    blob = roundtrip_json(cert.to_json_dict())
     assert set(blob) == {"ok", "pairing", "pairing_input", "checks", "output"}
 
 
@@ -273,7 +272,8 @@ def test_tent_decompose_errors(star3, unit_edge):
     with pytest.raises(GraphError):
         tent_decompose(kinked, "c")  # not affine on an adjacent edge
     loop = MetricGraph(vertices=["a", "b"],
-                       edges=[("a", "a", F(1), "e"), ("a", "b", F(1), "f")],
+                       edges=[Edge("e", "a", "a", F(1)),
+                              Edge("f", "a", "b", F(1))],
                        boundary=["b"], allow_loops=True)
     fl = pa(loop, {"e": [(0, 0), (1, 0)], "f": [(0, 0), (1, 0)]})
     with pytest.raises(GraphError):

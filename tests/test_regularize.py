@@ -1,3 +1,4 @@
+import json
 import math
 import pathlib
 import random
@@ -134,7 +135,7 @@ def test_peak_separation_adds_no_ddc(monkeypatch):
     once on the promoted function."""
     path = pathlib.Path(__file__).parent / "data" / "golden" / \
         "subharmonic.json"
-    f = PAFunction.from_json(path.read_text())
+    f = PAFunction.from_json_dict(json.loads(path.read_text()))
     promoted = f.promote_interior_breakpoints()
     calls = []
     ddc = PAFunction.ddc

@@ -13,10 +13,10 @@ from skelpot.cli import _positivity_points, main
 from skelpot.linalg import is_psd_exact
 from skelpot.superforms import (MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT,
                                 AffineMap, BidegreeError, FormParseError,
-                                Poly, PositivityVerdict, SuperForm, d_prime,
-                                d_second, format_form, format_poly,
-                                hessian_form, integrate_box, is_positive_11,
-                                j_involution, parse_form, pullback, wedge)
+                                Poly, SuperForm, d_prime, d_second,
+                                format_form, format_poly, hessian_form,
+                                integrate_box, is_positive_11, j_involution,
+                                parse_form, pullback, wedge)
 
 F = Fraction
 
@@ -134,7 +134,7 @@ def test_wedge_with_one_is_identity():
     for _ in range(50):
         r = rng.randint(1, 3)
         a = _random_form(rng, r)
-        one = SuperForm.one(r)
+        one = SuperForm.function(Poly.const(r, 1))
         assert wedge(one, a) == a
         assert wedge(a, one) == a
 
@@ -260,7 +260,7 @@ def _pullback_ref(f_map, alpha):
             cs[key] = Poly.const(r2, c)
         return SuperForm(r2, 1 if primed else 0, 0 if primed else 1, cs)
 
-    total = SuperForm.zero(r2, alpha.p, alpha.q)
+    total = SuperForm(r2, alpha.p, alpha.q)
     for (i, j), poly in alpha.coeffs.items():
         term = SuperForm.function(_substitute_ref(poly, affines))
         for k in i:
@@ -358,7 +358,7 @@ def test_affine_map_validation():
         AffineMap.of([[1, 0]], [0, 0])
     f = AffineMap.of([[1]], [0])
     with pytest.raises(BidegreeError):
-        pullback(f, SuperForm.one(2))
+        pullback(f, SuperForm.function(Poly.const(2, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +393,7 @@ def test_positivity_rejects_asymmetric_and_wrong_degree():
     with pytest.raises(ValueError):
         is_positive_11(a, GRID)
     with pytest.raises(BidegreeError):
-        is_positive_11(SuperForm.one(2), GRID)
+        is_positive_11(SuperForm.function(Poly.const(2, 1)), GRID)
 
 
 def test_points_of_the_wrong_dimension_are_value_errors():
@@ -416,7 +416,8 @@ def test_integrate_box_top_degree():
     b = SuperForm(1, 1, 1, {((0,), (0,)): Poly.var(1, 0)})
     assert integrate_box(b, [(0, 2)]) == 2
     with pytest.raises(BidegreeError):
-        integrate_box(SuperForm.one(2), [(0, 1), (0, 1)])
+        integrate_box(SuperForm.function(Poly.const(2, 1)),
+                      [(0, 1), (0, 1)])
 
 
 def test_integral_of_hessian_is_boundary_derivative():
@@ -866,7 +867,7 @@ def test_superform_key_validation():
     with pytest.raises(BidegreeError):
         SuperForm(2, 1, 0, {((5,), ()): Poly.const(2, 1)})
     with pytest.raises(BidegreeError):
-        SuperForm.one(2)._match(SuperForm.one(3))
+        SuperForm(2, 0, 0)._match(SuperForm(3, 0, 0))
 
 
 @pytest.mark.parametrize("terms", [{(1,): 5}, {(-1, 2): 5}, {(1, 0, 0): 1}],
