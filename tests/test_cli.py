@@ -225,6 +225,25 @@ def test_regularize_output_matches_golden(tmp_path, capsys):
         (golden / "regularize_patches.out").read_text()
 
 
+def test_regularize_quoted_edge_ids_match_golden(tmp_path, capsys):
+    """The golden subharmonic function with edge ids that the CSV must
+    quote or keep as they are (`a,b`, `say "hi"`, one with a newline, one
+    with a leading space): the CSV and --patches bytes are those committed
+    in tests/data/golden/regularize_quoted.out and
+    regularize_quoted_patches.out."""
+    golden = DATA / "golden"
+    patches = tmp_path / "patches.json"
+    rc = main(["regularize", str(golden / "subharmonic_quoted.json"),
+               "--k", "4", "--samples", "5", "--patches", str(patches)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out == (golden / "regularize_quoted.out").read_text()
+    assert patches.read_text() == \
+        (golden / "regularize_quoted_patches.out").read_text()
+    edges = {row[1] for row in csv.reader(io.StringIO(out))}
+    assert {"a,b", 'say "hi".l.l', "line\nbreak", " lead"} <= edges
+
+
 @pytest.mark.parametrize("literal", ['"' + "1" * 5000 + '"', "1" * 5000],
                          ids=["string", "integer"])
 def test_json_rational_above_digit_limit_is_exit_2(tmp_path, capsys, literal):
