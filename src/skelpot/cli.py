@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -141,6 +142,13 @@ def cmd_subharmonic(args) -> int:
     return 0 if ok else 1
 
 
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it in a row of the CSV's line terminator."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]      # less the "," and the "\n"
+
+
 def cmd_regularize(args) -> int:
     f = _load(args.file, PAFunction.from_json_dict)
     seq = build_regularization(f.graph, f, n_terms=args.k)
@@ -150,22 +158,21 @@ def cmd_regularize(args) -> int:
     except OSError as exc:
         raise InputError(f"cannot write {args.patches}: {exc}") from exc
     with patches as fh:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["k", "edge", "offset", "f_k", "f", "f_k_minus_f"])
-        # per sample, the (f_k, f, f_k - f) columns of every term: f is
-        # rounded once, and f_k only where it is not f itself
+        # per sample, the "edge,offset,f_k,f,f_k - f" end of every term's
+        # line: f is rounded once, f_k only where it is not f, each as
+        # numerator / denominator (correctly rounded, so float(x))
+        ids = {e.id: _csv_field(e.id) for e in seq.graph.edges}
         table = []
         for eid, off, fp, fks in seq.sample(args.samples):
-            fv = float(fp)
-            rv = repr(fv)
-            same = (rv, rv, "0.0")
-            cols = [same if fk is fp else
-                    (repr(fkv := float(fk)), rv, repr(fkv - fv))
-                    for fk in fks]
-            table.append((eid, format_rational(off), cols))
-        writer.writerows((k, eid, off, *cols[k])
-                         for k in range(len(seq.terms))
-                         for eid, off, cols in table)
+            rv = repr(fv := fp.numerator / fp.denominator)
+            head = f"{ids[eid]},{format_rational(off)},"
+            same = f"{head}{rv},{rv},0.0\n"
+            table.append([same if fk is fp else
+                          f"{head}{(v := fk.numerator / fk.denominator)!r},"
+                          f"{rv},{v - fv!r}\n" for fk in fks])
+        sys.stdout.write("k,edge,offset,f_k,f,f_k_minus_f\n" + "".join(
+            f"{k},{ends[k]}" for k in range(len(seq.terms))
+            for ends in table))
         if fh is not None:
             dump = {
                 "epsilons": [format_rational(e) for e in seq.epsilons],

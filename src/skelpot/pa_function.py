@@ -12,6 +12,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph,
@@ -57,21 +58,29 @@ class DiscreteMeasure:
                 for p, m in self.support]
 
 
-def _slopes(prof: Profile) -> list[Fraction]:
-    """The slope (v2 - v1) / (o2 - o1) of each piece of a profile.  With
-    o = p/q and v = a/b, each slope is the one Fraction
-    (a2*b1 - a1*b2)*q1*q2 / (b1*b2*(p2*q1 - p1*q2)) of integers, where
-    the quotient of two differences would build three."""
-    (o1, v1), *rest = prof
-    p1, q1, a1, b1 = o1.numerator, o1.denominator, v1.numerator, v1.denominator
+def _slope_pairs(prof: Profile) -> list[tuple[int, int]]:
+    """The slope (v2 - v1) / (o2 - o1) of each piece of a profile as an
+    unreduced pair of integers: with o = p/q and v = a/b, the numerator
+    (a2*b1 - a1*b2)*q1*q2 over the denominator b1*b2*(p2*q1 - p1*q2) > 0."""
+    (p1, q1), (a1, b1) = (x.as_integer_ratio() for x in prof[0])
     out = []
-    for o2, v2 in rest:
-        p2, q2, a2, b2 = o2.numerator, o2.denominator, \
-            v2.numerator, v2.denominator
-        out.append(Fraction((a2 * b1 - a1 * b2) * q1 * q2,
-                            b1 * b2 * (p2 * q1 - p1 * q2)))
+    for o2, v2 in prof[1:]:
+        (p2, q2), (a2, b2) = o2.as_integer_ratio(), v2.as_integer_ratio()
+        out.append(((a2 * b1 - a1 * b2) * q1 * q2,
+                    b1 * b2 * (p2 * q1 - p1 * q2)))
         p1, q1, a1, b1 = p2, q2, a2, b2
     return out
+
+
+def _slopes(prof: Profile) -> list[Fraction]:
+    """The Fraction view of _slope_pairs."""
+    return [Fraction(n, d) for n, d in _slope_pairs(prof)]
+
+
+def _lcm_sum(pairs) -> tuple[int, int]:
+    """The sum of the integer pairs (n, d > 0) as one pair over their lcm."""
+    den = lcm(*(d for _, d in pairs))
+    return sum(n * (den // d) for n, d in pairs), den
 
 
 def _exact(x) -> Fraction:
@@ -83,6 +92,14 @@ def _exact(x) -> Fraction:
 class SlopeVerdict:
     ok: bool
     witnesses: tuple[tuple[GraphPoint, Fraction], ...]
+
+    @classmethod
+    def of(cls, measure: DiscreteMeasure, boundary) -> "SlopeVerdict":
+        """The verdict on a function whose ddc is measure."""
+        bad = tuple((p, m) for p, m in measure.support
+                    if m < 0 and not (isinstance(p, Vertex)
+                                      and p.id in boundary))
+        return cls(not bad, bad)
 
     def witnesses_to_json(self) -> list:
         """The witnesses as `subharmonic` prints them."""
@@ -107,7 +124,8 @@ class PAFunction:
             if e.id not in profiles:
                 raise GraphError(f"missing profile for edge {e.id}")
             prof = tuple((_exact(o), _exact(v)) for o, v in profiles[e.id])
-            if len(prof) < 2 or prof[0][0] != 0 or prof[-1][0] != e.length:
+            if len(prof) < 2 or prof[0][0] != 0 or \
+                    prof[-1][0] is not e.length and prof[-1][0] != e.length:
                 raise GraphError(
                     f"edge {e.id}: profile must span offsets 0..{e.length}")
             for (o1, _), (o2, _) in zip(prof, prof[1:]):
@@ -138,7 +156,7 @@ class PAFunction:
             prof = self.profiles[e.id]
             for vid, val in ((e.u, prof[0][1]), (e.v, prof[-1][1])):
                 if vid in values:
-                    if values[vid] != val:
+                    if values[vid] is not val and values[vid] != val:
                         raise GraphError(
                             f"discontinuity at vertex {vid}: "
                             f"{values[vid]} vs {val}")
@@ -217,31 +235,32 @@ class PAFunction:
         return pts
 
     def ddc(self) -> DiscreteMeasure:
-        """Sum of outgoing slopes at every vertex and interior breakpoint.
-
-        The support comes out in point_sort_key order without a sort:
-        the vertices in graph order, then each edge's kinks by offset."""
-        masses = dict.fromkeys(self.graph.vertices, Fraction(0))
+        """Sum of outgoing slopes at every vertex and interior breakpoint,
+        on the integer pairs of _slope_pairs: a vertex sums its ends' pairs
+        over one lcm, and a kink is (n2*d1 - n1*d2) / (d1*d2).  The support
+        comes out in point_sort_key order without a sort: the vertices in
+        graph order, then each edge's kinks by offset."""
+        ends: dict[str, list] = {v: [] for v in self.graph.vertices}
         kinks = []
         for e in self.graph.edges:
             prof = self.profiles[e.id]
-            slopes = _slopes(prof)
-            masses[e.u] += slopes[0]
-            masses[e.v] -= slopes[-1]
-            for (o, _), s1, s2 in zip(prof[1:-1], slopes, slopes[1:]):
-                if s1 != s2:
-                    kinks.append((EdgePoint(e.id, o), s2 - s1))
-        return DiscreteMeasure(tuple(
-            [(Vertex(v), m) for v, m in masses.items() if m] + kinks))
+            pairs = _slope_pairs(prof)
+            ends[e.u].append(pairs[0])
+            n, d = pairs[-1]
+            ends[e.v].append((-n, d))
+            for (o, _), (n1, d1), (n2, d2) in zip(prof[1:-1], pairs,
+                                                  pairs[1:]):
+                if k := n2 * d1 - n1 * d2:
+                    kinks.append((EdgePoint(e.id, o), Fraction(k, d1 * d2)))
+        masses = [(Vertex(v), Fraction(*nd)) for v, pairs in ends.items()
+                  if (nd := _lcm_sum(pairs))[0]]
+        return DiscreteMeasure(tuple(masses + kinks))
 
     # -- predicates -----------------------------------------------------------
 
     def is_subharmonic_slope(self) -> SlopeVerdict:
         """True iff the Laplacian mass is >= 0 at every non-boundary point."""
-        bad = [(p, m) for p, m in self.ddc().support
-               if m < 0 and not (isinstance(p, Vertex)
-                                 and p.id in self.graph.boundary)]
-        return SlopeVerdict(not bad, tuple(bad))
+        return SlopeVerdict.of(self.ddc(), self.graph.boundary)
 
     def is_harmonic_on(self, excluded) -> bool:
         """True iff ddc is supported inside the excluded point set."""
@@ -306,10 +325,10 @@ class PAFunction:
             require_shape(isinstance(prof, list) and all(
                 isinstance(bp, list) and len(bp) == 2 for bp in prof),
                 f"profiles.{eid}", "a list of [offset, value] pairs")
-        # a literal that repeats in the file (offset 0, a shared vertex
-        # value) is parsed once; only strings are memoized, so any other
-        # value meets parse_rational and its error every time
-        memo: dict[str, Fraction] = {}
+        # a repeated literal (offset 0, a vertex value, or a length that the
+        # graph parsed) is parsed once; only strings are memoized, so any
+        # other value meets parse_rational and its error every time
+        memo = {str(e.length): e.length for e in graph.edges}
 
         def rational(x) -> Fraction:
             if type(x) is not str:

@@ -16,7 +16,8 @@ from math import lcm
 from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex,
                     point_to_json)
 from .linalg import solve_exact
-from .pa_function import DiscreteMeasure, PAFunction, integrate
+from .pa_function import (DiscreteMeasure, PAFunction, SlopeVerdict,
+                          _lcm_sum, integrate)
 
 
 class NotHarmonicError(ValueError):
@@ -191,39 +192,54 @@ def is_subharmonic_green(f: PAFunction) -> GreenVerdict:
 
     Each pairing is local_green_pairing's closed form, read off the
     profiles in one pass: ((v_a*d2 + v_c*d1) / (d1 + d2) - v_b) / 2 at a
-    breakpoint b between a and c, and sum(v/d) / sum(1/d) over the edge
-    ends at a vertex (prof[1] at a u end, prof[-2] at a v end).  The
+    breakpoint b between a and c, and (sum(v/d) / sum(1/d) - f(x)) / 2 at
+    a vertex x, over its edge ends (prof[1] at a u end, prof[-2] at a v
+    end).  On an edge's offsets and values over one denominator each, b's
+    sign is that of V_a*D2 + V_c*D1 - V_b*(D1 + D2), a vertex takes two
+    lcm sums, and a Fraction is built only for a violation.  The
     violations come out in point_sort_key order, vertices first.
     """
     g = f.graph
-    weighted = {v: Fraction(0) for v in g.vertices if v not in g.boundary}
-    conductance = dict(weighted)
+    # per interior vertex, its edge ends' (v/d, 1/d) as integer pairs
+    ends = {v: [] for v in g.vertices if v not in g.boundary}
     edge_bad = []
     for e in g.edges:
         prof = f.profiles[e.id]
-        (o_u, v_u), (o_v, v_v) = prof[1], prof[-2]
-        for vid, v, d in ((e.u, v_u, o_u), (e.v, v_v, e.length - o_v)):
-            if vid in weighted:
-                weighted[vid] += v / d
-                conductance[vid] += 1 / d
-        for (o1, v1), (o2, v2), (o3, v3) in zip(prof, prof[1:], prof[2:]):
-            d1, d2 = o2 - o1, o3 - o2
-            val = ((v1 * d2 + v3 * d1) / (d1 + d2) - v2) / 2
-            if val < 0:
-                edge_bad.append((EdgePoint(e.id, o2), val))
-    bad = [(Vertex(vid), val) for vid, w in weighted.items()
-           if (val := (w / conductance[vid] - f.vertex_value(vid)) / 2) < 0]
+        q = lcm(*(o.denominator for o, _ in prof))
+        b = lcm(*(v.denominator for _, v in prof))
+        offsets = [o.numerator * (q // o.denominator) for o, _ in prof]
+        values = [v.numerator * (b // v.denominator) for _, v in prof]
+        for vid, i, d in ((e.u, 1, offsets[1]),
+                          (e.v, -2, offsets[-1] - offsets[-2])):
+            if vid in ends:
+                ends[vid].append(((values[i] * q, b * d), (q, d)))
+        for i in range(1, len(prof) - 1):
+            d1, d2 = offsets[i] - offsets[i - 1], offsets[i + 1] - offsets[i]
+            s = values[i - 1] * d2 + values[i + 1] * d1 - values[i] * (d1 + d2)
+            if s < 0:
+                edge_bad.append((EdgePoint(e.id, prof[i][0]),
+                                 Fraction(s, 2 * b * (d1 + d2))))
+    bad = []
+    for vid, pairs in ends.items():
+        (wn, wd), (cn, cd) = map(_lcm_sum, zip(*pairs))
+        fa, fb = f.vertex_value(vid).as_integer_ratio()
+        # (wn/wd) / (cn/cd) - fa/fb, over the denominator wd*cn*fb
+        if (s := wn * cd * fb - fa * wd * cn) < 0:
+            bad.append((Vertex(vid), Fraction(s, 2 * wd * cn * fb)))
     bad += edge_bad
     return GreenVerdict(not bad, tuple(bad))
 
 
-def require_subharmonic(f: PAFunction) -> None:
-    """Raise NotSubharmonicError naming the slope oracle's witnesses, as
-    the JSON list `subharmonic` prints, unless f is subharmonic."""
-    verdict = f.is_subharmonic_slope()
+def require_subharmonic(f: PAFunction) -> DiscreteMeasure:
+    """ddc f, once f is found subharmonic by the slope oracle; otherwise
+    raise NotSubharmonicError naming its witnesses, as the JSON list
+    `subharmonic` prints."""
+    measure = f.ddc()
+    verdict = SlopeVerdict.of(measure, f.graph.boundary)
     if not verdict.ok:
         raise NotSubharmonicError("f is not subharmonic; witnesses: "
                                   + json.dumps(verdict.witnesses_to_json()))
+    return measure
 
 
 def maximum_principle_check(f: PAFunction) -> bool:

@@ -25,19 +25,21 @@ def parse_rational(value) -> Fraction:
     A digit run longer than the interpreter's integer-string limit
     (`sys.get_int_max_str_digits()`, 4300 by default) is refused with a
     RationalParseError."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    m = _RATIONAL_RE.fullmatch(value.strip()) \
+    if type(value) is not str:    # the common case skips two checks
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int) and not isinstance(value, bool):
+            return Fraction(value)
+    m = _RATIONAL_RE.fullmatch(text := value.strip()) \
         if isinstance(value, str) else None
     if m is None:
         raise RationalParseError(f"not a rational literal: {value!r}")
     sign, whole, den, frac = m.groups()
-    # int() refuses digit runs above the interpreter's limit (0: none)
+    # int() refuses digit runs above the interpreter's limit (0: none);
+    # no run is longer than the whole text
     limit = sys.get_int_max_str_digits()
-    longest = max(map(len, m.groups("")))
-    if limit and longest > limit:
+    if limit and len(text) > limit and \
+            (longest := max(map(len, m.groups("")))) > limit:
         raise RationalParseError(f"a run of {longest} digits is above the "
                                  f"maximum {limit}")
     num, den = int(whole), int(den or 1)

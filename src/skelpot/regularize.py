@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex
-from .pa_function import PAFunction
+from .pa_function import DiscreteMeasure, PAFunction
 from .potential import require_subharmonic
 
 
@@ -277,12 +277,16 @@ def build_regularization(graph: MetricGraph, f: PAFunction,
     """
     if f.graph != graph:
         raise GraphError("function lives on a different graph")
-    require_subharmonic(f)
+    measure = require_subharmonic(f)
 
-    f = f.promote_interior_breakpoints()
-    # f is affine on every edge now: its ddc lives on the vertices, and a
-    # midpoint split adds no mass, so measure and peaks stay valid
-    measure = f.ddc()
+    cuts = {eid: [o for o, _ in prof[1:-1]] for eid, prof in f.profiles.items()}
+    f, pieces = f.split(cuts)
+    # f is affine on every edge now: its ddc is f's with each kink moved to
+    # the vertex split made for it; a midpoint split adds no mass, so
+    # measure and peaks stay valid
+    at = {EdgePoint(eid, o): Vertex(piece.v) for eid, ps in pieces.items()
+          for o, piece in zip(cuts[eid], ps)}
+    measure = DiscreteMeasure.of((at.get(p, p), m) for p, m in measure.support)
     peaks = {p.id for p, m in measure.support
              if m > 0 and p.id not in graph.boundary}
     f, _ = f.split({e.id: [e.length / 2] for e in f.graph.edges

@@ -131,8 +131,9 @@ def test_build_rejects_non_subharmonic(unit_edge):
 
 def test_peak_separation_adds_no_ddc(monkeypatch):
     """On the golden subharmonic file, whose working graph splits
-    peak-to-peak edges, ddc runs once for the subharmonicity check and
-    once on the promoted function."""
+    peak-to-peak edges, ddc runs once: for the subharmonicity check,
+    whose measure, with each kink moved to its new vertex, is that of the
+    promoted function."""
     path = pathlib.Path(__file__).parent / "data" / "golden" / \
         "subharmonic.json"
     f = PAFunction.from_json_dict(json.loads(path.read_text()))
@@ -142,8 +143,27 @@ def test_peak_separation_adds_no_ddc(monkeypatch):
     monkeypatch.setattr(PAFunction, "ddc",
                         lambda self: calls.append(self) or ddc(self))
     seq = build_regularization(f.graph, f)
-    assert len(calls) <= 2
+    assert len(calls) == 1
     assert len(seq.graph.edges) > len(promoted.graph.edges)
+
+
+def test_patches_are_the_peaks_of_the_promoted_function():
+    """The patches' centers and masses are the positive interior masses of
+    ddc of the promoted function, in order, on seeded kinked functions."""
+    rng = random.Random(23)
+    peaks = 0
+    for _ in range(20):
+        g = random_graph(rng, max_vertices=7, max_edges=10)
+        if all(v in g.boundary for v in g.vertices):
+            continue
+        f = kinked_subharmonic(rng, g)
+        promoted = f.promote_interior_breakpoints()
+        want = [(p.id, m) for p, m in promoted.ddc().support
+                if m > 0 and p.id not in g.boundary]
+        seq = build_regularization(g, f, n_terms=2)
+        assert [(p.center, p.mass) for p in seq.patches] == want
+        peaks += len(want)
+    assert peaks > 20
 
 
 def test_harmonic_input_passes_through(path3):
