@@ -143,7 +143,7 @@ def cmd_subharmonic(args) -> int:
 
 
 def _csv_field(text: str) -> str:
-    """text as csv.writer writes it in a row of the CSV's line terminator."""
+    """text as csv.writer writes it as a field, with the CSV's terminator."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow((text, ""))
     return buf.getvalue()[:-2]      # less the "," and the "\n"

@@ -184,7 +184,7 @@ def _functions(seed):
 # -- the tests --------------------------------------------------------------
 
 
-def _exact(pairs):
+def _all_fractions(pairs):
     return all(type(m) is Fraction for _, m in pairs)
 
 
@@ -206,7 +206,7 @@ def test_ddc_equals_reference():
     for f in _functions(2202):
         measure = f.ddc()
         assert measure == _ref_ddc(f)
-        assert _exact(measure.support)
+        assert _all_fractions(measure.support)
         kinks += sum(isinstance(p, EdgePoint) for p, _ in measure.support)
         negative += not f.is_subharmonic_slope().ok
     assert kinks > 200 and negative > 20
@@ -219,7 +219,7 @@ def test_green_oracle_equals_reference():
     for f in _functions(2203):
         verdict = is_subharmonic_green(f)
         assert verdict == _ref_green(f)
-        assert _exact(verdict.violations)
+        assert _all_fractions(verdict.violations)
         at_vertex += any(isinstance(p, Vertex) for p, _ in verdict.violations)
         at_edge += any(isinstance(p, EdgePoint)
                        for p, _ in verdict.violations)
