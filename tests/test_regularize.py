@@ -412,3 +412,142 @@ def test_sample_on_an_edge_with_centers_at_both_ends():
     smoothed = [fks for eid, off, fp, fks in seq.sample(12)
                 if eid == "e1" and 0 < off < F(2, 5) and fks[0] != fp]
     assert smoothed
+
+
+# -- peaks and cones against the point-machinery reference --------------------
+
+
+def _reference_regularization(f, n_terms):
+    """(base, patches, epsilons, terms) of build_regularization, found
+    through the general point machinery: the kinks' masses are moved onto
+    the split's vertices by a remapped DiscreteMeasure, and each cone's
+    far end is f(x) + (outgoing slope - mass / deg) * length over
+    g.star(x)."""
+    from skelpot.pa_function import DiscreteMeasure
+    from skelpot.regularize import Patch, RegularizationTerm
+    graph = f.graph
+    measure = f.ddc()
+    cuts = {eid: [o for o, _ in prof[1:-1]]
+            for eid, prof in f.profiles.items()}
+    f, pieces = f.split(cuts)
+    at = {EdgePoint(eid, o): Vertex(piece.v) for eid, ps in pieces.items()
+          for o, piece in zip(cuts[eid], ps)}
+    measure = DiscreteMeasure.of((at.get(p, p), m) for p, m in measure.support)
+    peaks = {p.id for p, m in measure.support
+             if m > 0 and p.id not in graph.boundary}
+    f, _ = f.split({e.id: [e.length / 2] for e in f.graph.edges
+                    if e.u in peaks and e.v in peaks})
+    g = f.graph
+    patches = []
+    for p, mass in measure.support:
+        if p.id not in peaks:
+            continue
+        dirs = g.star(p)
+        deg = len(dirs)
+        fx = f.vertex_value(p.id)
+        cone, arc_eps = {}, {}
+        for d in dirs:
+            e = g.edge(d.edge)
+            far = fx + (f.outgoing_slope(d) - mass / deg) * e.length
+            cone[e.id] = (fx, far) if d.toward_v else (far, fx)
+            arc_eps[e.id] = mass * e.length / (3 * deg)
+        patches.append(Patch(p.id, mass, cone, arc_eps))
+    if not patches:
+        term = RegularizationTerm(f, F(0), frozenset(), {})
+        return f, (), (), (term,) * n_terms
+    eps0 = min(v for patch in patches for v in patch.arc_eps.values())
+    epsilons = tuple(eps0 / 4 ** k for k in range(n_terms))
+    centers = frozenset(patch.center for patch in patches)
+    cone = {eid: arc for patch in patches for eid, arc in patch.cone.items()}
+    terms = tuple(RegularizationTerm(f, eps, centers, cone)
+                  for eps in epsilons)
+    return f, tuple(patches), epsilons, terms
+
+
+def _assert_matches_reference(f, n_terms=3):
+    """build_regularization(f) equals the reference, the order of the
+    patches and of each patch's cone and budgets included; returns the
+    patches."""
+    base, patches, epsilons, terms = _reference_regularization(f, n_terms)
+    seq = build_regularization(f.graph, f, n_terms=n_terms)
+    assert seq.base == base and seq.graph == base.graph
+    assert seq.patches == patches
+    assert [(p.center, list(p.cone.items()), list(p.arc_eps.items()))
+            for p in seq.patches] == \
+        [(p.center, list(p.cone.items()), list(p.arc_eps.items()))
+         for p in patches]
+    assert seq.epsilons == epsilons
+    assert seq.terms == terms
+    return patches
+
+
+def _looped(rng, g):
+    """g with two self-loops at random vertices and two edges parallel to
+    random edges of g, all with random lengths."""
+    from skelpot import MetricGraph
+    from skelpot.graph import Edge
+    extra = []
+    for i in range(2):
+        v = rng.choice(g.vertices)
+        extra.append(Edge(f"L{i}", v, v,
+                          F(rng.randint(1, 9), rng.randint(1, 4))))
+        e = rng.choice(g.edges)
+        extra.append(Edge(f"P{i}", e.u, e.v,
+                          F(rng.randint(1, 9), rng.randint(1, 4))))
+    return MetricGraph(g.vertices, [*g.edges, *extra], g.boundary,
+                       allow_loops=True, allow_parallel=True)
+
+
+def test_peaks_match_the_reference_on_seeded_functions():
+    """Kinked, random subharmonic and harmonic (peak-free) functions on
+    simple graphs, and kinked functions on graphs with loops and
+    parallel edges."""
+    from skelpot import dirichlet_solve
+    rng = random.Random(28)
+    kinked, subharmonic, looped = [], [], []
+    for _ in range(12):
+        g = random_graph(rng, max_vertices=7, max_edges=10)
+        kinked += _assert_matches_reference(kinked_subharmonic(rng, g))
+        subharmonic += _assert_matches_reference(random_subharmonic(rng, g),
+                                                 n_terms=2)
+        h = dirichlet_solve(g, {v: F(rng.randint(-9, 9), rng.randint(1, 9))
+                                for v in g.boundary})
+        assert _assert_matches_reference(h, n_terms=4) == ()
+        looped += _assert_matches_reference(kinked_subharmonic(
+            rng, _looped(rng, g)))
+    assert len(kinked) > 20 and len(subharmonic) > 5
+    # star arcs cut from the loops L* and the parallel edges P*
+    assert sum(eid[0] in "LP" for p in looped for eid in p.cone) > 20
+
+
+def test_peaks_match_the_reference_next_to_the_boundary(path3):
+    """A kink on an edge to the boundary vertex a, which itself carries
+    positive mass and so is not a peak, and a vertex peak b whose
+    neighbours are both on the boundary."""
+    f = pa(path3, {"e0": [(0, 0), (F(1, 4), F(1, 4)), (1, F(7, 4))],
+                   "e1": [(0, F(7, 4)), (1, F(19, 4))]})
+    assert f.ddc().mass_at(Vertex("a")) > 0
+    assert len(_assert_matches_reference(f)) == 2
+    v = pa(path3, {"e0": [(0, 1), (1, -1)], "e1": [(0, -1), (1, F(1, 2))]})
+    assert len(_assert_matches_reference(v, n_terms=1)) == 1
+
+
+def test_peaks_match_the_reference_on_peaks_joined_by_an_edge(path3):
+    """Two kinks on one edge and two adjacent vertex peaks: each edge
+    joining two peaks gets the midpoint split."""
+    from skelpot import MetricGraph
+    f = pa(path3, {"e0": [(0, 0), (F(1, 3), -1), (F(2, 3), -1), (1, 0)],
+                   "e1": [(0, 0), (1, 4)]})
+    assert len(_assert_matches_reference(f)) == 3
+    g = MetricGraph.from_json_dict({
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [{"id": "e0", "u": "a", "v": "b", "len": "1/2"},
+                  {"id": "e1", "u": "b", "v": "c", "len": "3"},
+                  {"id": "e2", "u": "c", "v": "d", "len": "2/7"}],
+        "boundary": ["a", "d"]})
+    f = pa(g, {"e0": [(0, 0), (F(1, 2), -1)], "e1": [(0, -1), (3, -1)],
+               "e2": [(0, -1), (F(2, 7), 0)]})
+    seq = build_regularization(g, f)
+    assert [p.center for p in seq.patches] == ["b", "c"]
+    assert len(seq.graph.edges) == 4
+    assert len(_assert_matches_reference(f)) == 2
