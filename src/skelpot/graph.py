@@ -178,14 +178,11 @@ class MetricGraph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            adj[e.u].add(e.v)
-            adj[e.v].add(e.u)
         seen = {self.vertices[0]}
         stack = [self.vertices[0]]
         while stack:
-            for w in adj[stack.pop()]:
+            for e, toward_v in self._incident[stack.pop()]:
+                w = e.v if toward_v else e.u
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex
-from .pa_function import DiscreteMeasure, PAFunction
+from .pa_function import PAFunction
 from .potential import require_subharmonic
 
 
@@ -130,24 +130,6 @@ class Patch:
     arc_eps: dict                 # edge id -> mass * length / (3 deg(x))
 
 
-def _along(ends, offset, length):
-    """The affine function with values ends = (a, b) at offsets 0 and
-    length, at offset."""
-    a, b = ends
-    return a + (b - a) * offset / length
-
-
-def _term_rule(eps, fp, at_center: bool, gp):
-    """One term's value at a point where f is fp: f + eps at a peak
-    center, m_{eps/2}(G_x + eps, f) on a star arc where G_x is gp, and f
-    elsewhere (gp is None)."""
-    if at_center:
-        return fp + eps
-    if gp is None:
-        return fp
-    return smooth_max(eps / 2, gp + eps, fp)
-
-
 @dataclass(frozen=True)
 class RegularizationTerm:
     """One term f_k: m_{eps/2}(G_x + eps, f) on the open star of every
@@ -160,13 +142,20 @@ class RegularizationTerm:
     cone: dict                    # star edge id -> (G_x(u), G_x(v))
 
     def value(self, p: GraphPoint) -> Fraction:
+        """The term at p, over the rationals, point by point: f + eps at a
+        peak center, m_{eps/2}(G_x + eps, f) inside a star arc, where G_x
+        is affine between the arc's cone ends, and f elsewhere.  This is
+        the reference that RegularizationSequence.sample is tested
+        against."""
         fp = self.base.eval(p)
         if isinstance(p, Vertex):
-            return _term_rule(self.eps, fp, p.id in self.centers, None)
+            return fp + self.eps if p.id in self.centers else fp
         arc = self.cone.get(p.edge)
-        gp = None if arc is None else _along(
-            arc, p.offset, self.base.graph.edge(p.edge).length)
-        return _term_rule(self.eps, fp, False, gp)
+        if arc is None:
+            return fp
+        a, b = arc
+        gp = a + (b - a) * p.offset / self.base.graph.edge(p.edge).length
+        return smooth_max(self.eps / 2, gp + self.eps, fp)
 
 
 def eval_smoothed(s: RegularizationTerm, p: GraphPoint) -> float:
@@ -214,10 +203,11 @@ class RegularizationSequence:
         (4E(A + F) + 4T^2 + E^2) / (8 nd E).  Each value is built as one
         Fraction, and a value equal to f by the term's rule is f itself.
         """
+        if per_edge < 1:
+            raise ValueError(f"per_edge must be >= 1, not {per_edge!r}")
         n = per_edge
-        centers = {patch.center for patch in self.patches}
-        cone = {eid: arc for patch in self.patches
-                for eid, arc in patch.cone.items()}
+        # every term has the same centers and cone; only eps differs
+        centers, cone = self.terms[0].centers, self.terms[0].cone
         epsilons = [term.eps for term in self.terms]
         eps_den = math.lcm(*(eps.denominator for eps in epsilons))
         rows = []
@@ -270,11 +260,18 @@ def build_regularization(graph: MetricGraph, f: PAFunction,
     """Monotone sequence of smoothed functions decreasing to subharmonic f.
 
     Peaks (positive interior Laplacian mass) are promoted to vertices and
-    separated by midpoint subdivisions; each gets a harmonic cone G_x with
-    arc slopes  d_i f(x) - mass/deg(x), an epsilon budget of a third of
-    the arc gap  mass * length / deg(x),  and the smoothing
-    m_{eps/2}(G_x + eps, f)  on its star.
+    separated by midpoint subdivisions, so f is affine on every edge and
+    each peak's data is read off f's vertex values in closed form.  Peak x
+    of mass m and degree deg gets, on each star arc of length L to a far
+    vertex y, the harmonic cone G_x from f(x) to f(y) - m L / deg and the
+    arc budget m L / (3 deg), a third of the gap f - G_x at y; eps_0 is
+    the least budget, eps_k = eps_0 / 4^k, and term k is
+    m_{eps_k/2}(G_x + eps_k, f) on the stars.  The peaks and the merged
+    cone are kept once, in the terms; without peaks every term is f, with
+    eps 0.
     """
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be >= 1, not {n_terms!r}")
     if f.graph != graph:
         raise GraphError("function lives on a different graph")
     measure = require_subharmonic(f)
@@ -282,44 +279,35 @@ def build_regularization(graph: MetricGraph, f: PAFunction,
     cuts = {eid: [o for o, _ in prof[1:-1]] for eid, prof in f.profiles.items()}
     f, pieces = f.split(cuts)
     # f is affine on every edge now: its ddc is f's with each kink moved to
-    # the vertex split made for it; a midpoint split adds no mass, so
-    # measure and peaks stay valid
-    at = {EdgePoint(eid, o): Vertex(piece.v) for eid, ps in pieces.items()
-          for o, piece in zip(cuts[eid], ps)}
-    measure = DiscreteMeasure.of((at.get(p, p), m) for p, m in measure.support)
-    peaks = {p.id for p, m in measure.support
-             if m > 0 and p.id not in graph.boundary}
+    # the vertex split made for it; a midpoint split adds no mass
+    moved = {EdgePoint(eid, o): piece.v for eid, ps in pieces.items()
+             for o, piece in zip(cuts[eid], ps)}
+    masses = ((p.id if isinstance(p, Vertex) else moved[p], m)
+              for p, m in measure.support if m > 0)
+    peaks = dict(sorted((x, m) for x, m in masses if x not in graph.boundary))
     f, _ = f.split({e.id: [e.length / 2] for e in f.graph.edges
                     if e.u in peaks and e.v in peaks})
     g = f.graph
 
-    patches = []
-    for p, mass in measure.support:
-        if p.id not in peaks:
-            continue
-        dirs = g.star(p)
-        deg = len(dirs)
-        fx = f.vertex_value(p.id)
-        cone, arc_eps = {}, {}
-        for d in dirs:
-            e = g.edge(d.edge)
-            far = fx + (f.outgoing_slope(d) - mass / deg) * e.length
-            cone[e.id] = (fx, far) if d.toward_v else (far, fx)
-            # f is affine on e, so the arc gap f - G_x at the far end is
-            # exactly mass * length / deg
+    patches, cone = [], {}
+    for x, mass in peaks.items():
+        ends = g.incident_ends(x)
+        deg, fx = len(ends), f.vertex_value(x)
+        arcs, arc_eps = {}, {}
+        for e, toward_v in ends:
+            y = e.v if toward_v else e.u
+            far = f.vertex_value(y) - mass * e.length / deg
+            arcs[e.id] = (fx, far) if toward_v else (far, fx)
             arc_eps[e.id] = mass * e.length / (3 * deg)
-        patches.append(Patch(p.id, mass, cone, arc_eps))
+        patches.append(Patch(x, mass, arcs, arc_eps))
+        cone.update(arcs)
 
-    if not patches:
-        term = RegularizationTerm(f, Fraction(0), frozenset(), {})
-        return RegularizationSequence(f, g, (), (), (term,) * n_terms)
-
-    eps0 = min(v for patch in patches for v in patch.arc_eps.values())
-    epsilons = tuple(eps0 / 4 ** k for k in range(n_terms))
-    centers = frozenset(patch.center for patch in patches)
-    cone = {eid: arc for patch in patches for eid, arc in patch.cone.items()}
-    terms = tuple(RegularizationTerm(f, eps, centers, cone)
-                  for eps in epsilons)
+    eps0 = min((v for patch in patches for v in patch.arc_eps.values()),
+               default=Fraction(0))
+    centers = frozenset(peaks)
+    terms = tuple(RegularizationTerm(f, eps0 / 4 ** k, centers, cone)
+                  for k in range(n_terms))
+    epsilons = tuple(term.eps for term in terms) if patches else ()
     return RegularizationSequence(f, g, tuple(patches), epsilons, terms)
 
 

@@ -251,25 +251,23 @@ def format_poly(p: Poly) -> str:
 
 
 def _insert_sign(k: int, idx: tuple) -> tuple[int, tuple] | None:
-    """Sign and result of sorting d x_k ^ dx_idx; None if k already in idx."""
-    if k in idx:
+    """Sign and result of sorting dx_k ^ dx_idx, idx sorted; None if k
+    already in idx."""
+    i = bisect_left(idx, k)
+    if i < len(idx) and idx[i] == k:
         return None
-    below = sum(1 for i in idx if i < k)
-    return ((-1) ** below, tuple(sorted(idx + (k,))))
+    return (-1) ** i, idx[:i] + (k,) + idx[i:]
 
 
 def _merge_sign(a: tuple, b: tuple) -> tuple[int, tuple] | None:
-    """Shuffle sign of dx_a ^ dx_b into sorted order; None if they meet."""
-    if set(a) & set(b):
-        return None
-    sign = 1
-    merged = list(a)
-    for k in b:
-        below = sum(1 for i in merged if i > k)
-        sign *= (-1) ** below
-        merged.append(k)
-        merged.sort()
-    return sign, tuple(merged)
+    """Shuffle sign of dx_a ^ dx_b into sorted order; None if they meet.
+    Each dx_k of a, last first, is moved into the sorted rest."""
+    sign, merged = 1, b
+    for k in reversed(a):
+        if (ins := _insert_sign(k, merged)) is None:
+            return None
+        sign, merged = sign * ins[0], ins[1]
+    return sign, merged
 
 
 @dataclass(frozen=True)
@@ -461,10 +459,9 @@ def pullback(f_map: AffineMap, alpha: SuperForm) -> SuperForm:
             first = int_a[rows[0]]
             for cols, d in minors_of(rows[1:]).items():
                 for s in range(r2):
-                    if first[s] and s not in cols:
-                        k = bisect_left(cols, s)
-                        key = cols[:k] + (s,) + cols[k:]
-                        out[key] = out.get(key, 0) + (-1) ** k * first[s] * d
+                    if first[s] and (ins := _insert_sign(s, cols)):
+                        sign, key = ins
+                        out[key] = out.get(key, 0) + sign * first[s] * d
             minors[rows] = {c: d for c, d in out.items() if d}
         return minors[rows]
 

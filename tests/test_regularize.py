@@ -166,6 +166,19 @@ def test_patches_are_the_peaks_of_the_promoted_function():
     assert peaks > 20
 
 
+@pytest.mark.parametrize("n_terms", [0, -1])
+def test_build_refuses_fewer_than_one_term(unit_edge, n_terms):
+    with pytest.raises(ValueError, match="n_terms"):
+        build_regularization(unit_edge, valley(unit_edge), n_terms=n_terms)
+
+
+@pytest.mark.parametrize("per_edge", [0, -3])
+def test_sample_refuses_fewer_than_one_sample_per_edge(unit_edge, per_edge):
+    seq = build_regularization(unit_edge, valley(unit_edge), n_terms=2)
+    with pytest.raises(ValueError, match="per_edge"):
+        seq.sample(per_edge)
+
+
 def test_harmonic_input_passes_through(path3):
     from skelpot import dirichlet_solve
     h = dirichlet_solve(path3, {"a": F(1), "c": F(0)})
