@@ -225,6 +225,23 @@ def test_regularize_output_matches_golden(tmp_path, capsys):
         (golden / "regularize_patches.out").read_text()
 
 
+def test_regularize_peak_free_output_matches_golden(tmp_path, capsys):
+    """On the harmonic extension committed in harmonic.out, a function
+    with no peaks, every term is f and the --patches file holds no
+    epsilons and no patches, as committed in
+    tests/data/golden/regularize_harmonic.out and
+    regularize_harmonic_patches.out."""
+    golden = DATA / "golden"
+    patches = tmp_path / "patches.json"
+    rc = main(["regularize", str(golden / "harmonic.out"), "--k", "3",
+               "--samples", "4", "--patches", str(patches)])
+    assert rc == 0
+    assert capsys.readouterr().out == \
+        (golden / "regularize_harmonic.out").read_text()
+    assert patches.read_text() == \
+        (golden / "regularize_harmonic_patches.out").read_text()
+
+
 def test_regularize_quoted_edge_ids_match_golden(tmp_path, capsys):
     """The golden subharmonic function with edge ids that the CSV must
     quote or keep as they are (`a,b`, `say "hi"`, one with a newline, one
