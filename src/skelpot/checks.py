@@ -87,7 +87,7 @@ def poisson_formula(rng, graphs: int, max_vertices: int,
             values = {w: F(1 if w == b else 0) for w in g.boundary}
             h = dirichlet_solve(g, values)
             for x in interior:
-                lhs, rhs = evaluation_formula_check(g, Vertex(x), h)
+                lhs, rhs = evaluation_formula_check(Vertex(x), h)
                 if lhs != rhs:
                     raise CheckFailed(f"Poisson mismatch at {x} on {g}")
                 checked += 1
@@ -185,16 +185,16 @@ def monotone_regularization(rng, functions: int, max_vertices: int,
     for _ in range(functions):
         g = random_graph(rng, max_vertices=max_vertices, max_edges=max_edges)
         f = random_subharmonic(rng, g)
-        seq = build_regularization(g, f, n_terms=n_terms)
-        wg = seq.graph
-        pts = sample_points(wg, seq.base, per_edge=per_edge)
+        seq = build_regularization(f, n_terms=n_terms)
+        wg = seq.base.graph
+        pts = sample_points(seq.base, per_edge=per_edge)
         vals = [[eval_smoothed(term, p) for p in pts] for term in seq.terms]
         for k in range(len(seq.terms) - 1):
             if not all(v1 <= v0 + 1e-12
                        for v0, v1 in zip(vals[k], vals[k + 1])):
                 raise CheckFailed(f"f_{k + 1} > f_{k}")
-        for k, eps in enumerate(seq.epsilons):
-            bound = 1.25 * float(eps) + 1e-12
+        for k, term in enumerate(seq.terms):
+            bound = 1.25 * float(term.eps) + 1e-12
             if not all(abs(v - float(seq.base.eval(p))) <= bound
                        for v, p in zip(vals[k], pts)):
                 raise CheckFailed(f"sup bound at k={k}")

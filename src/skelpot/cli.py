@@ -151,7 +151,7 @@ def _csv_field(text: str) -> str:
 
 def cmd_regularize(args) -> int:
     f = _load(args.file, PAFunction.from_json_dict)
-    seq = build_regularization(f.graph, f, n_terms=args.k)
+    seq = build_regularization(f, n_terms=args.k)
     try:
         patches = (open(args.patches, "w") if args.patches
                    else contextlib.nullcontext())
@@ -161,7 +161,7 @@ def cmd_regularize(args) -> int:
         # per sample, the "edge,offset,f_k,f,f_k - f" end of every term's
         # line: f is rounded once, f_k only where it is not f, each as
         # numerator / denominator (correctly rounded, so float(x))
-        ids = {e.id: _csv_field(e.id) for e in seq.graph.edges}
+        ids = {e.id: _csv_field(e.id) for e in seq.base.graph.edges}
         table = []
         for eid, off, fp, fks in seq.sample(args.samples):
             rv = repr(fv := fp.numerator / fp.denominator)
@@ -175,15 +175,15 @@ def cmd_regularize(args) -> int:
             for ends in table))
         if fh is not None:
             dump = {
-                "epsilons": [format_rational(e) for e in seq.epsilons],
+                "epsilons": ([format_rational(t.eps) for t in seq.terms]
+                             if seq.patches else []),
                 "patches": [{
                     "center": p.center,
                     "mass": format_rational(p.mass),
-                    "cone_arcs": {eid: [format_rational(a),
-                                        format_rational(b)]
-                                  for eid, (a, b) in sorted(p.cone.items())},
+                    "cone_arcs": {eid: [format_rational(a), format_rational(b)]
+                                  for eid, (a, b) in p.cone.items()},
                     "arc_eps": {eid: format_rational(v)
-                                for eid, v in sorted(p.arc_eps.items())},
+                                for eid, v in p.arc_eps.items()},
                 } for p in seq.patches],
             }
             fh.write(json.dumps(dump, indent=2, sort_keys=True) + "\n")

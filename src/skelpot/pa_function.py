@@ -217,10 +217,7 @@ class PAFunction:
                 raise GraphError(f"direction {d} not on its base's edge")
             base_off = d.base.offset
         base_val = self.eval(d.base)
-        nxt = self.next_breakpoint(e.id, base_off, d.toward_v)
-        if nxt is None:
-            raise GraphError(f"no room in direction {d}")
-        o, v = nxt
+        o, v = self.next_breakpoint(e.id, base_off, d.toward_v)
         return (v - base_val) / abs(o - base_off)
 
     # -- Laplacian measure ----------------------------------------------------

@@ -16,15 +16,14 @@ from .pa_function import PAFunction, linear_combine
 from .potential import dirichlet_solve, green
 
 
-def _rand_fraction(rng: random.Random, max_den: int = 10,
-                   lo: int = -3, hi: int = 3) -> Fraction:
-    den = rng.randint(1, max_den)
-    num = rng.randint(lo * den, hi * den)
+def _rand_fraction(rng: random.Random) -> Fraction:
+    den = rng.randint(1, 10)
+    num = rng.randint(-3 * den, 3 * den)
     return Fraction(num, den)
 
 
-def _rand_length(rng: random.Random, max_den: int = 10) -> Fraction:
-    den = rng.randint(1, max_den)
+def _rand_length(rng: random.Random) -> Fraction:
+    den = rng.randint(1, 10)
     num = rng.randint(1, 4 * den)
     return Fraction(num, den)
 
@@ -86,14 +85,13 @@ def random_boundary_values(rng: random.Random, g: MetricGraph) -> dict:
     return {v: _rand_fraction(rng) for v in sorted(g.boundary)}
 
 
-def random_subharmonic(rng: random.Random, g: MetricGraph,
-                       max_poles: int = 3) -> PAFunction:
+def random_subharmonic(rng: random.Random, g: MetricGraph) -> PAFunction:
     """Harmonic extension of random boundary data plus a nonnegative
     combination of negated Green's functions, hence subharmonic."""
     h = dirichlet_solve(g, random_boundary_values(rng, g))
     terms = [(Fraction(1), h)]
     interior = [v for v in g.vertices if v not in g.boundary]
-    n_poles = rng.randint(0, max_poles) if interior else 0
+    n_poles = rng.randint(0, 3) if interior else 0
     for _ in range(n_poles):
         pole = Vertex(rng.choice(interior))
         c = Fraction(rng.randint(0, 4), rng.randint(1, 4))

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex
+from .graph import EdgePoint, GraphError, GraphPoint, Vertex
 from .pa_function import PAFunction
 from .potential import require_subharmonic
 
@@ -183,10 +183,10 @@ def _over(x: Fraction, den: int) -> int:
 
 @dataclass(frozen=True)
 class RegularizationSequence:
+    """f's working copy, a patch per peak, and the terms (eps_k in term k)."""
+
     base: PAFunction              # f on the (subdivided) working graph
-    graph: MetricGraph
     patches: tuple[Patch, ...]
-    epsilons: tuple[Fraction, ...]
     terms: tuple[RegularizationTerm, ...]
 
     def sample(self, per_edge: int) -> list[tuple]:
@@ -211,7 +211,7 @@ class RegularizationSequence:
         epsilons = [term.eps for term in self.terms]
         eps_den = math.lcm(*(eps.denominator for eps in epsilons))
         rows = []
-        for e in self.graph.edges:
+        for e in self.base.graph.edges:
             (_, fu), (_, fv) = self.base.profiles[e.id]
             arc = cone.get(e.id)
             d = math.lcm(eps_den, fu.denominator, fv.denominator,
@@ -255,7 +255,7 @@ class RegularizationSequence:
         return rows
 
 
-def build_regularization(graph: MetricGraph, f: PAFunction,
+def build_regularization(f: PAFunction,
                          n_terms: int = 10) -> RegularizationSequence:
     """Monotone sequence of smoothed functions decreasing to subharmonic f.
 
@@ -266,14 +266,12 @@ def build_regularization(graph: MetricGraph, f: PAFunction,
     vertex y, the harmonic cone G_x from f(x) to f(y) - m L / deg and the
     arc budget m L / (3 deg), a third of the gap f - G_x at y; eps_0 is
     the least budget, eps_k = eps_0 / 4^k, and term k is
-    m_{eps_k/2}(G_x + eps_k, f) on the stars.  The peaks and the merged
-    cone are kept once, in the terms; without peaks every term is f, with
-    eps 0.
+    m_{eps_k/2}(G_x + eps_k, f) on the stars.  The graph is f's; eps_k is
+    kept once, in term k, next to the patches' cones merged into one edge
+    lookup.  Without peaks there are no patches and every term is f, eps 0.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, not {n_terms!r}")
-    if f.graph != graph:
-        raise GraphError("function lives on a different graph")
     measure = require_subharmonic(f)
 
     cuts = {eid: [o for o, _ in prof[1:-1]] for eid, prof in f.profiles.items()}
@@ -284,7 +282,7 @@ def build_regularization(graph: MetricGraph, f: PAFunction,
              for o, piece in zip(cuts[eid], ps)}
     masses = ((p.id if isinstance(p, Vertex) else moved[p], m)
               for p, m in measure.support if m > 0)
-    peaks = dict(sorted((x, m) for x, m in masses if x not in graph.boundary))
+    peaks = dict(sorted((x, m) for x, m in masses if x not in f.graph.boundary))
     f, _ = f.split({e.id: [e.length / 2] for e in f.graph.edges
                     if e.u in peaks and e.v in peaks})
     g = f.graph
@@ -307,14 +305,13 @@ def build_regularization(graph: MetricGraph, f: PAFunction,
     centers = frozenset(peaks)
     terms = tuple(RegularizationTerm(f, eps0 / 4 ** k, centers, cone)
                   for k in range(n_terms))
-    epsilons = tuple(term.eps for term in terms) if patches else ()
-    return RegularizationSequence(f, g, tuple(patches), epsilons, terms)
+    return RegularizationSequence(f, tuple(patches), terms)
 
 
-def sample_points(g: MetricGraph, f: PAFunction, per_edge: int = 32):
-    """Vertices, breakpoints, and a uniform grid on every edge."""
+def sample_points(f: PAFunction, per_edge: int = 32):
+    """f's vertices and breakpoints, and a uniform grid on f's edges."""
     pts = list(f.breakpoints())
-    for e in g.edges:
+    for e in f.graph.edges:
         for i in range(1, per_edge):
             off = e.length * i / per_edge
             if all(o != off for o, _ in f.profiles[e.id]):

@@ -471,12 +471,12 @@ def test_regularize_csv_matches_pointwise_evaluation(tmp_path, capsys):
         k, samples = 3, rng.randint(1, 6)
         assert main(["regularize", path, "--k", str(k),
                      "--samples", str(samples)]) == 0
-        seq = build_regularization(f.graph, f, n_terms=k)
+        seq = build_regularization(f, n_terms=k)
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(["k", "edge", "offset", "f_k", "f", "f_k_minus_f"])
         for i, term in enumerate(seq.terms):
-            for e in seq.graph.edges:
+            for e in seq.base.graph.edges:
                 for j in range(samples + 1):
                     p = EdgePoint(e.id, e.length * j / samples)
                     fk = eval_smoothed(term, p)

@@ -182,21 +182,21 @@ def test_green_reciprocity():
 
 def test_evaluation_formula(path2, star3):
     h = dirichlet_solve(path2, {"a": F(0), "b": F(1)})
-    lhs, rhs = evaluation_formula_check(path2, EdgePoint("e", F(1)), h)
+    lhs, rhs = evaluation_formula_check(EdgePoint("e", F(1)), h)
     assert lhs == rhs == F(1, 2)
     vals = {"l0": F(1), "l1": F(5), "l2": F(0)}
     h2 = dirichlet_solve(star3, vals)
-    lhs, rhs = evaluation_formula_check(star3, Vertex("c"), h2)
+    lhs, rhs = evaluation_formula_check(Vertex("c"), h2)
     assert lhs == rhs == F(2)
     c = PAFunction.constant(star3, F(9))
-    lhs, rhs = evaluation_formula_check(star3, Vertex("c"), c)
+    lhs, rhs = evaluation_formula_check(Vertex("c"), c)
     assert lhs == rhs == F(9)
 
 
 def test_evaluation_formula_rejects_nonharmonic(unit_edge):
     f = pa(unit_edge, {"e": [(0, 0), (F(1, 2), 1), (1, 0)]})
     with pytest.raises(NotHarmonicError):
-        evaluation_formula_check(unit_edge, EdgePoint("e", F(1, 3)), f)
+        evaluation_formula_check(EdgePoint("e", F(1, 3)), f)
 
 
 def test_green_oracle_simple_verdicts(unit_edge):

@@ -126,7 +126,7 @@ def valley(unit_edge):
 def test_build_rejects_non_subharmonic(unit_edge):
     f = pa(unit_edge, {"e": [(0, 0), (F(1, 2), 1), (1, 0)]})
     with pytest.raises(NotSubharmonicError):
-        build_regularization(unit_edge, f)
+        build_regularization(f)
 
 
 def test_peak_separation_adds_no_ddc(monkeypatch):
@@ -142,9 +142,9 @@ def test_peak_separation_adds_no_ddc(monkeypatch):
     ddc = PAFunction.ddc
     monkeypatch.setattr(PAFunction, "ddc",
                         lambda self: calls.append(self) or ddc(self))
-    seq = build_regularization(f.graph, f)
+    seq = build_regularization(f)
     assert len(calls) == 1
-    assert len(seq.graph.edges) > len(promoted.graph.edges)
+    assert len(seq.base.graph.edges) > len(promoted.graph.edges)
 
 
 def test_patches_are_the_peaks_of_the_promoted_function():
@@ -160,7 +160,7 @@ def test_patches_are_the_peaks_of_the_promoted_function():
         promoted = f.promote_interior_breakpoints()
         want = [(p.id, m) for p, m in promoted.ddc().support
                 if m > 0 and p.id not in g.boundary]
-        seq = build_regularization(g, f, n_terms=2)
+        seq = build_regularization(f, n_terms=2)
         assert [(p.center, p.mass) for p in seq.patches] == want
         peaks += len(want)
     assert peaks > 20
@@ -169,12 +169,12 @@ def test_patches_are_the_peaks_of_the_promoted_function():
 @pytest.mark.parametrize("n_terms", [0, -1])
 def test_build_refuses_fewer_than_one_term(unit_edge, n_terms):
     with pytest.raises(ValueError, match="n_terms"):
-        build_regularization(unit_edge, valley(unit_edge), n_terms=n_terms)
+        build_regularization(valley(unit_edge), n_terms=n_terms)
 
 
 @pytest.mark.parametrize("per_edge", [0, -3])
 def test_sample_refuses_fewer_than_one_sample_per_edge(unit_edge, per_edge):
-    seq = build_regularization(unit_edge, valley(unit_edge), n_terms=2)
+    seq = build_regularization(valley(unit_edge), n_terms=2)
     with pytest.raises(ValueError, match="per_edge"):
         seq.sample(per_edge)
 
@@ -182,10 +182,10 @@ def test_sample_refuses_fewer_than_one_sample_per_edge(unit_edge, per_edge):
 def test_harmonic_input_passes_through(path3):
     from skelpot import dirichlet_solve
     h = dirichlet_solve(path3, {"a": F(1), "c": F(0)})
-    seq = build_regularization(path3, h, n_terms=3)
+    seq = build_regularization(h, n_terms=3)
     assert seq.patches == ()
     for term in seq.terms:
-        for p in sample_points(seq.graph, seq.base, per_edge=8):
+        for p in sample_points(seq.base, per_edge=8):
             assert eval_smoothed(term, p) == float(seq.base.eval(p))
 
 
@@ -193,45 +193,46 @@ def test_valley_hand_trace(unit_edge):
     """Peak at the midpoint with mass 4 and slopes +-2: the cone G_x is
     identically 0, the arc budget is (1 - 0)/3, and the first term tops
     out at exactly f(x) + eps_0."""
-    seq = build_regularization(unit_edge, valley(unit_edge), n_terms=4)
+    seq = build_regularization(valley(unit_edge), n_terms=4)
     assert len(seq.patches) == 1
     patch = seq.patches[0]
     assert patch.mass == 4
     assert all(v == (0, 0) for v in patch.cone.values())
     assert all(e == F(1, 3) for e in patch.arc_eps.values())
-    assert seq.epsilons[0] == F(1, 3)
-    assert seq.epsilons[1] == F(1, 12)
+    assert seq.terms[0].eps == F(1, 3)
+    assert seq.terms[1].eps == F(1, 12)
     peak = Vertex(patch.center)
-    for k, term in enumerate(seq.terms):
-        assert eval_smoothed(term, peak) == float(seq.epsilons[k])
+    for term in seq.terms:
+        assert eval_smoothed(term, peak) == float(term.eps)
 
 
 def test_epsilon_recursion_ratio(star3):
     from skelpot import green, linear_combine
     f = linear_combine([(F(-1), green(star3, Vertex("c")).result)])
-    seq = build_regularization(star3, f, n_terms=6)
-    assert len(seq.epsilons) == 6
-    for e0, e1 in zip(seq.epsilons, seq.epsilons[1:]):
-        assert e1 == e0 / 4
-        assert e1 < e0 / 3
+    seq = build_regularization(f, n_terms=6)
+    assert len(seq.terms) == 6
+    for t0, t1 in zip(seq.terms, seq.terms[1:]):
+        assert t1.eps == t0.eps / 4
+        assert t1.eps < t0.eps / 3
 
 
 def test_monotone_and_convergent(unit_edge):
-    seq = build_regularization(unit_edge, valley(unit_edge), n_terms=8)
-    pts = sample_points(seq.graph, seq.base, per_edge=16)
+    seq = build_regularization(valley(unit_edge), n_terms=8)
+    pts = sample_points(seq.base, per_edge=16)
     vals = [[eval_smoothed(t, p) for p in pts] for t in seq.terms]
     for k in range(7):
         for v0, v1 in zip(vals[k], vals[k + 1]):
             assert v1 <= v0 + 1e-12
-    for k, eps in enumerate(seq.epsilons):
+    for k, term in enumerate(seq.terms):
         for v, p in zip(vals[k], pts):
-            assert abs(v - float(seq.base.eval(p))) <= 1.25 * float(eps) + 1e-12
+            assert abs(v - float(seq.base.eval(p))) <= \
+                1.25 * float(term.eps) + 1e-12
 
 
 def test_patch_locality_bit_exact(path3):
     """Far from the peak the smoothed terms equal f to the last bit."""
     f = pa(path3, {"e0": [(0, 1), (1, 0)], "e1": [(0, 0), (1, 1)]})
-    seq = build_regularization(path3, f, n_terms=3)
+    seq = build_regularization(f, n_terms=3)
     far = EdgePoint("e0", F(1, 10))
     for term in seq.terms:
         assert eval_smoothed(term, far) == float(seq.base.eval(far))
@@ -242,10 +243,10 @@ def test_second_differences_nonnegative():
     for _ in range(5):
         g = random_graph(rng, max_vertices=6, max_edges=8)
         f = random_subharmonic(rng, g)
-        seq = build_regularization(g, f, n_terms=3)
+        seq = build_regularization(f, n_terms=3)
         h = F(1, 64)
         for term in seq.terms:
-            for e in seq.graph.edges:
+            for e in seq.base.graph.edges:
                 for i in range(2, 31):
                     off = e.length * i / 32
                     if off - h <= 0 or off + h >= e.length:
@@ -258,15 +259,15 @@ def test_vertex_outgoing_sums_nonnegative():
     for _ in range(5):
         g = random_graph(rng, max_vertices=6, max_edges=8)
         f = random_subharmonic(rng, g)
-        seq = build_regularization(g, f, n_terms=3)
+        seq = build_regularization(f, n_terms=3)
         for term in seq.terms:
-            for vid in seq.graph.vertices:
-                if vid in seq.graph.boundary:
+            for vid in seq.base.graph.vertices:
+                if vid in seq.base.graph.boundary:
                     continue
                 v0 = eval_smoothed(term, Vertex(vid))
                 total = 0.0
-                for d in seq.graph.star(Vertex(vid)):
-                    e = seq.graph.edge(d.edge)
+                for d in seq.base.graph.star(Vertex(vid)):
+                    e = seq.base.graph.edge(d.edge)
                     h = e.length / 64
                     off = h if d.toward_v else e.length - h
                     total += (eval_smoothed(term, EdgePoint(e.id, off))
@@ -283,8 +284,8 @@ def test_exact_monotone_sandwich_and_arc_budgets():
     for _ in range(12):
         g = random_graph(rng, max_vertices=6, max_edges=8)
         f = random_subharmonic(rng, g)
-        seq = build_regularization(g, f, n_terms=4)
-        wg, base = seq.graph, seq.base
+        seq = build_regularization(f, n_terms=4)
+        wg, base = seq.base.graph, seq.base
         for patch in seq.patches:
             center = Vertex(patch.center)
             deg = len(wg.star(center))
@@ -296,13 +297,13 @@ def test_exact_monotone_sandwich_and_arc_budgets():
                 assert arc_eps == (base.vertex_value(far) - g_far) / 3
                 assert arc_eps == patch.mass * e.length / (3 * deg)
         pts = [wg.normalize_point(p)
-               for p in sample_points(wg, base, per_edge=16)]
+               for p in sample_points(base, per_edge=16)]
         for p in pts:
             fp = base.eval(p)
             vals = [term.value(p) for term in seq.terms]
             assert all(isinstance(v, Fraction) for v in vals)
-            for k, eps in enumerate(seq.epsilons):
-                assert fp <= vals[k] <= fp + F(5, 4) * eps
+            for k, term in enumerate(seq.terms):
+                assert fp <= vals[k] <= fp + F(5, 4) * term.eps
                 if k + 1 < len(vals):
                     assert fp <= vals[k + 1] <= vals[k]
 
@@ -313,11 +314,11 @@ def _assert_sample_matches_terms(seq, per_edge):
     rows = seq.sample(per_edge)
     assert [(eid, off) for eid, off, _, _ in rows] == \
         [(e.id, e.length * i / per_edge)
-         for e in seq.graph.edges for i in range(per_edge + 1)]
+         for e in seq.base.graph.edges for i in range(per_edge + 1)]
     centers = {patch.center for patch in seq.patches}
     at_centers = 0
     for eid, off, fp, fks in rows:
-        p = seq.graph.normalize_point(EdgePoint(eid, off))
+        p = seq.base.graph.normalize_point(EdgePoint(eid, off))
         assert fp == seq.base.eval(p)
         assert fks == tuple(term.value(p) for term in seq.terms)
         at_centers += isinstance(p, Vertex) and p.id in centers
@@ -333,7 +334,7 @@ def test_sample_matches_term_values():
     for _ in range(15):
         g = random_graph(rng, max_vertices=6, max_edges=8)
         f = kinked_subharmonic(rng, g)
-        seq = build_regularization(g, f, n_terms=4)
+        seq = build_regularization(f, n_terms=4)
         assert seq.patches
         at_centers += _assert_sample_matches_terms(seq, rng.randint(1, 9))
     assert at_centers > 0
@@ -342,7 +343,7 @@ def test_sample_matches_term_values():
 def test_sample_without_peaks_is_f(path3):
     from skelpot import dirichlet_solve
     h = dirichlet_solve(path3, {"a": F(1), "c": F(0)})
-    seq = build_regularization(path3, h, n_terms=3)
+    seq = build_regularization(h, n_terms=3)
     assert seq.patches == ()
     assert _assert_sample_matches_terms(seq, 5) == 0
     assert all(fks == (fp,) * 3 for _, _, fp, fks in seq.sample(5))
@@ -354,9 +355,9 @@ def test_sample_with_one_sample_per_edge():
     at_centers = 0
     for _ in range(6):
         g = random_graph(rng, max_vertices=6, max_edges=8)
-        seq = build_regularization(g, kinked_subharmonic(rng, g), n_terms=3)
+        seq = build_regularization(kinked_subharmonic(rng, g), n_terms=3)
         at_centers += _assert_sample_matches_terms(seq, 1)
-        assert len(seq.sample(1)) == 2 * len(seq.graph.edges)
+        assert len(seq.sample(1)) == 2 * len(seq.base.graph.edges)
     assert at_centers > 0
 
 
@@ -367,7 +368,7 @@ def test_sample_of_harmonic_functions_without_peaks():
         g = random_graph(rng, max_vertices=6, max_edges=8)
         h = dirichlet_solve(g, {v: F(rng.randint(-9, 9), rng.randint(1, 9))
                                 for v in g.boundary})
-        seq = build_regularization(g, h, n_terms=2)
+        seq = build_regularization(h, n_terms=2)
         assert seq.patches == ()
         for per_edge in (1, 3, 7):
             assert _assert_sample_matches_terms(seq, per_edge) == 0
@@ -376,7 +377,7 @@ def test_sample_of_harmonic_functions_without_peaks():
 def _with_epsilons(seq, epsilons):
     """seq with one term per eps in epsilons, peaks and cones kept."""
     terms = tuple(replace(seq.terms[0], eps=eps) for eps in epsilons)
-    return replace(seq, epsilons=tuple(epsilons), terms=terms)
+    return replace(seq, terms=terms)
 
 
 def test_sample_with_epsilons_coprime_to_the_edge_data():
@@ -386,8 +387,8 @@ def test_sample_with_epsilons_coprime_to_the_edge_data():
     epsilons = [F(5, 1009), F(1, 1013 * 1019), F(2, 1021), F(3, 1031)]
     for _ in range(6):
         g = random_graph(rng, max_vertices=6, max_edges=8)
-        seq = build_regularization(g, kinked_subharmonic(rng, g), n_terms=1)
-        data = [x for e in seq.graph.edges
+        seq = build_regularization(kinked_subharmonic(rng, g), n_terms=1)
+        data = [x for e in seq.base.graph.edges
                 for x in (e.length, *(v for _, v in seq.base.profiles[e.id]),
                           *seq.terms[0].cone.get(e.id, ()))]
         assert all(math.gcd(x.denominator, eps.denominator) == 1
@@ -419,7 +420,7 @@ def test_sample_on_an_edge_with_centers_at_both_ends():
     cone = {**b_cone, **c_cone}
     terms = tuple(RegularizationTerm(f, eps, frozenset("bc"), cone)
                   for eps in epsilons)
-    seq = RegularizationSequence(f, g, patches, epsilons, terms)
+    seq = RegularizationSequence(f, patches, terms)
     for per_edge in (1, 2, 5, 12):
         assert _assert_sample_matches_terms(seq, per_edge) == 4
     smoothed = [fks for eid, off, fp, fks in seq.sample(12)
@@ -431,7 +432,7 @@ def test_sample_on_an_edge_with_centers_at_both_ends():
 
 
 def _reference_regularization(f, n_terms):
-    """(base, patches, epsilons, terms) of build_regularization, found
+    """(base, patches, terms) of build_regularization, found
     through the general point machinery: the kinks' masses are moved onto
     the split's vertices by a remapped DiscreteMeasure, and each cone's
     far end is f(x) + (outgoing slope - mass / deg) * length over
@@ -467,29 +468,28 @@ def _reference_regularization(f, n_terms):
         patches.append(Patch(p.id, mass, cone, arc_eps))
     if not patches:
         term = RegularizationTerm(f, F(0), frozenset(), {})
-        return f, (), (), (term,) * n_terms
+        return f, (), (term,) * n_terms
     eps0 = min(v for patch in patches for v in patch.arc_eps.values())
     epsilons = tuple(eps0 / 4 ** k for k in range(n_terms))
     centers = frozenset(patch.center for patch in patches)
     cone = {eid: arc for patch in patches for eid, arc in patch.cone.items()}
     terms = tuple(RegularizationTerm(f, eps, centers, cone)
                   for eps in epsilons)
-    return f, tuple(patches), epsilons, terms
+    return f, tuple(patches), terms
 
 
 def _assert_matches_reference(f, n_terms=3):
     """build_regularization(f) equals the reference, the order of the
     patches and of each patch's cone and budgets included; returns the
     patches."""
-    base, patches, epsilons, terms = _reference_regularization(f, n_terms)
-    seq = build_regularization(f.graph, f, n_terms=n_terms)
-    assert seq.base == base and seq.graph == base.graph
+    base, patches, terms = _reference_regularization(f, n_terms)
+    seq = build_regularization(f, n_terms=n_terms)
+    assert seq.base == base
     assert seq.patches == patches
     assert [(p.center, list(p.cone.items()), list(p.arc_eps.items()))
             for p in seq.patches] == \
         [(p.center, list(p.cone.items()), list(p.arc_eps.items()))
          for p in patches]
-    assert seq.epsilons == epsilons
     assert seq.terms == terms
     return patches
 
@@ -560,7 +560,7 @@ def test_peaks_match_the_reference_on_peaks_joined_by_an_edge(path3):
         "boundary": ["a", "d"]})
     f = pa(g, {"e0": [(0, 0), (F(1, 2), -1)], "e1": [(0, -1), (3, -1)],
                "e2": [(0, -1), (F(2, 7), 0)]})
-    seq = build_regularization(g, f)
+    seq = build_regularization(f)
     assert [p.center for p in seq.patches] == ["b", "c"]
-    assert len(seq.graph.edges) == 4
+    assert len(seq.base.graph.edges) == 4
     assert len(_assert_matches_reference(f)) == 2
