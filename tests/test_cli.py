@@ -166,6 +166,19 @@ def test_json_output_matches_golden(capsys, name, argv):
     assert capsys.readouterr().out == (golden / f"{name}.out").read_text()
 
 
+def test_rationalize_output_matches_golden(capsys):
+    """The certificate for decimal data near Green's function at c, with
+    one kink inside an edge, paired with Green's function at b: nested
+    checks, per-edge slopes, an integer and booleans, as committed in
+    tests/data/golden/rationalize.out."""
+    golden = DATA / "golden"
+    rc = main(["rationalize", "--f", str(golden / "rationalize_f.json"),
+               "--g", str(golden / "rationalize_g.json")])
+    assert rc == 0
+    assert capsys.readouterr().out == \
+        (golden / "rationalize.out").read_text()
+
+
 @pytest.mark.parametrize("name, argv, code", [
     ("positivity_positive",
      ["superform", "x1^2 + x1*x2 + x2^2 + x3^4 + x3^2 + (x1 + x3)^4"], 0),
