@@ -32,6 +32,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii as _ascii
 
 from .graph import EdgePoint, GraphError, MetricGraph, Vertex, point_to_json
 from .pa_function import PAFunction
@@ -78,9 +79,35 @@ def _parse_point(text: str):
     return Vertex(text)
 
 
+def _json(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for
+    dicts with str keys, lists, tuples, str, bool, None, int and float;
+    TypeError for any other type or key (the string encoder refuses a
+    key that is not a str).  With indent, json.dumps runs its pure-Python
+    encoder; this joins each container's items once and writes a str item
+    in place, with the C string encoder."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items, ends = [_ascii(k) + ": " + (_ascii(v) if isinstance(v, str)
+                                           else _json(v, inner))
+                       for k, v in sorted(obj.items())], "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, ends = [_ascii(x) if isinstance(x, str) else _json(x, inner)
+                       for x in obj], "[]"
+    elif isinstance(obj, str):
+        return _ascii(obj)
+    elif obj is None or isinstance(obj, (bool, int, float)):
+        return json.dumps(obj)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                        "serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
 def _emit(obj) -> None:
-    # one write: json.dump would write each of its thousands of chunks
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json(obj) + "\n")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -160,19 +187,22 @@ def cmd_regularize(args) -> int:
     with patches as fh:
         # per sample, the "edge,offset,f_k,f,f_k - f" end of every term's
         # line: f is rounded once, f_k only where it is not f, each as
-        # numerator / denominator (correctly rounded, so float(x))
+        # numerator / denominator (int division rounds correctly, so it
+        # is float(Fraction(n, d)))
         ids = {e.id: _csv_field(e.id) for e in seq.base.graph.edges}
         table = []
         for eid, off, fp, fks in seq.sample(args.samples):
-            rv = repr(fv := fp.numerator / fp.denominator)
+            rv = repr(fv := fp[0] / fp[1])
             head = f"{ids[eid]},{format_rational(off)},"
             same = f"{head}{rv},{rv},0.0\n"
-            table.append([same if fk is fp else
-                          f"{head}{(v := fk.numerator / fk.denominator)!r},"
-                          f"{rv},{v - fv!r}\n" for fk in fks])
+            table.append((same,) * len(fks) if fks.count(fp) == len(fks)
+                         else [same if fk is fp else
+                               f"{head}{(v := fk[0] / fk[1])!r},"
+                               f"{rv},{v - fv!r}\n" for fk in fks])
+        # k-major: term k's lines are the k-th column of the table
         sys.stdout.write("k,edge,offset,f_k,f,f_k_minus_f\n" + "".join(
-            f"{k},{ends[k]}" for k in range(len(seq.terms))
-            for ends in table))
+            f"{k}," + f"{k},".join(column)
+            for k, column in enumerate(zip(*table))))
         if fh is not None:
             dump = {
                 "epsilons": ([format_rational(t.eps) for t in seq.terms]
@@ -186,7 +216,7 @@ def cmd_regularize(args) -> int:
                                 for eid, v in p.arc_eps.items()},
                 } for p in seq.patches],
             }
-            fh.write(json.dumps(dump, indent=2, sort_keys=True) + "\n")
+            fh.write(_json(dump) + "\n")
     return 0
 
 
@@ -246,11 +276,16 @@ def cmd_superform(args) -> int:
                                                      sf.Poly(r, {})))
         if (alpha.p, alpha.q) != (1, 1):
             raise InputError("positivity needs a (1,1)-form or a function")
-        verdict = sf.is_positive_11(alpha, _positivity_points(args.points, r))
+        points = [tuple(pt) for pt in _positivity_points(args.points, r)]
+        # each distinct point is tested once; a violation is printed at
+        # each of its places in the list
+        verdict = sf.is_positive_11(alpha, dict.fromkeys(points))
         print("positive" if verdict.ok else "not positive")
-        for pt in verdict.violations:
-            print("violation at (" +
-                  ", ".join(format_rational(x) for x in pt) + ")")
+        bad = set(verdict.violations)
+        for pt in points:
+            if pt in bad:
+                print("violation at (" +
+                      ", ".join(format_rational(x) for x in pt) + ")")
         return 0 if verdict.ok else 1
     try:
         text = sf.format_form(out)

@@ -192,16 +192,17 @@ class RegularizationSequence:
     def sample(self, per_edge: int) -> list[tuple]:
         """Every term at offsets length * i / per_edge (i = 0..per_edge)
         of every edge, edges in id order: one row
-        (edge id, offset, f, (f_0, f_1, ...)) per sample, each f_k equal
-        to terms[k].value at that point.
+        (edge id, offset, f, (f_0, f_1, ...)) per sample, the offset a
+        Fraction and each value an unreduced (numerator, denominator)
+        pair of ints, f_k equal to terms[k].value at that point.
 
         On each edge, f's end values, the cone's ends and every eps_k are
         brought to one denominator nd = d * per_edge, so that f, G_x + eps_k
         and their difference T are integer numerators F, A and T at every
         sample.  With E the numerator of eps_k, m_{eps/2}(a, f) is a if
         2T >= E, f if -2T >= E, and otherwise
-        (4E(A + F) + 4T^2 + E^2) / (8 nd E).  Each value is built as one
-        Fraction, and a value equal to f by the term's rule is f itself.
+        (4E(A + F) + 4T^2 + E^2) / (8 nd E).  A value equal to f by the
+        term's rule is f's own pair object.
         """
         if per_edge < 1:
             raise ValueError(f"per_edge must be >= 1, not {per_edge!r}")
@@ -227,10 +228,10 @@ class RegularizationSequence:
             length_num, length_den = e.length.numerator, e.length.denominator
             for i in range(n + 1):
                 fnum = f0 + df * i
-                fp = Fraction(fnum, nd)
+                fp = (fnum, nd)
                 if i in (0, n):
                     if (e.u if i == 0 else e.v) in centers:
-                        fks = tuple(Fraction(fnum + ek, nd) for ek in eks)
+                        fks = tuple((fnum + ek, nd) for ek in eks)
                     else:
                         fks = (fp,) * len(eks)
                 elif arc is None:
@@ -242,13 +243,12 @@ class RegularizationSequence:
                         a = gnum + ek
                         t = a - fnum
                         if 2 * t >= ek:
-                            fks.append(Fraction(a, nd))
+                            fks.append((a, nd))
                         elif -2 * t >= ek:
                             fks.append(fp)
                         else:
-                            fks.append(Fraction(
-                                4 * ek * (a + fnum) + 4 * t * t + ek * ek,
-                                8 * nd * ek))
+                            fks.append((4 * ek * (a + fnum) + 4 * t * t
+                                        + ek * ek, 8 * nd * ek))
                     fks = tuple(fks)
                 rows.append((e.id, Fraction(length_num * i, length_den * n),
                              fp, fks))

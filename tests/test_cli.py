@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skelpot import GraphError, MetricGraph, PAFunction
-from skelpot.cli import SUBCOMMANDS, UNARY_OPS, build_parser, main
+from skelpot.cli import SUBCOMMANDS, UNARY_OPS, _json, build_parser, main
 from skelpot.rational import RationalParseError, parse_rational
 
 from conftest import kinked_subharmonic, subprocess_env
@@ -816,6 +816,87 @@ def test_superform_long_point_coordinate_is_exit_2(capsys):
     assert rc == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+def test_positivity_tests_each_distinct_point_once(monkeypatch, capsys):
+    """The default grid on R^3 lists 37 points, 19 distinct: each is
+    tested once, and the lines printed are still the golden ones."""
+    from skelpot import superforms as sf
+    tested = []
+    is_positive_11 = sf.is_positive_11
+
+    def record(alpha, points):
+        points = list(points)
+        tested.extend(points)
+        return is_positive_11(alpha, points)
+    monkeypatch.setattr(sf, "is_positive_11", record)
+    rc = main(["superform", "--op", "positivity", "--",
+               "-x1^2 - x2^2 - x3^2"])
+    assert rc == 1
+    assert capsys.readouterr().out == \
+        (DATA / "golden" / "positivity_default_grid.out").read_text()
+    assert len(tested) == len(set(tested)) == 19
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+_CHARS = ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "a", "Z", " ",
+          "\u00e9", "\u2028", "\ud7ff", "\ue000", "\uffff", "\U0001f600",
+          "\U0010ffff"]
+_LEAVES = [True, False, None, 0, -1, 2**64, -(10**300), 0.0, -0.0, 1e300,
+           -1e-300, 0.1, float("nan"), float("inf"), float("-inf")]
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randint(0, 6)))
+
+
+def _random_json(rng, depth=0):
+    """A nested value of dicts, lists, tuples, strings and leaves."""
+    kind = rng.randrange(6 if depth < 5 else 2)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.choice(_LEAVES)
+    items = [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == 2:
+        return items
+    if kind == 3:
+        return tuple(items)
+    return {_random_text(rng): value for value in items}
+
+
+def test_json_writer_matches_json_dumps():
+    """Byte for byte the text of json.dumps(indent=2, sort_keys=True) on
+    seeded nested values, empty containers, tuples and every leaf."""
+    rng = random.Random(29)
+    values = [{}, [], (), "", {"": []}, [{}], _CHARS, _LEAVES,
+              {c: c for c in _CHARS}]
+    values += [_random_json(rng) for _ in range(400)]
+    for value in values:
+        assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_on_the_golden_outputs():
+    """Every golden output that is JSON, parsed and written again."""
+    checked = 0
+    for path in sorted((DATA / "golden").glob("*.out")):
+        try:
+            value = json.loads(path.read_text())
+        except ValueError:
+            continue
+        assert _json(value) + "\n" == path.read_text(), path.name
+        checked += 1
+    assert checked == 11
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, [{"a": {None: 1}}], {1.5},
+                                   [b"x"], {"a": object()}])
+def test_json_writer_refuses_other_keys_and_types(value):
+    with pytest.raises(TypeError):
+        _json(value)
 
 
 # ---------------------------------------------------------------------------

@@ -638,3 +638,29 @@ def test_function_reader_refuses_malformed_shapes(doc, message):
     with pytest.raises(GraphError) as exc:
         PAFunction.from_json_dict(doc)
     assert str(exc.value) == message
+
+
+def test_offsets_must_increase_as_fractions_compare():
+    """Seeded profiles of 2 to 6 breakpoints with offsets drawn from a
+    few values, repeats and negatives included: the constructor refuses
+    exactly those whose offsets do not increase, as Fraction's < says."""
+    g = graph_from({"vertices": ["a", "b"],
+                    "edges": [{"id": "e", "u": "a", "v": "b", "len": "5/3"}],
+                    "boundary": ["a", "b"]})
+    pool = [F(-1, 2), F(0), F(1, 3), F(2, 6), F(7, 9), F(1), F(5, 3)]
+    rng = random.Random(31)
+    refused = 0
+    for _ in range(600):
+        inner = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+        offsets = [F(0), *inner, F(5, 3)]
+        increasing = all(a < b for a, b in zip(offsets, offsets[1:]))
+        profile = [(o, F(i)) for i, o in enumerate(offsets)]
+        try:
+            PAFunction(g, {"e": profile})
+        except GraphError as exc:
+            assert str(exc) == "edge e: offsets not increasing"
+            assert not increasing
+            refused += 1
+        else:
+            assert increasing
+    assert 100 < refused < 590

@@ -309,8 +309,10 @@ def test_exact_monotone_sandwich_and_arc_budgets():
 
 
 def _assert_sample_matches_terms(seq, per_edge):
-    """seq.sample(per_edge) row by row against term.value, exactly;
-    returns the number of vertex samples at a peak center."""
+    """seq.sample(per_edge) row by row against term.value, exactly: each
+    (numerator, denominator) pair is the value, and a value is f's own
+    pair object exactly where it equals f; returns the number of vertex
+    samples at a peak center."""
     rows = seq.sample(per_edge)
     assert [(eid, off) for eid, off, _, _ in rows] == \
         [(e.id, e.length * i / per_edge)
@@ -319,8 +321,14 @@ def _assert_sample_matches_terms(seq, per_edge):
     at_centers = 0
     for eid, off, fp, fks in rows:
         p = seq.base.graph.normalize_point(EdgePoint(eid, off))
-        assert fp == seq.base.eval(p)
-        assert fks == tuple(term.value(p) for term in seq.terms)
+        assert all(type(x) is int for pair in (fp, *fks) for x in pair)
+        f_at = seq.base.eval(p)
+        assert Fraction(*fp) == f_at
+        values = [term.value(p) for term in seq.terms]
+        assert [Fraction(*fk) for fk in fks] == values
+        # the CSV's n / d is the float of the value
+        assert [fk[0] / fk[1] for fk in fks] == list(map(float, values))
+        assert [fk is fp for fk in fks] == [v == f_at for v in values]
         at_centers += isinstance(p, Vertex) and p.id in centers
     return at_centers
 
@@ -346,7 +354,7 @@ def test_sample_without_peaks_is_f(path3):
     seq = build_regularization(h, n_terms=3)
     assert seq.patches == ()
     assert _assert_sample_matches_terms(seq, 5) == 0
-    assert all(fks == (fp,) * 3 for _, _, fp, fks in seq.sample(5))
+    assert all(fk is fp for _, _, fp, fks in seq.sample(5) for fk in fks)
 
 
 def test_sample_with_one_sample_per_edge():
@@ -424,7 +432,7 @@ def test_sample_on_an_edge_with_centers_at_both_ends():
     for per_edge in (1, 2, 5, 12):
         assert _assert_sample_matches_terms(seq, per_edge) == 4
     smoothed = [fks for eid, off, fp, fks in seq.sample(12)
-                if eid == "e1" and 0 < off < F(2, 5) and fks[0] != fp]
+                if eid == "e1" and 0 < off < F(2, 5) and fks[0] is not fp]
     assert smoothed
 
 
