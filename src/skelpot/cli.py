@@ -195,10 +195,9 @@ def cmd_regularize(args) -> int:
             rv = repr(fv := fp[0] / fp[1])
             head = f"{ids[eid]},{format_rational(off)},"
             same = f"{head}{rv},{rv},0.0\n"
-            table.append((same,) * len(fks) if fks.count(fp) == len(fks)
-                         else [same if fk is fp else
-                               f"{head}{(v := fk[0] / fk[1])!r},"
-                               f"{rv},{v - fv!r}\n" for fk in fks])
+            table.append([same if fk is fp else
+                          f"{head}{(v := fk[0] / fk[1])!r},"
+                          f"{rv},{v - fv!r}\n" for fk in fks])
         # k-major: term k's lines are the k-th column of the table
         sys.stdout.write("k,edge,offset,f_k,f,f_k_minus_f\n" + "".join(
             f"{k}," + f"{k},".join(column)

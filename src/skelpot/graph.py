@@ -304,7 +304,26 @@ class MetricGraph:
         """The graph of a JSON object {"vertices", "edges", "boundary"}.
         A malformed shape raises GraphError naming its location, such as
         `graph.edges[3].len must be present`."""
-        _require_graph_shape(d)
+        # the checks in reading order; a location is put into words only
+        # in the raise, so a valid shape builds no text
+        require_shape(isinstance(d, dict), "graph", "a JSON object")
+        for key in ("vertices", "edges", "boundary"):
+            require_shape(isinstance(d.get(key, []), list), f"graph.{key}",
+                          "a JSON list")
+        for key in ("vertices", "boundary"):
+            for i, vid in enumerate(d.get(key, [])):
+                if not isinstance(vid, str):
+                    raise GraphError(f"graph.{key}[{i}] must be a string")
+        for i, e in enumerate(d.get("edges", [])):
+            if not isinstance(e, dict):
+                raise GraphError(f"graph.edges[{i}] must be a JSON object")
+            for key in ("u", "v", "len"):
+                if key not in e:
+                    raise GraphError(f"graph.edges[{i}].{key} must be present")
+            for key in ("id", "u", "v"):
+                if not isinstance(e.get(key, ""), str):
+                    raise GraphError(
+                        f"graph.edges[{i}].{key} must be a string")
         edges = [Edge(e["id"] if "id" in e else f"e{i}", e["u"], e["v"],
                       parse_rational(e["len"]))
                  for i, e in enumerate(d.get("edges", []))]
@@ -325,37 +344,6 @@ class MetricGraph:
     def __repr__(self):
         return (f"MetricGraph({len(self.vertices)} vertices, "
                 f"{len(self.edges)} edges, boundary={sorted(self.boundary)})")
-
-
-def _require_graph_shape(d) -> None:
-    """Raise GraphError naming the first shape fault of a graph dict in
-    reading order.  One pass that puts no location into words accepts a
-    valid shape first; only a fault runs the ordered checks."""
-    if type(d) is dict:
-        lists = [d.get(key, []) for key in ("vertices", "edges", "boundary")]
-        if set(map(type, lists)) == {list}:
-            vertices, edges, boundary = lists
-            if set(map(type, vertices + boundary)) <= {str} and all(
-                    type(e) is dict and "len" in e and type(e.get("u")) is str
-                    and type(e.get("v")) is str
-                    and type(e.get("id", "")) is str for e in edges):
-                return
-    require_shape(isinstance(d, dict), "graph", "a JSON object")
-    for key in ("vertices", "edges", "boundary"):
-        require_shape(isinstance(d.get(key, []), list), f"graph.{key}",
-                      "a JSON list")
-    for key in ("vertices", "boundary"):
-        for i, vid in enumerate(d.get(key, [])):
-            require_shape(isinstance(vid, str), f"graph.{key}[{i}]",
-                          "a string")
-    for i, e in enumerate(d.get("edges", [])):
-        require_shape(isinstance(e, dict), f"graph.edges[{i}]",
-                      "a JSON object")
-        for key in ("u", "v", "len"):
-            require_shape(key in e, f"graph.edges[{i}].{key}", "present")
-        for key in ("id", "u", "v"):
-            require_shape(isinstance(e.get(key, ""), str),
-                          f"graph.edges[{i}].{key}", "a string")
 
 
 def point_to_json(p: GraphPoint) -> dict:

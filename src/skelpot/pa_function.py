@@ -12,7 +12,6 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from operator import itemgetter
 
@@ -129,12 +128,11 @@ class PAFunction:
                     prof[-1][0] is not e.length and prof[-1][0] != e.length:
                 raise GraphError(
                     f"edge {e.id}: profile must span offsets 0..{e.length}")
-            if len(prof) > 2:       # else 0 < length, as the graph checked
-                # on integer ratios: Fraction's own <= is slower
-                ratios = [o.as_integer_ratio() for o, _ in prof]
-                if any(p2 * q1 <= p1 * q2 for (p1, q1), (p2, q2)
-                       in zip(ratios, ratios[1:])):
-                    raise GraphError(f"edge {e.id}: offsets not increasing")
+            # on integer ratios: Fraction's own <= is slower
+            ratios = [o.as_integer_ratio() for o, _ in prof]
+            if any(p2 * q1 <= p1 * q2 for (p1, q1), (p2, q2)
+                   in zip(ratios, ratios[1:])):
+                raise GraphError(f"edge {e.id}: offsets not increasing")
             norm[e.id] = prof
         extra = set(profiles) - {e.id for e in graph.edges}
         if extra:
@@ -322,16 +320,11 @@ class PAFunction:
         graph = MetricGraph.from_json_dict(d.get("graph"))
         profiles = d.get("profiles")
         require_shape(isinstance(profiles, dict), "profiles", "a JSON object")
-        # one pass over every pair accepts a valid shape; only a fault
-        # runs the per-edge checks that name it
-        profs = profiles.values()
-        if not (set(map(type, profs)) <= {list}
-                and set(map(type, chain.from_iterable(profs))) <= {list}
-                and set(map(len, chain.from_iterable(profs))) <= {2}):
-            for eid, prof in profiles.items():
-                require_shape(isinstance(prof, list) and all(
-                    isinstance(bp, list) and len(bp) == 2 for bp in prof),
-                    f"profiles.{eid}", "a list of [offset, value] pairs")
+        for eid, prof in profiles.items():
+            if not (isinstance(prof, list) and all(
+                    isinstance(bp, list) and len(bp) == 2 for bp in prof)):
+                raise GraphError(
+                    f"profiles.{eid} must be a list of [offset, value] pairs")
         # a repeated literal (offset 0, a vertex value, or a length that the
         # graph parsed) is parsed once; only strings are memoized, so any
         # other value meets parse_rational and its error every time
