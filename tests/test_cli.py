@@ -198,6 +198,41 @@ def test_positivity_output_matches_golden(capsys, name, argv, code):
         (DATA / "golden" / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("superform_dprime",
+     ["(x1^2/3 + x2/7) d''x1 + (x1*x2^3/5 - 2/11*x3) d''x2"
+      " + (x3^2/13) d''x3", "--op", "dprime"]),
+    ("superform_dprime_cancel",
+     ["x2 d'x1 + x1 d'x2 + x3^2 d'x1", "--op", "dprime"]),
+    ("superform_dprime_overflow",
+     ["x1 d'x1 ^ d'x2 ^ d'x3", "--op", "dprime"]),
+    ("superform_dsecond",
+     ["(x1^2/3 + x2/7) d'x1 + (x1*x2^3/5 - 2/11*x3) d'x2"
+      " + (x2*x3/9) d'x3", "--op", "dsecond"]),
+    ("superform_dsecond_cancel",
+     ["x2 d'x3 ^ d''x1 + x1 d'x3 ^ d''x2 + x1^2/999983 d'x1 ^ d''x2",
+      "--op", "dsecond"]),
+    ("superform_dsecond_overflow",
+     ["x1 d''x1 ^ d''x2", "--op", "dsecond", "--r", "2"]),
+    ("superform_J",
+     ["(x1/2 - x3/3) d'x1 ^ d'x3 ^ d''x2 + (x2^2/5) d'x2 ^ d'x3 ^ d''x1",
+      "--op", "J"]),
+    ("superform_wedge",
+     ["x1/3 d''x2 + x3 d''x1", "--op", "wedge",
+      "--with", "(x2/5 + 1/7) d'x1 + x1 d'x3"]),
+])
+def test_superform_output_matches_golden(capsys, name, argv):
+    """The printed form of d', d'', J and wedge: coefficients over
+    coprime denominators, a key of d' (and of d'') whose contributions
+    cancel, degree overflows, a (2,1)-form under J and a wedge of a
+    (0,1)- by a (1,0)-form, whose blocks cross with the sign -1, as
+    committed in tests/data/golden/<name>.out."""
+    rc = main(["superform"] + argv)
+    assert rc == 0
+    assert capsys.readouterr().out == \
+        (DATA / "golden" / f"{name}.out").read_text()
+
+
 def test_positivity_default_grid_matches_golden(capsys):
     """The default sample points in order, repeats included: the Hessian
     of -|x|^2 is -2I, so every point of the grid on R^3 is a violation,
