@@ -42,7 +42,7 @@ class Poly:
         den = 1
         for exp, c in (terms or {}).items():
             exp = tuple(exp)
-            if len(exp) != r or (exp and min(exp) < 0):
+            if len(exp) != r or any(type(k) is not int or k < 0 for k in exp):
                 raise ValueError(f"exponent {exp} is not {r} natural numbers")
             c = c if isinstance(c, (int, Fraction)) else Fraction(c)
             if c:
@@ -137,9 +137,8 @@ class Poly:
 
     def eval(self, point) -> Fraction:
         exps = {e: sum(e) for e in self.nums}
-        _, value, scale = _monomials(point, self.r, exps, self.degree())
-        return Fraction(sum(map(mul, self.nums.values(),
-                                map(value.get, self.nums))),
+        _, values, scale = _monomials(point, self.r, exps, self.degree())
+        return Fraction(sum(map(mul, self.nums.values(), values)),
                         self.den * scale)
 
     def substitute_affine(self, affines: list["Poly"]) -> "Poly":
@@ -182,18 +181,19 @@ def _integer_polys(polys: list[Poly]) -> tuple[list[dict], int]:
             for p in polys], den
 
 
-def _monomials(point, r: int, exps: dict, n: int) -> tuple[tuple, dict, int]:
+def _monomials(point, r: int, exps: dict, n: int) -> tuple[tuple, list, int]:
     """point as r Fractions (ValueError for another length), q^n * x^e
-    there for each e of exps (which maps e to |e| <= n), and q^n: with
-    the coordinates over one denominator q and numerators n_i, q^n * x^e
-    is the integer q^(n - |e|) * prod n_i^e_i."""
+    there for each e of exps (which maps e to |e| <= n), listed in the
+    order of exps, and q^n: with the coordinates over one denominator q
+    and numerators n_i, q^n * x^e is the integer
+    q^(n - |e|) * prod n_i^e_i."""
     pt = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in point)
     if len(pt) != r:
         raise ValueError(f"point has {len(pt)} coordinates, not {r}")
     q = lcm(*(x.denominator for x in pt))
     nums = [x.numerator * (q // x.denominator) for x in pt]
-    return pt, {e: q ** (n - d) * prod(map(pow, nums, e))
-                for e, d in exps.items()}, q ** n
+    return pt, [q ** (n - d) * prod(map(pow, nums, e))
+                for e, d in exps.items()], q ** n
 
 
 def _term_product(p: dict, q: dict) -> dict:
@@ -371,23 +371,28 @@ class SuperForm:
 def _differential(alpha: SuperForm, second: bool) -> SuperForm:
     """Differentiate coefficients and insert dx_k into the d'-block (or,
     with second, the d''-block with the crossing sign (-1)^p); a degree
-    overflow gives 0."""
+    overflow gives 0.  The coefficients are brought to one denominator,
+    and each output coefficient's signed derivative numerators are added
+    into one int dict, made a Poly once."""
     cross = (-1) ** alpha.p if second else 1
-    cs: dict = {}
-    for (i, j), poly in alpha.coeffs.items():
-        for k in range(alpha.r):
-            dp = poly.diff(k)
-            if dp.is_zero():
-                continue
+    r = alpha.r
+    polys, den = _integer_polys(list(alpha.coeffs.values()))
+    acc: dict = {}
+    for (i, j), nums in zip(alpha.coeffs, polys):
+        for k in range(r):
             ins = _insert_sign(k, j if second else i)
             if ins is None:
                 continue
             sign, block = ins
-            key = (i, block) if second else (block, j)
-            add = dp * (sign * cross)
-            cs[key] = cs[key] + add if key in cs else add
+            sign *= cross
+            out = acc.setdefault((i, block) if second else (block, j), {})
+            for e, v in nums.items():
+                if ek := e[k]:
+                    low = e[:k] + (ek - 1,) + e[k + 1:]
+                    out[low] = out.get(low, 0) + sign * ek * v
     p, q = (alpha.p, alpha.q + 1) if second else (alpha.p + 1, alpha.q)
-    return SuperForm._of(alpha.r, p, q, cs)
+    return SuperForm._of(r, p, q, {key: Poly._of(r, t, den)
+                                   for key, t in acc.items()})
 
 
 def d_prime(alpha: SuperForm) -> SuperForm:
@@ -515,8 +520,9 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
     each point's coordinates to one denominator q with numerators n_i.
     With n the largest degree of a monomial, x^e is the integer
     q^(n - |e|) * prod n_i^e_i, computed once per point and shared by
-    every entry, so each entry is one integer sum.  The integer matrix
-    is D * q^n > 0 times the true one and has the same verdict."""
+    every entry.  Each entry is a dense row of numerators in the order
+    of the shared monomials, so it is one integer sum.  The integer
+    matrix is D * q^n > 0 times the true one and has the same verdict."""
     m = _coeff_matrix(alpha)
     r = alpha.r
     for i in range(r):
@@ -526,13 +532,14 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
     upper = [(i, j) for i in range(r) for j in range(i, r)]
     polys, _ = _integer_polys([m[i][j] for i, j in upper])
     exps = {e: sum(e) for p in polys for e in p}
+    rows = [[p.get(e, 0) for e in exps] for p in polys]
     n = max(exps.values(), default=0)
     bad = []
     for pt in points:
-        pt, value, _ = _monomials(pt, r, exps, n)
+        pt, values, _ = _monomials(pt, r, exps, n)
         h = [[0] * r for _ in range(r)]
-        for (i, j), p in zip(upper, polys):
-            h[i][j] = h[j][i] = sum(map(mul, p.values(), map(value.get, p)))
+        for (i, j), row in zip(upper, rows):
+            h[i][j] = h[j][i] = sum(map(mul, row, values))
         if not _psd(h):
             bad.append(pt)
     return PositivityVerdict(not bad, tuple(bad))
