@@ -40,9 +40,10 @@ class Poly:
     def __init__(self, r: int, terms: dict | None = None):
         coeffs = {}
         den = 1
+        ints = (int,) * r           # a bool or a float is no exponent
         for exp, c in (terms or {}).items():
             exp = tuple(exp)
-            if len(exp) != r or any(type(k) is not int or k < 0 for k in exp):
+            if tuple(map(type, exp)) != ints or (exp and min(exp) < 0):
                 raise ValueError(f"exponent {exp} is not {r} natural numbers")
             c = c if isinstance(c, (int, Fraction)) else Fraction(c)
             if c:
