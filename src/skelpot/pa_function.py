@@ -196,14 +196,17 @@ class PAFunction:
         return v1 + (v2 - v1) * (offset - o1) / (o2 - o1)
 
     def next_breakpoint(self, edge_id: str, offset,
-                        toward_v: bool) -> tuple[Fraction, Fraction] | None:
+                        toward_v: bool) -> tuple[Fraction, Fraction]:
         """The breakpoint (offset, value) of the edge's profile nearest
-        to `offset` and strictly beyond it, toward v or toward u; None
-        past the edge's end."""
+        to `offset` and strictly beyond it, toward v or toward u; a
+        GraphError at or past the edge's end."""
         prof = self.profiles[edge_id]
         i = bisect_right(prof, offset, key=_OFFSET) if toward_v \
             else bisect_left(prof, offset, key=_OFFSET) - 1
-        return prof[i] if 0 <= i < len(prof) else None
+        if not 0 <= i < len(prof):
+            raise GraphError(f"edge {edge_id}: no breakpoint beyond offset "
+                             f"{offset} toward {'v' if toward_v else 'u'}")
+        return prof[i]
 
     def outgoing_slope(self, d: TangentDirection) -> Fraction:
         """One-sided derivative at d.base in the direction of d."""
@@ -344,9 +347,7 @@ class PAFunction:
 
     @classmethod
     def constant(cls, graph: MetricGraph, c: Fraction) -> "PAFunction":
-        c = Fraction(c)
-        return cls(graph, {e.id: [(Fraction(0), c), (e.length, c)]
-                           for e in graph.edges})
+        return cls.from_vertex_values(graph, dict.fromkeys(graph.vertices, c))
 
     @classmethod
     def from_vertex_values(cls, graph: MetricGraph, values: dict) -> "PAFunction":

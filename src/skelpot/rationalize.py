@@ -40,10 +40,6 @@ class RationalizationError(ValueError):
     pass
 
 
-def _snap(x: Fraction, max_den: int) -> Fraction:
-    return Fraction(x).limit_denominator(max_den)
-
-
 def rationalize(f: PAFunction, g_in: PAFunction,
                 tol: Fraction) -> RationalizationCertificate:
     """Snap vertex values (boundary pinned to 0, interior kept strictly
@@ -66,7 +62,7 @@ def rationalize(f: PAFunction, g_in: PAFunction,
 
     # Values: boundary vertices exactly 0, interior strictly > 0.
     def snap_value(v: Fraction) -> Fraction:
-        v2 = _snap(v, max_den)
+        v2 = v.limit_denominator(max_den)
         if v > 0 and v2 <= 0:
             v2 = Fraction(1, max_den)
         return v2
@@ -85,7 +81,7 @@ def rationalize(f: PAFunction, g_in: PAFunction,
     for e in graph.edges:
         new = [(Fraction(0), vertex_snapped[e.u])]
         for o, v in g_in.profiles[e.id][1:-1]:
-            o2, v2 = _snap(o, max_den), snap_value(v)
+            o2, v2 = o.limit_denominator(max_den), snap_value(v)
             if not (new[-1][0] < o2 < e.length):
                 raise RationalizationError(
                     f"edge {e.id}: snapped offsets collide (tol too coarse)")
@@ -161,6 +157,8 @@ def tent_decompose(f: PAFunction, x: str):
             raise GraphError(f"f is not affine on adjacent edge {e.id}")
 
     fx = f.vertex_value(x)
+    flat = PAFunction.constant(g, 0).profiles
+    zero = Fraction(0)
     coeffs, tents = [], []
     for d in dirs:
         lam = f.outgoing_slope(d)
@@ -168,20 +166,15 @@ def tent_decompose(f: PAFunction, x: str):
             continue
         sgn = Fraction(1) if lam > 0 else Fraction(-1)
         e = g.edge(d.edge)
-        peak = sgn * e.length / 2
-        profiles = {e2.id: [(Fraction(0), Fraction(0)),
-                            (e2.length, Fraction(0))]
-                    for e2 in g.edges}
-        profiles[e.id] = [(Fraction(0), Fraction(0)),
-                          (e.length / 2, peak),
-                          (e.length, Fraction(0))]
+        half = Fraction(e.length, 2)    # a Fraction for an int length too
+        tent = ((zero, zero), (half, sgn * half), (e.length, zero))
         coeffs.append(abs(lam))
-        tents.append(PAFunction(g, profiles))
+        tents.append(PAFunction._of(g, {**flat, e.id: tent}))
     return coeffs, tents, fx
 
 
 def tent_reconstruction(coeffs, tents, constant, graph) -> PAFunction:
     """sum coeff_i * tent_i + constant, as an exact PAFunction."""
-    terms = [(c, t) for c, t in zip(coeffs, tents)]
+    terms = list(zip(coeffs, tents))
     terms.append((Fraction(1), PAFunction.constant(graph, constant)))
     return linear_combine(terms)

@@ -502,16 +502,6 @@ class PositivityVerdict:
     violations: tuple  # points where the coefficient matrix is not PSD
 
 
-def _coeff_matrix(alpha: SuperForm) -> list[list[Poly]]:
-    if (alpha.p, alpha.q) != (1, 1):
-        raise BidegreeError("positivity test needs a (1,1)-form")
-    zero = Poly._of(alpha.r, {})
-    m = [[zero] * alpha.r for _ in range(alpha.r)]
-    for (i, j), poly in alpha.coeffs.items():
-        m[i[0]][j[0]] = poly
-    return m
-
-
 def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
     """Pointwise PSD test of the coefficient matrix of a (1,1)-form, on
     integers; raises if the matrix is not symmetric as polynomials or a
@@ -524,17 +514,18 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
     every entry.  Each entry is a dense row of numerators in the order
     of the shared monomials, so it is one integer sum.  The integer
     matrix is D * q^n > 0 times the true one and has the same verdict."""
-    m = _coeff_matrix(alpha)
-    r = alpha.r
-    for i in range(r):
-        for j in range(i):
-            if m[i][j] != m[j][i]:
-                raise BidegreeError("coefficient matrix is not symmetric")
-    upper = [(i, j) for i in range(r) for j in range(i, r)]
-    polys, _ = _integer_polys([m[i][j] for i, j in upper])
+    if (alpha.p, alpha.q) != (1, 1):
+        raise BidegreeError("positivity test needs a (1,1)-form")
+    # no zero poly is stored, so a missing mirror key is a zero entry
+    coeffs = alpha.coeffs
+    if any(coeffs.get((j, i)) != poly for (i, j), poly in coeffs.items()):
+        raise BidegreeError("coefficient matrix is not symmetric")
+    upper = {(i, j): poly for ((i,), (j,)), poly in coeffs.items() if i <= j}
+    polys, _ = _integer_polys(list(upper.values()))
     exps = {e: sum(e) for p in polys for e in p}
     rows = [[p.get(e, 0) for e in exps] for p in polys]
     n = max(exps.values(), default=0)
+    r = alpha.r
     bad = []
     for pt in points:
         pt, values, _ = _monomials(pt, r, exps, n)

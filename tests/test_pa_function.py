@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,8 +55,15 @@ def test_outgoing_slopes_tent_midpoint(unit_edge):
         assert f.outgoing_slope(d) == -2
 
 
+def _checked_constant(g, c):
+    """The constant function as the checked constructor builds it from
+    list profiles."""
+    return PAFunction(g, {e.id: [(F(0), c), (e.length, c)] for e in g.edges})
+
+
 def test_constant_slopes_zero(star3):
     f = PAFunction.constant(star3, F(7))
+    assert f == _checked_constant(star3, F(7))
     for v in star3.vertices:
         for d in star3.star(Vertex(v)):
             assert f.outgoing_slope(d) == 0
@@ -94,6 +102,7 @@ def test_integrate_against_zero_and_constant(unit_edge):
     f = tent(unit_edge)
     assert integrate(f, DiscreteMeasure.of([])) == 0
     c = PAFunction.constant(unit_edge, F(5))
+    assert c == _checked_constant(unit_edge, F(5))
     mu = f.ddc()
     assert integrate(c, mu) == 5 * mu.total_mass()
 
@@ -493,18 +502,30 @@ def _seeded_functions(seed, count=30):
 
 def test_indexed_lookups_match_linear_scans():
     """eval and next_breakpoint bisect the offset index and integrate
-    reads it through eval: all equal a linear scan."""
+    reads it through eval: all equal a linear scan.  At an edge's end,
+    where the scan finds nothing, next_breakpoint raises."""
+    ends = 0
     for rng, g, f in _seeded_functions(17):
         other = random_pa_function(rng, g, max_kinks=4)
         mu = other.ddc()
         for p in _probe_points(rng, g, f):
             assert f.eval(p) == _scan_eval(f, p)
-            if isinstance(p, EdgePoint):
-                for toward_v in (True, False):
-                    assert f.next_breakpoint(p.edge, p.offset, toward_v) == \
-                        _scan_next_breakpoint(f, p.edge, p.offset, toward_v)
+            if not isinstance(p, EdgePoint):
+                continue
+            for toward_v in (True, False):
+                want = _scan_next_breakpoint(f, p.edge, p.offset, toward_v)
+                if want is not None:
+                    assert f.next_breakpoint(p.edge, p.offset,
+                                             toward_v) == want
+                    continue
+                ends += 1
+                text = (f"edge {p.edge}: no breakpoint beyond offset "
+                        f"{p.offset} toward {'v' if toward_v else 'u'}")
+                with pytest.raises(GraphError, match=re.escape(text)):
+                    f.next_breakpoint(p.edge, p.offset, toward_v)
         assert integrate(f, mu) == sum(
             (_scan_eval(f, p) * m for p, m in mu.support), F(0))
+    assert ends >= 2 * 30   # each function has an edge, probed at both ends
 
 
 def test_eval_off_the_graph_is_graph_error(unit_edge):
@@ -529,9 +550,11 @@ def _rebuilt(f):
 
 def test_trusted_results_equal_validated_ones():
     """PAFunction._of(...) == PAFunction(...) for each trusted caller:
-    from_vertex_values (Dirichlet and Green at vertex poles), Green at
-    edge poles, promote_interior_breakpoints and linear_combine."""
+    from_vertex_values (constant, Dirichlet and Green at vertex poles),
+    Green at edge poles, promote_interior_breakpoints and
+    linear_combine."""
     for rng, g, f in _seeded_functions(23):
+        _rebuilt(PAFunction.constant(g, F(-3, 7)))
         _rebuilt(_rebuilt(f).promote_interior_breakpoints())
         terms = [(F(rng.randint(-5, 5), rng.randint(1, 5)), f),
                  (F(rng.randint(-5, 5), rng.randint(1, 5)),

@@ -221,12 +221,22 @@ def test_rejects_invalid_inputs(path3):
 # tent decomposition
 # ---------------------------------------------------------------------------
 
+def _checked_tent(g, eid, sgn):
+    """The tent of sign sgn on edge eid as the checked constructor builds
+    it from list profiles: peak sgn * length/2 at the midpoint, 0 on
+    every other edge."""
+    return PAFunction(g, {
+        e.id: [(0, 0), (e.length / 2, sgn * e.length / 2), (e.length, 0)]
+        if e.id == eid else [(0, 0), (e.length, 0)] for e in g.edges})
+
+
 def test_tents_on_star_reconstruct_inner_half_star(star3):
     # Slopes leaving c: +2 on all three arms.
     f = pa(star3, {f"a{i}": [(0, 1), (1, 3)] for i in range(3)})
     coeffs, tents, const = tent_decompose(f, "c")
     assert const == 1
     assert coeffs == [F(2)] * 3
+    assert tents == [_checked_tent(star3, f"a{i}", 1) for i in range(3)]
     rec = tent_reconstruction(coeffs, tents, const, star3)
     for e in star3.edges:
         for k in range(0, 9):
@@ -244,6 +254,8 @@ def test_tent_shape_and_signs(star3):
     assert const == 0
     assert coeffs == [F(1), F(3)]  # zero-slope arm contributes no tent
     up, down = tents
+    assert up == _checked_tent(star3, "a0", 1)
+    assert down == _checked_tent(star3, "a1", -1)
     # Peak height sgn(slope) * length/2 at the arc midpoint, zero elsewhere.
     assert up.eval(EdgePoint("a0", F(1, 2))) == F(1, 2)
     assert down.eval(EdgePoint("a1", F(1, 2))) == -F(1, 2)
@@ -256,8 +268,24 @@ def test_tent_center_mass_matches(star3):
                    "a1": [(0, 2), (1, 1)],
                    "a2": [(0, 2), (1, 2)]})
     coeffs, tents, const = tent_decompose(f, "c")
+    assert tents == [_checked_tent(star3, "a0", 1),
+                     _checked_tent(star3, "a1", -1)]
     rec = tent_reconstruction(coeffs, tents, const, star3)
     assert rec.ddc().mass_at(Vertex("c")) == f.ddc().mass_at(Vertex("c")) == 2
+
+
+def test_tent_peak_is_exact_on_integer_lengths():
+    """An Edge may be given an int length; the tent's peak is still a
+    pair of Fractions, never the floats of length / 2."""
+    g = MetricGraph(vertices=["a", "b", "c"],
+                    edges=[Edge("e", "a", "b", 1), Edge("f", "b", "c", 3)],
+                    boundary=["a", "c"])
+    f = pa(g, {"e": [(0, 0), (1, 1)], "f": [(0, 1), (3, 0)]})
+    coeffs, tents, const = tent_decompose(f, "b")
+    assert coeffs == [1, F(1, 3)] and const == 1
+    assert tents == [_checked_tent(g, "e", -1), _checked_tent(g, "f", -1)]
+    assert [type(x) for t, eid in zip(tents, "ef")
+            for x in t.profiles[eid][1]] == [Fraction] * 4
 
 
 def test_tent_decompose_errors(star3, unit_edge):

@@ -389,9 +389,12 @@ def test_hessian_positivity_rank_one_psd():
 
 
 def test_positivity_rejects_asymmetric_and_wrong_degree():
-    a = SuperForm(2, 1, 1, {((0,), (1,)): Poly.const(2, 1)})
-    with pytest.raises(ValueError):
-        is_positive_11(a, GRID)
+    one, two = Poly.const(2, 1), Poly.const(2, 2)
+    for coeffs in ({((0,), (1,)): one},                     # upper only
+                   {((1,), (0,)): one},                     # lower only
+                   {((0,), (1,)): one, ((1,), (0,)): two}):  # mirrors differ
+        with pytest.raises(BidegreeError, match="not symmetric"):
+            is_positive_11(SuperForm(2, 1, 1, coeffs), GRID)
     with pytest.raises(BidegreeError):
         is_positive_11(SuperForm.function(Poly.const(2, 1)), GRID)
 
