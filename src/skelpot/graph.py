@@ -77,20 +77,23 @@ def point_sort_key(p: GraphPoint):
 
 
 class MetricGraph:
-    """Immutable finite metric graph.
+    """Immutable finite metric graph; self-loops and parallel edges are
+    allowed.
 
     Vertex ids are opaque strings; deterministic iteration order is the
     lexicographic order of ids (edge order likewise by edge id).
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge],
-                 boundary: Iterable[str],
-                 allow_loops: bool = False, allow_parallel: bool = False):
+                 boundary: Iterable[str]):
         self.vertices = tuple(sorted(vertices))
-        self.edges = tuple(sorted(edges, key=lambda e: e.id))
+        # an int length becomes a Fraction (bool is not an int here);
+        # validate refuses any other length that is not a Fraction
+        self.edges = tuple(sorted(
+            (Edge(e.id, e.u, e.v, Fraction(e.length))
+             if type(e.length) is int else e for e in edges),
+            key=lambda e: e.id))
         self.boundary = frozenset(boundary)
-        self.allow_loops = allow_loops
-        self.allow_parallel = allow_parallel
         self._by_id = {}
         # vertex id -> (edge, toward_v) per edge end, in edge-id order;
         # ends at non-vertices are left out (validate reports them)
@@ -116,22 +119,18 @@ class MetricGraph:
             dups = {v for v, w in zip(ids, ids[1:]) if v == w}
             out.extend(f"duplicate vertex id {v}" for v in sorted(dups))
         seen_ids = set()
-        seen_pairs = set()
         for e in self.edges:
             if e.id in seen_ids:
                 out.append(f"duplicate edge id {e.id}")
             seen_ids.add(e.id)
-            if e.length <= 0:
+            if not isinstance(e.length, Fraction):
+                out.append(f"edge {e.id}: length {e.length!r} is not an int "
+                           "or a Fraction")
+            elif e.length <= 0:
                 out.append(f"edge {e.id}: non-positive length {e.length}")
             if e.u not in vs or e.v not in vs:
                 out.extend(f"edge {e.id}: endpoint {x} is not a vertex"
                            for x in sorted({e.u, e.v} - vs))
-            if e.u == e.v and not self.allow_loops:
-                out.append(f"edge {e.id}: self-loop not allowed")
-            pair = frozenset((e.u, e.v))
-            if pair in seen_pairs and not self.allow_parallel:
-                out.append(f"edge {e.id}: parallel edge not allowed")
-            seen_pairs.add(pair)
         if not self.boundary <= vs:
             out.append(f"boundary vertices {sorted(self.boundary - vs)} "
                        "are not vertices")
@@ -220,8 +219,7 @@ class MetricGraph:
         result, collisions included, is that of repeated subdivide calls
         at the first cut in point order: edge e cut at o1 < o2 < ...
         becomes e.l, e.r.l, ... through vertices e@o1, e.r@(o2 - o1), ...
-        Returns the graph (loops as allowed here, parallel edges allowed)
-        and every cut edge's pieces from u to v."""
+        Returns the graph and every cut edge's pieces from u to v."""
         vertices, edges = set(self.vertices), dict(self._by_id)
         pieces = {eid: [self.edge(eid)] for eid, offsets in cuts.items()
                   if offsets}
@@ -245,9 +243,7 @@ class MetricGraph:
             pieces[eid][-1:] = edges[left], edges[right]
             if k + 1 < len(offsets):
                 heapq.heappush(pending, (right, eid, k + 1))
-        graph = MetricGraph(vertices, edges.values(), self.boundary,
-                            allow_loops=self.allow_loops, allow_parallel=True)
-        return graph, pieces
+        return MetricGraph(vertices, edges.values(), self.boundary), pieces
 
     def distance(self, p: GraphPoint, q: GraphPoint) -> Fraction:
         """Exact path metric (Dijkstra over rationals)."""
@@ -300,7 +296,7 @@ class MetricGraph:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict, allow_loops=False, allow_parallel=False) -> "MetricGraph":
+    def from_json_dict(cls, d: dict) -> "MetricGraph":
         """The graph of a JSON object {"vertices", "edges", "boundary"}.
         A malformed shape raises GraphError naming its location, such as
         `graph.edges[3].len must be present`."""
@@ -327,8 +323,7 @@ class MetricGraph:
         edges = [Edge(e["id"] if "id" in e else f"e{i}", e["u"], e["v"],
                       parse_rational(e["len"]))
                  for i, e in enumerate(d.get("edges", []))]
-        return cls(d.get("vertices", []), edges, d.get("boundary", []),
-                   allow_loops=allow_loops, allow_parallel=allow_parallel)
+        return cls(d.get("vertices", []), edges, d.get("boundary", []))
 
     # -- equality ----------------------------------------------------------
 

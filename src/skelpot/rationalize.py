@@ -166,7 +166,7 @@ def tent_decompose(f: PAFunction, x: str):
             continue
         sgn = Fraction(1) if lam > 0 else Fraction(-1)
         e = g.edge(d.edge)
-        half = Fraction(e.length, 2)    # a Fraction for an int length too
+        half = e.length / 2
         tent = ((zero, zero), (half, sgn * half), (e.length, zero))
         coeffs.append(abs(lam))
         tents.append(PAFunction._of(g, {**flat, e.id: tent}))

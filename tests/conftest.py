@@ -21,8 +21,8 @@ def subprocess_env() -> dict:
     return env
 
 
-def graph_from(spec: dict, **kw) -> MetricGraph:
-    return MetricGraph.from_json_dict(spec, **kw)
+def graph_from(spec: dict) -> MetricGraph:
+    return MetricGraph.from_json_dict(spec)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import csv
@@ -9,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,10 +158,27 @@ def test_green_edge_pole_ignores_subdivision_names(tmp_path, capsys, doc,
     ("ddc", ["ddc", "function.json"]),
     ("green_edge_boundary", ["green", "--graph", "graph.json",
                              "--point", "e2:1/3"]),
+    ("theta_ddc", ["ddc", "theta_function.json"]),
+    ("theta_green_vertex", ["green", "--graph", "theta_graph.json",
+                            "--point", "p"]),
+    ("theta_green_edge", ["green", "--graph", "theta_graph.json",
+                          "--point", "t1:2/3"]),
+    ("theta_harmonic", ["harmonic", "--graph", "theta_graph.json",
+                        "--values", "theta_values.json"]),
+    ("dumbbell_ddc", ["ddc", "dumbbell_function.json"]),
+    ("dumbbell_green_vertex", ["green", "--graph", "dumbbell_graph.json",
+                               "--point", "q"]),
+    ("dumbbell_green_loop", ["green", "--graph", "dumbbell_graph.json",
+                             "--point", "a:1/2"]),
+    ("dumbbell_harmonic", ["harmonic", "--graph", "dumbbell_graph.json",
+                           "--values", "dumbbell_values.json"]),
 ])
 def test_json_output_matches_golden(capsys, name, argv):
-    """The JSON output bytes on a fixed five-vertex graph, as committed
-    in tests/data/golden/<name>.out."""
+    """The JSON output bytes on a fixed five-vertex graph, and on two
+    genus-2 skeleta with a boundary leaf at each of their two vertices:
+    a theta graph (three parallel edges t0, t1, t2 between p and q) and a
+    dumbbell (loops a at p and b at q, joined by the bridge br), as
+    committed in tests/data/golden/<name>.out."""
     golden = DATA / "golden"
     rc = main([str(golden / a) if a.endswith(".json") else a for a in argv])
     assert rc == 0
@@ -247,10 +266,13 @@ def test_positivity_default_grid_matches_golden(capsys):
 @pytest.mark.parametrize("name, file, code", [
     ("subharmonic_negative", "function.json", 1),
     ("subharmonic_positive", "subharmonic.json", 0),
+    ("theta_subharmonic", "theta_function.json", 0),
+    ("dumbbell_subharmonic", "dumbbell_function.json", 0),
 ])
 def test_subharmonic_output_matches_golden(capsys, name, file, code):
     """Both oracles' verdicts and witnesses on a function with two
-    concave kinks, and on a subharmonic one, as committed in
+    concave kinks, and on subharmonic ones on a simple graph, the theta
+    graph and the dumbbell, as committed in
     tests/data/golden/<name>.out."""
     rc = main(["subharmonic", str(DATA / "golden" / file),
                "--method", "both"])
@@ -271,6 +293,73 @@ def test_regularize_output_matches_golden(tmp_path, capsys):
     assert capsys.readouterr().out == (golden / "regularize.out").read_text()
     assert patches.read_text() == \
         (golden / "regularize_patches.out").read_text()
+
+
+@pytest.mark.parametrize("skeleton", ["theta", "dumbbell"])
+def test_regularize_multigraph_output_matches_golden(tmp_path, capsys,
+                                                     skeleton):
+    """The CSV and --patches bytes of regularize on subharmonic functions
+    on the theta graph (peaks at p and q, where the parallel edges meet,
+    and inside t1) and on the dumbbell (peaks at both loop vertices and
+    inside both loops), as committed in
+    tests/data/golden/<skeleton>_regularize.out and
+    <skeleton>_regularize_patches.out."""
+    golden = DATA / "golden"
+    patches = tmp_path / "patches.json"
+    rc = main(["regularize", str(golden / f"{skeleton}_function.json"),
+               "--k", "3", "--samples", "3", "--patches", str(patches)])
+    assert rc == 0
+    assert capsys.readouterr().out == \
+        (golden / f"{skeleton}_regularize.out").read_text()
+    assert patches.read_text() == \
+        (golden / f"{skeleton}_regularize_patches.out").read_text()
+    centers = {p["center"] for p in json.loads(patches.read_text())["patches"]}
+    assert {"p", "q"} <= centers
+
+
+def _slope_sums(doc):
+    """Outgoing slopes summed at each vertex and, keyed (edge, offset),
+    at each interior breakpoint of a function JSON document, read off
+    its profiles with fractions.Fraction alone."""
+    sums = collections.defaultdict(Fraction)
+    for e in doc["graph"]["edges"]:
+        prof = [(Fraction(o), Fraction(v)) for o, v in doc["profiles"][e["id"]]]
+        slopes = [(v2 - v1) / (o2 - o1)
+                  for (o1, v1), (o2, v2) in zip(prof, prof[1:])]
+        sums[e["u"]] += slopes[0]
+        sums[e["v"]] -= slopes[-1]
+        for (o, _), s1, s2 in zip(prof[1:], slopes, slopes[1:]):
+            sums[e["id"], o] += s2 - s1
+    return sums
+
+
+@pytest.mark.parametrize("skeleton", ["theta", "dumbbell"])
+def test_multigraph_harmonic_and_green_outputs_balance(skeleton):
+    """Checked without the library: the golden harmonic output's outgoing
+    slopes cancel at each interior vertex, and each golden Green's
+    function has mass -1 at its pole, none at the other interior points,
+    and boundary masses that are its slope sums there and add up to 1."""
+    golden = DATA / "golden"
+    harmonic = json.loads((golden / f"{skeleton}_harmonic.out").read_text())
+    interior = set(harmonic["graph"]["vertices"]) - \
+        set(harmonic["graph"]["boundary"])
+    sums = _slope_sums(harmonic)
+    assert {sums[v] for v in interior} == {0}
+    assert set(sums) == set(harmonic["graph"]["vertices"])
+    for name in ("green_vertex", "green_edge", "green_loop"):
+        path = golden / f"{skeleton}_{name}.out"
+        if not path.exists():
+            continue
+        out = json.loads(path.read_text())
+        pole = out["pole"]
+        pole = pole.get("vertex") or (pole["edge"], Fraction(pole["offset"]))
+        sums = _slope_sums(out["function"])
+        assert sums.pop(pole) == -1
+        masses = {m["at"]["vertex"]: Fraction(m["mass"])
+                  for m in out["boundary_masses"]}
+        assert sum(masses.values()) == 1
+        assert {x: sums.pop(x) for x in masses} == masses
+        assert set(sums.values()) <= {0}
 
 
 def test_regularize_peak_free_output_matches_golden(tmp_path, capsys):
@@ -924,7 +1013,7 @@ def test_json_writer_on_the_golden_outputs():
             continue
         assert _json(value) + "\n" == path.read_text(), path.name
         checked += 1
-    assert checked == 11
+    assert checked == 23
 
 
 @pytest.mark.parametrize("value", [{1: "a"}, [{"a": {None: 1}}], {1.5},
@@ -1154,7 +1243,8 @@ def test_repeated_literals_keep_their_errors(tmp_path, capsys, profile,
     assert captured.err == f"error: {p}: {message}\n"
 
 
-# the six subcommands that read files: (argv, the files it names)
+# the six subcommands that read files, on simple graphs and on the
+# theta and dumbbell multigraphs: (argv, the files it names)
 _FILE_CALLS = [
     (["ddc", "{0}"], ["function.json"]),
     (["subharmonic", "{0}"], ["function.json"]),
@@ -1166,6 +1256,15 @@ _FILE_CALLS = [
     (["green", "--graph", "{0}", "--point", "e1:1/5"], ["graph.json"]),
     (["harmonic", "--graph", "{0}", "--values", "{1}"],
      ["graph.json", "values.json"]),
+    (["ddc", "{0}"], ["dumbbell_function.json"]),
+    (["subharmonic", "{0}", "--method", "both"], ["theta_function.json"]),
+    (["regularize", "{0}", "--k", "2", "--samples", "2"],
+     ["dumbbell_function.json"]),
+    (["rationalize", "--f", "{0}", "--g", "{1}"],
+     ["theta_function.json", "theta_function.json"]),
+    (["green", "--graph", "{0}", "--point", "a:1/2"], ["dumbbell_graph.json"]),
+    (["harmonic", "--graph", "{0}", "--values", "{1}"],
+     ["theta_graph.json", "theta_values.json"]),
 ]
 _REPLACEMENTS = [None, 0, 1, -2, 7, 0.5, -1.25, "", "a", "e0", "1/2", "x",
                  [], ["a"], ["0", "1"], {}, {"a": "1"}, {"u": "a"}]
@@ -1237,8 +1336,9 @@ def test_library_readers_raise_typed_errors_on_mutated_files(call):
     exception."""
     _, files, docs = call
     for name, doc in zip(files, docs):
-        if name != "values.json":
-            reader = (MetricGraph.from_json_dict if name == "graph.json"
+        if not name.endswith("values.json"):
+            reader = (MetricGraph.from_json_dict
+                      if name.endswith("graph.json")
                       else PAFunction.from_json_dict)
             with contextlib.suppress(GraphError, RationalParseError):
                 reader(doc)

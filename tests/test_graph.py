@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from skelpot import Edge, EdgePoint, GraphError, MetricGraph, Vertex
+from skelpot import (Edge, EdgePoint, GraphError, MetricGraph, PAFunction,
+                     Vertex, dirichlet_solve, tent_decompose)
 
 from conftest import graph_from, roundtrip_json
 
@@ -28,18 +29,46 @@ def test_constructor_rejects_invalid():
         MetricGraph(["a", "b"], [Edge("e0", "a", "b", Fraction(-1))], ["a"])
 
 
-def test_loops_and_parallel_need_flags():
+def test_loops_and_parallel_edges_are_accepted():
+    """Every graph is a multigraph: a self-loop has two ends at its
+    vertex, and a repeated endpoint pair is read as given, by the
+    constructor and the JSON reader alike."""
     loop = [Edge("e0", "a", "a", Fraction(1))]
     parallel = [Edge("e0", "a", "b", Fraction(1)),
                 Edge("e1", "b", "a", Fraction(2))]
-    with pytest.raises(GraphError):
-        MetricGraph(["a"], loop, ["a"])
-    with pytest.raises(GraphError):
-        MetricGraph(["a", "b"], parallel, ["a"])
-    g = MetricGraph(["a", "b"], parallel, ["a"], allow_parallel=True)
-    assert len(g.edges) == 2
-    g = MetricGraph(["a"], loop, ["a"], allow_loops=True)
+    g = MetricGraph(["a"], loop, ["a"])
+    assert g.validate() == []
     assert len(g.incident_ends("a")) == 2
+    g = MetricGraph(["a", "b"], parallel, ["a"])
+    assert len(g.edges) == 2 and len(g.incident_ends("b")) == 2
+    assert g.distance(Vertex("a"), Vertex("b")) == 1
+    assert MetricGraph.from_json_dict(g.to_json_dict()) == g
+
+
+@pytest.mark.parametrize("length, fault", [
+    (1, None),
+    (0.5, "edge e: length 0.5 is not an int or a Fraction"),
+    (True, "edge e: length True is not an int or a Fraction"),
+    ("1/2", "edge e: length '1/2' is not an int or a Fraction"),
+])
+def test_edge_lengths_are_fractions(length, fault):
+    """An int length becomes a Fraction, so every profile built from it
+    has Fraction offsets; any other length that is not a Fraction (a
+    float, a bool, a string) is refused with the edge named, listed
+    with the graph's other faults."""
+    edges = [Edge("e", "a", "b", length)]
+    if fault is not None:
+        with pytest.raises(GraphError) as info:
+            MetricGraph(["a", "b"], edges, ["z"])
+        assert str(info.value) == \
+            f"{fault}; boundary vertices ['z'] are not vertices"
+        return
+    g = MetricGraph(["a", "b"], edges, ["a"])
+    assert type(g.edge("e").length) is Fraction
+    _, (tent,), _ = tent_decompose(PAFunction(g, {"e": [(0, 0), (1, 1)]}),
+                                   "b")
+    for f in (PAFunction.constant(g, 1), dirichlet_solve(g, {"a": 0}), tent):
+        assert {type(o) for o, _ in f.profiles["e"]} == {Fraction}
 
 
 def test_star_counts(star3, unit_edge):

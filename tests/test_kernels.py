@@ -101,7 +101,7 @@ def _looped(rng):
         edges.append({"id": f"s{i}", "u": u, "v": v, "len": str(length)})
         profiles[f"s{i}"] = prof
     g = graph_from({"vertices": ["b", "c"], "edges": edges,
-                    "boundary": ["b"]}, allow_loops=True, allow_parallel=True)
+                    "boundary": ["b"]})
     return pa(g, profiles)
 
 
@@ -121,7 +121,7 @@ def _parallel(rng):
     edges.append({"id": "q", "u": "b", "v": "c", "len": "3/2"})
     profiles["q"] = [(F(0), fb), (F(1, 3), fc), (F(3, 2), fb)]
     g = graph_from({"vertices": ["a", "b", "c"], "edges": edges,
-                    "boundary": ["a"]}, allow_parallel=True)
+                    "boundary": ["a"]})
     return pa(g, profiles)
 
 

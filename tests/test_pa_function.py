@@ -202,7 +202,7 @@ def test_ddc_drops_cancelled_vertex_mass(path3):
     g = graph_from({"vertices": ["a", "b"],
                     "edges": [{"id": "s", "u": "a", "v": "b", "len": "1"},
                               {"id": "t", "u": "b", "v": "b", "len": "2"}],
-                    "boundary": ["a"]}, allow_loops=True)
+                    "boundary": ["a"]})
     looped = pa(g, {"s": [(0, -1), (1, 1)], "t": [(0, 1), (1, 2), (2, 1)]})
     assert looped.ddc().support == ((Vertex("a"), 2),
                                     (EdgePoint("t", F(1)), -2))
@@ -255,8 +255,7 @@ def _subdivide_ref(f, p):
     new_edges = [x for x in g.edges if x.id != e.id]
     new_edges.append(Edge(f"{e.id}.l", e.u, new_v, p.offset))
     new_edges.append(Edge(f"{e.id}.r", new_v, e.v, e.length - p.offset))
-    g2 = MetricGraph(list(g.vertices) + [new_v], new_edges, g.boundary,
-                     allow_loops=g.allow_loops, allow_parallel=True)
+    g2 = MetricGraph(list(g.vertices) + [new_v], new_edges, g.boundary)
     val = f.eval(p)
     prof = f.profiles[e.id]
     left = [bp for bp in prof if bp[0] < p.offset] + [(p.offset, val)]
@@ -293,15 +292,13 @@ def _promote_by_subdivision(f):
 
 
 def _same_split(f, cuts):
-    """f.split(cuts) equals the reference split, flags included, and its
+    """f.split(cuts) equals the reference split, and its
     pieces run from u to v with the lengths between the cuts."""
     got, pieces = f.split(cuts)
     want = _split_by_subdivision(f, cuts)
     assert got == want
     assert got.graph.vertices == want.graph.vertices
     assert got.graph.edges == want.graph.edges
-    assert got.graph.allow_loops == want.graph.allow_loops
-    assert got.graph.allow_parallel == want.graph.allow_parallel
     assert got.profiles == {eid: tuple(prof)
                             for eid, prof in want.profiles.items()}
     assert got._vertex_values == want._vertex_values
@@ -341,7 +338,7 @@ def test_split_matches_sequential_subdivision():
         "vertices": ["a", "b"],
         "edges": [{"u": "a", "v": "b", "len": 2, "id": "p"},
                   {"u": "b", "v": "a", "len": 1, "id": "q"}],
-        "boundary": ["a"]}, allow_parallel=True)
+        "boundary": ["a"]})
     functions.append(pa(parallel, {"p": [(0, 0), (1, 3), (2, 1)],
                                    "q": [(0, 1), (F(1, 2), -1), (1, 0)]}))
     several = 0
@@ -366,8 +363,6 @@ def _same_promotion(f):
     assert got == want
     assert got.graph.vertices == want.graph.vertices
     assert got.graph.edges == want.graph.edges
-    assert got.graph.allow_loops == want.graph.allow_loops
-    assert got.graph.allow_parallel == want.graph.allow_parallel
     assert all(len(prof) == 2 for prof in got.profiles.values())
     return got
 
@@ -384,12 +379,12 @@ def test_promotion_matches_sequential_subdivision():
     loop = graph_from({"vertices": ["a", "b"],
                        "edges": [{"u": "a", "v": "a", "len": 2, "id": "o"},
                                  {"u": "a", "v": "b", "len": 1, "id": "p"}],
-                       "boundary": ["b"]}, allow_loops=True)
+                       "boundary": ["b"]})
     f = pa(loop, {"o": [(0, 1), (F(1, 3), 0), (1, 2), (F(3, 2), 0), (2, 1)],
                   "p": [(0, 1), (1, 0)]})
     assert set(_same_promotion(f).graph.vertices) == \
         {"a", "b", "o@1/3", "o.r@2/3", "o.r.r@1/2"}
-    # nothing to promote: the function itself, graph flags untouched
+    # nothing to promote: the function itself
     g = pa(loop, {"o": [(0, 1), (2, 1)], "p": [(0, 1), (1, 0)]})
     assert g.promote_interior_breakpoints() is g
 

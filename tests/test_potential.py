@@ -146,8 +146,7 @@ def test_green_boundary_masses_equal_restricted_ddc():
                               F(rng.randint(1, 9), rng.randint(1, 4))))
             edges.append(Edge(f"x{len(edges)}", e.u, e.v,
                               F(rng.randint(1, 9), rng.randint(1, 4))))
-        g = MetricGraph(base.vertices, edges, base.boundary,
-                        allow_loops=True, allow_parallel=True)
+        g = MetricGraph(base.vertices, edges, base.boundary)
         poles = [Vertex(v) for v in g.vertices if v not in g.boundary]
         for e in rng.choices(base.edges, k=2) + edges[len(base.edges):]:
             poles.append(EdgePoint(e.id, e.length * rng.randint(1, 11) / 12))
@@ -292,7 +291,7 @@ def _looped_function(rng):
             prof[0], prof[-1] = (F(0), fc), (length, fc)
         profiles[edges[-1]["id"]] = prof
     g = graph_from({"vertices": ["b", "c"], "edges": edges,
-                    "boundary": ["b"]}, allow_loops=True, allow_parallel=True)
+                    "boundary": ["b"]})
     return pa(g, profiles)
 
 
@@ -383,7 +382,7 @@ def _star_green_pairing(f, x):
         edges.append(Edge(f"a{i}", "c", f"l{i}", arm))
         ends[f"l{i}"] = EdgePoint(d.edge, base + arm if d.toward_v
                                   else base - arm)
-    star = MetricGraph(["c"] + leaves, edges, leaves, allow_parallel=True)
+    star = MetricGraph(["c"] + leaves, edges, leaves)
     mu = green(star, Vertex("c")).result.ddc()
     return sum(m * f.eval(x if p.id == "c" else ends[p.id])
                for p, m in mu.support)

@@ -302,7 +302,7 @@ def test_tent_decompose_errors(star3, unit_edge):
     loop = MetricGraph(vertices=["a", "b"],
                        edges=[Edge("e", "a", "a", F(1)),
                               Edge("f", "a", "b", F(1))],
-                       boundary=["b"], allow_loops=True)
+                       boundary=["b"])
     fl = pa(loop, {"e": [(0, 0), (1, 0)], "f": [(0, 0), (1, 0)]})
     with pytest.raises(GraphError):
         tent_decompose(fl, "a")  # self-loop at the center

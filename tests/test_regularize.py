@@ -515,8 +515,7 @@ def _looped(rng, g):
         e = rng.choice(g.edges)
         extra.append(Edge(f"P{i}", e.u, e.v,
                           F(rng.randint(1, 9), rng.randint(1, 4))))
-    return MetricGraph(g.vertices, [*g.edges, *extra], g.boundary,
-                       allow_loops=True, allow_parallel=True)
+    return MetricGraph(g.vertices, [*g.edges, *extra], g.boundary)
 
 
 def test_peaks_match_the_reference_on_seeded_functions():
