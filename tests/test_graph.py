@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from skelpot import (Edge, EdgePoint, GraphError, MetricGraph, PAFunction,
-                     Vertex, dirichlet_solve, tent_decompose)
+                     Vertex, dirichlet_solve)
 
 from conftest import graph_from, roundtrip_json
 
@@ -53,9 +53,10 @@ def test_loops_and_parallel_edges_are_accepted():
 ])
 def test_edge_lengths_are_fractions(length, fault):
     """An int length becomes a Fraction, so every profile built from it
-    has Fraction offsets; any other length that is not a Fraction (a
-    float, a bool, a string) is refused with the edge named, listed
-    with the graph's other faults."""
+    has Fraction offsets (the tents' are checked in test_rationalize);
+    any other length that is not a Fraction (a float, a bool, a string)
+    is refused with the edge named, listed with the graph's other
+    faults."""
     edges = [Edge("e", "a", "b", length)]
     if fault is not None:
         with pytest.raises(GraphError) as info:
@@ -65,9 +66,7 @@ def test_edge_lengths_are_fractions(length, fault):
         return
     g = MetricGraph(["a", "b"], edges, ["a"])
     assert type(g.edge("e").length) is Fraction
-    _, (tent,), _ = tent_decompose(PAFunction(g, {"e": [(0, 0), (1, 1)]}),
-                                   "b")
-    for f in (PAFunction.constant(g, 1), dirichlet_solve(g, {"a": 0}), tent):
+    for f in (PAFunction.constant(g, 1), dirichlet_solve(g, {"a": 0})):
         assert {type(o) for o, _ in f.profiles["e"]} == {Fraction}
 
 
