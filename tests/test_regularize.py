@@ -116,6 +116,93 @@ def test_smooth_max_n_axioms(delta, ts, t):
     assert bumped >= m - 1e-12
 
 
+def _poly_mul(p: list[float], q: list[float]) -> list[float]:
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return out
+
+
+def _poly_int(p: list[float], lo: float, hi: float) -> float:
+    acc = 0.0
+    for k, c in enumerate(p):
+        acc += c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+    return acc
+
+
+def _smooth_max_n_ref(delta: float, ts) -> float:
+    """The float-only smooth_max_n that the generic one replaced, kept as
+    the reference it is compared against."""
+    delta = float(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    ts = [float(t) for t in ts]
+    if not ts:
+        raise ValueError("need at least one argument")
+    if len(ts) == 1:
+        return ts[0]
+    m = max(ts)
+    h = delta / 2
+    a = m - h
+    keep = sorted((t for t in ts if t + h > a), reverse=True)
+    if len(keep) == 1:
+        return keep[0]
+    cuts = {a, m + h}
+    for t in keep:
+        for c in (t - h, t + h):
+            if a < c < m + h:
+                cuts.add(c)
+    cuts = sorted(cuts)
+    total = a
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = (lo + hi) / 2
+        poly = [1.0]
+        for t in keep:
+            if mid >= t + h:
+                continue
+            if mid <= t - h:
+                poly = None
+                break
+            poly = _poly_mul(poly, [(lo - t + h) / (2 * h), 1 / (2 * h)])
+        w = hi - lo
+        if poly is None:
+            total += w
+        else:
+            total += w - _poly_int(poly, 0.0, w)
+    return total
+
+
+def _seeded_tuples(rng, count):
+    """(delta, ts) with 1 to 9 arguments, drawn on a coarse grid often
+    enough to give ties, with arguments at and below max - delta."""
+    for _ in range(count):
+        delta = rng.choice([rng.uniform(1e-3, 2.0), 0.25, 1.0])
+        grid = rng.random() < 0.5
+        ts = [round(rng.uniform(-3, 3) * 4) / 4 if grid
+              else rng.uniform(-3, 3) for _ in range(rng.randint(1, 9))]
+        hi = max(ts)
+        for _ in range(rng.randint(0, 2)):
+            ts.insert(rng.randrange(len(ts) + 1),
+                      hi - delta - rng.choice([0.0, rng.uniform(0, 3)]))
+        yield delta, ts
+
+
+def test_smooth_max_n_matches_the_float_reference():
+    rng = random.Random(29)
+    for delta, ts in _seeded_tuples(rng, 3000):
+        m = smooth_max_n(delta, ts)
+        assert type(m) is float
+        assert abs(m - _smooth_max_n_ref(delta, ts)) <= 1e-12
+        # the arguments the reference drops leave both values bit-identical
+        h = delta / 2
+        kept = [t for t in ts if t + h > max(ts) - h]
+        assert m == smooth_max_n(delta, kept)
+        assert _smooth_max_n_ref(delta, ts) == _smooth_max_n_ref(delta, kept)
+        exact = smooth_max_n(F(delta), [F(t) for t in ts])
+        assert abs(exact - F(m)) <= F(1, 10 ** 12)
+
+
 # -- regularization sequence ---------------------------------------------------
 
 
