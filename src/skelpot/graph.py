@@ -42,6 +42,11 @@ class EdgePoint:
     edge: str
     offset: Fraction
 
+    def __post_init__(self):
+        # an int offset becomes a Fraction, as an int edge length does
+        if type(self.offset) is int:
+            object.__setattr__(self, "offset", Fraction(self.offset))
+
     def __repr__(self):
         return f"EdgePoint({self.edge}@{self.offset})"
 
@@ -219,7 +224,8 @@ class MetricGraph:
         result, collisions included, is that of repeated subdivide calls
         at the first cut in point order: edge e cut at o1 < o2 < ...
         becomes e.l, e.r.l, ... through vertices e@o1, e.r@(o2 - o1), ...
-        Returns the graph and every cut edge's pieces from u to v."""
+        Returns the graph and every cut edge's pieces from u to v, as the
+        graph's own Edge objects."""
         vertices, edges = set(self.vertices), dict(self._by_id)
         pieces = {eid: [self.edge(eid)] for eid, offsets in cuts.items()
                   if offsets}
@@ -243,7 +249,10 @@ class MetricGraph:
             pieces[eid][-1:] = edges[left], edges[right]
             if k + 1 < len(offsets):
                 heapq.heappush(pending, (right, eid, k + 1))
-        return MetricGraph(vertices, edges.values(), self.boundary), pieces
+        g = MetricGraph(vertices, edges.values(), self.boundary)
+        # the new graph's own edges: an int offset made int-length pieces
+        return g, {eid: [g.edge(e.id) for e in ps]
+                   for eid, ps in pieces.items()}
 
     def distance(self, p: GraphPoint, q: GraphPoint) -> Fraction:
         """Exact path metric (Dijkstra over rationals)."""

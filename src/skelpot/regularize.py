@@ -51,70 +51,49 @@ def smooth_max(eps, a, b):
     return (a + b + theta(eps, t)) / 2
 
 
-def _poly_mul(p: list[float], q: list[float]) -> list[float]:
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
-    return out
-
-
-def _poly_int(p: list[float], lo: float, hi: float) -> float:
-    acc = 0.0
-    for k, c in enumerate(p):
-        acc += c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
-    return acc
-
-
-def smooth_max_n(delta: float, ts) -> float:
-    """Smoothed maximum of n+1 arguments with overshoot at most delta.
+def smooth_max_n(delta, ts):
+    """Smoothed maximum of the arguments ts, overshoot at most delta.
+    Works over any ordered field: Fractions give the exact Fraction.
 
     Realized as E[max_i (t_i + X_i)] for i.i.d. X_i uniform on
-    [-delta/2, delta/2], integrated in closed form.  Guarantees:
-    max <= M <= max + delta; convex and nondecreasing in each argument;
-    translation-equivariant; and any argument with t_l + delta <= max
-    (in particular t_l + 2*delta <= max) contributes nothing at all, so
+    [-h, h], h = delta/2: with m the max, that is m + h minus the
+    integral over [m - h, m + h] of the product of the CDFs
+    (u - t_i + h) / (2h), clamped to 1 past t_i + h, integrated in closed
+    form between consecutive window ends (every window is open from
+    m - h on).  Guarantees: max <= M <= max + delta; convex and
+    nondecreasing in each argument; translation-equivariant; and any
+    argument with t_l + delta <= max never enters the arithmetic, so
     perturbing it below that threshold leaves the value bit-identical.
+    n equal arguments t give t + delta (n - 1) / (2 (n + 1)).
     """
-    delta = float(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    ts = [float(t) for t in ts]
+    ts = list(ts)
     if not ts:
         raise ValueError("need at least one argument")
-    if len(ts) == 1:
-        return ts[0]
     m = max(ts)
     h = delta / 2
-    a = m - h
-    # arguments whose kernel window lies entirely below the domain drop out
-    keep = sorted((t for t in ts if t + h > a), reverse=True)
+    lo = m - h
+    keep = sorted(t for t in ts if t + h > lo)
     if len(keep) == 1:
         return keep[0]
-    cuts = {a, m + h}
-    for t in keep:
-        for c in (t - h, t + h):
-            if a < c < m + h:
-                cuts.add(c)
-    cuts = sorted(cuts)
-    total = a
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = (lo + hi) / 2
-        # product of CDFs of t_i + X_i, as a polynomial in s = u - lo
-        poly = [1.0]
-        for t in keep:
-            if mid >= t + h:
-                continue  # factor is exactly 1 here
-            if mid <= t - h:
-                poly = None  # factor 0: integrand is 1 on this piece
-                break
-            poly = _poly_mul(poly, [(lo - t + h) / (2 * h), 1 / (2 * h)])
+    total = 0
+    for i, t in enumerate(keep):
+        hi = t + h
+        if hi == lo:
+            continue  # a tie: this window closes where the last one did
+        # on [lo, hi] the windows of keep[i:] are open, the others closed:
+        # (2h)^(n - i) times the product of the CDFs is the product of
+        # (s + lo - t + h) over the open ones, in s = u - lo
+        poly = [1]
+        for t_open in keep[i:]:
+            d = lo - t_open + h
+            poly = [a * d + b for a, b in zip(poly + [0], [0] + poly)]
         w = hi - lo
-        if poly is None:
-            total += w
-        else:
-            total += w - _poly_int(poly, 0.0, w)
-    return total
+        total += (sum(c * w ** (k + 1) / (k + 1) for k, c in enumerate(poly))
+                  / delta ** (len(keep) - i))
+        lo = hi
+    return m + h - total
 
 
 # -- the monotone regularization sequence ---------------------------------------

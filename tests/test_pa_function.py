@@ -358,6 +358,34 @@ def test_split_matches_sequential_subdivision():
     assert functions[-1].split({}) == (functions[-1], {})
 
 
+def _all_fractions(f):
+    return all(type(o) is F and type(v) is F
+               for prof in f.profiles.values() for o, v in prof)
+
+
+def test_int_offsets_give_fraction_pieces_and_profiles():
+    """An int cut offset, in split or in an EdgePoint, gives the new
+    graph's own Fraction-length pieces and (Fraction, Fraction) profile
+    pairs, as the same offset given as a Fraction does."""
+    g = graph_from({"vertices": ["a", "b"],
+                    "edges": [{"u": "a", "v": "b", "len": 3, "id": "e"}],
+                    "boundary": ["a"]})
+    f = pa(g, {"e": [(0, 0), (2, 1), (3, 3)]})
+    f2, pieces = f.split({"e": [1, 2]})
+    assert _all_fractions(f2)
+    assert (f2, pieces) == f.split({"e": [F(1), F(2)]})
+    g2, graph_pieces = g.split({"e": [1]})
+    for graph, ps in ((f2.graph, pieces), (g2, graph_pieces)):
+        assert all(p is graph.edge(p.id) and type(p.length) is F
+                   for p in ps["e"])
+    assert type(EdgePoint("e", 1).offset) is F
+    f3, vid = f.subdivide_at(EdgePoint("e", 1))
+    assert _all_fractions(f3) and vid == "e@1"
+    tent = green(g, EdgePoint("e", 1)).result
+    assert _all_fractions(tent)
+    assert tent == green(g, EdgePoint("e", F(1))).result
+
+
 def _same_promotion(f):
     got, want = f.promote_interior_breakpoints(), _promote_by_subdivision(f)
     assert got == want

@@ -58,3 +58,36 @@ def test_no_unread_imports():
                if p.name != "__init__.py"]
     sources += sorted((ROOT / "tests").glob("*.py"))
     assert [hit for p in sources for hit in _unread_imports(p)] == []
+
+
+# top-level definitions where a float may appear: the two that round an
+# exact value for output, the JSON writer, and the checks that draw float
+# test inputs and state float tolerances
+FLOAT_SCOPES = {
+    "regularize.eval_smoothed", "regularize.arc_second_difference",
+    "cli._json", "checks.smooth_max_axioms",
+    "checks.monotone_regularization", "checks.superform_identities",
+}
+
+
+def _floats(path: pathlib.Path) -> list[str]:
+    """`module.definition:line: what` for each float literal and each
+    use of the name `float` in the file outside FLOAT_SCOPES."""
+    module, hits = path.stem, []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        scope = module + "." + getattr(top, "name", "<module>")
+        if scope in FLOAT_SCOPES:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                hits.append(f"{scope}:{node.lineno}: {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                hits.append(f"{scope}:{node.lineno}: float")
+    return hits
+
+
+def test_floats_only_where_values_are_rounded():
+    """The library's arithmetic is exact: no float literal and no
+    `float` outside the definitions in FLOAT_SCOPES."""
+    sources = sorted((ROOT / "src" / "skelpot").glob("*.py"))
+    assert [hit for p in sources for hit in _floats(p)] == []

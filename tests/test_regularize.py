@@ -203,6 +203,38 @@ def test_smooth_max_n_matches_the_float_reference():
         assert abs(exact - F(m)) <= F(1, 10 ** 12)
 
 
+def test_smooth_max_n_of_tied_fractions():
+    for delta in (F(1), F(2, 5), F(7, 3)):
+        for n in range(1, 6):
+            t = F(-3, 7)
+            m = smooth_max_n(delta, [t] * n)
+            assert type(m) is Fraction
+            assert m == t + delta * (n - 1) / (2 * (n + 1))
+    assert smooth_max_n(F(1), [F(0), F(0)]) == F(1, 6)
+
+
+def test_smooth_max_n_on_fractions_is_exact():
+    rng = random.Random(30)
+    for _ in range(300):
+        delta = F(rng.randint(1, 40), rng.randint(1, 12))
+        ts = [F(rng.randint(-60, 60), rng.choice([1, 2, 3, 4, 6, 12]))
+              for _ in range(rng.randint(1, 6))]
+        m, hi = smooth_max_n(delta, ts), max(ts)
+        assert type(m) is Fraction
+        assert hi <= m <= hi + delta
+        # an argument at or below max - delta changes nothing
+        low = hi - delta - F(rng.randint(0, 5), rng.randint(1, 4))
+        ts.insert(rng.randrange(len(ts) + 1), low)
+        assert smooth_max_n(delta, ts) == m
+
+
+@pytest.mark.parametrize("delta, ts", [(F(0), [F(1)]), (F(-1), [F(1), F(2)]),
+                                       (0.0, [1.0]), (F(1), [])])
+def test_smooth_max_n_refuses_bad_arguments(delta, ts):
+    with pytest.raises(ValueError):
+        smooth_max_n(delta, ts)
+
+
 # -- regularization sequence ---------------------------------------------------
 
 
