@@ -76,15 +76,13 @@ def smooth_max_n(delta, ts):
     lo = m - h
     keep = sorted(t for t in ts if t + h > lo)
     if len(keep) == 1:
-        return keep[0]
+        return keep[0]  # m itself: in floats, m + h - h may round off m
     total = 0
     for i, t in enumerate(keep):
-        hi = t + h
-        if hi == lo:
-            continue  # a tie: this window closes where the last one did
-        # on [lo, hi] the windows of keep[i:] are open, the others closed:
-        # (2h)^(n - i) times the product of the CDFs is the product of
-        # (s + lo - t + h) over the open ones, in s = u - lo
+        hi = t + h  # equal to lo after a tie: an empty cell adds 0
+        # on [lo, hi] the windows of keep[i:] are open and the others
+        # closed; delta^(len(keep) - i) times the product of the CDFs is
+        # the product of (s + lo - t_open + h), in s = u - lo
         poly = [1]
         for t_open in keep[i:]:
             d = lo - t_open + h

@@ -1,6 +1,7 @@
 """The package as a whole: the names `skelpot` exports, written out so
-that an addition or a removal shows in review, and no import in the
-sources or the tests that nothing reads."""
+that an addition or a removal shows in review, no import in the sources
+or the tests that nothing reads, and no float in the library outside
+the definitions that round or test with floats."""
 
 import ast
 import pathlib

@@ -203,13 +203,19 @@ def test_smooth_max_n_matches_the_float_reference():
         assert abs(exact - F(m)) <= F(1, 10 ** 12)
 
 
-def test_smooth_max_n_of_tied_fractions():
+def test_smooth_max_n_closed_forms_on_fractions():
+    """n tied arguments t give t + delta (n - 1) / (2 (n + 1)), and two
+    arguments a gap g <= delta apart give max + (delta - g)^3 / (6 delta^2),
+    exactly."""
     for delta in (F(1), F(2, 5), F(7, 3)):
+        t = F(-3, 7)
         for n in range(1, 6):
-            t = F(-3, 7)
             m = smooth_max_n(delta, [t] * n)
             assert type(m) is Fraction
             assert m == t + delta * (n - 1) / (2 * (n + 1))
+        for g in (F(0), delta / 3, delta * F(9, 10), delta):
+            assert smooth_max_n(delta, [t - g, t]) == \
+                t + (delta - g) ** 3 / (6 * delta ** 2)
     assert smooth_max_n(F(1), [F(0), F(0)]) == F(1, 6)
 
 
