@@ -351,6 +351,47 @@ def test_substitute_affine_matches_repeated_products():
         [t * F(2, 3), t * F(-4, 9)]).terms == {(2,): F(4, 9), (1,): F(-4, 9)}
 
 
+def test_pullback_and_substitute_edge_cases():
+    """Shapes the substitution must get right, against the references: a
+    degree-0 coefficient, maps between spaces of different dimensions, a
+    zero matrix row with a zero translation (a coordinate pulled back to
+    0), and monomials whose one exponent is the coefficient's whole
+    degree (the largest per-variable exponent an output can have)."""
+    x = [Poly.var(3, i) for i in range(3)]
+    const = Poly.const(3, F(-3, 4))
+    pure = x[2] * x[2] * x[2] * F(5, 2) + x[0] * F(1, 3)   # x3^3: degree 3
+    mixed = x[0] * x[0] * x[1] - x[2] * x[2] * x[2] + const
+    forms = [SuperForm.function(const), SuperForm.function(pure),
+             SuperForm(3, 1, 1, {((0,), (2,)): const, ((1,), (1,)): pure,
+                                 ((2,), (0,)): mixed}),
+             SuperForm(3, 2, 1, {((0, 2), (1,)): mixed,
+                                 ((1, 2), (2,)): const}),
+             SuperForm(3, 0, 2, {((), (0, 2)): pure * pure})]
+    maps = [AffineMap.of([[2], [F(-1, 3)], [1]], [1, 0, F(1, 2)]),  # R^1
+            AffineMap.of([[1, 2], [0, 0], [3, F(1, 5)]], [0, 0, 0]),
+            AffineMap.of([[1, 0, 2, 1], [0, 0, 0, 0], [F(1, 2), 1, 0, -1]],
+                         [F(2, 3), 0, -1]),                        # R^4
+            AffineMap.of([[0, 0, 0], [1, -1, 2], [0, 0, 0]], [0, 3, 0]),
+            AffineMap.of([[0, 0], [0, 0], [0, 0]], [0, 0, 0])]
+    for f_map in maps:
+        for alpha in forms:
+            got = pullback(f_map, alpha)
+            assert got == _pullback_ref(f_map, alpha)
+            _assert_clean(got)
+    # the same shapes through substitute_affine, with a zero affine, a
+    # constant one and affines in 1, 2 and 4 variables
+    for r2 in (1, 2, 4):
+        ys = [Poly.var(r2, s) for s in range(r2)]
+        zero, five = Poly(r2, {}), Poly.const(r2, 5)
+        lin = ys[-1] * F(-2, 7) + ys[0] + Poly.const(r2, F(1, 3))
+        for affines in ([zero, zero, zero], [lin, zero, five],
+                        [five, lin, lin * F(3, 2)], [zero, five, ys[-1]]):
+            for poly in (const, pure, mixed, pure * mixed, Poly(3, {})):
+                got = poly.substitute_affine(affines)
+                assert got == _substitute_ref(poly, affines)
+                assert all(type(c) is F and c for c in got.terms.values())
+
+
 def test_affine_map_validation():
     with pytest.raises(ValueError):
         AffineMap.of([[1, 0], [1]], [0, 0])
@@ -431,6 +472,27 @@ def test_integral_of_hessian_is_boundary_derivative():
     lhs = integrate_box(hessian_form(psi), [(a, b)])
     dpsi = psi.diff(0)
     assert lhs == dpsi.eval([b]) - dpsi.eval([a])
+
+
+def test_hessian_form_is_d_prime_of_d_second():
+    """The Hessian form against its definition d'd'' psi, on seeded polys
+    in 1 to 4 variables of degree 0 to 6; a constant psi stores no
+    coefficient."""
+    rng = random.Random(30)
+    for r in range(1, 5):
+        for deg in range(7):
+            for _ in range(6):
+                psi = _poly_of_degree(rng, r, deg)
+                got = hessian_form(psi)
+                assert got == d_prime(d_second(SuperForm.function(psi)))
+                assert (got.r, got.p, got.q) == (r, 1, 1)
+                _assert_clean(got)
+                if deg < 2:
+                    assert got.is_zero()
+        for psi in (Poly(r, {}), Poly.const(r, F(7, 3))):
+            got = hessian_form(psi)
+            assert got.is_zero() and (got.r, got.p, got.q) == (r, 1, 1)
+            assert got == d_prime(d_second(SuperForm.function(psi)))
 
 
 # ---------------------------------------------------------------------------
