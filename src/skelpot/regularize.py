@@ -30,9 +30,12 @@ from .potential import require_subharmonic
 
 def theta(eps, t):
     """Symmetric convex 1-Lipschitz spline, strictly positive,
-    equal to |t| for |t| >= eps.  Works over any ordered field."""
+    equal to |t| for |t| >= eps.  Works over any ordered field; an int
+    eps is taken as a Fraction, so ints give an exact value."""
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if type(eps) is int:
+        eps = Fraction(eps)
     if abs(t) >= eps:
         return abs(t)
     return t * t / (2 * eps) + eps / 2
@@ -40,7 +43,7 @@ def theta(eps, t):
 
 def smooth_max(eps, a, b):
     """Smoothed maximum: exact max when |a - b| >= eps, overshoot <= eps/4.
-    Works over any ordered field."""
+    Works over any ordered field, and exactly on ints, as theta does."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     t = a - b
@@ -53,7 +56,8 @@ def smooth_max(eps, a, b):
 
 def smooth_max_n(delta, ts):
     """Smoothed maximum of the arguments ts, overshoot at most delta.
-    Works over any ordered field: Fractions give the exact Fraction.
+    Works over any ordered field: Fractions or ints give the exact
+    Fraction (an int delta is taken as a Fraction).
 
     Realized as E[max_i (t_i + X_i)] for i.i.d. X_i uniform on
     [-h, h], h = delta/2: with m the max, that is m + h minus the
@@ -68,6 +72,8 @@ def smooth_max_n(delta, ts):
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if type(delta) is int:
+        delta = Fraction(delta)
     ts = list(ts)
     if not ts:
         raise ValueError("need at least one argument")

@@ -152,7 +152,9 @@ class Poly:
         for a in affines:
             affines[0]._match(a)
         nums, den_a = _integer_polys(affines)
-        return Poly._of(r2, *_substitute(self, nums, den_a, r2))
+        (packed,), den, base = _substitute([self], nums, den_a)
+        (out,) = _unpack([packed], base, r2)
+        return Poly._of(r2, out, den)
 
     def integrate_box(self, box) -> Fraction:
         """Exact integral over a product of intervals [(lo, hi), ...]."""
@@ -208,29 +210,60 @@ def _term_product(p: dict, q: dict) -> dict:
     return t
 
 
-def _substitute(poly: Poly, nums: list[dict], den_a: int,
-                r2: int) -> tuple[dict, int]:
-    """poly composed with x_i = nums[i] / den_a, as (v, den): an
-    exponent -> int dict, zeros included, and one positive denominator.
+def _packed_product(p: dict, q: dict) -> dict:
+    """`_term_product` on the packed exponents of `_substitute`."""
+    t: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = e1 + e2
+            v = c1 * c2
+            t[e] = t[e] + v if e in t else v
+    return t
 
-    With n the degree of poly, a monomial x^e of degree |e| and
-    numerator c becomes c * den_a^(n - |e|) * prod nums[i]^e_i over
-    poly.den * den_a^n.  The powers of each nums[i] are built once per
-    call."""
-    n = poly.degree()
-    one = {(0,) * r2: 1}
-    powers = [[one] for _ in nums]
-    acc: dict = {}
-    for e, c in poly.nums.items():
-        term = {(0,) * r2: c * den_a ** (n - sum(e))}
-        for pw, base, k in zip(powers, nums, e):
-            while len(pw) <= k:
-                pw.append(_term_product(pw[-1], base))
-            if k:
-                term = _term_product(term, pw[k])
-        for m, v in term.items():
-            acc[m] = acc.get(m, 0) + v
-    return acc, poly.den * den_a ** n
+
+def _substitute(polys: list[Poly], nums: list[dict],
+                den_a: int) -> tuple[list[dict], int, int]:
+    """Each of polys composed with x_i = nums[i] / den_a, as
+    (dicts, den, base): per poly, a packed exponent -> int dict, zeros
+    included, all over one positive denominator den.
+
+    With the polys over one denominator D and n their largest degree, a
+    monomial x^e with numerator c becomes
+    c * den_a^(n - |e|) * prod nums[i]^e_i over D * den_a^n.  An exponent
+    (k_0, k_1, ...) in the new variables is packed into the int
+    sum k_t * base^t, base being one more than the largest degree an
+    output monomial can have: no digit carries, so a product's exponent
+    is the sum of its factors'.  The powers of each nums[i] are built
+    once per call, for all the polys."""
+    polys_nums, den = _integer_polys(polys)
+    n = max((p.degree() for p in polys), default=0)
+    base = n * max((sum(e) for a in nums for e in a), default=0) + 1
+    packed = [{sum(k * base ** t for t, k in enumerate(e)): v
+               for e, v in a.items()} for a in nums]
+    powers = [[{0: 1}, a] for a in packed]
+    out = []
+    for p in polys_nums:
+        acc: dict = {}
+        for e, c in p.items():
+            term = {0: c * den_a ** (n - sum(e))}
+            for pw, k in zip(powers, e):
+                if k:
+                    while len(pw) <= k:
+                        pw.append(_packed_product(pw[-1], pw[1]))
+                    term = _packed_product(term, pw[k])
+            for m, v in term.items():
+                acc[m] = acc[m] + v if m in acc else v
+        out.append(acc)
+    return out, den * den_a ** n, base
+
+
+def _unpack(dicts: list[dict], base: int, r: int) -> list[dict]:
+    """dicts keyed by `_substitute`'s packed exponents, keyed by r-long
+    exponent tuples again; each distinct exponent is decoded once."""
+    places = [base ** t for t in range(r)]
+    exps = {m: tuple([m // b % base for b in places])
+            for m in set().union(*dicts)}
+    return [{exps[m]: v for m, v in t.items()} for t in dicts]
 
 
 def format_poly(p: Poly) -> str:
@@ -441,8 +474,10 @@ def pullback(f_map: AffineMap, alpha: SuperForm) -> SuperForm:
     d'x_I ^ d''x_J pulls back to the sum over sorted S and T of
     det A[I,S] * det A[J,T] * d'y_S ^ d''y_T.  Each output coefficient is
     thus an integer combination of the substituted coefficients
-    (`_substitute`), over the denominator D^(p+q) of the minors of the
-    integer matrix D*A and the lcm of the substitutions' denominators."""
+    (`_substitute`, all in one call), over the denominator D^(p+q) of the
+    minors of the integer matrix D*A and the substitution's one
+    denominator.  The combinations are kept on packed exponents, and
+    each distinct one is decoded once, at the end."""
     if alpha.r != f_map.r_out:
         raise BidegreeError("form/map dimension mismatch")
     r2 = f_map.r_in
@@ -471,29 +506,41 @@ def pullback(f_map: AffineMap, alpha: SuperForm) -> SuperForm:
             minors[rows] = {c: d for c, d in out.items() if d}
         return minors[rows]
 
-    pulled = [(minors_of(i), minors_of(j), _substitute(poly, nums, den_a, r2))
-              for (i, j), poly in alpha.coeffs.items()]
-    den = lcm(*(d for _, _, (_, d) in pulled))
+    subs, den, base = _substitute(list(alpha.coeffs.values()), nums, den_a)
     acc: dict = {}
-    for rows_i, rows_j, (num, d) in pulled:
-        scale = den // d
-        for s_cols, ds in rows_i.items():
-            for t_cols, dt in rows_j.items():
-                w = ds * dt * scale
-                out = acc.setdefault((s_cols, t_cols), {})
-                for e, v in num.items():
-                    out[e] = out.get(e, 0) + w * v
+    for (i, j), num in zip(alpha.coeffs, subs):
+        rows_j = minors_of(j).items()
+        for s_cols, ds in minors_of(i).items():
+            for t_cols, dt in rows_j:
+                w = ds * dt
+                key = (s_cols, t_cols)
+                out = acc.get(key)
+                if out is None:
+                    acc[key] = {e: w * v for e, v in num.items()}
+                else:
+                    for e, v in num.items():
+                        out[e] = out[e] + w * v if e in out else w * v
     den *= den_a ** (alpha.p + alpha.q)
-    return SuperForm._of(r2, alpha.p, alpha.q,
-                         {k: Poly._of(r2, t, den) for k, t in acc.items()})
+    return SuperForm._of(r2, alpha.p, alpha.q, {
+        k: Poly._of(r2, t, den)
+        for k, t in zip(acc, _unpack(list(acc.values()), base, r2))})
 
 
 # -- positivity -----------------------------------------------------------------
 
 
 def hessian_form(psi: Poly) -> SuperForm:
-    """d'd'' of a function: coefficients are the Hessian entries."""
-    return d_prime(d_second(SuperForm.function(psi)))
+    """d'd'' of a function: the (1,1)-form whose coefficient on
+    d'x_i ^ d''x_j is the Hessian entry d_i d_j psi.  Each first
+    derivative is taken once and each entry once for i <= j, stored
+    under both mirror keys."""
+    r = psi.r
+    first = [psi.diff(i) for i in range(r)]
+    cs = {}
+    for i in range(r):
+        for j in range(i, r):
+            cs[((i,), (j,))] = cs[((j,), (i,))] = first[i].diff(j)
+    return SuperForm._of(r, 1, 1, cs)
 
 
 @dataclass(frozen=True)
@@ -511,9 +558,12 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
     each point's coordinates to one denominator q with numerators n_i.
     With n the largest degree of a monomial, x^e is the integer
     q^(n - |e|) * prod n_i^e_i, computed once per point and shared by
-    every entry.  Each entry is a dense row of numerators in the order
-    of the shared monomials, so it is one integer sum.  The integer
-    matrix is D * q^n > 0 times the true one and has the same verdict."""
+    every entry.  Each entry is one integer sum: over the whole shared
+    list, as a dense row of numerators with zeros where it lacks a
+    monomial, when it holds more than half of the list, and otherwise
+    over its own terms, gathered by their positions in the list.  The
+    integer matrix is D * q^n > 0 times the true one and has the same
+    verdict."""
     if (alpha.p, alpha.q) != (1, 1):
         raise BidegreeError("positivity test needs a (1,1)-form")
     # no zero poly is stored, so a missing mirror key is a zero entry
@@ -523,15 +573,26 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
     upper = {(i, j): poly for ((i,), (j,)), poly in coeffs.items() if i <= j}
     polys, _ = _integer_polys(list(upper.values()))
     exps = {e: sum(e) for p in polys for e in p}
-    rows = [[p.get(e, 0) for e in exps] for p in polys]
+    index = {e: k for k, e in enumerate(exps)}
+    # a dense row costs one product per shared monomial, a gathered
+    # entry about two per own term
+    dense, sparse = [], []
+    for (i, j), p in zip(upper, polys):
+        if 2 * len(p) > len(exps):
+            dense.append((i, j, [p.get(e, 0) for e in exps]))
+        else:
+            sparse.append((i, j, list(p.values()), [index[e] for e in p]))
     n = max(exps.values(), default=0)
     r = alpha.r
     bad = []
     for pt in points:
         pt, values, _ = _monomials(pt, r, exps, n)
+        value = values.__getitem__
         h = [[0] * r for _ in range(r)]
-        for (i, j), row in zip(upper, rows):
+        for i, j, row in dense:
             h[i][j] = h[j][i] = sum(map(mul, row, values))
+        for i, j, nums, at in sparse:
+            h[i][j] = h[j][i] = sum(map(mul, nums, map(value, at)))
         if not _psd(h):
             bad.append(pt)
     return PositivityVerdict(not bad, tuple(bad))

@@ -234,6 +234,21 @@ def test_smooth_max_n_on_fractions_is_exact():
         assert smooth_max_n(delta, ts) == m
 
 
+def test_int_arguments_give_exact_values():
+    """Ints are exact, as Fractions are: no true division on ints makes a
+    float."""
+    for got, want in ((smooth_max_n(1, [0, 0]), F(1, 6)),
+                      (theta(1, 0), F(1, 2)),
+                      (smooth_max(2, 0, 1), F(9, 8)),
+                      (smooth_max(1, 0, 0), F(1, 4)),
+                      (smooth_max_n(2, [1, 0, F(1, 2)]),
+                       smooth_max_n(F(2), [F(1), F(0), F(1, 2)]))):
+        assert type(got) is Fraction and got == want
+    # an int max that nothing else comes near is returned as is
+    assert smooth_max_n(1, [3, 1]) == 3 and theta(1, -2) == 2
+    assert smooth_max(1, 5, 2) == 5
+
+
 @pytest.mark.parametrize("delta, ts", [(F(0), [F(1)]), (F(-1), [F(1), F(2)]),
                                        (0.0, [1.0]), (F(1), [])])
 def test_smooth_max_n_refuses_bad_arguments(delta, ts):

@@ -379,13 +379,15 @@ def test_pullback_and_substitute_edge_cases():
             assert got == _pullback_ref(f_map, alpha)
             _assert_clean(got)
     # the same shapes through substitute_affine, with a zero affine, a
-    # constant one and affines in 1, 2 and 4 variables
+    # constant one and affines in 1, 2 and 4 variables; substitute_affine
+    # takes any polys, so quadratic ones too
     for r2 in (1, 2, 4):
         ys = [Poly.var(r2, s) for s in range(r2)]
         zero, five = Poly(r2, {}), Poly.const(r2, 5)
         lin = ys[-1] * F(-2, 7) + ys[0] + Poly.const(r2, F(1, 3))
         for affines in ([zero, zero, zero], [lin, zero, five],
-                        [five, lin, lin * F(3, 2)], [zero, five, ys[-1]]):
+                        [five, lin, lin * F(3, 2)], [zero, five, ys[-1]],
+                        [lin * lin, ys[0] * ys[-1], five]):
             for poly in (const, pure, mixed, pure * mixed, Poly(3, {})):
                 got = poly.substitute_affine(affines)
                 assert got == _substitute_ref(poly, affines)
@@ -616,6 +618,41 @@ def test_positivity_matches_per_entry_reference():
                     _positivity_ref(alpha, points)
                 verdicts.append(got.ok)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def test_positivity_on_entries_that_share_few_monomials():
+    """r = 6 forms whose upper-triangle entries each have 20 monomials of
+    degree 6 to 9 that no other entry has, so each entry holds a small
+    part of the shared monomial list; in the second form the (0, 0)
+    entry holds all of them, so both kinds of entry meet in one matrix.
+    At the origin every entry is 0, a PSD matrix."""
+    rng = random.Random(26)
+    r = 6
+    used = set()
+
+    def entry():
+        terms = {}
+        while len(terms) < 20:
+            e = [0] * r
+            for _ in range(rng.randint(6, 9)):
+                e[rng.randrange(r)] += 1
+            if tuple(e) not in used:
+                used.add(tuple(e))
+                terms[tuple(e)] = F(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                    rng.randint(1, 6))
+        return Poly(r, terms)
+
+    upper = {(i, j): entry() for i in range(r) for j in range(i, r)}
+    disjoint = SuperForm(r, 1, 1, {((i,), (j,)): upper[min(i, j), max(i, j)]
+                                   for i in range(r) for j in range(r)})
+    full = sum((v for k, v in upper.items() if k != (0, 0)), Poly(r, {}))
+    mixed = SuperForm(r, 1, 1, {**disjoint.coeffs, ((0,), (0,)): full})
+    points = [[0] * r] + [[F(rng.randint(-9, 9), rng.randint(1, 7))
+                           for _ in range(r)] for _ in range(9)]
+    for alpha in (disjoint, mixed):
+        got = is_positive_11(alpha, points)
+        assert (got.ok, got.violations) == _positivity_ref(alpha, points)
+        assert tuple([0] * r) not in got.violations and got.violations
 
 
 def _poly_text(poly):
