@@ -558,12 +558,9 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
     each point's coordinates to one denominator q with numerators n_i.
     With n the largest degree of a monomial, x^e is the integer
     q^(n - |e|) * prod n_i^e_i, computed once per point and shared by
-    every entry.  Each entry is one integer sum: over the whole shared
-    list, as a dense row of numerators with zeros where it lacks a
-    monomial, when it holds more than half of the list, and otherwise
-    over its own terms, gathered by their positions in the list.  The
-    integer matrix is D * q^n > 0 times the true one and has the same
-    verdict."""
+    every entry.  Each entry is one integer sum over its own terms,
+    gathered by their positions in the shared list.  The integer matrix
+    is D * q^n > 0 times the true one and has the same verdict."""
     if (alpha.p, alpha.q) != (1, 1):
         raise BidegreeError("positivity test needs a (1,1)-form")
     # no zero poly is stored, so a missing mirror key is a zero entry
@@ -574,14 +571,8 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
     polys, _ = _integer_polys(list(upper.values()))
     exps = {e: sum(e) for p in polys for e in p}
     index = {e: k for k, e in enumerate(exps)}
-    # a dense row costs one product per shared monomial, a gathered
-    # entry about two per own term
-    dense, sparse = [], []
-    for (i, j), p in zip(upper, polys):
-        if 2 * len(p) > len(exps):
-            dense.append((i, j, [p.get(e, 0) for e in exps]))
-        else:
-            sparse.append((i, j, list(p.values()), [index[e] for e in p]))
+    entries = [(i, j, list(p.values()), [index[e] for e in p])
+               for (i, j), p in zip(upper, polys)]
     n = max(exps.values(), default=0)
     r = alpha.r
     bad = []
@@ -589,9 +580,7 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
         pt, values, _ = _monomials(pt, r, exps, n)
         value = values.__getitem__
         h = [[0] * r for _ in range(r)]
-        for i, j, row in dense:
-            h[i][j] = h[j][i] = sum(map(mul, row, values))
-        for i, j, nums, at in sparse:
+        for i, j, nums, at in entries:
             h[i][j] = h[j][i] = sum(map(mul, nums, map(value, at)))
         if not _psd(h):
             bad.append(pt)

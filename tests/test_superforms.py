@@ -624,7 +624,8 @@ def test_positivity_on_entries_that_share_few_monomials():
     """r = 6 forms whose upper-triangle entries each have 20 monomials of
     degree 6 to 9 that no other entry has, so each entry holds a small
     part of the shared monomial list; in the second form the (0, 0)
-    entry holds all of them, so both kinds of entry meet in one matrix.
+    entry holds all of them, so sparse and full entries meet in one
+    matrix.
     At the origin every entry is 0, a PSD matrix."""
     rng = random.Random(26)
     r = 6
