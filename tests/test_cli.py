@@ -172,13 +172,21 @@ def test_green_edge_pole_ignores_subdivision_names(tmp_path, capsys, doc,
                              "--point", "a:1/2"]),
     ("dumbbell_harmonic", ["harmonic", "--graph", "dumbbell_graph.json",
                            "--values", "dumbbell_values.json"]),
+    ("grid_green_vertex", ["green", "--graph", "grid_graph.json",
+                           "--point", "r2c2"]),
+    ("grid_green_edge", ["green", "--graph", "grid_graph.json",
+                         "--point", "e38:1/2"]),
+    ("grid_harmonic", ["harmonic", "--graph", "grid_graph.json",
+                       "--values", "grid_values.json"]),
 ])
 def test_json_output_matches_golden(capsys, name, argv):
-    """The JSON output bytes on a fixed five-vertex graph, and on two
-    genus-2 skeleta with a boundary leaf at each of their two vertices:
-    a theta graph (three parallel edges t0, t1, t2 between p and q) and a
-    dumbbell (loops a at p and b at q, joined by the bridge br), as
-    committed in tests/data/golden/<name>.out."""
+    """The JSON output bytes on a fixed five-vertex graph, on two genus-2
+    skeleta with a boundary leaf at each of their two vertices: a theta
+    graph (three parallel edges t0, t1, t2 between p and q) and a
+    dumbbell (loops a at p and b at q, joined by the bridge br), and on a
+    seeded 4x4 grid whose grid edges are 2-edge chains, with length and
+    value literals that repeat ("1/2" and "0.5" among them), as committed
+    in tests/data/golden/<name>.out."""
     golden = DATA / "golden"
     rc = main([str(golden / a) if a.endswith(".json") else a for a in argv])
     assert rc == 0
@@ -1016,7 +1024,7 @@ def test_json_writer_on_the_golden_outputs():
             continue
         assert _json(value) + "\n" == path.read_text(), path.name
         checked += 1
-    assert checked == 23
+    assert checked == 26
 
 
 @pytest.mark.parametrize("value", [{1: "a"}, [{"a": {None: 1}}], {1.5},

@@ -1,6 +1,6 @@
 """Differential tests of the exact kernels of the kinked pipeline: ddc,
-_slopes and the one-sweep Green oracle, each against a copy of its
-Fraction-arithmetic form kept here as the reference.
+_slopes, the one-sweep Green oracle and the JSON form of a function, each
+against a copy of its plain form kept here as the reference.
 
 The functions are seeded: random and kinked subharmonic functions on
 random graphs, their promotions, self-loops, parallel edges, spoiled
@@ -13,12 +13,14 @@ and violation order included.
 import random
 from fractions import Fraction
 
-from skelpot import (DiscreteMeasure, EdgePoint, PAFunction, Vertex, green,
-                     is_subharmonic_green, linear_combine)
+from skelpot import (DiscreteMeasure, Edge, EdgePoint, MetricGraph,
+                     PAFunction, Vertex, dirichlet_solve, format_rational,
+                     green, is_subharmonic_green, linear_combine)
 from skelpot.pa_function import _slopes
 from skelpot.potential import GreenVerdict
-from skelpot.randgen import (random_graph, random_non_subharmonic,
-                             random_pa_function, random_subharmonic)
+from skelpot.randgen import (random_boundary_values, random_graph,
+                             random_non_subharmonic, random_pa_function,
+                             random_subharmonic)
 
 from conftest import graph_from, kinked_subharmonic, pa
 
@@ -78,6 +80,14 @@ def _ref_green(f):
            if (val := (w / conductance[vid] - f.vertex_value(vid)) / 2) < 0]
     bad += edge_bad
     return GreenVerdict(not bad, tuple(bad))
+
+
+def _to_json_dict_ref(f):
+    """The JSON form with every breakpoint formatted on its own."""
+    return {"profiles": {eid: [[format_rational(o), format_rational(v)]
+                               for o, v in prof]
+                         for eid, prof in sorted(f.profiles.items())},
+            "graph": f.graph.to_json_dict()}
 
 
 # -- the seeded functions ---------------------------------------------------
@@ -251,3 +261,41 @@ def test_kernels_on_large_numerators():
             assert is_subharmonic_green(f) == _ref_green(f)
             for prof in f.profiles.values():
                 assert _slopes(prof) == _ref_slopes(prof)
+
+
+def _fresh(x):
+    return F(x.numerator, x.denominator)
+
+
+def _unshared(f):
+    """f on a copy of its graph, with every length, offset and value a
+    Fraction object of its own: equal values are distinct objects."""
+    g = f.graph
+    graph = MetricGraph(g.vertices, [Edge(e.id, e.u, e.v, _fresh(e.length))
+                                     for e in g.edges], g.boundary)
+    return PAFunction(graph, {eid: [(_fresh(o), _fresh(v)) for o, v in prof]
+                              for eid, prof in f.profiles.items()})
+
+
+def test_to_json_dict_equals_reference():
+    """On the seeded functions (self-loops and parallel edges among them)
+    and on solves, where one value object sits at many edge ends and one
+    length object ends many profiles; and on a copy of each whose equal
+    values are all distinct objects."""
+    rng = random.Random(2205)
+    functions = _functions(2205)
+    for _ in range(15):
+        g = random_graph(rng, max_vertices=8, max_edges=12)
+        functions.append(dirichlet_solve(g, random_boundary_values(rng, g)))
+        inner = [v for v in g.vertices if v not in g.boundary]
+        if inner:
+            functions.append(green(g, Vertex(rng.choice(inner))).result)
+        e = rng.choice(g.edges)
+        functions.append(green(g, EdgePoint(e.id, e.length / 3)).result)
+    shared = 0
+    for f in functions:
+        ends = [prof[i][1] for prof in f.profiles.values() for i in (0, -1)]
+        shared += len(set(map(id, ends))) < len(ends)
+        for h in (f, _unshared(f)):
+            assert h.to_json_dict() == _to_json_dict_ref(h)
+    assert shared > 20
