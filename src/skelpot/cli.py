@@ -71,39 +71,61 @@ def _load(path: str, reader):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _parse_point(text: str):
-    """"v3" for a vertex, "e0:1/2" for an edge point."""
-    if ":" in text:
-        eid, off = text.split(":", 1)
-        return EdgePoint(eid, parse_rational(off))
-    return Vertex(text)
+def _parse_point(text: str, g: MetricGraph):
+    """"v3" for a vertex, "e0:1/2" for an edge point.  A vertex id of g
+    names that vertex, ":" and all; any other text with a ":" is split
+    at its last one, since an offset never contains one."""
+    if ":" not in text or g.contains_point(Vertex(text)):
+        return Vertex(text)
+    eid, _, off = text.rpartition(":")
+    return EdgePoint(eid, parse_rational(off))
 
 
-def _json(obj, indent: str = "\n") -> str:
+def _json(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for
     dicts with str keys, lists, tuples, str, bool, None, int and float;
     TypeError for any other type or key (the string encoder refuses a
     key that is not a str).  With indent, json.dumps runs its pure-Python
-    encoder; this joins each container's items once and writes a str item
-    in place, with the C string encoder."""
-    inner = indent + "  "
+    encoder; this appends every piece of the text to one list, with the
+    C string encoder, and joins the list once."""
+    out = []
+    _write_json(obj, "\n", out.append)
+    return "".join(out)
+
+
+def _write_json(obj, indent: str, write) -> None:
+    """Write the pieces of obj's text in _json, at the given indent."""
     if isinstance(obj, dict):
-        items, ends = [_ascii(k) + ": " + (_ascii(v) if isinstance(v, str)
-                                           else _json(v, inner))
-                       for k, v in sorted(obj.items())], "{}"
+        items, ends = sorted(obj.items()), "{}"
     elif isinstance(obj, (list, tuple)):
-        items, ends = [_ascii(x) if isinstance(x, str) else _json(x, inner)
-                       for x in obj], "[]"
-    elif isinstance(obj, str):
-        return _ascii(obj)
-    elif obj is None or isinstance(obj, (bool, int, float)):
-        return json.dumps(obj)
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
-                        "serializable")
+        items, ends = obj, "[]"
+    else:   # a str or a scalar; json.dumps refuses any other type
+        write(_ascii(obj) if isinstance(obj, str) else json.dumps(obj))
+        return
     if not items:
-        return ends
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+        write(ends)
+        return
+    inner = indent + "  "
+    sep, comma = ends[0] + inner, "," + inner
+    if ends == "{}":
+        for k, v in items:
+            write(sep)
+            write(_ascii(k))
+            write(": ")
+            if isinstance(v, str):
+                write(_ascii(v))
+            else:
+                _write_json(v, inner, write)
+            sep = comma
+    else:
+        for v in items:
+            write(sep)
+            if isinstance(v, str):
+                write(_ascii(v))
+            else:
+                _write_json(v, inner, write)
+            sep = comma
+    write(indent + ends[1])
 
 
 def _emit(obj) -> None:
@@ -121,7 +143,7 @@ def cmd_ddc(args) -> int:
 
 def cmd_green(args) -> int:
     g = _load(args.graph, MetricGraph.from_json_dict)
-    _emit(green_to_json_dict(green(g, _parse_point(args.point))))
+    _emit(green_to_json_dict(green(g, _parse_point(args.point, g))))
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_once
 
 
 class GraphError(ValueError):
@@ -297,12 +297,15 @@ class MetricGraph:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": [{"u": e.u, "v": e.v, "len": format_rational(e.length),
-                       "id": e.id} for e in self.edges],
-            "boundary": sorted(self.boundary),
-        }
+        # each length object is formatted once, its text kept by id
+        text = {}
+        edges = []
+        for e in self.edges:
+            if (length := text.get(id(e.length))) is None:
+                length = text[id(e.length)] = format_rational(e.length)
+            edges.append({"u": e.u, "v": e.v, "len": length, "id": e.id})
+        return {"vertices": list(self.vertices), "edges": edges,
+                "boundary": sorted(self.boundary)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MetricGraph":
@@ -329,8 +332,9 @@ class MetricGraph:
                 if not isinstance(e.get(key, ""), str):
                     raise GraphError(
                         f"graph.edges[{i}].{key} must be a string")
+        memo = {}   # a repeated length literal is parsed once
         edges = [Edge(e["id"] if "id" in e else f"e{i}", e["u"], e["v"],
-                      parse_rational(e["len"]))
+                      parse_once(e["len"], memo))
                  for i, e in enumerate(d.get("edges", []))]
         return cls(d.get("vertices", []), edges, d.get("boundary", []))
 

@@ -18,7 +18,7 @@ from operator import itemgetter
 from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph,
                     TangentDirection, Vertex, point_sort_key, point_to_json,
                     require_shape)
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_once
 
 Profile = tuple[tuple[Fraction, Fraction], ...]
 
@@ -279,15 +279,16 @@ class PAFunction:
             return self, {}
         graph, pieces = self.graph.split(cuts)
         profiles = dict(self.profiles)
+        zero = Fraction(0)
         for eid, edge_pieces in pieces.items():
             prof = profiles.pop(eid)
-            i, a, va = 1, Fraction(0), prof[0][1]
+            i, a, va = 1, zero, prof[0][1]
             # piece [a, b] takes the breakpoints prof[i:j] strictly inside
             for piece, b in zip(edge_pieces, [*cuts[eid], prof[-1][0]]):
                 j = bisect_left(prof, b, i, key=_OFFSET)
                 at_b = prof[j][0] == b
                 vb = prof[j][1] if at_b else self._on_edge(eid, b)
-                profiles[piece.id] = ((Fraction(0), va),
+                profiles[piece.id] = ((zero, va),
                                       *((o - a, v) for o, v in prof[i:j]),
                                       (piece.length, vb))
                 i, a, va = j + at_b, b, vb
@@ -308,10 +309,24 @@ class PAFunction:
     # -- serialization ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"profiles": {eid: [[format_rational(o), format_rational(v)]
-                                   for o, v in prof]
-                             for eid, prof in sorted(self.profiles.items())},
-                "graph": self.graph.to_json_dict()}
+        """The JSON object {"graph", "profiles"}, with each value object
+        formatted once: its text is kept by id (every object lives through
+        the call; a Fraction key would hash, which takes a modular
+        inverse), starting from the graph's own length texts."""
+        graph = self.graph.to_json_dict()
+        text = {id(e.length): d["len"]
+                for e, d in zip(self.graph.edges, graph["edges"])}
+        profiles = {}
+        for eid, prof in sorted(self.profiles.items()):
+            pairs = []
+            for o, v in prof:
+                if (so := text.get(id(o))) is None:
+                    so = text[id(o)] = format_rational(o)
+                if (sv := text.get(id(v))) is None:
+                    sv = text[id(v)] = format_rational(v)
+                pairs.append([so, sv])
+            profiles[eid] = pairs
+        return {"profiles": profiles, "graph": graph}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PAFunction":
@@ -329,31 +344,27 @@ class PAFunction:
                 raise GraphError(
                     f"profiles.{eid} must be a list of [offset, value] pairs")
         # a repeated literal (offset 0, a vertex value, or a length that the
-        # graph parsed) is parsed once; only strings are memoized, so any
-        # other value meets parse_rational and its error every time
+        # graph parsed) is parsed once
         memo = {str(e.length): e.length for e in graph.edges}
-
-        def rational(x) -> Fraction:
-            if type(x) is not str:
-                return parse_rational(x)
-            r = memo.get(x)
-            if r is None:
-                r = memo[x] = parse_rational(x)
-            return r
-        return cls(graph, {eid: [(rational(o), rational(v)) for o, v in prof]
+        return cls(graph, {eid: [(parse_once(o, memo), parse_once(v, memo))
+                                 for o, v in prof]
                            for eid, prof in profiles.items()})
 
     # -- misc ---------------------------------------------------------------
 
     @classmethod
     def constant(cls, graph: MetricGraph, c: Fraction) -> "PAFunction":
-        return cls.from_vertex_values(graph, dict.fromkeys(graph.vertices, c))
+        return cls.from_vertex_values(graph,
+                                      dict.fromkeys(graph.vertices, _exact(c)))
 
     @classmethod
     def from_vertex_values(cls, graph: MetricGraph, values: dict) -> "PAFunction":
-        """Edge-affine interpolation of per-vertex values."""
-        return cls._of(graph, {e.id: ((Fraction(0), Fraction(values[e.u])),
-                                      (e.length, Fraction(values[e.v])))
+        """Edge-affine interpolation of per-vertex values.  A Fraction
+        value is kept as the object it is at every end of its vertex,
+        and every profile starts at one zero."""
+        zero = Fraction(0)
+        return cls._of(graph, {e.id: ((zero, _exact(values[e.u])),
+                                      (e.length, _exact(values[e.v])))
                                for e in graph.edges})
 
     def max_abs_slope(self) -> Fraction:

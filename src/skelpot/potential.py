@@ -17,7 +17,7 @@ from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex,
                     point_to_json)
 from .linalg import solve_exact
 from .pa_function import (DiscreteMeasure, PAFunction, SlopeVerdict,
-                          _lcm_sum, integrate)
+                          _exact, _lcm_sum, integrate)
 
 
 class NotHarmonicError(ValueError):
@@ -56,7 +56,7 @@ def _solve_laplacian(g: MetricGraph, boundary_values: dict,
     sources = sources or {}
     interior = [v for v in g.vertices if v not in g.boundary]
     index = {v: i for i, v in enumerate(interior)}
-    values = {v: Fraction(boundary_values[v]) for v in g.boundary}
+    values = {v: _exact(boundary_values[v]) for v in g.boundary}
     a, b = [], []
     for i, v in enumerate(interior):
         ends = [(e.length, w) for e, tv in g.incident_ends(v)
@@ -112,15 +112,16 @@ def green(g: MetricGraph, x: GraphPoint) -> GreenFunction:
         sources[e.v] = sources.get(e.v, 0) - t / e.length  # u = v on a loop
     else:
         sources = {x.id: Fraction(-1)}
-    zero = {v: Fraction(0) for v in g.boundary}
-    values = _solve_laplacian(g, zero, sources)
+    # one zero: every boundary value and the start of every profile
+    zero = Fraction(0)
+    values = _solve_laplacian(g, dict.fromkeys(g.boundary, zero), sources)
 
-    profiles = {e.id: ((Fraction(0), values[e.u]), (e.length, values[e.v]))
+    profiles = {e.id: ((zero, values[e.u]), (e.length, values[e.v]))
                 for e in g.edges}
     if isinstance(x, EdgePoint):
         (_, a), (length, b) = profiles[x.edge]
         peak = (a * (length - t) + (b + length - t) * t) / length
-        profiles[x.edge] = ((Fraction(0), a), (t, peak), (length, b))
+        profiles[x.edge] = ((zero, a), (t, peak), (length, b))
     result = PAFunction._of(g, profiles)
 
     # the slope of the piece at each boundary edge end, pole's edge too

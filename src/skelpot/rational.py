@@ -50,6 +50,18 @@ def parse_rational(value) -> Fraction:
     return Fraction(-num if sign else num, den)
 
 
+def parse_once(value, memo: dict) -> Fraction:
+    """parse_rational(value), parsing each string once per memo, so that
+    a repeated literal is one object; any other value meets
+    parse_rational, and its error, every time."""
+    if type(value) is not str:
+        return parse_rational(value)
+    r = memo.get(value)
+    if r is None:
+        r = memo[value] = parse_rational(value)
+    return r
+
+
 def format_rational(x: Fraction) -> str:
     """Canonical form: reduced fraction, '-' sign only, no denominator 1."""
     return str(x if isinstance(x, Fraction) else Fraction(x))

@@ -67,11 +67,13 @@ def rationalize(f: PAFunction, g_in: PAFunction,
             v2 = Fraction(1, max_den)
         return v2
 
+    # one zero: every boundary value and the start of every profile
+    zero = Fraction(0)
     vertex_snapped = {}
     for vid in graph.vertices:
         old = g_in.vertex_value(vid)
         if vid in graph.boundary:
-            vertex_snapped[vid] = Fraction(0)
+            vertex_snapped[vid] = zero
         else:
             vertex_snapped[vid] = snap_value(old)
         max_value_snap = max(max_value_snap, abs(vertex_snapped[vid] - old))
@@ -79,7 +81,7 @@ def rationalize(f: PAFunction, g_in: PAFunction,
     # Kink offsets onto denominators <= max_den, and their values.
     profiles = {}
     for e in graph.edges:
-        new = [(Fraction(0), vertex_snapped[e.u])]
+        new = [(zero, vertex_snapped[e.u])]
         for o, v in g_in.profiles[e.id][1:-1]:
             o2, v2 = o.limit_denominator(max_den), snap_value(v)
             if not (new[-1][0] < o2 < e.length):

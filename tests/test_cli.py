@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from skelpot import GraphError, MetricGraph, PAFunction
 from skelpot.cli import SUBCOMMANDS, UNARY_OPS, _json, build_parser, main
-from skelpot.rational import RationalParseError, parse_rational
+from skelpot.rational import (RationalParseError, format_rational,
+                              parse_rational)
 
 from conftest import kinked_subharmonic, subprocess_env
 
@@ -122,6 +123,75 @@ def test_green_off_graph_pole_names_point_json(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ('error: point {"edge": "e0", "offset": "5"} '
                             'is not on the graph\n')
+
+
+COLON_IDS = {
+    "vertices": ["a", "b", "w:1"],
+    "edges": [{"id": "e:1", "u": "a", "v": "w:1", "len": "1"},
+              {"id": "f", "u": "w:1", "v": "b", "len": "1"}],
+    "boundary": ["a", "b"],
+}
+
+
+@pytest.mark.parametrize("point, pole", [
+    ("w:1", {"vertex": "w:1"}),
+    ("e:1:1/2", {"edge": "e:1", "offset": "1/2"}),
+])
+def test_green_pole_on_an_id_with_a_colon(tmp_path, capsys, point, pole):
+    """A --point that is a vertex id names that vertex, a ":" in it and
+    all; any other text is split at its last ":", as an offset has none."""
+    g = write_json(tmp_path, "g.json", COLON_IDS)
+    rc = main(["green", "--graph", g, "--point", point])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    assert json.loads(captured.out)["pole"] == pole
+
+
+def _seeded_grid(rng, k):
+    """A k x k grid with random rational lengths, boundary the first row
+    and the first column."""
+    def length():
+        den = rng.randint(1, 10)
+        return str(Fraction(rng.randint(1, 4 * den), den))
+    names = [f"r{i}c{j}" for i in range(k) for j in range(k)]
+    pairs = [(f"r{i}c{j}", f"r{i + 1}c{j}") for i in range(k - 1)
+             for j in range(k)]
+    pairs += [(f"r{i}c{j}", f"r{i}c{j + 1}") for i in range(k)
+              for j in range(k - 1)]
+    edges = [{"id": f"e{n}", "u": u, "v": v, "len": length()}
+             for n, (u, v) in enumerate(pairs)]
+    boundary = sorted({f"r0c{j}" for j in range(k)}
+                      | {f"r{i}c0" for i in range(k)})
+    return {"vertices": names, "edges": edges, "boundary": boundary}
+
+
+def test_harmonic_formats_each_value_object_once(tmp_path, capsys,
+                                                 monkeypatch):
+    """On a seeded 10x10 grid, harmonic formats at most one text per
+    vertex value, per edge length and for the one zero offset: V + E + 1
+    format_rational calls, where formatting every breakpoint and every
+    length makes 900."""
+    rng = random.Random(31)
+    grid = _seeded_grid(rng, 10)
+    values = {b: str(Fraction(rng.randint(-20, 20), rng.randint(1, 6)))
+              for b in grid["boundary"]}
+    calls = []
+    original = format_rational
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("skelpot") and \
+                getattr(module, "format_rational", None) is original:
+            monkeypatch.setattr(module, "format_rational", counted)
+    rc = main(["harmonic", "--graph", write_json(tmp_path, "g.json", grid),
+               "--values", write_json(tmp_path, "v.json", values)])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert (len(grid["vertices"]), len(grid["edges"])) == (100, 180)
+    assert len(calls) <= 100 + 180 + 1
+    assert len(out["profiles"]) == 180
 
 
 @pytest.mark.parametrize("doc, taken", [

@@ -62,11 +62,11 @@ def test_no_unread_imports():
 
 
 # top-level definitions where a float may appear: the two that round an
-# exact value for output, the JSON writer, and the checks that draw float
-# test inputs and state float tolerances
+# exact value for output, and the checks that draw float test inputs and
+# state float tolerances
 FLOAT_SCOPES = {
     "regularize.eval_smoothed", "regularize.arc_second_difference",
-    "cli._json", "checks.smooth_max_axioms",
+    "checks.smooth_max_axioms",
     "checks.monotone_regularization", "checks.superform_identities",
 }
 
