@@ -83,11 +83,17 @@ def _ref_green(f):
 
 
 def _to_json_dict_ref(f):
-    """The JSON form with every breakpoint formatted on its own."""
+    """The JSON form with every length and breakpoint formatted on its
+    own."""
+    g = f.graph
     return {"profiles": {eid: [[format_rational(o), format_rational(v)]
                                for o, v in prof]
                          for eid, prof in sorted(f.profiles.items())},
-            "graph": f.graph.to_json_dict()}
+            "graph": {"vertices": list(g.vertices),
+                      "edges": [{"u": e.u, "v": e.v, "id": e.id,
+                                 "len": format_rational(e.length)}
+                                for e in g.edges],
+                      "boundary": sorted(g.boundary)}}
 
 
 # -- the seeded functions ---------------------------------------------------
