@@ -43,9 +43,15 @@ class EdgePoint:
     offset: Fraction
 
     def __post_init__(self):
-        # an int offset becomes a Fraction, as an int edge length does
+        # an int offset becomes a Fraction, as an int edge length does;
+        # anything else (a float, a str, a bool) would leave exact code
+        if type(self.offset) is Fraction:
+            return
         if type(self.offset) is int:
             object.__setattr__(self, "offset", Fraction(self.offset))
+        elif not isinstance(self.offset, Fraction):
+            raise GraphError(f"edge {self.edge}: offset {self.offset!r} is "
+                             "not an int or a Fraction")
 
     def __repr__(self):
         return f"EdgePoint({self.edge}@{self.offset})"

@@ -70,6 +70,28 @@ def test_edge_lengths_are_fractions(length, fault):
         assert {type(o) for o, _ in f.profiles["e"]} == {Fraction}
 
 
+@pytest.mark.parametrize("offset, fault", [
+    (Fraction(1, 2), None),
+    (1, None),
+    (0.5, "edge e: offset 0.5 is not an int or a Fraction"),
+    (True, "edge e: offset True is not an int or a Fraction"),
+    ("1/2", "edge e: offset '1/2' is not an int or a Fraction"),
+])
+def test_edge_point_offsets_are_fractions(offset, fault):
+    """An int offset becomes a Fraction and a Fraction is kept as it is;
+    any other offset (a float, a bool, a string) is refused with the
+    edge named, before it reaches a solve or an evaluation."""
+    if fault is not None:
+        with pytest.raises(GraphError) as info:
+            EdgePoint("e", offset)
+        assert str(info.value) == fault
+        return
+    p = EdgePoint("e", offset)
+    assert type(p.offset) is Fraction and p.offset == offset
+    if type(offset) is Fraction:
+        assert p.offset is offset
+
+
 def test_star_counts(star3, unit_edge):
     assert len(star3.star(Vertex("c"))) == 3
     assert len(unit_edge.star(EdgePoint("e", Fraction(1, 2)))) == 2
