@@ -15,7 +15,7 @@ from .potential import (GreenFunction, GreenVerdict, NotHarmonicError,
                         NotSubharmonicError, dirichlet_solve,
                         evaluation_formula_check, green, green_to_json_dict,
                         is_subharmonic_green, local_green_pairing,
-                        maximum_principle_check)
+                        maximum_principle_check, poisson)
 from .regularize import (RegularizationSequence, arc_second_difference,
                          build_regularization, eval_smoothed, sample_points,
                          smooth_max, smooth_max_n, theta)

@@ -38,7 +38,8 @@ from .graph import EdgePoint, GraphError, MetricGraph, Vertex, point_to_json
 from .pa_function import PAFunction
 from .potential import (NotSubharmonicError, dirichlet_solve, green,
                         green_to_json_dict, is_subharmonic_green)
-from .rational import RationalParseError, format_rational, parse_rational
+from .rational import (RationalParseError, format_rational, parse_once,
+                       parse_rational)
 from .rationalize import RationalizationError, rationalize
 from .regularize import build_regularization
 from . import superforms as sf
@@ -157,7 +158,8 @@ def cmd_harmonic(args) -> int:
         if extra:
             raise InputError(f"values for vertices off the boundary "
                              f"{sorted(extra)}")
-        values = {k: parse_rational(v) for k, v in raw.items()}
+        values = {k: parse_once(v, {}, "values.{}", k)
+                  for k, v in raw.items()}
         missing = g.boundary - values.keys()
         if missing:
             raise InputError(f"missing boundary values for {sorted(missing)}")

@@ -340,7 +340,8 @@ class MetricGraph:
                         f"graph.edges[{i}].{key} must be a string")
         memo = {}   # a repeated length literal is parsed once
         edges = [Edge(e["id"] if "id" in e else f"e{i}", e["u"], e["v"],
-                      parse_once(e["len"], memo))
+                      parse_once(e["len"], memo, "graph.edges[{}].len",
+                                 i))
                  for i, e in enumerate(d.get("edges", []))]
         return cls(d.get("vertices", []), edges, d.get("boundary", []))
 

@@ -83,9 +83,17 @@ def _lcm_sum(pairs) -> tuple[int, int]:
     return sum(n * (den // d) for n, d in pairs), den
 
 
-def _exact(x) -> Fraction:
-    """x as a Fraction; one that already is a Fraction is kept as is."""
-    return x if type(x) is Fraction else Fraction(x)
+def _exact(x, where: str, *keys) -> Fraction:
+    """x as a Fraction: a Fraction is kept as is, and an int (not a bool)
+    becomes one.  Anything else would leave exact code, so it raises
+    GraphError `<where.format(*keys)> <x!r> is not an int or a Fraction`,
+    its location put into words only in the raise."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int or isinstance(x, Fraction):
+        return Fraction(x)
+    raise GraphError(f"{where.format(*keys)} {x!r} is not an int or a "
+                     "Fraction")
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,9 @@ class PAFunction:
         for e in graph.edges:
             if e.id not in profiles:
                 raise GraphError(f"missing profile for edge {e.id}")
-            prof = tuple((_exact(o), _exact(v)) for o, v in profiles[e.id])
+            prof = tuple((_exact(o, "edge {}: offset", e.id),
+                           _exact(v, "edge {}: value", e.id))
+                          for o, v in profiles[e.id])
             if len(prof) < 2 or prof[0][0] != 0 or \
                     prof[-1][0] is not e.length and prof[-1][0] != e.length:
                 raise GraphError(
@@ -346,16 +356,18 @@ class PAFunction:
         # a repeated literal (offset 0, a vertex value, or a length that the
         # graph parsed) is parsed once
         memo = {str(e.length): e.length for e in graph.edges}
-        return cls(graph, {eid: [(parse_once(o, memo), parse_once(v, memo))
-                                 for o, v in prof]
-                           for eid, prof in profiles.items()})
+        return cls(graph, {
+            eid: [(parse_once(o, memo, "profiles.{}[{}][0]", eid, j),
+                   parse_once(v, memo, "profiles.{}[{}][1]", eid, j))
+                  for j, (o, v) in enumerate(prof)]
+            for eid, prof in profiles.items()})
 
     # -- misc ---------------------------------------------------------------
 
     @classmethod
     def constant(cls, graph: MetricGraph, c: Fraction) -> "PAFunction":
-        return cls.from_vertex_values(graph,
-                                      dict.fromkeys(graph.vertices, _exact(c)))
+        return cls.from_vertex_values(
+            graph, dict.fromkeys(graph.vertices, _exact(c, "constant: value")))
 
     @classmethod
     def from_vertex_values(cls, graph: MetricGraph, values: dict) -> "PAFunction":
@@ -363,9 +375,10 @@ class PAFunction:
         value is kept as the object it is at every end of its vertex,
         and every profile starts at one zero."""
         zero = Fraction(0)
-        return cls._of(graph, {e.id: ((zero, _exact(values[e.u])),
-                                      (e.length, _exact(values[e.v])))
-                               for e in graph.edges})
+        return cls._of(graph, {
+            e.id: ((zero, _exact(values[e.u], "vertex {}: value", e.u)),
+                   (e.length, _exact(values[e.v], "vertex {}: value", e.v)))
+            for e in graph.edges})
 
     def max_abs_slope(self) -> Fraction:
         """A Lipschitz constant (exact, metric-graph arc length)."""
@@ -390,7 +403,8 @@ def linear_combine(coeffs: list[tuple[Fraction, PAFunction]]) -> PAFunction:
     for _, f in coeffs:
         if f.graph != graph:
             raise GraphError("linear_combine: graph mismatch")
-    coeffs = [(Fraction(c), f) for c, f in coeffs]
+    coeffs = [(_exact(c, "linear_combine: term {}: coefficient", i), f)
+              for i, (c, f) in enumerate(coeffs)]
     profiles = {}
     for e in graph.edges:
         offsets = sorted({o for _, f in coeffs for o, _ in f.profiles[e.id]})

@@ -56,7 +56,8 @@ def _solve_laplacian(g: MetricGraph, boundary_values: dict,
     sources = sources or {}
     interior = [v for v in g.vertices if v not in g.boundary]
     index = {v: i for i, v in enumerate(interior)}
-    values = {v: _exact(boundary_values[v]) for v in g.boundary}
+    values = {v: _exact(boundary_values[v], "boundary vertex {}: value", v)
+              for v in g.boundary}
     a, b = [], []
     for i, v in enumerate(interior):
         ends = [(e.length, w) for e, tv in g.incident_ends(v)
@@ -79,57 +80,61 @@ def _solve_laplacian(g: MetricGraph, boundary_values: dict,
     return values
 
 
-def dirichlet_solve(g: MetricGraph, boundary_values: dict) -> PAFunction:
-    """Unique edge-affine function matching the boundary values with
-    Kirchhoff balance at every interior vertex."""
+def poisson(g: MetricGraph, mu: DiscreteMeasure,
+            boundary_values: dict) -> PAFunction:
+    """The function with these boundary values whose ddc off the boundary
+    is mu (read canonically), from one solve.  An atom m at a vertex is a
+    source m there.  One at offset t inside edge (u, v) of length L is the
+    sources m(L-t)/L at u and mt/L at v (summed on a loop, dropped at a
+    boundary vertex) plus, on the edge, the tent m*min(s, t)*(max(s, t) -
+    L)/L in s, zero at both ends, whose end slopes cancel those sources."""
     _check_dirichlet_pre(g)
     missing = g.boundary - set(boundary_values)
     if missing:
         raise GraphError(f"missing boundary values for {sorted(missing)}")
-    values = _solve_laplacian(g, boundary_values)
-    return PAFunction.from_vertex_values(g, values)
+    atoms = DiscreteMeasure.of((x, _exact(m, "atom {}: mass", x))
+                               for x, m in mu.support).support
+    sources, tents = {}, {}
+    for x, m in atoms:
+        g.require_point(x)
+        if isinstance(x, Vertex):
+            if x.id in g.boundary:
+                raise GraphError("pole on the boundary")
+            sources[x.id] = sources.get(x.id, 0) + m
+        else:
+            e, t = g.edge(x.edge), x.offset
+            sources[e.u] = sources.get(e.u, 0) + m * (e.length - t) / e.length
+            sources[e.v] = sources.get(e.v, 0) + m * t / e.length
+            tents.setdefault(e.id, []).append((t, m))
+    values = _solve_laplacian(g, boundary_values, sources)
+    zero = Fraction(0)   # the start of every profile
+    profiles = {e.id: ((zero, values[e.u]), (e.length, values[e.v]))
+                for e in g.edges}
+    for eid, tent in tents.items():
+        (_, a), (length, b) = profiles[eid]
+        profiles[eid] = ((zero, a), *((t, a + ((b - a) * t + sum(
+            m * min(s, t) * (max(s, t) - length) for s, m in tent)) / length)
+            for t, _ in tent), (length, b))
+    return PAFunction._of(g, profiles)
+
+
+def dirichlet_solve(g: MetricGraph, boundary_values: dict) -> PAFunction:
+    """poisson with no atoms: the harmonic extension of the values."""
+    return poisson(g, DiscreteMeasure(()), boundary_values)
 
 
 def green(g: MetricGraph, x: GraphPoint) -> GreenFunction:
-    """Green's function with pole x: zero on the boundary, Laplacian mass
-    -1 at x, nonnegative boundary masses summing to 1.
-
-    At a vertex pole it is the edge-affine solve with source -1 at x.  At
-    offset t inside edge e = (u, v) of length L, the sources are -(L-t)/L
-    at u and -t/L at v, and e carries on top the tent of peak t(L-t)/L at
-    x: the Green's function of e alone, whose outgoing slopes at u and v
-    cancel those sources.  The masses are the outgoing slopes at the
-    boundary vertices, read off the end pieces of the result; they equal
-    ddc of the result restricted to the boundary."""
-    _check_dirichlet_pre(g)
-    g.require_point(x)
-    if isinstance(x, Vertex) and x.id in g.boundary:
-        raise GraphError("pole on the boundary")
-
-    if isinstance(x, EdgePoint):
-        e, t = g.edge(x.edge), x.offset
-        sources = {e.u: (t - e.length) / e.length}
-        sources[e.v] = sources.get(e.v, 0) - t / e.length  # u = v on a loop
-    else:
-        sources = {x.id: Fraction(-1)}
-    # one zero: every boundary value and the start of every profile
-    zero = Fraction(0)
-    values = _solve_laplacian(g, dict.fromkeys(g.boundary, zero), sources)
-
-    profiles = {e.id: ((zero, values[e.u]), (e.length, values[e.v]))
-                for e in g.edges}
-    if isinstance(x, EdgePoint):
-        (_, a), (length, b) = profiles[x.edge]
-        peak = (a * (length - t) + (b + length - t) * t) / length
-        profiles[x.edge] = ((zero, a), (t, peak), (length, b))
-    result = PAFunction._of(g, profiles)
-
+    """Green's function with pole x: poisson with mass -1 at x and zero
+    boundary values.  Its boundary masses (nonnegative, of total 1) are
+    its ddc on the boundary, read off the end pieces as slopes."""
+    f = poisson(g, DiscreteMeasure(((x, -1),)), dict.fromkeys(g.boundary, 0))
+    profiles = f.profiles
     # the slope of the piece at each boundary edge end, pole's edge too
     masses = DiscreteMeasure.of(
         (Vertex(u), (q[1] - p[1]) / abs(q[0] - p[0]))
         for u in g.boundary for e, tv in g.incident_ends(u)
         for p, q in [profiles[e.id][:2] if tv else profiles[e.id][:-3:-1]])
-    return GreenFunction(x, result, masses)
+    return GreenFunction(x, f, masses)
 
 
 def evaluation_formula_check(x: GraphPoint,

@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graph import Edge, MetricGraph
-from .pa_function import PAFunction
-from .potential import _check_dirichlet_pre, _solve_laplacian
+from .graph import Edge, MetricGraph, Vertex
+from .pa_function import DiscreteMeasure, PAFunction
+from .potential import poisson
 
 
 def _rand_fraction(rng: random.Random) -> Fraction:
@@ -67,29 +67,22 @@ def random_boundary_values(rng: random.Random, g: MetricGraph) -> dict:
 
 
 def _draw_subharmonic(rng: random.Random, g: MetricGraph,
-                      interior: list) -> tuple[dict, dict]:
-    """Random boundary values, and nonnegative masses at up to three
-    interior vertices (a mass may be drawn as zero)."""
+                      interior: list) -> tuple[dict, list]:
+    """Random boundary values, and nonnegative atoms at up to three
+    interior vertices (a vertex may be drawn twice, a mass as zero)."""
     values = random_boundary_values(rng, g)
-    masses = dict.fromkeys(interior, 0)
-    for _ in range(rng.randint(0, 3) if interior else 0):
-        pole = rng.choice(interior)
-        masses[pole] += Fraction(rng.randint(0, 4), rng.randint(1, 4))
-    return values, masses
-
-
-def _solve(g: MetricGraph, values: dict, masses: dict) -> PAFunction:
-    """The edge-affine function with these boundary values and masses."""
-    _check_dirichlet_pre(g)
-    return PAFunction.from_vertex_values(
-        g, _solve_laplacian(g, values, masses))
+    atoms = [(Vertex(rng.choice(interior)),
+              Fraction(rng.randint(0, 4), rng.randint(1, 4)))
+             for _ in range(rng.randint(0, 3) if interior else 0)]
+    return values, atoms
 
 
 def random_subharmonic(rng: random.Random, g: MetricGraph) -> PAFunction:
     """Harmonic off a few interior vertices, where ddc has random
     nonnegative masses, on random boundary data: subharmonic."""
     interior = [v for v in g.vertices if v not in g.boundary]
-    return _solve(g, *_draw_subharmonic(rng, g, interior))
+    values, atoms = _draw_subharmonic(rng, g, interior)
+    return poisson(g, DiscreteMeasure.of(atoms), values)
 
 
 def random_non_subharmonic(rng: random.Random, g: MetricGraph
@@ -100,7 +93,8 @@ def random_non_subharmonic(rng: random.Random, g: MetricGraph
     interior = [v for v in g.vertices if v not in g.boundary]
     if not interior:
         return None
-    values, masses = _draw_subharmonic(rng, g, interior)
-    pole = rng.choice(interior)
-    masses[pole] -= Fraction(rng.randint(1, 4), rng.randint(1, 4))
-    return _solve(g, values, masses) if masses[pole] < 0 else None
+    values, atoms = _draw_subharmonic(rng, g, interior)
+    pole = Vertex(rng.choice(interior))
+    mu = DiscreteMeasure.of(
+        [*atoms, (pole, -Fraction(rng.randint(1, 4), rng.randint(1, 4)))])
+    return poisson(g, mu, values) if mu.mass_at(pole) < 0 else None

@@ -50,16 +50,21 @@ def parse_rational(value) -> Fraction:
     return Fraction(-num if sign else num, den)
 
 
-def parse_once(value, memo: dict) -> Fraction:
+def parse_once(value, memo: dict, where: str, *keys) -> Fraction:
     """parse_rational(value), parsing each string once per memo, so that
     a repeated literal is one object; any other value meets
-    parse_rational, and its error, every time."""
-    if type(value) is not str:
-        return parse_rational(value)
-    r = memo.get(value)
-    if r is None:
-        r = memo[value] = parse_rational(value)
-    return r
+    parse_rational, and its error, every time.  The error names the
+    literal's location, `<where.format(*keys)>: not a rational literal:
+    ...`, put into words only in the raise."""
+    try:
+        if type(value) is not str:
+            return parse_rational(value)
+        r = memo.get(value)
+        if r is None:
+            r = memo[value] = parse_rational(value)
+        return r
+    except RationalParseError as exc:
+        raise RationalParseError(f"{where.format(*keys)}: {exc}") from None
 
 
 def format_rational(x: Fraction) -> str:

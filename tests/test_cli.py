@@ -483,16 +483,20 @@ def test_regularize_quoted_edge_ids_match_golden(tmp_path, capsys):
                          ids=["string", "integer"])
 def test_json_rational_above_digit_limit_is_exit_2(tmp_path, capsys, literal):
     """A rational of 5000 digits, as a string or a bare JSON integer, is
-    rejected by the library's own digit limit, not Python's."""
+    rejected by the library's own digit limit, not Python's.  The graph
+    reader names the string's location; the integer is refused while the
+    JSON is read, before any location is known."""
     path = tmp_path / "g.json"
     path.write_text(json.dumps(PATH3).replace('"len": "1"',
                                               '"len": ' + literal, 1))
     rc = main(["green", "--graph", str(path), "--point", "b"])
     captured = capsys.readouterr()
+    where = "graph.edges[0].len: " if literal.startswith('"') else ""
     assert rc == 2
     assert captured.out == ""
-    assert captured.err == (f"error: {path}: a run of 5000 digits is above "
-                            f"the maximum {sys.get_int_max_str_digits()}\n")
+    assert captured.err == (f"error: {path}: {where}a run of 5000 digits is "
+                            f"above the maximum "
+                            f"{sys.get_int_max_str_digits()}\n")
 
 
 def test_point_offset_above_digit_limit_is_exit_2(tmp_path, capsys):
@@ -1299,6 +1303,31 @@ def test_boolean_literals_are_exit_2(tmp_path, capsys, doc):
     assert "not a rational literal" in captured.err
 
 
+def test_graph_reader_names_a_bad_length(tmp_path, capsys):
+    g = write_json(tmp_path, "g.json", dict(PATH3, edges=[
+        PATH3["edges"][0], dict(PATH3["edges"][1], len=None)]))
+    assert main(["green", "--graph", g, "--point", "b"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {g}: graph.edges[1].len: not a rational literal: None\n"
+
+
+def test_function_reader_names_a_bad_profile_literal(tmp_path, capsys):
+    f = write_json(tmp_path, "f.json", {
+        "graph": PATH3, "profiles": {"e0": [["0", "0"], ["1", "1"]],
+                                     "e1": [["0", "1"], [[], "2"]]}})
+    assert main(["ddc", f]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {f}: profiles.e1[1][0]: not a rational literal: []\n"
+
+
+def test_harmonic_values_reader_names_a_bad_value(tmp_path, capsys):
+    g = write_json(tmp_path, "g.json", PATH3)
+    v = write_json(tmp_path, "v.json", {"a": "1/2", "c": "x"})
+    assert main(["harmonic", "--graph", g, "--values", v]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {v}: values.c: not a rational literal: 'x'\n"
+
+
 _BIG = "7" * (sys.get_int_max_str_digits() + 1)
 
 
@@ -1313,15 +1342,18 @@ def test_repeated_literals_keep_their_errors(tmp_path, capsys, profile,
                                              message):
     """The loader parses each distinct string literal of a file once; a
     value that is not a string still fails on its own, whatever string
-    equal to it came before, and a refused string is refused again."""
+    equal to it came before, and a refused string is refused again, at
+    its own location: the first value for the long digit runs, the last
+    one for the others."""
     p = tmp_path / "f.json"
     p.write_text('{"graph": %s, "profiles": {"e": %s}}'
                  % (json.dumps(UNIT_EDGE), profile))
     rc = main(["ddc", str(p)])
     captured = capsys.readouterr()
+    where = "profiles.e[0][1]" if _BIG in profile else "profiles.e[1][1]"
     assert rc == 2
     assert captured.out == ""
-    assert captured.err == f"error: {p}: {message}\n"
+    assert captured.err == f"error: {p}: {where}: {message}\n"
 
 
 # the six subcommands that read files, on simple graphs and on the

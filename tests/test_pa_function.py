@@ -710,3 +710,36 @@ def test_offsets_must_increase_as_fractions_compare():
         else:
             assert increasing
     assert 100 < refused < 590
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2", True])
+def test_functions_refuse_values_that_are_not_exact(path3, bad):
+    """A float, a str or a bool is refused as a profile offset or value,
+    a vertex value, a constant or a coefficient, naming the edge, the
+    vertex or the term; an int becomes a Fraction."""
+    cases = [
+        (lambda: PAFunction(path3, {"e0": [(0, 0), (bad, 1), (1, 0)],
+                                    "e1": [(0, 0), (1, 0)]}),
+         "edge e0: offset"),
+        (lambda: PAFunction(path3, {"e0": [(0, 0), (1, 0)],
+                                    "e1": [(0, 0), (1, bad)]}),
+         "edge e1: value"),
+        (lambda: PAFunction.from_vertex_values(path3,
+                                               {"a": 0, "b": bad, "c": 0}),
+         "vertex b: value"),
+        (lambda: PAFunction.constant(path3, bad), "constant: value"),
+        (lambda: linear_combine([(1, PAFunction.constant(path3, 1)),
+                                 (bad, PAFunction.constant(path3, 2))]),
+         "linear_combine: term 1: coefficient"),
+    ]
+    for build, where in cases:
+        with pytest.raises(GraphError) as exc:
+            build()
+        assert str(exc.value) == \
+            f"{where} {bad!r} is not an int or a Fraction"
+    f = linear_combine([(2, PAFunction.constant(path3, 1)),
+                        (1, pa(path3, {"e0": [(0, 0), (1, 1)],
+                                       "e1": [(0, 1), (1, 0)]}))])
+    assert f == pa(path3, {"e0": [(0, 2), (1, 3)], "e1": [(0, 3), (1, 2)]})
+    assert all(type(x) is F for prof in f.profiles.values()
+               for bp in prof for x in bp)

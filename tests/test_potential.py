@@ -6,13 +6,14 @@ import pytest
 from skelpot import (EdgePoint, GraphError, MetricGraph, NotHarmonicError,
                      NotSubharmonicError, PAFunction, Vertex, dirichlet_solve,
                      evaluation_formula_check, green, green_to_json_dict,
-                     integrate, is_subharmonic_green, local_green_pairing,
-                     maximum_principle_check)
+                     integrate, is_subharmonic_green, linear_combine,
+                     local_green_pairing, maximum_principle_check, poisson)
 from skelpot.graph import Edge, point_sort_key
 from skelpot.pa_function import DiscreteMeasure
 from skelpot.potential import (GreenFunction, GreenVerdict,
                                _check_dirichlet_pre, _solve_laplacian)
-from skelpot.randgen import random_graph, random_pa_function, random_subharmonic
+from skelpot.randgen import (random_boundary_values, random_graph,
+                             random_pa_function, random_subharmonic)
 
 from conftest import graph_from, kinked_subharmonic, pa
 
@@ -458,3 +459,101 @@ def test_green_json_shape(star3):
     d = green_to_json_dict(green(star3, Vertex("c")))
     assert set(d) == {"pole", "function", "boundary_masses"}
     assert d["pole"] == {"vertex": "c"}
+
+
+def _random_atoms(rng, g):
+    """1 to 4 nonzero atoms at interior vertices and inside edges, loops
+    included; an edge atom goes on the previous atom's edge one time in
+    three."""
+    interior = [v for v in g.vertices if v not in g.boundary]
+    atoms, e = [], rng.choice(g.edges)
+    for _ in range(rng.randint(1, 4)):
+        mass = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+        if interior and rng.randrange(10) < 3:
+            atoms.append((Vertex(rng.choice(interior)), mass))
+            continue
+        if rng.randrange(3):
+            e = rng.choice(g.edges)
+        atoms.append((EdgePoint(e.id, e.length * F(rng.randint(1, 15), 16)),
+                      mass))
+    return atoms
+
+
+def test_poisson_is_the_superposition_of_dirichlet_and_green():
+    """On seeded multigraphs, poisson is the Dirichlet solve of the
+    boundary values minus m times the Green's function of each atom m,
+    and its ddc off the boundary is mu exactly."""
+    rng = random.Random(34)
+    seen = {"loop atom": 0, "shared edge": 0, "vertex atom": 0}
+    for _ in range(220):
+        g = random_graph(rng, max_vertices=7, max_edges=10)
+        bv = random_boundary_values(rng, g)
+        mu = DiscreteMeasure.of(_random_atoms(rng, g))
+        f = poisson(g, mu, bv)
+        assert f == linear_combine(
+            [(1, dirichlet_solve(g, bv))]
+            + [(-m, green(g, x).result) for x, m in mu.support])
+        assert tuple((p, m) for p, m in f.ddc().support
+                     if not (isinstance(p, Vertex) and p.id in g.boundary)
+                     ) == mu.support
+        on_edges = [x.edge for x, _ in mu.support if isinstance(x, EdgePoint)]
+        seen["shared edge"] += len(on_edges) > len(set(on_edges))
+        seen["loop atom"] += any(g.edge(eid).u == g.edge(eid).v
+                                 for eid in on_edges)
+        seen["vertex atom"] += len(on_edges) < len(mu.support)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_poisson_reads_a_raw_measure_as_its_canonical_form():
+    """A measure built with the raw constructor, unsorted, with a point
+    repeated and zero masses, gives the function of its .of form."""
+    rng = random.Random(35)
+    for _ in range(40):
+        g = random_graph(rng, max_vertices=6, max_edges=8)
+        bv = random_boundary_values(rng, g)
+        atoms = _random_atoms(rng, g)
+        atoms += [atoms[0], (atoms[-1][0], F(0))]
+        rng.shuffle(atoms)
+        raw = DiscreteMeasure(tuple(atoms))
+        assert poisson(g, raw, bv) == poisson(g, DiscreteMeasure.of(atoms), bv)
+    g = random_graph(random.Random(36), 5, 6)
+    e = g.edges[0]
+    x = EdgePoint(e.id, e.length / 2)
+    bv = dict.fromkeys(g.boundary, 0)
+    cancelled = DiscreteMeasure(((x, F(1)), (x, F(-1))))
+    assert poisson(g, cancelled, bv) == dirichlet_solve(g, bv)
+
+
+def test_poisson_errors(path3):
+    bv = {"a": F(0), "c": F(1)}
+    with pytest.raises(GraphError, match="^pole on the boundary$"):
+        poisson(path3, DiscreteMeasure(((Vertex("c"), F(1)),)), bv)
+    off = EdgePoint("zz", F(1, 2))
+    with pytest.raises(GraphError) as exc:
+        poisson(path3, DiscreteMeasure(((off, F(1)),)), bv)
+    assert str(exc.value) == \
+        'point {"edge": "zz", "offset": "1/2"} is not on the graph'
+    with pytest.raises(GraphError) as exc:
+        poisson(path3, DiscreteMeasure(((Vertex("b"), F(1)),)), {"a": F(0)})
+    assert str(exc.value) == "missing boundary values for ['c']"
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2", True])
+def test_solves_refuse_values_that_are_not_exact(path3, bad):
+    """A float, a str or a bool is refused where a boundary value or a
+    mass enters a solve, naming the vertex or the atom; an int becomes a
+    Fraction."""
+    with pytest.raises(GraphError) as exc:
+        dirichlet_solve(path3, {"a": bad, "c": 0})
+    assert str(exc.value) == \
+        f"boundary vertex a: value {bad!r} is not an int or a Fraction"
+    with pytest.raises(GraphError) as exc:
+        poisson(path3, DiscreteMeasure(((Vertex("b"), bad),)), {"a": 0, "c": 0})
+    assert str(exc.value) == \
+        f"atom Vertex(b): mass {bad!r} is not an int or a Fraction"
+    h = dirichlet_solve(path3, {"a": 1, "c": 0})
+    assert h.vertex_value("b") == F(1, 2)
+    assert all(type(x) is F for prof in h.profiles.values()
+               for bp in prof for x in bp)
+    assert poisson(path3, DiscreteMeasure(((Vertex("b"), 2),)),
+                   {"a": 0, "c": 0}).vertex_value("b") == -1

@@ -17,6 +17,14 @@ from skelpot.rational import RationalParseError, parse_rational
 # -- the reference: the readers' checks as ordered loops ----------------------
 
 
+def _parsed(value, where):
+    """parse_rational(value), its error prefixed with the location."""
+    try:
+        return parse_rational(value)
+    except RationalParseError as exc:
+        raise RationalParseError(f"{where}: {exc}") from None
+
+
 def _reference_graph(d):
     require_shape(isinstance(d, dict), "graph", "a JSON object")
     for key in ("vertices", "edges", "boundary"):
@@ -36,7 +44,8 @@ def _reference_graph(d):
             require_shape(isinstance(e.get(key, ""), str),
                           f"graph.edges[{i}].{key}", "a string")
     edges = [Edge(e.get("id", f"e{i}"), e["u"], e["v"],
-                  parse_rational(e["len"])) for i, e in enumerate(edges)]
+                  _parsed(e["len"], f"graph.edges[{i}].len"))
+             for i, e in enumerate(edges)]
     return MetricGraph(d.get("vertices", []), edges, d.get("boundary", []))
 
 
@@ -49,9 +58,11 @@ def _reference_function(d):
         require_shape(isinstance(prof, list) and all(
             isinstance(bp, list) and len(bp) == 2 for bp in prof),
             f"profiles.{eid}", "a list of [offset, value] pairs")
-    return PAFunction(graph, {eid: [(parse_rational(o), parse_rational(v))
-                                    for o, v in prof]
-                              for eid, prof in profiles.items()})
+    return PAFunction(graph, {
+        eid: [(_parsed(o, f"profiles.{eid}[{j}][0]"),
+               _parsed(v, f"profiles.{eid}[{j}][1]"))
+              for j, (o, v) in enumerate(prof)]
+        for eid, prof in profiles.items()})
 
 
 def _outcome(reader, doc):
