@@ -84,7 +84,7 @@ def poisson_formula(rng, graphs: int, max_vertices: int,
             continue
         done += 1
         for b in g.boundary:
-            values = {w: F(1 if w == b else 0) for w in g.boundary}
+            values = {w: int(w == b) for w in g.boundary}
             h = dirichlet_solve(g, values)
             for x in interior:
                 lhs, rhs = evaluation_formula_check(Vertex(x), h)
@@ -367,7 +367,7 @@ def superform_identities(rng, forms: int, hessians: int) -> int:
                  sf.d_prime(sf.pullback(fm, a)), "pullback fails")
 
     # hessian positivity vs convexity via an independent minor oracle
-    pts = [[F(x), F(y)] for x in (-2, -1, 0, 1, 2) for y in (-2, -1, 0, 1, 2)]
+    pts = [[x, y] for x in range(-2, 3) for y in range(-2, 3)]
     checked = 0
     for _ in range(hessians):
         x, y = sf.Poly.var(2, 0), sf.Poly.var(2, 1)

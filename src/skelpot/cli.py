@@ -55,8 +55,8 @@ def _load(path: str, reader):
     try:
         with open(path, encoding="utf-8") as fh:
             try:
-                # integer literals too go through parse_rational's digit limit
-                d = json.load(fh, parse_int=parse_rational)
+                # an integer literal is parsed, and refused, at its place
+                d = json.load(fh, parse_int=str.encode)
             except RecursionError as exc:
                 raise InputError("JSON nested too deeply") from exc
         return reader(d)
@@ -79,7 +79,7 @@ def _parse_point(text: str, g: MetricGraph):
     if ":" not in text or g.contains_point(Vertex(text)):
         return Vertex(text)
     eid, _, off = text.rpartition(":")
-    return EdgePoint(eid, parse_rational(off))
+    return EdgePoint(eid, parse_once(off, {}, "--point"))
 
 
 def _json(obj) -> str:

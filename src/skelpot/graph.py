@@ -21,6 +21,18 @@ class GraphError(ValueError):
     a JSON object is not the shape of a graph or function."""
 
 
+def exact(x, where: str, *keys) -> Fraction:
+    """x as a Fraction: a Fraction is kept and an int (not a bool) becomes
+    one; anything else raises GraphError `<where.format(*keys)> <x!r> is
+    not an int or a Fraction`, its place put into words only then."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int or isinstance(x, Fraction):
+        return Fraction(x)
+    raise GraphError(f"{where.format(*keys)} {x!r} is not an int or a "
+                     "Fraction")
+
+
 def require_shape(ok: bool, where: str, shape: str) -> None:
     """Raise GraphError `<where> must be <shape>` unless ok."""
     if not ok:
@@ -43,15 +55,9 @@ class EdgePoint:
     offset: Fraction
 
     def __post_init__(self):
-        # an int offset becomes a Fraction, as an int edge length does;
-        # anything else (a float, a str, a bool) would leave exact code
-        if type(self.offset) is Fraction:
-            return
-        if type(self.offset) is int:
-            object.__setattr__(self, "offset", Fraction(self.offset))
-        elif not isinstance(self.offset, Fraction):
-            raise GraphError(f"edge {self.edge}: offset {self.offset!r} is "
-                             "not an int or a Fraction")
+        if type(self.offset) is not Fraction:
+            object.__setattr__(self, "offset", exact(
+                self.offset, "edge {}: offset", self.edge))
 
     def __repr__(self):
         return f"EdgePoint({self.edge}@{self.offset})"

@@ -16,8 +16,8 @@ from math import lcm
 from operator import itemgetter
 
 from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph,
-                    TangentDirection, Vertex, point_sort_key, point_to_json,
-                    require_shape)
+                    TangentDirection, Vertex, exact, point_sort_key,
+                    point_to_json, require_shape)
 from .rational import format_rational, parse_once
 
 Profile = tuple[tuple[Fraction, Fraction], ...]
@@ -36,7 +36,7 @@ class DiscreteMeasure:
     def of(cls, pairs) -> "DiscreteMeasure":
         acc: dict[GraphPoint, Fraction] = {}
         for p, m in pairs:
-            acc[p] = acc.get(p, Fraction(0)) + m
+            acc[p] = acc.get(p, Fraction(0)) + exact(m, "atom {}: mass", p)
         items = [(p, m) for p, m in acc.items() if m != 0]
         items.sort(key=lambda pm: point_sort_key(pm[0]))
         return cls(tuple(items))
@@ -83,19 +83,6 @@ def _lcm_sum(pairs) -> tuple[int, int]:
     return sum(n * (den // d) for n, d in pairs), den
 
 
-def _exact(x, where: str, *keys) -> Fraction:
-    """x as a Fraction: a Fraction is kept as is, and an int (not a bool)
-    becomes one.  Anything else would leave exact code, so it raises
-    GraphError `<where.format(*keys)> <x!r> is not an int or a Fraction`,
-    its location put into words only in the raise."""
-    if type(x) is Fraction:
-        return x
-    if type(x) is int or isinstance(x, Fraction):
-        return Fraction(x)
-    raise GraphError(f"{where.format(*keys)} {x!r} is not an int or a "
-                     "Fraction")
-
-
 @dataclass(frozen=True)
 class SlopeVerdict:
     ok: bool
@@ -131,8 +118,8 @@ class PAFunction:
         for e in graph.edges:
             if e.id not in profiles:
                 raise GraphError(f"missing profile for edge {e.id}")
-            prof = tuple((_exact(o, "edge {}: offset", e.id),
-                           _exact(v, "edge {}: value", e.id))
+            prof = tuple((exact(o, "edge {}: offset", e.id),
+                           exact(v, "edge {}: value", e.id))
                           for o, v in profiles[e.id])
             if len(prof) < 2 or prof[0][0] != 0 or \
                     prof[-1][0] is not e.length and prof[-1][0] != e.length:
@@ -367,7 +354,7 @@ class PAFunction:
     @classmethod
     def constant(cls, graph: MetricGraph, c: Fraction) -> "PAFunction":
         return cls.from_vertex_values(
-            graph, dict.fromkeys(graph.vertices, _exact(c, "constant: value")))
+            graph, dict.fromkeys(graph.vertices, exact(c, "constant: value")))
 
     @classmethod
     def from_vertex_values(cls, graph: MetricGraph, values: dict) -> "PAFunction":
@@ -376,8 +363,8 @@ class PAFunction:
         and every profile starts at one zero."""
         zero = Fraction(0)
         return cls._of(graph, {
-            e.id: ((zero, _exact(values[e.u], "vertex {}: value", e.u)),
-                   (e.length, _exact(values[e.v], "vertex {}: value", e.v)))
+            e.id: ((zero, exact(values[e.u], "vertex {}: value", e.u)),
+                   (e.length, exact(values[e.v], "vertex {}: value", e.v)))
             for e in graph.edges})
 
     def max_abs_slope(self) -> Fraction:
@@ -403,7 +390,7 @@ def linear_combine(coeffs: list[tuple[Fraction, PAFunction]]) -> PAFunction:
     for _, f in coeffs:
         if f.graph != graph:
             raise GraphError("linear_combine: graph mismatch")
-    coeffs = [(_exact(c, "linear_combine: term {}: coefficient", i), f)
+    coeffs = [(exact(c, "linear_combine: term {}: coefficient", i), f)
               for i, (c, f) in enumerate(coeffs)]
     profiles = {}
     for e in graph.edges:

@@ -14,10 +14,10 @@ from fractions import Fraction
 from math import lcm
 
 from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex,
-                    point_to_json)
+                    exact, point_to_json)
 from .linalg import solve_exact
 from .pa_function import (DiscreteMeasure, PAFunction, SlopeVerdict,
-                          _exact, _lcm_sum, integrate)
+                          _lcm_sum, integrate)
 
 
 class NotHarmonicError(ValueError):
@@ -43,7 +43,7 @@ def _check_dirichlet_pre(g: MetricGraph):
 
 
 def _solve_laplacian(g: MetricGraph, boundary_values: dict,
-                     sources: dict | None = None) -> dict:
+                     sources: dict) -> dict:
     """Vertex values with fixed boundary data and prescribed Laplacian
     masses at interior vertices (sum of outgoing slopes = sources[v]).
 
@@ -53,10 +53,9 @@ def _solve_laplacian(g: MetricGraph, boundary_values: dict,
     into b.  A self-loop's two ends cancel, so loops are left out.  The
     row and its b entry are scaled by the lcm of the numerators of its
     lengths, which makes the row's entries integers."""
-    sources = sources or {}
     interior = [v for v in g.vertices if v not in g.boundary]
     index = {v: i for i, v in enumerate(interior)}
-    values = {v: _exact(boundary_values[v], "boundary vertex {}: value", v)
+    values = {v: exact(boundary_values[v], "boundary vertex {}: value", v)
               for v in g.boundary}
     a, b = [], []
     for i, v in enumerate(interior):
@@ -92,8 +91,7 @@ def poisson(g: MetricGraph, mu: DiscreteMeasure,
     missing = g.boundary - set(boundary_values)
     if missing:
         raise GraphError(f"missing boundary values for {sorted(missing)}")
-    atoms = DiscreteMeasure.of((x, _exact(m, "atom {}: mass", x))
-                               for x, m in mu.support).support
+    atoms = DiscreteMeasure.of(mu.support).support
     sources, tents = {}, {}
     for x, m in atoms:
         g.require_point(x)

@@ -20,16 +20,18 @@ class RationalParseError(ValueError):
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an int, "p/q" string, or exact decimal string into a Fraction.
-
-    A digit run longer than the interpreter's integer-string limit
-    (`sys.get_int_max_str_digits()`, 4300 by default) is refused with a
-    RationalParseError."""
+    """Parse an int, "p/q" string, or exact decimal string into a Fraction;
+    bytes are read as their text (the CLI reads JSON integer literals as
+    bytes, which no id check takes for a str).  A digit run longer than
+    the interpreter's integer-string limit (`sys.get_int_max_str_digits()`,
+    4300 by default) is refused with a RationalParseError."""
     if type(value) is not str:    # the common case skips two checks
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
+        if type(value) is bytes:
+            value = value.decode("latin-1")
     m = _RATIONAL_RE.fullmatch(text := value.strip()) \
         if isinstance(value, str) else None
     if m is None:

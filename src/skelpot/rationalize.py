@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import GraphError, Vertex, point_to_json
+from .graph import GraphError, Vertex, exact, point_to_json
 from .pa_function import PAFunction, _slopes, integrate, linear_combine
 from .rational import format_rational
 
@@ -49,7 +49,7 @@ def rationalize(f: PAFunction, g_in: PAFunction,
     """
     if f.graph != g_in.graph:
         raise GraphError("f and G live on different graphs")
-    tol = Fraction(tol)
+    tol = exact(tol, "tol")
     if tol <= 0:
         raise RationalizationError("tol must be positive")
     graph = f.graph

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import EdgePoint, GraphError, GraphPoint, Vertex
+from .graph import EdgePoint, GraphError, GraphPoint, Vertex, exact
 from .pa_function import PAFunction
 from .potential import require_subharmonic
 
@@ -149,8 +149,8 @@ def arc_second_difference(s: RegularizationTerm, edge_id: str, offset,
                           h) -> float:
     """Central second difference along an edge, (s(o-h)-2s(o)+s(o+h))/h^2."""
     e = s.base.graph.edge(edge_id)
-    off = Fraction(offset)
-    step = Fraction(h)
+    off = exact(offset, "edge {}: offset", edge_id)
+    step = exact(h, "edge {}: step", edge_id)
     if step <= 0 or off - step <= 0 or off + step >= e.length:
         raise GraphError("offset +- h must stay strictly inside the edge")
     vm = s.value(EdgePoint(edge_id, off - step))

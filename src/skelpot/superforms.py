@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from operator import add, mul
 
+from .graph import exact
 from .linalg import _psd
 from .rational import format_rational
 
@@ -39,16 +40,14 @@ class Poly:
 
     def __init__(self, r: int, terms: dict | None = None):
         coeffs = {}
-        den = 1
         ints = (int,) * r           # a bool or a float is no exponent
         for exp, c in (terms or {}).items():
             exp = tuple(exp)
             if tuple(map(type, exp)) != ints or (exp and min(exp) < 0):
                 raise ValueError(f"exponent {exp} is not {r} natural numbers")
-            c = c if isinstance(c, (int, Fraction)) else Fraction(c)
-            if c:
+            if c := exact(c, "coefficient of {}:", exp):
                 coeffs[exp] = c
-                den = lcm(den, c.denominator)
+        den = lcm(*(c.denominator for c in coeffs.values()))
         # reduced coefficients over their lcm have no common factor left
         self.r = r
         self.nums = {e: c.numerator * (den // c.denominator)
@@ -160,11 +159,12 @@ class Poly:
         """Exact integral over a product of intervals [(lo, hi), ...]."""
         if len(box) != self.r:
             raise ValueError("box dimension mismatch")
+        box = [[exact(x, "box[{}][{}]:", k, j) for j, x in enumerate(ends)]
+               for k, ends in enumerate(box)]
         acc = Fraction(0)
         for e, c in self.terms.items():
             term = c
             for (lo, hi), ei in zip(box, e):
-                lo, hi = Fraction(lo), Fraction(hi)
                 term *= (hi ** (ei + 1) - lo ** (ei + 1)) / (ei + 1)
             acc += term
         return acc
@@ -190,7 +190,8 @@ def _monomials(point, r: int, exps: dict, n: int) -> tuple[tuple, list, int]:
     order of exps, and q^n: with the coordinates over one denominator q
     and numerators n_i, q^n * x^e is the integer
     q^(n - |e|) * prod n_i^e_i."""
-    pt = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in point)
+    pt = tuple(x if type(x) is Fraction else exact(x, "coordinate {}:", k)
+               for k, x in enumerate(point))
     if len(pt) != r:
         raise ValueError(f"point has {len(pt)} coordinates, not {r}")
     q = lcm(*(x.denominator for x in pt))
@@ -313,8 +314,10 @@ class AffineMap:
 
     @classmethod
     def of(cls, matrix, translation) -> "AffineMap":
-        m = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-        t = tuple(Fraction(x) for x in translation)
+        m = tuple(tuple(exact(x, "matrix[{}][{}]:", i, j) for j, x in
+                        enumerate(row)) for i, row in enumerate(matrix))
+        t = tuple(exact(x, "translation[{}]:", i)
+                  for i, x in enumerate(translation))
         if len(m) != len(t) or (m and len({len(r) for r in m}) != 1):
             raise ValueError("inconsistent affine map dimensions")
         return cls(m, t)
@@ -384,8 +387,9 @@ class SuperForm:
         return self + (-other)
 
     def scale(self, c) -> "SuperForm":
+        c = exact(c, "scale factor")
         return SuperForm._of(self.r, self.p, self.q, {
-            k: v * Fraction(c) for k, v in self.coeffs.items()})
+            k: v * c for k, v in self.coeffs.items()})
 
     def _match(self, other: "SuperForm"):
         if self.r != other.r:

@@ -483,30 +483,58 @@ def test_regularize_quoted_edge_ids_match_golden(tmp_path, capsys):
                          ids=["string", "integer"])
 def test_json_rational_above_digit_limit_is_exit_2(tmp_path, capsys, literal):
     """A rational of 5000 digits, as a string or a bare JSON integer, is
-    rejected by the library's own digit limit, not Python's.  The graph
-    reader names the string's location; the integer is refused while the
-    JSON is read, before any location is known."""
+    rejected by the library's own digit limit, not Python's, and the
+    graph reader names its location either way."""
     path = tmp_path / "g.json"
     path.write_text(json.dumps(PATH3).replace('"len": "1"',
                                               '"len": ' + literal, 1))
     rc = main(["green", "--graph", str(path), "--point", "b"])
     captured = capsys.readouterr()
-    where = "graph.edges[0].len: " if literal.startswith('"') else ""
     assert rc == 2
     assert captured.out == ""
-    assert captured.err == (f"error: {path}: {where}a run of 5000 digits is "
-                            f"above the maximum "
+    assert captured.err == (f"error: {path}: graph.edges[0].len: a run of "
+                            f"5000 digits is above the maximum "
                             f"{sys.get_int_max_str_digits()}\n")
 
 
+@pytest.mark.parametrize("old, new, where", [
+    ('"vertices": ["a"', '"vertices": [{}', "graph.vertices[0]"),
+    ('"boundary": ["a"', '"boundary": [{}', "graph.boundary[0]"),
+    ('"id": "e0"', '"id": {}', "graph.edges[0].id")])
+@pytest.mark.parametrize("digits", [1, 5000])
+def test_json_integer_id_is_exit_2(tmp_path, capsys, old, new, where,
+                                   digits):
+    """A bare JSON integer of any length is no vertex, boundary or edge
+    id: the reader names its location."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(PATH3).replace(old, new.format("7" * digits),
+                                              1))
+    rc = main(["green", "--graph", str(path), "--point", "b"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {where} must be a string\n"
+
+
 def test_point_offset_above_digit_limit_is_exit_2(tmp_path, capsys):
+    """A --point offset above the digit limit is refused, naming the
+    option."""
     g = write_json(tmp_path, "g.json", PATH3)
     rc = main(["green", "--graph", g, "--point", "e0:" + "1" * 5000])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert captured.err == ("error: a run of 5000 digits is above the "
-                            f"maximum {sys.get_int_max_str_digits()}\n")
+    assert captured.err == ("error: --point: a run of 5000 digits is above "
+                            f"the maximum {sys.get_int_max_str_digits()}\n")
+
+
+def test_point_offset_not_a_rational_is_exit_2(tmp_path, capsys):
+    g = write_json(tmp_path, "g.json", PATH3)
+    rc = main(["green", "--graph", g, "--point", "e0:abc"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: --point: not a rational literal: 'abc'\n"
 
 
 def test_harmonic_star_mean(tmp_path, capsys):

@@ -743,3 +743,18 @@ def test_functions_refuse_values_that_are_not_exact(path3, bad):
     assert f == pa(path3, {"e0": [(0, 2), (1, 3)], "e1": [(0, 3), (1, 2)]})
     assert all(type(x) is F for prof in f.profiles.values()
                for bp in prof for x in bp)
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2", True])
+def test_measures_refuse_masses_that_are_not_exact(bad):
+    """DiscreteMeasure.of refuses a float, a str or a bool mass, naming
+    the atom, so no float reaches a pairing or a verdict; an int becomes
+    a Fraction."""
+    with pytest.raises(GraphError) as exc:
+        DiscreteMeasure.of([(Vertex("a"), 1), (Vertex("b"), bad)])
+    assert str(exc.value) == \
+        f"atom Vertex(b): mass {bad!r} is not an int or a Fraction"
+    mu = DiscreteMeasure.of([(Vertex("b"), 2), (Vertex("a"), 1),
+                             (Vertex("b"), Fraction(-1, 2))])
+    assert mu.support == ((Vertex("a"), 1), (Vertex("b"), Fraction(3, 2)))
+    assert all(type(m) is Fraction for _, m in mu.support)

@@ -1,7 +1,8 @@
 """The package as a whole: the names `skelpot` exports, written out so
 that an addition or a removal shows in review, no import in the sources
 or the tests that nothing reads, and no float in the library outside
-the definitions that round or test with floats."""
+the definitions that round or test with floats, and no coercion to a
+Fraction outside the definitions written down for it."""
 
 import ast
 import pathlib
@@ -39,7 +40,6 @@ def test_public_api_is_the_written_list():
 # module takes from another, written out so that a new one shows in
 # review
 PRIVATE_IMPORTS = [
-    "potential <- pa_function._exact",
     "potential <- pa_function._lcm_sum",
     "rationalize <- pa_function._slopes",
     "superforms <- linalg._psd",
@@ -129,3 +129,65 @@ def test_floats_only_where_values_are_rounded():
     `float` outside the definitions in FLOAT_SCOPES."""
     sources = sorted((ROOT / "src" / "skelpot").glob("*.py"))
     assert [hit for p in sources for hit in _floats(p)] == []
+
+
+# definitions that may call Fraction(x) on one argument that is not a
+# literal: the gate every caller's number passes (graph.exact), the graph
+# constructor, which lists every fault of a graph in one message, the
+# reader and printer of rational literals, the smooth maxes, which work
+# over any ordered field, and is_psd_exact, which keeps its own rule
+COERCIONS = {
+    "graph.exact", "graph.MetricGraph.__init__", "linalg.is_psd_exact",
+    "rational.parse_rational", "rational.format_rational",
+    "regularize.theta", "regularize.smooth_max_n",
+}
+
+
+def _is_literal(node: ast.expr) -> bool:
+    """Whether node is a literal such as 0, "1/2" or -1."""
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant)
+
+
+def _coercions(path: pathlib.Path) -> list[str]:
+    """`module.definition:line` for each call Fraction(x) in the file,
+    under any name it is imported or bound as, with x one argument that
+    is not a literal, outside COERCIONS; a definition is a top-level
+    function or class, or a method of a top-level class."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "fractions"
+             for alias in node.names if alias.name == "Fraction"}
+    names |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Name) and node.value.id in names
+              for target in node.targets if isinstance(target, ast.Name)}
+    hits = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and \
+                    isinstance(node, (ast.Module, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id in names
+                    and len(child.args) == 1 and not child.keywords
+                    and not isinstance(child.args[0], ast.Starred)
+                    and not _is_literal(child.args[0])
+                    and scope not in COERCIONS):
+                hits.append(f"{scope}:{child.lineno}")
+            visit(child, scope)
+
+    visit(tree, path.stem)
+    return hits
+
+
+def test_fractions_made_only_where_written():
+    """A caller's number enters exact code through graph.exact, which
+    refuses a float, a str and a bool: no other definition outside
+    COERCIONS calls Fraction(x) on a value x that is not a literal."""
+    sources = sorted((ROOT / "src" / "skelpot").glob("*.py"))
+    assert [hit for p in sources for hit in _coercions(p)] == []

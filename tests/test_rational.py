@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -58,6 +59,24 @@ def test_digit_runs_above_the_integer_limit():
                            match=f"a run of {limit + 1} digits is above "
                                  f"the maximum {limit}"):
             parse_rational(text)
+
+
+def test_bytes_are_read_as_their_text():
+    """A JSON integer literal, handed on as bytes, parses as its text and
+    meets the same digit limit; bytes are no str, so no id check takes
+    them."""
+    limit = sys.get_int_max_str_digits()
+    assert json.loads("[-12]", parse_int=str.encode) == [b"-12"]
+    assert parse_rational(b"-12") == Fraction(-12)
+    assert type(parse_rational(b"7")) is Fraction
+    for text in ["1" * (limit + 1), "-" + "1" * (limit + 1)]:
+        with pytest.raises(RationalParseError,
+                           match=f"^a run of {limit + 1} digits is above "
+                                 f"the maximum {limit}$"):
+            parse_rational(text.encode())
+    with pytest.raises(RationalParseError,
+                       match=r"^not a rational literal: '\xff'$"):
+        parse_rational(b"\xff")
 
 
 def _digits(rng):

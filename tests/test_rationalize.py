@@ -201,6 +201,18 @@ def test_decimal_json_input_parses_exactly():
     assert cert.output.vertex_value("b") == F(1, 2)
 
 
+@pytest.mark.parametrize("bad", [0.01, "1/100", True])
+def test_rejects_a_tol_that_is_not_exact(path3, bad):
+    """A float, a str or a bool tol is refused; an int is a Fraction."""
+    f = pa(path3, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})
+    g_in = green(path3, Vertex("b")).result
+    with pytest.raises(GraphError) as exc:
+        rationalize(f, g_in, bad)
+    assert str(exc.value) == f"tol {bad!r} is not an int or a Fraction"
+    assert rationalize(f, g_in, 1).to_json_dict() == \
+        rationalize(f, g_in, F(1)).to_json_dict()
+
+
 def test_rejects_invalid_inputs(path3):
     f = pa(path3, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})
     g_in = green(path3, Vertex("b")).result

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skelpot import (EdgePoint, NotSubharmonicError, PAFunction, Vertex,
-                     arc_second_difference, build_regularization,
-                     eval_smoothed, sample_points, smooth_max, smooth_max_n,
-                     theta)
+from skelpot import (EdgePoint, GraphError, MetricGraph, NotSubharmonicError,
+                     PAFunction, Vertex, arc_second_difference,
+                     build_regularization, eval_smoothed, sample_points,
+                     smooth_max, smooth_max_n, theta)
 from skelpot.randgen import random_graph, random_subharmonic
 
 from conftest import kinked_subharmonic, pa
@@ -711,3 +711,24 @@ def test_peaks_match_the_reference_on_peaks_joined_by_an_edge(path3):
     assert [p.center for p in seq.patches] == ["b", "c"]
     assert len(seq.base.graph.edges) == 4
     assert len(_assert_matches_reference(f)) == 2
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2", True])
+def test_second_difference_refuses_inputs_that_are_not_exact(bad):
+    """A float, a str or a bool offset or step is refused, naming the
+    edge; int ones are the Fractions they are."""
+    g = MetricGraph.from_json_dict({
+        "vertices": ["a", "b", "c"],
+        "edges": [{"u": "a", "v": "b", "len": 4, "id": "e0"},
+                  {"u": "b", "v": "c", "len": 4, "id": "e1"}],
+        "boundary": ["a", "c"]})
+    f = pa(g, {"e0": [(0, 4), (4, 0)], "e1": [(0, 0), (4, 4)]})
+    term = build_regularization(f, n_terms=1).terms[0]
+    for args, where in (((bad, F(1)), "edge e0: offset"),
+                        ((F(2), bad), "edge e0: step")):
+        with pytest.raises(GraphError) as exc:
+            arc_second_difference(term, "e0", *args)
+        assert str(exc.value) == \
+            f"{where} {bad!r} is not an int or a Fraction"
+    assert arc_second_difference(term, "e0", 2, 1) == \
+        arc_second_difference(term, "e0", F(2), F(1))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skelpot.cli import _positivity_points, main
+from skelpot.graph import GraphError
 from skelpot.linalg import is_psd_exact
 from skelpot.superforms import (MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT,
                                 AffineMap, BidegreeError, FormParseError,
@@ -1334,3 +1335,45 @@ def test_differentials_match_per_coefficient_reference():
             shared += any(n > 1 for n in hits.values())
             cancelled += len(hits) > len(got.coeffs)
     assert shared >= 150 and cancelled >= 60
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2", True])
+def test_superform_inputs_refuse_values_that_are_not_exact(bad):
+    """A float, a str or a bool is refused as a coefficient, a point
+    coordinate, an affine map entry, a scale factor or a box end, with
+    its place named: Fraction(0.1) would be a binary fraction, and
+    Fraction("1/2") would read a literal."""
+    x = Poly.var(2, 0)
+    cases = [
+        (lambda: Poly(2, {(0, 0): 1, (1, 0): bad}), "coefficient of (1, 0):"),
+        (lambda: Poly.const(2, bad), "coefficient of (0, 0):"),
+        (lambda: x.eval([1, bad]), "coordinate 1:"),
+        (lambda: is_positive_11(hessian_form(x * x), [(0, 0), (bad, 0)]),
+         "coordinate 0:"),
+        (lambda: AffineMap.of([[1, 0], [0, bad]], [0, 0]), "matrix[1][1]:"),
+        (lambda: AffineMap.of([[1]], [bad]), "translation[0]:"),
+        (lambda: SuperForm.function(x).scale(bad), "scale factor"),
+        (lambda: x.integrate_box([(0, 1), (bad, 1)]), "box[1][0]:"),
+        (lambda: x.integrate_box([(0, bad), (0, 1)]), "box[0][1]:"),
+    ]
+    for build, where in cases:
+        with pytest.raises(GraphError) as exc:
+            build()
+        assert str(exc.value) == \
+            f"{where} {bad!r} is not an int or a Fraction"
+
+
+def test_superform_inputs_take_ints_as_fractions():
+    """An int coefficient, coordinate, map entry, scale factor or box
+    end is taken as the Fraction it is."""
+    x = Poly.var(1, 0)
+    assert Poly(1, {(1,): 2, (0,): F(1, 2)}) == 2 * x + Poly.const(1, F(1, 2))
+    f = AffineMap.of([[1, 2]], [3])
+    assert {type(v) for v in (*f.matrix[0], *f.translation)} == {F}
+    assert type(x.eval([3])) is F and x.eval([3]) == 3
+    assert type(x.integrate_box([(0, 1)])) is F
+    assert x.integrate_box([(0, 1)]) == F(1, 2)
+    verdict = is_positive_11(hessian_form(-x * x), [(1,)])
+    assert verdict.violations == ((1,),)
+    assert type(verdict.violations[0][0]) is F
+    assert SuperForm.function(x).scale(2) == SuperForm.function(2 * x)
