@@ -38,8 +38,7 @@ from .graph import EdgePoint, GraphError, MetricGraph, Vertex, point_to_json
 from .pa_function import PAFunction
 from .potential import (NotSubharmonicError, dirichlet_solve, green,
                         green_to_json_dict, is_subharmonic_green)
-from .rational import (RationalParseError, format_rational, parse_once,
-                       parse_rational)
+from .rational import RationalParseError, format_rational, parse_once
 from .rationalize import RationalizationError, rationalize
 from .regularize import build_regularization
 from . import superforms as sf
@@ -246,7 +245,7 @@ def cmd_regularize(args) -> int:
 def cmd_rationalize(args) -> int:
     f = _load(args.f, PAFunction.from_json_dict)
     g_in = _load(args.g, PAFunction.from_json_dict)
-    cert = rationalize(f, g_in, parse_rational(args.tol))
+    cert = rationalize(f, g_in, parse_once(args.tol, {}, "--tol"))
     _emit(cert.to_json_dict())
     return 0 if cert.ok else 1
 
@@ -327,7 +326,7 @@ def _positivity_points(spec_text: str | None, r: int):
     if spec_text:
         pts = []
         for chunk in spec_text.split(";"):
-            coords = [parse_rational(c) for c in chunk.split(",")]
+            coords = [parse_once(c, {}, "--points") for c in chunk.split(",")]
             if len(coords) != r:
                 raise InputError(f"point {chunk!r} has wrong dimension")
             pts.append(coords)

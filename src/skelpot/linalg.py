@@ -10,11 +10,11 @@ elimination on integer rows: each row is a `{column: int}` dict (the
 right-hand side is column n), cleared to integers once and divided by
 its content after every update, so its entries stay primitive.  The
 pivot row is the live row with the fewest entries (greedy minimum
-degree), so on a graph Laplacian the degree-1 and degree-2 chain
-vertices are eliminated first, as in series reduction, and fill-in
-stays small.  Back-substitution forms each unknown as one `Fraction` of
-an integer sum over a common denominator.  A nonsingular system has one
-solution, so the result does not depend on the pivot order.
+degree), so fill-in stays small.  `poisson` solves on the core graph
+and fills in chains of degree-2 vertices in closed form, so they never
+reach a solve.  Back-substitution forms each unknown as one `Fraction`
+of an integer sum over a common denominator.  A nonsingular system has
+one solution, so the result does not depend on the pivot order.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, pairwise
 from math import lcm
 
 from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex,
@@ -42,29 +43,81 @@ def _check_dirichlet_pre(g: MetricGraph):
         raise GraphError("graph is not connected")
 
 
+def _segment(pieces: list, masses, sources: dict, u: str, v: str):
+    """A segment from u to v of length L, cut into pieces of these lengths
+    with a ddc mass m (0 for none) at each cut t: adds m's shares
+    m(L-t)/L at u and mt/L at v to sources, and returns L and a function
+    of the end values that gives the chord plus one tent m*min(s, t)*
+    (max(s, t) - L)/L in s per mass, zero at both ends, at each cut.  The
+    cuts are integers over the lcm d of the piece denominators, so each
+    value is one Fraction of an integer sum."""
+    d = lcm(*(x.denominator for x in pieces))
+    *cuts, n = accumulate(x.numerator * (d // x.denominator) for x in pieces)
+    atoms = [(t, m) for t, m in zip(cuts, masses) if m]
+    for t, m in atoms:
+        sources[u] = sources.get(u, 0) + m * (n - t) / n
+        sources[v] = sources.get(v, 0) + m * t / n
+
+    def values_at_cuts(a: Fraction, b: Fraction) -> list[Fraction]:
+        xs = (a, b, *(m for _, m in atoms))
+        q = lcm(*(x.denominator for x in xs))
+        an, bn, *ms = (x.numerator * (q // x.denominator) for x in xs)
+        return [Fraction((an * n + (bn - an) * s) * d + sum(
+            m * min(s, t) * (max(s, t) - n) for (t, _), m in zip(atoms, ms)),
+            q * d * n) for s in cuts]
+    return Fraction(n, d), values_at_cuts
+
+
 def _solve_laplacian(g: MetricGraph, boundary_values: dict,
                      sources: dict) -> dict:
     """Vertex values with fixed boundary data and prescribed Laplacian
-    masses at interior vertices (sum of outgoing slopes = sources[v]).
-
-    Row i of the system holds only the nonzeros of interior vertex i:
-    each edge end adds 1/length on the diagonal and subtracts it at an
-    interior neighbour's column, or moves it, times the boundary value,
-    into b.  A self-loop's two ends cancel, so loops are left out.  The
-    row and its b entry are scaled by the lcm of the numerators of its
-    lengths, which makes the row's entries integers."""
-    interior = [v for v in g.vertices if v not in g.boundary]
-    index = {v: i for i, v in enumerate(interior)}
+    masses at interior vertices (sum of outgoing slopes = sources[v]),
+    from one solve on the core graph: each maximal chain of chain
+    vertices (interior, with two edge ends not of one loop) is a _segment
+    between core vertices, its sources the masses at the cuts.  Row i
+    holds the nonzeros of core interior vertex i: each edge or chain end
+    adds 1/length on the diagonal and subtracts it at an interior
+    neighbour's column, or moves it, times the boundary value, into b; a
+    loop's two ends cancel.  Each row and its b entry are scaled by the
+    lcm of the numerators of its lengths, so its entries are integers."""
     values = {v: exact(boundary_values[v], "boundary vertex {}: value", v)
               for v in g.boundary}
+    sources = dict(sources)
+    ends = {v: g.incident_ends(v) for v in g.vertices}
+    # A cycle of chain vertices alone has no boundary vertex, which
+    # _check_dirichlet_pre refuses; a solve without one must keep a vertex.
+    chain = {v for v, es in ends.items() if len(es) == 2
+             and es[0][0] is not es[1][0] and v not in g.boundary}
+    near = {v: [] for v in g.vertices if v not in chain}
+    walked, fills = set(), []   # walked: each walk's last edge
+    for u in near:
+        for e, tv in ends[u]:
+            f, w, lengths, inner = e, e.v if tv else e.u, [e.length], []
+            if f.id in walked or w == u:
+                continue
+            while w in chain:
+                inner.append(w)
+                # leave w by the end that is not f's
+                f, tf = ends[w][ends[w][0][0] is f]
+                lengths.append(f.length)
+                w = f.v if tf else f.u
+            walked.add(f.id)
+            length = e.length
+            if inner:
+                masses = [sources.pop(x, 0) for x in inner]
+                length, at = _segment(lengths, masses, sources, u, w)
+                fills.append((u, w, inner, at))
+            if w != u:
+                near[u].append((length, w))
+                near[w].append((length, u))
+    interior = [v for v in near if v not in g.boundary]
+    index = {v: i for i, v in enumerate(interior)}
     a, b = [], []
     for i, v in enumerate(interior):
-        ends = [(e.length, w) for e, tv in g.incident_ends(v)
-                if (w := e.v if tv else e.u) != v]
-        scale = lcm(*(length.numerator for length, _ in ends))
+        scale = lcm(*(length.numerator for length, _ in near[v]))
         row = {i: 0}
         rhs = -scale * sources.get(v, 0)
-        for length, w in ends:
+        for length, w in near[v]:
             c = scale // length.numerator * length.denominator  # scale/length
             row[i] += c
             j = index.get(w)
@@ -74,8 +127,9 @@ def _solve_laplacian(g: MetricGraph, boundary_values: dict,
                 row[j] = row.get(j, 0) - c
         a.append(row)
         b.append(rhs)
-    x = solve_exact(a, b) if a else []
-    values.update({v: x[index[v]] for v in interior})
+    values.update(zip(interior, solve_exact(a, b) if a else ()))
+    for u, w, inner, at in fills:
+        values.update(zip(inner, at(values[u], values[w])))
     return values
 
 
@@ -83,13 +137,15 @@ def poisson(g: MetricGraph, mu: DiscreteMeasure,
             boundary_values: dict) -> PAFunction:
     """The function with these boundary values whose ddc off the boundary
     is mu (read canonically), from one solve.  An atom m at a vertex is a
-    source m there.  One at offset t inside edge (u, v) of length L is the
-    sources m(L-t)/L at u and mt/L at v (summed on a loop, dropped at a
-    boundary vertex) plus, on the edge, the tent m*min(s, t)*(max(s, t) -
-    L)/L in s, zero at both ends, whose end slopes cancel those sources."""
+    source m there.  The atoms inside an edge (u, v) are the masses of a
+    _segment from u to v cut at their offsets (its sources summed on a
+    loop, dropped at a boundary vertex).  Values for vertices off the
+    boundary are refused, as are missing boundary values."""
     _check_dirichlet_pre(g)
-    missing = g.boundary - set(boundary_values)
-    if missing:
+    if extra := boundary_values.keys() - g.boundary:
+        raise GraphError("values for vertices off the boundary "
+                         f"{sorted(extra, key=str)}")
+    if missing := g.boundary - boundary_values.keys():
         raise GraphError(f"missing boundary values for {sorted(missing)}")
     atoms = DiscreteMeasure.of(mu.support).support
     sources, tents = {}, {}
@@ -100,19 +156,18 @@ def poisson(g: MetricGraph, mu: DiscreteMeasure,
                 raise GraphError("pole on the boundary")
             sources[x.id] = sources.get(x.id, 0) + m
         else:
-            e, t = g.edge(x.edge), x.offset
-            sources[e.u] = sources.get(e.u, 0) + m * (e.length - t) / e.length
-            sources[e.v] = sources.get(e.v, 0) + m * t / e.length
-            tents.setdefault(e.id, []).append((t, m))
+            tents.setdefault(x.edge, []).append((x.offset, m))
+    for eid, tent in tents.items():
+        e, (offsets, masses) = g.edge(eid), zip(*tent)
+        pieces = [t - s for s, t in pairwise((0, *offsets, e.length))]
+        tents[eid] = offsets, _segment(pieces, masses, sources, e.u, e.v)[1]
     values = _solve_laplacian(g, boundary_values, sources)
     zero = Fraction(0)   # the start of every profile
     profiles = {e.id: ((zero, values[e.u]), (e.length, values[e.v]))
                 for e in g.edges}
-    for eid, tent in tents.items():
+    for eid, (offsets, at) in tents.items():
         (_, a), (length, b) = profiles[eid]
-        profiles[eid] = ((zero, a), *((t, a + ((b - a) * t + sum(
-            m * min(s, t) * (max(s, t) - length) for s, m in tent)) / length)
-            for t, _ in tent), (length, b))
+        profiles[eid] = ((zero, a), *zip(offsets, at(a, b)), (length, b))
     return PAFunction._of(g, profiles)
 
 

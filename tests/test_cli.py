@@ -537,6 +537,27 @@ def test_point_offset_not_a_rational_is_exit_2(tmp_path, capsys):
     assert captured.err == "error: --point: not a rational literal: 'abc'\n"
 
 
+
+def test_points_not_a_rational_is_exit_2(capsys):
+    """A bad --points coordinate names the option, as --point does."""
+    rc = main(["superform", "x1^2", "--op", "positivity", "--points", "abc"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: --points: not a rational literal: 'abc'\n"
+
+
+def test_tol_not_a_rational_is_exit_2(tmp_path, capsys):
+    """A bad --tol names the option, as --point does."""
+    f = write_json(tmp_path, "f.json", {
+        "graph": PATH3, "profiles": {"e0": [["0", "0"], ["1", "1"]],
+                                     "e1": [["0", "1"], ["1", "0"]]}})
+    rc = main(["rationalize", "--f", f, "--g", f, "--tol", "abc"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: --tol: not a rational literal: 'abc'\n"
+
 def test_harmonic_star_mean(tmp_path, capsys):
     star = {
         "vertices": ["c", "l0", "l1", "l2"],

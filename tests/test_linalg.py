@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from skelpot import (EdgePoint, MetricGraph, SingularMatrixError, Vertex,
-                     green, is_psd_exact, solve_exact)
+                     dirichlet_solve, green, is_psd_exact, solve_exact)
 from skelpot import potential
 from skelpot.checks import psd_minor_oracle
 from skelpot.graph import Edge
@@ -160,6 +160,29 @@ def test_laplacian_systems_and_green_masses(monkeypatch):
     for a, b, x in solved:
         assert _apply(a, x) == b
 
+
+
+@pytest.mark.parametrize("k, chain, size", [(5, 3, 15), (10, 1, 80)])
+def test_grid_solves_have_the_core_size(monkeypatch, k, chain, size):
+    """The work count, not a time: a Dirichlet solve and Green's functions
+    at a vertex pole and at an edge pole on a k x k grid, boundary the
+    first row and column, each make one solve_exact call of the size of
+    the core.  A 3-chained 5x5 grid keeps its 15 interior grid vertices
+    that are not the far corner; a 10x10 grid keeps 80 of its 81 interior
+    vertices, since its far corner has two edge ends."""
+    sizes = []
+
+    def counted(a, b):
+        sizes.append(len(a))
+        return solve_exact(a, b)
+
+    monkeypatch.setattr(potential, "solve_exact", counted)
+    g = _chained_grid(random.Random(20 + k), k, chain)
+    edge = g.edges[-1]
+    dirichlet_solve(g, dict.fromkeys(g.boundary, 1))
+    green(g, Vertex("g1_1"))
+    green(g, EdgePoint(edge.id, edge.length / 2))
+    assert sizes == [size] * 3
 
 def test_rank():
     assert _rank([[F(1), F(2)], [F(2), F(4)]]) == 1

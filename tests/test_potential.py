@@ -1,17 +1,21 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+import skelpot.potential
 from skelpot import (EdgePoint, GraphError, MetricGraph, NotHarmonicError,
                      NotSubharmonicError, PAFunction, Vertex, dirichlet_solve,
                      evaluation_formula_check, green, green_to_json_dict,
                      integrate, is_subharmonic_green, linear_combine,
                      local_green_pairing, maximum_principle_check, poisson)
-from skelpot.graph import Edge, point_sort_key
+from skelpot.graph import Edge, exact, point_sort_key
+from skelpot.linalg import solve_exact
 from skelpot.pa_function import DiscreteMeasure
 from skelpot.potential import (GreenFunction, GreenVerdict,
                                _check_dirichlet_pre, _solve_laplacian)
+from test_linalg import _chained_grid
 from skelpot.randgen import (random_boundary_values, random_graph,
                              random_pa_function, random_subharmonic)
 
@@ -96,6 +100,38 @@ def test_green_invariants(star3):
         {Vertex("c")} | {Vertex(v) for v in star3.boundary})
 
 
+def _solve_uncontracted(g, boundary_values, sources):
+    """Reference vertex values for _solve_laplacian: the same Laplacian
+    system with an unknown at every interior vertex, chain vertices
+    included, so that no chain is contracted.  Row i holds the nonzeros
+    of interior vertex i, each scaled by the lcm of the numerators of its
+    lengths; a loop's two ends cancel."""
+    interior = [v for v in g.vertices if v not in g.boundary]
+    index = {v: i for i, v in enumerate(interior)}
+    values = {v: exact(boundary_values[v], "boundary vertex {}: value", v)
+              for v in g.boundary}
+    a, b = [], []
+    for i, v in enumerate(interior):
+        ends = [(e.length, w) for e, tv in g.incident_ends(v)
+                if (w := e.v if tv else e.u) != v]
+        scale = lcm(*(length.numerator for length, _ in ends))
+        row = {i: 0}
+        rhs = -scale * sources.get(v, 0)
+        for length, w in ends:
+            c = scale // length.numerator * length.denominator
+            row[i] += c
+            j = index.get(w)
+            if j is None:
+                rhs += c * values[w]
+            else:
+                row[j] = row.get(j, 0) - c
+        a.append(row)
+        b.append(rhs)
+    x = solve_exact(a, b) if a else []
+    values.update({v: x[index[v]] for v in interior})
+    return values
+
+
 def _green_by_subdivision(g, x):
     """Reference Green's function: an edge pole made a vertex of a
     subdivided graph, solved there with source -1, and the result carried
@@ -109,7 +145,7 @@ def _green_by_subdivision(g, x):
     else:
         sub, pole_vid = g, x.id
     zero = {v: F(0) for v in sub.boundary}
-    values = _solve_laplacian(sub, zero, sources={pole_vid: F(-1)})
+    values = _solve_uncontracted(sub, zero, sources={pole_vid: F(-1)})
     if isinstance(x, EdgePoint):
         profiles = {}
         for e in g.edges:
@@ -557,3 +593,178 @@ def test_solves_refuse_values_that_are_not_exact(path3, bad):
                for bp in prof for x in bp)
     assert poisson(path3, DiscreteMeasure(((Vertex("b"), 2),)),
                    {"a": 0, "c": 0}).vertex_value("b") == -1
+
+
+def test_dirichlet_refuses_values_off_the_boundary(path3):
+    """A value for an interior vertex or for no vertex of the graph is
+    refused in the words of the `harmonic` reader, not ignored."""
+    for values, named in [({"a": 0, "c": 0, "b": 1}, "['b']"),
+                          ({"a": 0, "c": 0, "zz": 1, "b": 2}, "['b', 'zz']")]:
+        with pytest.raises(GraphError) as exc:
+            dirichlet_solve(path3, values)
+        assert str(exc.value) == f"values for vertices off the boundary {named}"
+        with pytest.raises(GraphError) as exc:
+            poisson(path3, DiscreteMeasure(((Vertex("b"), F(1)),)), values)
+        assert str(exc.value) == f"values for vertices off the boundary {named}"
+
+
+# -- model independence: chains of degree-2 vertices in closed form ---------
+
+
+def _uncontracted(monkeypatch, g, mu, bv):
+    """poisson(g, mu, bv) with _solve_uncontracted as its solve."""
+    with monkeypatch.context() as m:
+        m.setattr(skelpot.potential, "_solve_laplacian", _solve_uncontracted)
+        return poisson(g, mu, bv)
+
+
+def _solve_sizes(monkeypatch, call):
+    """call()'s result and the size of each solve_exact it makes."""
+    sizes = []
+
+    def counted(a, b):
+        sizes.append(len(a))
+        return solve_exact(a, b)
+    with monkeypatch.context() as m:
+        m.setattr(skelpot.potential, "solve_exact", counted)
+        return call(), sizes
+
+
+def _carried_measure(mu, pieces):
+    """mu on the graph split made with these pieces: an atom at a cut is
+    at the new vertex, any other edge atom inside the piece it falls in."""
+    atoms = []
+    for x, m in mu.support:
+        start = F(0)
+        for p in pieces.get(getattr(x, "edge", None), ()):
+            if x.offset < start + p.length:
+                x = EdgePoint(p.id, x.offset - start)
+                break
+            if x.offset == start + p.length:
+                x = Vertex(p.v)
+                break
+            start += p.length
+        atoms.append((x, m))
+    return DiscreteMeasure.of(atoms)
+
+
+def _check_model_independence(monkeypatch, g, mu, bv, cuts):
+    """poisson on g equals the uncontracted solve, and carried onto
+    g.split(cuts) it is poisson there, with one value object per vertex;
+    returns the function on the split graph."""
+    f = poisson(g, mu, bv)
+    assert f == _uncontracted(monkeypatch, g, mu, bv)
+    f2, pieces = f.split(cuts)
+    mu2 = _carried_measure(mu, pieces)
+    got = poisson(f2.graph, mu2, bv)
+    assert got == f2
+    assert got == _uncontracted(monkeypatch, f2.graph, mu2, bv)
+    for v in got.graph.vertices:
+        ends = [got.profiles[e.id][0 if tv else -1][1]
+                for e, tv in got.graph.incident_ends(v)]
+        assert len({id(x) for x in ends}) == 1
+    return got
+
+
+def test_poisson_does_not_depend_on_the_model(monkeypatch):
+    """Model independence: on seeded multigraphs cut at random rational
+    offsets (an atom's own offset among them one time in two), poisson on
+    the split graph is poisson on the graph carried onto it, exactly, and
+    both equal the solve with an unknown at every interior vertex.  The
+    cuts make chain vertices, loops of chains and atoms at and between
+    them."""
+    rng = random.Random(36)
+    seen = {"loop cut": 0, "atom at a cut": 0, "chain of 3+": 0}
+    for _ in range(120):
+        g = random_graph(rng, max_vertices=7, max_edges=10)
+        bv = random_boundary_values(rng, g)
+        mu = DiscreteMeasure.of(_random_atoms(rng, g))
+        cuts = {}
+        for e in rng.sample(g.edges, rng.randint(1, min(3, len(g.edges)))):
+            offsets = {e.length * F(rng.randint(1, 23), 24)
+                       for _ in range(rng.randint(1, 3))}
+            at_atoms = {x.offset for x, _ in mu.support
+                        if getattr(x, "edge", None) == e.id}
+            if at_atoms and rng.randrange(2):
+                offsets.add(rng.choice(sorted(at_atoms)))
+                seen["atom at a cut"] += 1
+            cuts[e.id] = sorted(offsets)
+            seen["loop cut"] += e.u == e.v
+            seen["chain of 3+"] += len(offsets) >= 2
+        _check_model_independence(monkeypatch, g, mu, bv, cuts)
+    assert min(seen.values()) >= 15, seen
+
+
+def _graph(edges, boundary):
+    """The graph of (id, u, v, length) edges on their endpoints."""
+    return MetricGraph({x for _, u, v, _ in edges for x in (u, v)},
+                       [Edge(i, u, v, F(n)) for i, u, v, n in edges],
+                       boundary)
+
+
+# name: (edges, boundary, atoms, the size of the one solve or None)
+CHAIN_CASES = {
+    # u -- c1 -- c2 -- u, a chain from u back to itself, atoms at a chain
+    # vertex and inside a chain edge
+    "chain back to its vertex": (
+        [("e0", "b", "u", "2"), ("e1", "u", "c1", "1/2"),
+         ("e2", "c1", "c2", "2/3"), ("e3", "c2", "u", "3/4"),
+         ("e4", "u", "b2", "5/2")],
+        ["b", "b2"], [("c1", "-3/2"), (("e2", "1/3"), "2")], 1),
+    # two parallel chains and a plain edge from u to w
+    "parallel chains": (
+        [("e0", "a", "u", "1"), ("e1", "u", "c1", "1/3"),
+         ("e2", "c1", "w", "2"), ("e3", "u", "c2", "3/2"),
+         ("e4", "c2", "w", "1/5"), ("e5", "u", "w", "7/4"),
+         ("e6", "w", "b", "1")],
+        ["a", "b"], [("c2", "1"), (("e1", "1/6"), "-2"), ("u", "1/2")], 2),
+    # chains from boundary vertex a to u and from u to boundary vertex b
+    "chains ending on the boundary": (
+        [("e0", "a", "c1", "1/2"), ("e1", "c1", "c2", "3"),
+         ("e2", "c2", "u", "1/4"), ("e3", "u", "b", "2"),
+         ("e4", "u", "d", "5/3"), ("e5", "d", "b", "1/7")],
+        ["a", "b"], [("c1", "1"), ("d", "-1"), (("e5", "1/14"), "3")], 1),
+    # every interior vertex a chain vertex: a path and a loop of chains at
+    # a boundary vertex, and no solve at all
+    "interior all chain vertices": (
+        [("e0", "a", "c1", "1"), ("e1", "c1", "c2", "1/2"),
+         ("e2", "c2", "b", "1/3"), ("e3", "a", "d1", "2"),
+         ("e4", "d1", "d2", "3/4"), ("e5", "d2", "a", "5/4")],
+        ["a", "b"], [("c2", "2"), ("d1", "-1"), (("e4", "1/4"), "1")], None),
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_CASES)
+def test_chain_cases_against_the_uncontracted_solve(monkeypatch, name):
+    """Each case solves only its core (size pinned), agrees with the
+    uncontracted solve, has ddc mu off the boundary and is carried onto a
+    split of every edge at its third."""
+    edges, boundary, atoms, size = CHAIN_CASES[name]
+    g = _graph(edges, boundary)
+    mu = DiscreteMeasure.of(
+        (Vertex(x) if isinstance(x, str) else EdgePoint(x[0], F(x[1])), F(m))
+        for x, m in atoms)
+    bv = {v: F(i + 1, 3) for i, v in enumerate(sorted(g.boundary))}
+    f, sizes = _solve_sizes(monkeypatch, lambda: poisson(g, mu, bv))
+    assert sizes == ([] if size is None else [size])
+    assert tuple((p, m) for p, m in f.ddc().support
+                 if not (isinstance(p, Vertex) and p.id in g.boundary)
+                 ) == mu.support
+    cuts = {e.id: [e.length / 3] for e in g.edges}
+    _check_model_independence(monkeypatch, g, mu, bv, cuts)
+
+
+def test_core_solve_matches_the_uncontracted_solve_on_chained_grids():
+    """On chained grids, the vertex values of the core solve, with
+    sources at chain vertices, core vertices and none, are those of the
+    solve with an unknown at every interior vertex."""
+    rng = random.Random(37)
+    for k, chain in [(2, 3), (3, 2), (4, 3), (5, 3)]:
+        g = _chained_grid(rng, k, chain)
+        interior = [v for v in g.vertices if v not in g.boundary]
+        bv = {v: F(rng.randint(-9, 9), rng.randint(1, 5)) for v in g.boundary}
+        for n in (0, 1, 3):
+            sources = {v: F(rng.randint(-5, 5), rng.randint(1, 4))
+                       for v in rng.sample(interior, n)}
+            assert _solve_laplacian(g, bv, sources) == \
+                _solve_uncontracted(g, bv, sources)
