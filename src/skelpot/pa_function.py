@@ -27,19 +27,26 @@ _OFFSET = itemgetter(0)
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finitely supported signed measure; support canonically ordered,
-    zero masses dropped."""
+    """Finitely supported signed measure in one form: the constructor sums
+    the masses at each point of its (point, mass) pairs through
+    graph.exact, drops zero masses and sorts the support by point_sort_key."""
 
     support: tuple[tuple[GraphPoint, Fraction], ...]
 
-    @classmethod
-    def of(cls, pairs) -> "DiscreteMeasure":
+    def __post_init__(self):
         acc: dict[GraphPoint, Fraction] = {}
-        for p, m in pairs:
+        for p, m in self.support:
             acc[p] = acc.get(p, Fraction(0)) + exact(m, "atom {}: mass", p)
         items = [(p, m) for p, m in acc.items() if m != 0]
         items.sort(key=lambda pm: point_sort_key(pm[0]))
-        return cls(tuple(items))
+        object.__setattr__(self, "support", tuple(items))
+
+    @classmethod
+    def _of(cls, support: tuple) -> "DiscreteMeasure":
+        """Trusted constructor for a support already in canonical form."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "support", support)
+        return mu
 
     def mass_at(self, p: GraphPoint) -> Fraction:
         for q, m in self.support:
@@ -170,7 +177,10 @@ class PAFunction:
     # -- evaluation ---------------------------------------------------------
 
     def vertex_value(self, vid: str) -> Fraction:
-        return self._vertex_values[vid]
+        try:
+            return self._vertex_values[vid]
+        except KeyError:
+            raise GraphError(f"unknown vertex {vid}") from None
 
     def eval(self, p: GraphPoint) -> Fraction:
         if isinstance(p, Vertex):
@@ -253,7 +263,7 @@ class PAFunction:
                     kinks.append((EdgePoint(e.id, o), Fraction(k, d1 * d2)))
         masses = [(Vertex(v), Fraction(*nd)) for v, pairs in ends.items()
                   if (nd := _lcm_sum(pairs))[0]]
-        return DiscreteMeasure(tuple(masses + kinks))
+        return DiscreteMeasure._of(tuple(masses + kinks))
 
     # -- predicates -----------------------------------------------------------
 

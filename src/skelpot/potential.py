@@ -136,20 +136,19 @@ def _solve_laplacian(g: MetricGraph, boundary_values: dict,
 def poisson(g: MetricGraph, mu: DiscreteMeasure,
             boundary_values: dict) -> PAFunction:
     """The function with these boundary values whose ddc off the boundary
-    is mu (read canonically), from one solve.  An atom m at a vertex is a
-    source m there.  The atoms inside an edge (u, v) are the masses of a
-    _segment from u to v cut at their offsets (its sources summed on a
-    loop, dropped at a boundary vertex).  Values for vertices off the
-    boundary are refused, as are missing boundary values."""
+    is mu, from one solve.  An atom m at a vertex is a source m there.
+    The atoms inside an edge (u, v) are the masses of a _segment from u to
+    v cut at their offsets (its sources summed on a loop, dropped at a
+    boundary vertex).  Values for vertices off the boundary are refused,
+    as are missing boundary values."""
     _check_dirichlet_pre(g)
     if extra := boundary_values.keys() - g.boundary:
         raise GraphError("values for vertices off the boundary "
                          f"{sorted(extra, key=str)}")
     if missing := g.boundary - boundary_values.keys():
         raise GraphError(f"missing boundary values for {sorted(missing)}")
-    atoms = DiscreteMeasure.of(mu.support).support
     sources, tents = {}, {}
-    for x, m in atoms:
+    for x, m in mu.support:
         g.require_point(x)
         if isinstance(x, Vertex):
             if x.id in g.boundary:
@@ -183,7 +182,7 @@ def green(g: MetricGraph, x: GraphPoint) -> GreenFunction:
     f = poisson(g, DiscreteMeasure(((x, -1),)), dict.fromkeys(g.boundary, 0))
     profiles = f.profiles
     # the slope of the piece at each boundary edge end, pole's edge too
-    masses = DiscreteMeasure.of(
+    masses = DiscreteMeasure(
         (Vertex(u), (q[1] - p[1]) / abs(q[0] - p[0]))
         for u in g.boundary for e, tv in g.incident_ends(u)
         for p, q in [profiles[e.id][:2] if tv else profiles[e.id][:-3:-1]])

@@ -82,7 +82,7 @@ def random_subharmonic(rng: random.Random, g: MetricGraph) -> PAFunction:
     nonnegative masses, on random boundary data: subharmonic."""
     interior = [v for v in g.vertices if v not in g.boundary]
     values, atoms = _draw_subharmonic(rng, g, interior)
-    return poisson(g, DiscreteMeasure.of(atoms), values)
+    return poisson(g, DiscreteMeasure(atoms), values)
 
 
 def random_non_subharmonic(rng: random.Random, g: MetricGraph
@@ -95,6 +95,6 @@ def random_non_subharmonic(rng: random.Random, g: MetricGraph
         return None
     values, atoms = _draw_subharmonic(rng, g, interior)
     pole = Vertex(rng.choice(interior))
-    mu = DiscreteMeasure.of(
+    mu = DiscreteMeasure(
         [*atoms, (pole, -Fraction(rng.randint(1, 4), rng.randint(1, 4)))])
     return poisson(g, mu, values) if mu.mass_at(pole) < 0 else None

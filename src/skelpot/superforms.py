@@ -80,6 +80,7 @@ class Poly:
 
     @classmethod
     def var(cls, r: int, i: int) -> "Poly":
+        _check_index(i, r)
         exp = [0] * r
         exp[i] = 1
         return cls._of(r, {tuple(exp): 1})
@@ -88,6 +89,9 @@ class Poly:
         return not self.nums
 
     def _match(self, other: "Poly"):
+        if not isinstance(other, Poly):
+            raise ValueError(
+                f"operand of type {type(other).__name__} is not a Poly")
         if self.r != other.r:
             raise ValueError(f"polys in {self.r} and {other.r} variables")
 
@@ -107,18 +111,20 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # Polys are never mutated, so a sign change can share self
-            if other == 1:
-                return self
-            if other == -1:
-                return -self
-            c = other.numerator
-            return Poly._of(self.r, {e: v * c for e, v in self.nums.items()},
-                            self.den * other.denominator)
-        self._match(other)
-        return Poly._of(self.r, _term_product(self.nums, other.nums),
-                        self.den * other.den)
+        if type(other) is not int and type(other) is not Fraction:
+            if isinstance(other, Poly):
+                self._match(other)
+                return Poly._of(self.r, _term_product(self.nums, other.nums),
+                                self.den * other.den)
+            other = exact(other, "scalar")
+        # Polys are never mutated, so a sign change can share self
+        if other == 1:
+            return self
+        if other == -1:
+            return -self
+        c = other.numerator
+        return Poly._of(self.r, {e: v * c for e, v in self.nums.items()},
+                        self.den * other.denominator)
 
     __rmul__ = __mul__
 
@@ -130,6 +136,7 @@ class Poly:
         return hash((self.r, self.den, frozenset(self.nums.items())))
 
     def diff(self, i: int) -> "Poly":
+        _check_index(i, self.r)
         # lowering e[i] maps distinct exponents to distinct exponents
         return Poly._of(self.r, {e[:i] + (e[i] - 1,) + e[i + 1:]: v * e[i]
                                  for e, v in self.nums.items() if e[i]},
@@ -174,6 +181,12 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
+
+
+def _check_index(i, r: int) -> None:
+    """Raise ValueError unless i is the index of one of r variables."""
+    if type(i) is not int or not 0 <= i < r:
+        raise ValueError(f"variable index {i!r} is not in range({r})")
 
 
 def _integer_polys(polys: list[Poly]) -> tuple[list[dict], int]:
@@ -307,20 +320,26 @@ def _merge_sign(a: tuple, b: tuple) -> tuple[int, tuple] | None:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x = A y + b, mapping R^{r_in} -> R^{r_out}."""
+    """x = A y + b, mapping R^{r_in} -> R^{r_out}.  The constructor reads
+    every entry through graph.exact and checks the dimensions."""
 
     matrix: tuple          # r_out rows, r_in columns, Fractions
     translation: tuple     # length r_out
 
-    @classmethod
-    def of(cls, matrix, translation) -> "AffineMap":
+    def __post_init__(self):
         m = tuple(tuple(exact(x, "matrix[{}][{}]:", i, j) for j, x in
-                        enumerate(row)) for i, row in enumerate(matrix))
+                        enumerate(row)) for i, row in enumerate(self.matrix))
         t = tuple(exact(x, "translation[{}]:", i)
-                  for i, x in enumerate(translation))
+                  for i, x in enumerate(self.translation))
         if len(m) != len(t) or (m and len({len(r) for r in m}) != 1):
             raise ValueError("inconsistent affine map dimensions")
-        return cls(m, t)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "translation", t)
+
+    @classmethod
+    def of(cls, matrix, translation) -> "AffineMap":
+        """The constructor, under the name that perfbench's inputs call."""
+        return cls(matrix, translation)
 
     @property
     def r_out(self) -> int:
@@ -596,10 +615,7 @@ def integrate_box(alpha: SuperForm, box) -> Fraction:
     if (alpha.p, alpha.q) != (alpha.r, alpha.r):
         raise BidegreeError("integration needs bidegree (r, r)")
     full = tuple(range(alpha.r))
-    poly = alpha.coeffs.get((full, full))
-    if poly is None:
-        return Fraction(0)
-    return poly.integrate_box(box)
+    return alpha.coeffs.get((full, full), Poly(alpha.r)).integrate_box(box)
 
 
 # -- textual syntax -------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from skelpot import (DiscreteMeasure, EdgePoint, GraphError, MetricGraph,
                      PAFunction, Vertex, dirichlet_solve, green, integrate,
                      linear_combine)
-from skelpot.graph import Edge
+from skelpot.graph import Edge, point_sort_key
 from skelpot.pa_function import _slopes
 from skelpot.rational import parse_rational
 from skelpot.randgen import (random_boundary_values, random_graph,
@@ -67,7 +67,7 @@ def test_constant_slopes_zero(star3):
     for v in star3.vertices:
         for d in star3.star(Vertex(v)):
             assert f.outgoing_slope(d) == 0
-    assert f.ddc() == DiscreteMeasure.of([])
+    assert f.ddc() == DiscreteMeasure([])
 
 
 def test_ddc_affine(unit_edge):
@@ -100,7 +100,7 @@ def test_continuity_enforced(path3):
 
 def test_integrate_against_zero_and_constant(unit_edge):
     f = tent(unit_edge)
-    assert integrate(f, DiscreteMeasure.of([])) == 0
+    assert integrate(f, DiscreteMeasure([])) == 0
     c = PAFunction.constant(unit_edge, F(5))
     assert c == _checked_constant(unit_edge, F(5))
     mu = f.ddc()
@@ -146,14 +146,15 @@ def test_ddc_linearity(path3):
                    "e1": [(0, 0), (F(2, 3), 1), (1, 2)]})
     a, b = F(3, 2), F(-2, 5)
     lhs = linear_combine([(a, f), (b, g)]).ddc()
-    rhs = DiscreteMeasure.of([(p, a * m) for p, m in f.ddc().support]
-                             + [(p, b * m) for p, m in g.ddc().support])
+    rhs = DiscreteMeasure([(p, a * m) for p, m in f.ddc().support]
+                          + [(p, b * m) for p, m in g.ddc().support])
     assert lhs == rhs
 
 
 def _reference_ddc(f):
     """ddc as the sum of every edge end's outgoing slope and every
-    breakpoint's kink, gathered and sorted by DiscreteMeasure.of."""
+    breakpoint's kink, gathered and sorted by the DiscreteMeasure
+    constructor."""
     pairs = []
     for e in f.graph.edges:
         prof = f.profiles[e.id]
@@ -163,7 +164,7 @@ def _reference_ddc(f):
         pairs.append((Vertex(e.v), -slopes[-1]))
         for i, (o, _) in enumerate(prof[1:-1], start=1):
             pairs.append((EdgePoint(e.id, o), slopes[i] - slopes[i - 1]))
-    return DiscreteMeasure.of(pairs)
+    return DiscreteMeasure(pairs)
 
 
 def _with_collinear_breakpoints(f):
@@ -747,14 +748,79 @@ def test_functions_refuse_values_that_are_not_exact(path3, bad):
 
 @pytest.mark.parametrize("bad", [0.1, "1/2", True])
 def test_measures_refuse_masses_that_are_not_exact(bad):
-    """DiscreteMeasure.of refuses a float, a str or a bool mass, naming
-    the atom, so no float reaches a pairing or a verdict; an int becomes
-    a Fraction."""
+    """The DiscreteMeasure constructor refuses a float, a str or a bool
+    mass, naming the atom, so no float reaches a pairing or a verdict; an
+    int becomes a Fraction."""
     with pytest.raises(GraphError) as exc:
-        DiscreteMeasure.of([(Vertex("a"), 1), (Vertex("b"), bad)])
+        DiscreteMeasure([(Vertex("a"), 1), (Vertex("b"), bad)])
     assert str(exc.value) == \
         f"atom Vertex(b): mass {bad!r} is not an int or a Fraction"
-    mu = DiscreteMeasure.of([(Vertex("b"), 2), (Vertex("a"), 1),
-                             (Vertex("b"), Fraction(-1, 2))])
+    mu = DiscreteMeasure([(Vertex("b"), 2), (Vertex("a"), 1),
+                          (Vertex("b"), Fraction(-1, 2))])
     assert mu.support == ((Vertex("a"), 1), (Vertex("b"), Fraction(3, 2)))
     assert all(type(m) is Fraction for _, m in mu.support)
+
+
+def test_vertex_value_names_an_unknown_vertex(path3):
+    """An unknown vertex id is a GraphError naming it, not a KeyError."""
+    f = pa(path3, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 3)]})
+    assert f.vertex_value("c") == 3
+    with pytest.raises(GraphError, match="^unknown vertex zz$"):
+        f.vertex_value("zz")
+
+
+def _reference_support(pairs):
+    """The canonical support written out on its own: the masses at each
+    point summed, zero masses dropped, sorted by point_sort_key."""
+    acc = {}
+    for p, m in pairs:
+        acc[p] = acc.get(p, Fraction(0)) + Fraction(m)
+    return tuple(sorted(((p, m) for p, m in acc.items() if m),
+                        key=lambda pm: point_sort_key(pm[0])))
+
+
+def test_measure_constructor_is_the_canonical_form():
+    """On seeded atom lists (unsorted, points repeated, zero and int
+    masses, cancelling pairs, edge points on loops), the constructor's
+    support is the reference form exactly, order included, with Fraction
+    masses; a second construction from it changes nothing."""
+    rng = random.Random(37)
+    seen = dict.fromkeys(["unsorted", "repeat", "zero", "int", "cancel",
+                          "loop point"], 0)
+    for _ in range(150):
+        g = random_graph(rng, max_vertices=6, max_edges=9)
+        pts = [Vertex(v) for v in g.vertices]
+        pts += [EdgePoint(e.id, e.length * F(rng.randint(1, 7), 8))
+                for e in g.edges for _ in range(2)]
+        atoms = []
+        for _ in range(rng.randint(0, 8)):
+            p = rng.choice(pts)
+            m = rng.choice([0, rng.randint(-3, 3),
+                            F(rng.randint(-5, 5), rng.randint(1, 6))])
+            atoms.append((p, m))
+            if m and rng.randrange(4) == 0:
+                atoms.append((p, -m))
+                seen["cancel"] += 1
+        rng.shuffle(atoms)
+        mu = DiscreteMeasure(atoms)
+        assert mu.support == _reference_support(atoms)
+        assert all(type(m) is Fraction for _, m in mu.support)
+        assert DiscreteMeasure(mu.support) == mu
+        points = [p for p, _ in atoms]
+        seen["unsorted"] += points != sorted(points, key=point_sort_key)
+        seen["repeat"] += len(set(points)) < len(points)
+        seen["zero"] += any(m == 0 for _, m in atoms)
+        seen["int"] += any(type(m) is int for _, m in atoms)
+        seen["loop point"] += any(isinstance(p, EdgePoint)
+                                  and g.edge(p.edge).u == g.edge(p.edge).v
+                                  for p in points)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_cancelling_atoms_leave_no_mass():
+    """Atoms +1 and -1 at one point cancel at construction."""
+    mu = DiscreteMeasure(((Vertex("b"), 1), (Vertex("b"), -1)))
+    assert mu.support == ()
+    assert mu.mass_at(Vertex("b")) == 0
+    assert mu.total_variation() == 0
+    assert mu == DiscreteMeasure(())

@@ -72,6 +72,22 @@ def test_private_imports_are_the_written_list():
                   for hit in _private_imports(p)) == PRIVATE_IMPORTS
 
 
+def test_trusted_measure_constructor_stays_in_pa_function():
+    """DiscreteMeasure._of skips the canonical form, so only ddc, whose
+    support is canonical by construction, may call it: no other file of
+    the package or the tests names it."""
+    paths = [*(ROOT / "src" / "skelpot").glob("*.py"),
+             *(ROOT / "tests").glob("*.py")]
+    texts = {p.name: text for p in paths
+             if "DiscreteMeasure" in (text := p.read_text(encoding="utf-8"))}
+    users = {name for name, text in texts.items()
+             for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Attribute) and node.attr == "_of"
+             and isinstance(node.value, ast.Name)
+             and node.value.id == "DiscreteMeasure"}
+    assert users == {"pa_function.py"}
+
+
 def _unread_imports(path: pathlib.Path) -> list[str]:
     """`file:line: name` for each name the file imports and never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))

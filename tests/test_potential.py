@@ -155,7 +155,7 @@ def _green_by_subdivision(g, x):
         result = PAFunction(g, profiles)
     else:
         result = PAFunction.from_vertex_values(g, values)
-    masses = DiscreteMeasure.of(
+    masses = DiscreteMeasure(
         (Vertex(u), (values[e.v if tv else e.u] - values[u]) / e.length)
         for u in sub.boundary for e, tv in sub.incident_ends(u))
     return GreenFunction(x, result, masses)
@@ -190,7 +190,7 @@ def test_green_boundary_masses_equal_restricted_ddc():
         for x in poles:
             gf = green(g, x)
             assert gf == _green_by_subdivision(g, x)
-            assert gf.boundary_masses == DiscreteMeasure.of(
+            assert gf.boundary_masses == DiscreteMeasure(
                 (p, m) for p, m in gf.result.ddc().support
                 if isinstance(p, Vertex) and p.id in g.boundary)
             assert gf.boundary_masses.total_mass() == 1
@@ -524,7 +524,7 @@ def test_poisson_is_the_superposition_of_dirichlet_and_green():
     for _ in range(220):
         g = random_graph(rng, max_vertices=7, max_edges=10)
         bv = random_boundary_values(rng, g)
-        mu = DiscreteMeasure.of(_random_atoms(rng, g))
+        mu = DiscreteMeasure(_random_atoms(rng, g))
         f = poisson(g, mu, bv)
         assert f == linear_combine(
             [(1, dirichlet_solve(g, bv))]
@@ -541,8 +541,9 @@ def test_poisson_is_the_superposition_of_dirichlet_and_green():
 
 
 def test_poisson_reads_a_raw_measure_as_its_canonical_form():
-    """A measure built with the raw constructor, unsorted, with a point
-    repeated and zero masses, gives the function of its .of form."""
+    """A measure built from atoms unsorted, with a point repeated and
+    zero masses, gives the function of its canonical form: the
+    DiscreteMeasure constructor reads it, so poisson never sees another."""
     rng = random.Random(35)
     for _ in range(40):
         g = random_graph(rng, max_vertices=6, max_edges=8)
@@ -551,7 +552,7 @@ def test_poisson_reads_a_raw_measure_as_its_canonical_form():
         atoms += [atoms[0], (atoms[-1][0], F(0))]
         rng.shuffle(atoms)
         raw = DiscreteMeasure(tuple(atoms))
-        assert poisson(g, raw, bv) == poisson(g, DiscreteMeasure.of(atoms), bv)
+        assert poisson(g, raw, bv) == poisson(g, DiscreteMeasure(atoms), bv)
     g = random_graph(random.Random(36), 5, 6)
     e = g.edges[0]
     x = EdgePoint(e.id, e.length / 2)
@@ -645,7 +646,7 @@ def _carried_measure(mu, pieces):
                 break
             start += p.length
         atoms.append((x, m))
-    return DiscreteMeasure.of(atoms)
+    return DiscreteMeasure(atoms)
 
 
 def _check_model_independence(monkeypatch, g, mu, bv, cuts):
@@ -678,7 +679,7 @@ def test_poisson_does_not_depend_on_the_model(monkeypatch):
     for _ in range(120):
         g = random_graph(rng, max_vertices=7, max_edges=10)
         bv = random_boundary_values(rng, g)
-        mu = DiscreteMeasure.of(_random_atoms(rng, g))
+        mu = DiscreteMeasure(_random_atoms(rng, g))
         cuts = {}
         for e in rng.sample(g.edges, rng.randint(1, min(3, len(g.edges)))):
             offsets = {e.length * F(rng.randint(1, 23), 24)
@@ -741,7 +742,7 @@ def test_chain_cases_against_the_uncontracted_solve(monkeypatch, name):
     split of every edge at its third."""
     edges, boundary, atoms, size = CHAIN_CASES[name]
     g = _graph(edges, boundary)
-    mu = DiscreteMeasure.of(
+    mu = DiscreteMeasure(
         (Vertex(x) if isinstance(x, str) else EdgePoint(x[0], F(x[1])), F(m))
         for x, m in atoms)
     bv = {v: F(i + 1, 3) for i, v in enumerate(sorted(g.boundary))}

@@ -594,7 +594,7 @@ def _reference_regularization(f, n_terms):
     f, pieces = f.split(cuts)
     at = {EdgePoint(eid, o): Vertex(piece.v) for eid, ps in pieces.items()
           for o, piece in zip(cuts[eid], ps)}
-    measure = DiscreteMeasure.of((at.get(p, p), m) for p, m in measure.support)
+    measure = DiscreteMeasure((at.get(p, p), m) for p, m in measure.support)
     peaks = {p.id for p, m in measure.support
              if m > 0 and p.id not in graph.boundary}
     f, _ = f.split({e.id: [e.length / 2] for e in f.graph.edges

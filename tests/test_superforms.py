@@ -1340,9 +1340,11 @@ def test_differentials_match_per_coefficient_reference():
 @pytest.mark.parametrize("bad", [0.1, "1/2", True])
 def test_superform_inputs_refuse_values_that_are_not_exact(bad):
     """A float, a str or a bool is refused as a coefficient, a point
-    coordinate, an affine map entry, a scale factor or a box end, with
-    its place named: Fraction(0.1) would be a binary fraction, and
-    Fraction("1/2") would read a literal."""
+    coordinate, an affine map entry (by .of or the constructor), a scale
+    factor, a Poly's scalar factor on either side or a box end (of a form
+    with no top coefficient too), with its place named: Fraction(0.1)
+    would be a binary fraction, and Fraction("1/2") would read a
+    literal."""
     x = Poly.var(2, 0)
     cases = [
         (lambda: Poly(2, {(0, 0): 1, (1, 0): bad}), "coefficient of (1, 0):"),
@@ -1352,15 +1354,69 @@ def test_superform_inputs_refuse_values_that_are_not_exact(bad):
          "coordinate 0:"),
         (lambda: AffineMap.of([[1, 0], [0, bad]], [0, 0]), "matrix[1][1]:"),
         (lambda: AffineMap.of([[1]], [bad]), "translation[0]:"),
+        (lambda: AffineMap(((1, 0), (0, bad)), (0, 0)), "matrix[1][1]:"),
+        (lambda: AffineMap(((1,),), (bad,)), "translation[0]:"),
+        (lambda: x * bad, "scalar"),
+        (lambda: bad * x, "scalar"),
         (lambda: SuperForm.function(x).scale(bad), "scale factor"),
         (lambda: x.integrate_box([(0, 1), (bad, 1)]), "box[1][0]:"),
         (lambda: x.integrate_box([(0, bad), (0, 1)]), "box[0][1]:"),
+        (lambda: integrate_box(SuperForm(2, 2, 2), [(0, 1), (bad, 1)]),
+         "box[1][0]:"),
     ]
     for build, where in cases:
         with pytest.raises(GraphError) as exc:
             build()
         assert str(exc.value) == \
             f"{where} {bad!r} is not an int or a Fraction"
+
+
+def test_affine_map_constructor_is_checked():
+    """A float entry is refused before a pullback reads it, a ragged
+    matrix is refused, and .of is the constructor."""
+    x = SuperForm.function(Poly.var(1, 0))
+    with pytest.raises(GraphError) as exc:
+        pullback(AffineMap(((0.5,),), (1,)), x)
+    assert str(exc.value) == "matrix[0][0]: 0.5 is not an int or a Fraction"
+    with pytest.raises(ValueError) as exc:
+        AffineMap(((1, 0), (1,)), (0, 0))
+    assert str(exc.value) == "inconsistent affine map dimensions"
+    f = AffineMap(((1, 2),), (F(1, 2),))
+    assert f == AffineMap.of([[1, 2]], [F(1, 2)])
+    assert {type(v) for v in (*f.matrix[0], *f.translation)} == {F}
+    assert pullback(f, x) == SuperForm.function(
+        Poly(2, {(1, 0): 1, (0, 1): 2, (0, 0): F(1, 2)}))
+
+
+def test_poly_operands_are_checked():
+    """An operand that is neither a scalar nor a Poly is refused, naming
+    its type; a bool is no scalar; int and Fraction scalars work on both
+    sides."""
+    x = Poly.var(1, 0)
+    for bad, name in [(1, "int"), (F(1, 2), "Fraction"), ("x", "str")]:
+        with pytest.raises(ValueError) as exc:
+            x + bad
+        assert str(exc.value) == f"operand of type {name} is not a Poly"
+    with pytest.raises(GraphError, match="^scalar True is not"):
+        Poly.var(2, 0) * True
+    assert x * F(1, 2) == F(1, 2) * x == Poly(1, {(1,): F(1, 2)})
+    assert x * 1 is x and (-1) * x == -x and x * 0 == Poly(1)
+
+
+def test_variable_indices_are_checked():
+    """A variable index out of range, negative or not an int is refused,
+    naming it."""
+    x = Poly.var(1, 0)
+    cases = [(lambda: x.diff(5), "5", 1), (lambda: x.diff(-1), "-1", 1),
+             (lambda: Poly.var(1, 3), "3", 1),
+             (lambda: Poly.var(1, -1), "-1", 1),
+             (lambda: Poly.var(2, True), "True", 2),
+             (lambda: Poly.var(2, 1).diff(0.5), "0.5", 2)]
+    for build, index, r in cases:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == f"variable index {index} is not in range({r})"
+    assert Poly.var(2, 1).diff(1) == Poly.const(2, 1)
 
 
 def test_superform_inputs_take_ints_as_fractions():
