@@ -214,9 +214,8 @@ def monotone_regularization(rng, functions: int, max_vertices: int,
             base_val = eval_smoothed(last, Vertex(v))
             total = 0.0
             for d in wg.star(Vertex(v)):
-                e = wg.edge(d.edge)
-                off = h if d.toward_v else e.length - h
-                total += (eval_smoothed(last, EdgePoint(e.id, off))
+                off = wg.base_offset(d) + (h if d.toward_v else -h)
+                total += (eval_smoothed(last, EdgePoint(d.edge, off))
                           - base_val) / float(h)
             if total < -1e-9:
                 raise CheckFailed(f"vertex balance at {v}")

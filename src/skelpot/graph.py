@@ -88,9 +88,12 @@ class Edge:
 
 
 def point_sort_key(p: GraphPoint):
+    """(0, id, 0) at a Vertex, (1, edge, offset) at an EdgePoint."""
     if isinstance(p, Vertex):
         return (0, p.id, Fraction(0))
-    return (1, p.edge, p.offset)
+    if isinstance(p, EdgePoint):
+        return (1, p.edge, p.offset)
+    raise GraphError(f"{p!r} is not a Vertex or an EdgePoint")
 
 
 class MetricGraph:
@@ -103,6 +106,9 @@ class MetricGraph:
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge],
                  boundary: Iterable[str]):
+        vertices = list(vertices)
+        if bad := [v for v in vertices if not isinstance(v, str)]:
+            raise GraphError(f"vertex ids {bad} are not strings")
         self.vertices = tuple(sorted(vertices))
         # an int length becomes a Fraction (bool is not an int here);
         # validate refuses any other length that is not a Fraction
@@ -170,7 +176,7 @@ class MetricGraph:
     def contains_point(self, p: GraphPoint) -> bool:
         if isinstance(p, Vertex):
             return p.id in self._incident
-        if p.edge not in self._by_id:
+        if not isinstance(p, EdgePoint) or p.edge not in self._by_id:
             return False
         return 0 < p.offset < self._by_id[p.edge].length
 
@@ -190,6 +196,20 @@ class MetricGraph:
                 return Vertex(e.v)
         self.require_point(p)
         return p
+
+    def base_offset(self, d: TangentDirection) -> Fraction:
+        """The offset on d.edge at which direction d starts."""
+        if not isinstance(d, TangentDirection):
+            raise GraphError(f"{d!r} is not a TangentDirection")
+        self.require_point(d.base)
+        e = self.edge(d.edge)
+        if isinstance(d.base, EdgePoint):
+            if d.base.edge != e.id:
+                raise GraphError(f"direction {d} not on its base's edge")
+            return d.base.offset
+        if d.base.id != (e.u if d.toward_v else e.v):
+            raise GraphError(f"direction {d} does not start at its base")
+        return Fraction(0) if d.toward_v else e.length
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -370,4 +390,5 @@ class MetricGraph:
 def point_to_json(p: GraphPoint) -> dict:
     if isinstance(p, Vertex):
         return {"vertex": p.id}
-    return {"edge": p.edge, "offset": format_rational(p.offset)}
+    _, edge, offset = point_sort_key(p)     # refuses what is not a point
+    return {"edge": edge, "offset": format_rational(offset)}

@@ -23,6 +23,10 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
+from .graph import exact
+
+_EXACT = {int, Fraction}      # graph.exact's types: a bool is not an int
+
 
 class SingularMatrixError(ValueError):
     pass
@@ -41,21 +45,28 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
     """Solve A x = b exactly; A must be square and nonsingular, with
     rational (int or Fraction) entries.  Each row of A is a dense list
     or a {column: entry} dict; entries a dict leaves out are zero.  A
-    dense row of other than n entries, a dict column outside 0..n-1 or
-    a b of other than n entries is a `ValueError`."""
+    dense row of other than n entries, a dict column outside 0..n-1, a
+    b of other than n entries or an entry that graph.exact refuses is a
+    `ValueError`."""
     n = len(a)
     if len(b) != n:
         raise ValueError(f"{n} rows but {len(b)} right-hand side entries")
+    if not set(map(type, b)) <= _EXACT:
+        for i, x in enumerate(b):
+            exact(x, "b[{}]", i)
     rows = []
     for i, ai in enumerate(a):
         if isinstance(ai, dict):
             if ai and (min(ai) < 0 or max(ai) >= n):
                 raise ValueError(f"row {i} has a column outside 0..{n - 1}")
-            items = ai.items()
+            items, entries = ai.items(), ai.values()
         elif len(ai) != n:
             raise ValueError(f"row {i} has {len(ai)} entries, not {n}")
         else:
-            items = enumerate(ai)
+            items, entries = enumerate(ai), ai
+        if not set(map(type, entries)) <= _EXACT:
+            for j, x in items:
+                exact(x, "A[{}][{}]", i, j)
         row = {j: x for j, x in items if x}
         if b[i]:
             row[n] = b[i]

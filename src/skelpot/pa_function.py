@@ -8,7 +8,6 @@ linearity) are tested with exact equality.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +48,7 @@ class DiscreteMeasure:
         return mu
 
     def mass_at(self, p: GraphPoint) -> Fraction:
+        point_sort_key(p)       # refuses what is not a point
         for q, m in self.support:
             if q == p:
                 return m
@@ -186,11 +186,10 @@ class PAFunction:
         if isinstance(p, Vertex):
             if p.id in self._vertex_values:
                 return self._vertex_values[p.id]
-        elif p.edge in self.profiles and \
+        elif isinstance(p, EdgePoint) and p.edge in self.profiles and \
                 0 <= p.offset <= self.profiles[p.edge][-1][0]:
             return self._on_edge(p.edge, p.offset)
-        raise GraphError(f"point {json.dumps(point_to_json(p))} is not on the "
-                         "graph")
+        self.graph.require_point(p)     # raises: p is not on the graph
 
     def _on_edge(self, eid: str, offset) -> Fraction:
         """Value at an offset in [0, length] of edge eid."""
@@ -217,20 +216,9 @@ class PAFunction:
 
     def outgoing_slope(self, d: TangentDirection) -> Fraction:
         """One-sided derivative at d.base in the direction of d."""
-        self.graph.require_point(d.base)
-        e = self.graph.edge(d.edge)
-        if isinstance(d.base, Vertex):
-            base_off = Fraction(0) if d.toward_v else e.length
-            if (d.toward_v and d.base.id != e.u) or \
-               (not d.toward_v and d.base.id != e.v):
-                raise GraphError(f"direction {d} does not start at its base")
-        else:
-            if d.base.edge != e.id:
-                raise GraphError(f"direction {d} not on its base's edge")
-            base_off = d.base.offset
-        base_val = self.eval(d.base)
-        o, v = self.next_breakpoint(e.id, base_off, d.toward_v)
-        return (v - base_val) / abs(o - base_off)
+        base_off = self.graph.base_offset(d)
+        o, v = self.next_breakpoint(d.edge, base_off, d.toward_v)
+        return (v - self.eval(d.base)) / abs(o - base_off)
 
     # -- Laplacian measure ----------------------------------------------------
 

@@ -223,14 +223,9 @@ def local_green_pairing(f: PAFunction, x: GraphPoint) -> Fraction:
     dirs = g.star(x)
     if isinstance(x, Vertex) and x.id in g.boundary:
         raise GraphError("pole on the boundary")
-    if not dirs:
-        raise GraphError("isolated point")
     weighted = conductance = Fraction(0)
     for d in dirs:
-        if isinstance(x, Vertex):
-            base = Fraction(0) if d.toward_v else g.edge(d.edge).length
-        else:
-            base = x.offset
+        base = g.base_offset(d)
         o, v = f.next_breakpoint(d.edge, base, d.toward_v)
         dist = abs(o - base)
         weighted += v / dist

@@ -293,6 +293,8 @@ def build_regularization(f: PAFunction,
 
 def sample_points(f: PAFunction, per_edge: int = 32):
     """f's vertices and breakpoints, and a uniform grid on f's edges."""
+    if per_edge < 1:
+        raise ValueError(f"per_edge must be >= 1, not {per_edge!r}")
     pts = list(f.breakpoints())
     for e in f.graph.edges:
         for i in range(1, per_edge):

@@ -108,6 +108,7 @@ class Poly:
                         self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
+        self._match(other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -168,6 +169,9 @@ class Poly:
             raise ValueError("box dimension mismatch")
         box = [[exact(x, "box[{}][{}]:", k, j) for j, x in enumerate(ends)]
                for k, ends in enumerate(box)]
+        for k, ends in enumerate(box):
+            if len(ends) != 2:
+                raise ValueError(f"box[{k}] is not a (lo, hi) pair")
         acc = Fraction(0)
         for e, c in self.terms.items():
             term = c
@@ -557,6 +561,8 @@ def hessian_form(psi: Poly) -> SuperForm:
     d'x_i ^ d''x_j is the Hessian entry d_i d_j psi.  Each first
     derivative is taken once and each entry once for i <= j, stored
     under both mirror keys."""
+    if not isinstance(psi, Poly):
+        raise ValueError(f"psi of type {type(psi).__name__} is not a Poly")
     r = psi.r
     first = [psi.diff(i) for i in range(r)]
     cs = {}
@@ -817,6 +823,8 @@ def _parse_poly_expr(tk: _Tok, r: int, term_only: bool = False) -> Poly:
 
 def parse_form(text: str, r: int) -> SuperForm:
     """Parse e.g. "(2*x1^2 + x2) d'x1 ^ d''x2"; terms joined by + or -."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, not {r!r}")
     tk = _Tok(text)
     total = None
 

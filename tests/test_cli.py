@@ -758,7 +758,7 @@ def test_regularize_csv_matches_pointwise_evaluation(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--k", "0"),
-                                         ("--k", "-1")])
+                                         ("--k", "-1"), ("--k", "abc")])
 def test_regularize_counts_below_one_are_usage_errors(tmp_path, capsys,
                                                       flag, value):
     f = tent_function(tmp_path, sign="-1")
@@ -922,6 +922,15 @@ def test_superform_bidegree_error_is_exit_2(capsys, argv):
     assert rc == 2
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("op, message", [
+    ("wedge", "wedge needs a second form (--with)"),
+    ("positivity", "positivity needs a (1,1)-form or a function"),
+])
+def test_superform_missing_operand_is_exit_2(capsys, op, message):
+    assert main(["superform", "d'x1", "--op", op]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("expr", [

@@ -27,6 +27,11 @@ def test_validate_reports_unknown_boundary():
 def test_constructor_rejects_invalid():
     with pytest.raises(GraphError):
         MetricGraph(["a", "b"], [Edge("e0", "a", "b", Fraction(-1))], ["a"])
+    # ids of mixed types would not sort: every one that is not a str is
+    # named before the sort
+    with pytest.raises(GraphError) as info:
+        MetricGraph([1, "a", None], [], [])
+    assert str(info.value) == "vertex ids [1, None] are not strings"
 
 
 def test_loops_and_parallel_edges_are_accepted():
@@ -153,6 +158,9 @@ def test_distance_same_edge_and_across(path3):
     assert path3.distance(Vertex("a"), Vertex("c")) == 2
     assert path3.distance(EdgePoint("e0", Fraction(1, 2)),
                           EdgePoint("e1", Fraction(1, 2))) == 1
+    apart = MetricGraph(["a", "b", "c"], [Edge("e0", "a", "b", 1)], ["a"])
+    with pytest.raises(GraphError, match="points lie in different components"):
+        apart.distance(Vertex("a"), Vertex("c"))
 
 
 def test_distance_takes_shortcut():
@@ -175,6 +183,9 @@ def test_edge_id_defaulting():
                     "boundary": ["a"]})
     assert g.edges[0].id == "e0"
     assert g.edges[0].length == Fraction(3, 2)
+    with pytest.raises(GraphError) as info:
+        g.edge("e1")
+    assert str(info.value) == "unknown edge id 'e1'"
 
 
 def test_normalize_point(unit_edge):

@@ -276,6 +276,20 @@ def test_solve_rejects_b_of_wrong_length():
             solve_exact([[1, 0], {1: 1}], b)
 
 
+@pytest.mark.parametrize("bad", [0.5, "1", None, True, 0.0])
+def test_solve_rejects_entries_that_are_not_exact(bad):
+    """Every entry of A and b passes graph.exact's rule, with its place
+    named: a zero float or a None is not dropped as a zero."""
+    cases = [(lambda: solve_exact([[bad]], [1]), "A[0][0]"),
+             (lambda: solve_exact([{0: 1}, {0: 1, 1: bad}], [1, 1]),
+              "A[1][1]"),
+             (lambda: solve_exact([[1]], [bad]), "b[0]")]
+    for solve, where in cases:
+        with pytest.raises(ValueError) as exc:
+            solve()
+        assert str(exc.value) == f"{where} {bad!r} is not an int or a Fraction"
+
+
 def test_solve_rejects_dict_column_out_of_range():
     for row in ({0: 1, 2: 1}, {-1: 1, 1: 1}, {2: 0}):
         with pytest.raises(ValueError, match="row 1 has a column outside"):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skelpot import (DiscreteMeasure, EdgePoint, GraphError, MetricGraph,
-                     PAFunction, Vertex, dirichlet_solve, green, integrate,
-                     linear_combine)
+                     PAFunction, TangentDirection, Vertex, dirichlet_solve,
+                     green, integrate, linear_combine)
 from skelpot.graph import Edge, point_sort_key
 from skelpot.pa_function import _slopes
 from skelpot.rational import parse_rational
@@ -53,6 +53,27 @@ def test_outgoing_slopes_tent_midpoint(unit_edge):
     f = tent(unit_edge)
     for d in unit_edge.star(EdgePoint("e", F(1, 2))):
         assert f.outgoing_slope(d) == -2
+
+
+def test_outgoing_slope_refuses_a_direction_off_its_base(unit_edge, path3):
+    """A direction starts at its base: a vertex at the edge end it leaves
+    from, an edge point on its own edge, the offset of that start being
+    MetricGraph.base_offset."""
+    cases = [(unit_edge, TangentDirection(Vertex("a"), "e", False),
+              "does not start at its base"),
+             (unit_edge, TangentDirection(Vertex("b"), "e", True),
+              "does not start at its base"),
+             (path3, TangentDirection(EdgePoint("e0", F(1, 2)), "e1", True),
+              "not on its base's edge")]
+    for g, d, message in cases:
+        with pytest.raises(GraphError, match=message):
+            g.base_offset(d)
+        with pytest.raises(GraphError, match=message):
+            PAFunction.constant(g, 0).outgoing_slope(d)
+    starts = [unit_edge.base_offset(d) for p in (Vertex("a"), Vertex("b"),
+                                                 EdgePoint("e", F(1, 3)))
+              for d in unit_edge.star(p)]
+    assert starts == [0, 1, F(1, 3), F(1, 3)]
 
 
 def _checked_constant(g, c):
@@ -137,6 +158,12 @@ def test_linear_combine_identity_and_cancel(unit_edge):
     zero = linear_combine([(F(1), f), (F(-1), f)])
     assert not zero.ddc().support
     assert all(zero.eval(EdgePoint("e", F(i, 8))) == 0 for i in range(9))
+    with pytest.raises(ValueError, match="empty combination"):
+        linear_combine([])
+    other = pa(graph_from({**unit_edge.to_json_dict(), "boundary": ["a"]}),
+               {"e": [(0, 0), (1, 1)]})
+    with pytest.raises(GraphError, match="graph mismatch"):
+        linear_combine([(F(1), f), (F(1), other)])
 
 
 def test_ddc_linearity(path3):

@@ -1,13 +1,26 @@
 """The package as a whole: the names `skelpot` exports, written out so
 that an addition or a removal shows in review, no import in the sources
 or the tests that nothing reads, and no float in the library outside
-the definitions that round or test with floats, and no coercion to a
-Fraction outside the definitions written down for it."""
+the definitions that round or test with floats, no coercion to a
+Fraction outside the definitions written down for it, and one point rule
+for every public callable that takes a point or a direction."""
 
 import ast
+import importlib
+import inspect
 import pathlib
+import pkgutil
+import typing
+from fractions import Fraction
+
+import pytest
 
 import skelpot
+from skelpot.graph import (Edge, EdgePoint, GraphError, GraphPoint,
+                           MetricGraph, TangentDirection, Vertex)
+from skelpot.pa_function import DiscreteMeasure, PAFunction
+from skelpot.potential import dirichlet_solve
+from skelpot.regularize import RegularizationTerm, build_regularization
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -207,3 +220,70 @@ def test_fractions_made_only_where_written():
     COERCIONS calls Fraction(x) on a value x that is not a literal."""
     sources = sorted((ROOT / "src" / "skelpot").glob("*.py"))
     assert [hit for p in sources for hit in _coercions(p)] == []
+
+
+POINT_KINDS = (GraphPoint, EdgePoint, TangentDirection)
+
+
+def _point_callables() -> list[tuple[str, object, type | None, list[str]]]:
+    """(name, function, its class or None, its point parameters) for every
+    public function and public method of a public class in the package
+    with a parameter annotated GraphPoint, EdgePoint or TangentDirection."""
+    found = []
+    for info in pkgutil.iter_modules(skelpot.__path__):
+        module = importlib.import_module(f"skelpot.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or \
+                    getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                members = [(name, obj, None)]
+            elif inspect.isclass(obj):
+                members = [(f"{name}.{k}", v, obj)
+                           for k, v in vars(obj).items()
+                           if not k.startswith("_") and inspect.isfunction(v)]
+            else:
+                continue
+            for qualname, fn, cls in members:
+                hints = typing.get_type_hints(fn)
+                hints.pop("return", None)
+                if points := [k for k, h in hints.items() if h in POINT_KINDS]:
+                    found.append((qualname, fn, cls, points))
+    return found
+
+
+@pytest.mark.parametrize("bad", ["b", None, 1, ("e0", 1)],
+                         ids=["str", "None", "int", "tuple"])
+def test_every_point_parameter_refuses_a_non_point(bad):
+    """Each public callable with a point or direction parameter, called
+    with that parameter set to a value that is neither, raises GraphError
+    naming the value; contains_point answers False.  The callables are
+    found by their annotations, so a new one is checked as it is added;
+    its other parameters are filled by annotation from the table below,
+    which a new parameter type must join."""
+    g = MetricGraph(["a", "b", "c"], [Edge("e0", "a", "b", 1),
+                                      Edge("e1", "b", "c", 1)], ["a", "c"])
+    f = dirichlet_solve(g, {"a": 0, "c": 2})
+    given = {MetricGraph: g, PAFunction: f,
+             DiscreteMeasure: DiscreteMeasure([(Vertex("b"), 1)]),
+             RegularizationTerm: build_regularization(f, 1).terms[0],
+             GraphPoint: Vertex("b"),
+             EdgePoint: EdgePoint("e0", Fraction(1, 2)),
+             TangentDirection: g.star(Vertex("b"))[0]}
+    table = _point_callables()
+    assert {"point_to_json", "MetricGraph.base_offset", "PAFunction.eval",
+            "eval_smoothed"} <= {name for name, *_ in table}
+    for name, fn, cls, points in table:
+        hints = typing.get_type_hints(fn)
+        params = list(inspect.signature(fn).parameters)
+        for point in points:
+            args = [given[cls] if k == "self" else
+                    bad if k == point else given[hints[k]] for k in params]
+            if name == "MetricGraph.contains_point":
+                assert fn(*args) is False
+                continue
+            with pytest.raises(GraphError) as exc:
+                fn(*args)
+            assert str(exc.value) in (
+                f"{bad!r} is not a Vertex or an EdgePoint",
+                f"{bad!r} is not a TangentDirection"), name

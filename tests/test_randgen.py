@@ -9,7 +9,7 @@ import pytest
 
 import skelpot.potential
 from conftest import subprocess_env
-from skelpot.graph import MetricGraph, Vertex
+from skelpot.graph import Edge, MetricGraph, Vertex
 from skelpot.pa_function import PAFunction, linear_combine
 from skelpot.potential import dirichlet_solve, green
 from skelpot.randgen import (random_boundary_values, random_graph,
@@ -122,6 +122,14 @@ def test_generators_match_superposition(monkeypatch, generate, reference):
         assert got.to_json_dict() == want.to_json_dict()
         assert len(solves) == (1 if _core_interior(g) else 0)
     assert returned >= 150
+
+
+def test_no_interior_vertex_draws_no_non_subharmonic_function():
+    g = MetricGraph(["a", "b"], [Edge("e0", "a", "b", 1)], ["a", "b"])
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert random_non_subharmonic(rng, g) is None
+    assert rng.getstate() == state
 
 
 @pytest.mark.parametrize("max_vertices, max_edges",

@@ -227,6 +227,10 @@ def test_rejects_invalid_inputs(path3):
     f2 = pa(other, {"e0": [(0, 0), (2, 1)], "e1": [(0, 1), (1, 0)]})
     with pytest.raises(GraphError):
         rationalize(f2, g_in, F(1, 100))
+    free = PAFunction.constant(graph_from({**path3.to_json_dict(),
+                                           "boundary": []}), 0)
+    with pytest.raises(GraphError, match="empty boundary"):
+        rationalize(free, free, F(1, 100))
 
 
 # ---------------------------------------------------------------------------

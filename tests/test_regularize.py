@@ -37,6 +37,8 @@ def test_theta_at_zero():
 def test_theta_rejects_bad_eps():
     with pytest.raises(ValueError):
         theta(0.0, 1.0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        smooth_max(0, 1, 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -315,8 +317,10 @@ def test_build_refuses_fewer_than_one_term(unit_edge, n_terms):
 @pytest.mark.parametrize("per_edge", [0, -3])
 def test_sample_refuses_fewer_than_one_sample_per_edge(unit_edge, per_edge):
     seq = build_regularization(valley(unit_edge), n_terms=2)
-    with pytest.raises(ValueError, match="per_edge"):
-        seq.sample(per_edge)
+    for sample in (seq.sample, lambda n: sample_points(seq.base, n)):
+        with pytest.raises(ValueError) as exc:
+            sample(per_edge)
+        assert str(exc.value) == f"per_edge must be >= 1, not {per_edge}"
 
 
 def test_harmonic_input_passes_through(path3):
@@ -392,6 +396,8 @@ def test_second_differences_nonnegative():
                     if off - h <= 0 or off + h >= e.length:
                         continue
                     assert arc_second_difference(term, e.id, off, h) >= -1e-9
+    with pytest.raises(GraphError, match="strictly inside the edge"):
+        arc_second_difference(term, e.id, h, h)
 
 
 def test_vertex_outgoing_sums_nonnegative():

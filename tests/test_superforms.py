@@ -43,6 +43,8 @@ def test_poly_substitute_affine():
     t = Poly.var(1, 0)
     q = p.substitute_affine([t, t + Poly.const(1, 1)])
     assert q == t * t + t
+    with pytest.raises(ValueError, match="one substitution per variable"):
+        p.substitute_affine([t])
 
 
 def test_poly_integrate_box():
@@ -52,6 +54,14 @@ def test_poly_integrate_box():
     assert x.integrate_box([(0, 2)]) == 2
     xy = Poly.var(2, 0) * Poly.var(2, 1)
     assert xy.integrate_box([(0, 1), (0, 2)]) == F(1, 2) * 2
+    with pytest.raises(ValueError, match="box dimension mismatch"):
+        xy.integrate_box([(0, 1)])
+    # each entry is a (lo, hi) pair, for a form with no top coefficient too
+    for build in (lambda: x.integrate_box([(1,)]),
+                  lambda: integrate_box(SuperForm(1, 1, 1, {}), [(1, 2, 3)])):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == "box[0] is not a (lo, hi) pair"
 
 
 def test_format_poly():
@@ -879,6 +889,10 @@ def test_parse_errors():
             parse_form(bad, 2)
     with pytest.raises(FormParseError):
         parse_form("x3", 2)
+    for r in (0, -1):
+        with pytest.raises(ValueError) as exc:
+            parse_form("1", r)
+        assert str(exc.value) == f"r must be >= 1, not {r}"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -972,6 +986,10 @@ def test_superform_key_validation():
         SuperForm(2, 1, 0, {((5,), ()): Poly.const(2, 1)})
     with pytest.raises(BidegreeError):
         SuperForm(2, 0, 0)._match(SuperForm(3, 0, 0))
+    with pytest.raises(BidegreeError, match="negative bidegree"):
+        SuperForm(2, -1, 0)
+    with pytest.raises(BidegreeError, match="ambient dimension mismatch"):
+        wedge(SuperForm(2, 0, 0), SuperForm(3, 0, 0))
 
 
 @pytest.mark.parametrize("terms", [{(1,): 5}, {(-1, 2): 5}, {(1, 0, 0): 1},
@@ -1394,9 +1412,13 @@ def test_poly_operands_are_checked():
     sides."""
     x = Poly.var(1, 0)
     for bad, name in [(1, "int"), (F(1, 2), "Fraction"), ("x", "str")]:
-        with pytest.raises(ValueError) as exc:
-            x + bad
-        assert str(exc.value) == f"operand of type {name} is not a Poly"
+        for op in (operator.add, operator.sub):
+            with pytest.raises(ValueError) as exc:
+                op(x, bad)
+            assert str(exc.value) == f"operand of type {name} is not a Poly"
+    with pytest.raises(ValueError) as exc:
+        hessian_form("x1")
+    assert str(exc.value) == "psi of type str is not a Poly"
     with pytest.raises(GraphError, match="^scalar True is not"):
         Poly.var(2, 0) * True
     assert x * F(1, 2) == F(1, 2) * x == Poly(1, {(1,): F(1, 2)})
