@@ -106,9 +106,12 @@ class MetricGraph:
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge],
                  boundary: Iterable[str]):
-        vertices = list(vertices)
-        if bad := [v for v in vertices if not isinstance(v, str)]:
-            raise GraphError(f"vertex ids {bad} are not strings")
+        vertices, edges, boundary = list(vertices), list(edges), list(boundary)
+        # ids of mixed types would not sort: name each non-str one first
+        for what, ids in (("vertex", vertices), ("boundary", boundary),
+                          ("edge", [e.id for e in edges])):
+            if bad := [x for x in ids if not isinstance(x, str)]:
+                raise GraphError(f"{what} ids {bad} are not strings")
         self.vertices = tuple(sorted(vertices))
         # an int length becomes a Fraction (bool is not an int here);
         # validate refuses any other length that is not a Fraction
@@ -153,7 +156,7 @@ class MetricGraph:
                 out.append(f"edge {e.id}: non-positive length {e.length}")
             if e.u not in vs or e.v not in vs:
                 out.extend(f"edge {e.id}: endpoint {x} is not a vertex"
-                           for x in sorted({e.u, e.v} - vs))
+                           for x in sorted({e.u, e.v} - vs, key=str))
         if not self.boundary <= vs:
             out.append(f"boundary vertices {sorted(self.boundary - vs)} "
                        "are not vertices")

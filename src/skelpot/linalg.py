@@ -7,14 +7,16 @@ row), each row scaled to integer entries, and reads a Green's
 function's boundary masses off the solution, so neither side of a
 solve builds or scans anything of size n^2.  It runs a sparse
 elimination on integer rows: each row is a `{column: int}` dict (the
-right-hand side is column n), cleared to integers once and divided by
-its content after every update, so its entries stay primitive.  The
-pivot row is the live row with the fewest entries (greedy minimum
-degree), so fill-in stays small.  `poisson` solves on the core graph
-and fills in chains of degree-2 vertices in closed form, so they never
-reach a solve.  Back-substitution forms each unknown as one `Fraction`
-of an integer sum over a common denominator.  A nonsingular system has
-one solution, so the result does not depend on the pivot order.
+right-hand side is column n), cleared to integers once.  A column index
+gives the rows with a nonzero in each column, and a pivot updates just
+the live ones of its column, each in place and then divided by its
+content so that its entries stay primitive.  The pivot row is the live
+row with the fewest entries (greedy minimum degree), so fill-in stays
+small.  `poisson` solves on the core graph and fills in chains of
+degree-2 vertices in closed form, so they never reach a solve.
+Back-substitution forms each unknown as one `Fraction` of an integer
+sum over a common denominator.  A nonsingular system has one solution,
+so the result does not depend on the pivot order.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ class SingularMatrixError(ValueError):
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """The row divided by the gcd of its entries."""
+    """The row divided in place by the gcd of its entries."""
     g = gcd(*row.values())
     if g > 1:
-        return {j: v // g for j, v in row.items()}
+        for j in row:
+            row[j] //= g
     return row
 
 
@@ -55,6 +58,7 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
         for i, x in enumerate(b):
             exact(x, "b[{}]", i)
     rows = []
+    cols = [set() for _ in range(n + 1)]   # column -> rows, b's too
     for i, ai in enumerate(a):
         if isinstance(ai, dict):
             if ai and (min(ai) < 0 or max(ai) >= n):
@@ -73,6 +77,8 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
         den = lcm(*(x.denominator for x in row.values()))
         rows.append(_primitive({j: x.numerator * (den // x.denominator)
                                 for j, x in row.items()}))
+        for j in row:
+            cols[j].add(i)
 
     # (entry count, row) for every live row; an entry whose count is stale
     # is skipped, the row's current count having been pushed since
@@ -94,21 +100,22 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
         live.remove(r)
         order.append((r, c))
         p = row[c]
-        for i in live:
-            q = rows[i].get(c)
-            if q is None:
-                continue
-            k = gcd(p, q)
-            sp, sq = p // k, q // k
-            new = {j: v * sp for j, v in rows[i].items()}
-            for j, v in row.items():
-                w = new.get(j, 0) - v * sq
-                if w:
-                    new[j] = w
+        rest = [(j, v, cols[j]) for j, v in row.items() if j != c]
+        # row i becomes p * row i - q * pivot row, in place, divided by its
+        # content: the same row as from (p, q) / gcd(p, q), without that gcd
+        for i in cols[c] & live:
+            ri = rows[i]
+            q = ri.pop(c)
+            for j in ri:
+                ri[j] *= p
+            for j, v, col in rest:
+                if w := ri.get(j, 0) - v * q:
+                    ri[j] = w
+                    col.add(i)
                 else:
-                    del new[j]
-            rows[i] = new = _primitive(new)
-            heappush(heap, (len(new), i))
+                    del ri[j]
+                    col.discard(i)
+            heappush(heap, (len(_primitive(ri)), i))
 
     # each pivot row holds its pivot column and later pivots' columns only
     x = [Fraction(0)] * n

@@ -90,6 +90,14 @@ def _lcm_sum(pairs) -> tuple[int, int]:
     return sum(n * (den // d) for n, d in pairs), den
 
 
+def _slope_measure(ends: dict[str, list], kinks=()) -> DiscreteMeasure:
+    """The _lcm_sum of each vertex's outgoing slope pairs (ends in graph
+    order, zero sums left out), then the kinks, as a measure."""
+    masses = [(Vertex(v), Fraction(*nd)) for v, pairs in ends.items()
+              if (nd := _lcm_sum(pairs))[0]]
+    return DiscreteMeasure._of((*masses, *kinks))
+
+
 @dataclass(frozen=True)
 class SlopeVerdict:
     ok: bool
@@ -249,9 +257,7 @@ class PAFunction:
                                                   pairs[1:]):
                 if k := n2 * d1 - n1 * d2:
                     kinks.append((EdgePoint(e.id, o), Fraction(k, d1 * d2)))
-        masses = [(Vertex(v), Fraction(*nd)) for v, pairs in ends.items()
-                  if (nd := _lcm_sum(pairs))[0]]
-        return DiscreteMeasure._of(tuple(masses + kinks))
+        return _slope_measure(ends, kinks)
 
     # -- predicates -----------------------------------------------------------
 

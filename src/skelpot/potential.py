@@ -18,7 +18,7 @@ from .graph import (EdgePoint, GraphError, GraphPoint, MetricGraph, Vertex,
                     exact, point_to_json)
 from .linalg import solve_exact
 from .pa_function import (DiscreteMeasure, PAFunction, SlopeVerdict,
-                          _lcm_sum, integrate)
+                          _lcm_sum, _slope_measure, _slope_pairs, integrate)
 
 
 class NotHarmonicError(ValueError):
@@ -46,13 +46,14 @@ def _check_dirichlet_pre(g: MetricGraph):
 def _segment(pieces: list, masses, sources: dict, u: str, v: str):
     """A segment from u to v of length L, cut into pieces of these lengths
     with a ddc mass m (0 for none) at each cut t: adds m's shares
-    m(L-t)/L at u and mt/L at v to sources, and returns L and a function
-    of the end values that gives the chord plus one tent m*min(s, t)*
-    (max(s, t) - L)/L in s per mass, zero at both ends, at each cut.  The
-    cuts are integers over the lcm d of the piece denominators, so each
-    value is one Fraction of an integer sum."""
-    d = lcm(*(x.denominator for x in pieces))
-    *cuts, n = accumulate(x.numerator * (d // x.denominator) for x in pieces)
+    m(L-t)/L at u and mt/L at v to sources, and returns L as an integer
+    pair and a function of the end values that gives the chord plus one
+    tent m*min(s, t)*(max(s, t) - L)/L in s per mass, zero at both ends,
+    at each cut.  The cuts are integers over the lcm d of the piece
+    denominators, so each value is one Fraction of an integer sum."""
+    pieces = [x.as_integer_ratio() for x in pieces]
+    d = lcm(*(q for _, q in pieces))
+    *cuts, n = accumulate(p * (d // q) for p, q in pieces)
     atoms = [(t, m) for t, m in zip(cuts, masses) if m]
     for t, m in atoms:
         sources[u] = sources.get(u, 0) + m * (n - t) / n
@@ -65,7 +66,7 @@ def _segment(pieces: list, masses, sources: dict, u: str, v: str):
         return [Fraction((an * n + (bn - an) * s) * d + sum(
             m * min(s, t) * (max(s, t) - n) for (t, _), m in zip(atoms, ms)),
             q * d * n) for s in cuts]
-    return Fraction(n, d), values_at_cuts
+    return Fraction(n, d).as_integer_ratio(), values_at_cuts
 
 
 def _solve_laplacian(g: MetricGraph, boundary_values: dict,
@@ -102,11 +103,12 @@ def _solve_laplacian(g: MetricGraph, boundary_values: dict,
                 lengths.append(f.length)
                 w = f.v if tf else f.u
             walked.add(f.id)
-            length = e.length
             if inner:
                 masses = [sources.pop(x, 0) for x in inner]
                 length, at = _segment(lengths, masses, sources, u, w)
                 fills.append((u, w, inner, at))
+            else:
+                length = e.length.as_integer_ratio()
             if w != u:
                 near[u].append((length, w))
                 near[w].append((length, u))
@@ -114,11 +116,11 @@ def _solve_laplacian(g: MetricGraph, boundary_values: dict,
     index = {v: i for i, v in enumerate(interior)}
     a, b = [], []
     for i, v in enumerate(interior):
-        scale = lcm(*(length.numerator for length, _ in near[v]))
+        scale = lcm(*(p for (p, _), _ in near[v]))
         row = {i: 0}
         rhs = -scale * sources.get(v, 0)
-        for length, w in near[v]:
-            c = scale // length.numerator * length.denominator  # scale/length
+        for (p, q), w in near[v]:
+            c = scale // p * q  # scale/length
             row[i] += c
             j = index.get(w)
             if j is None:
@@ -178,15 +180,16 @@ def dirichlet_solve(g: MetricGraph, boundary_values: dict) -> PAFunction:
 def green(g: MetricGraph, x: GraphPoint) -> GreenFunction:
     """Green's function with pole x: poisson with mass -1 at x and zero
     boundary values.  Its boundary masses (nonnegative, of total 1) are
-    its ddc on the boundary, read off the end pieces as slopes."""
+    its ddc on the boundary, summed as ddc sums a vertex from the integer
+    slope pairs of the end pieces (the pole's own piece too)."""
     f = poisson(g, DiscreteMeasure(((x, -1),)), dict.fromkeys(g.boundary, 0))
-    profiles = f.profiles
-    # the slope of the piece at each boundary edge end, pole's edge too
-    masses = DiscreteMeasure(
-        (Vertex(u), (q[1] - p[1]) / abs(q[0] - p[0]))
-        for u in g.boundary for e, tv in g.incident_ends(u)
-        for p, q in [profiles[e.id][:2] if tv else profiles[e.id][:-3:-1]])
-    return GreenFunction(x, f, masses)
+    ends = {u: [] for u in g.vertices if u in g.boundary}
+    for u, pairs in ends.items():
+        for e, tv in g.incident_ends(u):
+            prof = f.profiles[e.id]
+            (n, d), = _slope_pairs(prof[:2] if tv else prof[-2:])
+            pairs.append((n if tv else -n, d))
+    return GreenFunction(x, f, _slope_measure(ends))
 
 
 def evaluation_formula_check(x: GraphPoint,

@@ -518,26 +518,27 @@ def pullback(f_map: AffineMap, alpha: SuperForm) -> SuperForm:
     nums = [{e: v for e, v in zip(units, row) if v} for row in int_a]
 
     # det (D*A)[I,S] for every sorted S, by expansion along the first row
-    # of I; each I is expanded once per call
+    # of each suffix of I, each suffix once per call (a loop: a recursive
+    # closure would leave a reference cycle behind)
     minors: dict = {(): {(): 1}}
-
-    def minors_of(rows: tuple) -> dict:
-        if rows not in minors:
+    for rows in {idx for key in alpha.coeffs for idx in key}:
+        for k in range(len(rows) - 1, -1, -1):
+            if rows[k:] in minors:
+                continue
             out: dict = {}
-            first = int_a[rows[0]]
-            for cols, d in minors_of(rows[1:]).items():
+            first = int_a[rows[k]]
+            for cols, d in minors[rows[k + 1:]].items():
                 for s in range(r2):
                     if first[s] and (ins := _insert_sign(s, cols)):
                         sign, key = ins
                         out[key] = out.get(key, 0) + sign * first[s] * d
-            minors[rows] = {c: d for c, d in out.items() if d}
-        return minors[rows]
+            minors[rows[k:]] = {c: d for c, d in out.items() if d}
 
     subs, den, base = _substitute(list(alpha.coeffs.values()), nums, den_a)
     acc: dict = {}
     for (i, j), num in zip(alpha.coeffs, subs):
-        rows_j = minors_of(j).items()
-        for s_cols, ds in minors_of(i).items():
+        rows_j = minors[j].items()
+        for s_cols, ds in minors[i].items():
             for t_cols, dt in rows_j:
                 w = ds * dt
                 key = (s_cols, t_cols)

@@ -32,6 +32,16 @@ def test_constructor_rejects_invalid():
     with pytest.raises(GraphError) as info:
         MetricGraph([1, "a", None], [], [])
     assert str(info.value) == "vertex ids [1, None] are not strings"
+    for edges, boundary, text in (
+            ([Edge(1, "a", "b", 1), Edge("x", "a", "b", 1)], ["a"],
+             "edge ids [1] are not strings"),
+            ([Edge("e", "a", "b", 1)], [1, None],
+             "boundary ids [1, None] are not strings"),
+            ([Edge("e", 1, None, 1)], ["a"], "edge e: endpoint 1 is not a "
+             "vertex; edge e: endpoint None is not a vertex")):
+        with pytest.raises(GraphError) as info:
+            MetricGraph(["a", "b"], edges, boundary)
+        assert str(info.value) == text
 
 
 def test_loops_and_parallel_edges_are_accepted():

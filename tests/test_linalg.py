@@ -103,6 +103,88 @@ def test_solve_random_systems_exact_or_singular():
     assert 100 < singular < 1400
 
 
+
+def _gauss_jordan(a, b):
+    """x with A x = b (dict rows) by dense Fraction Gauss-Jordan
+    elimination, or None if A is singular: the reference for the sparse
+    kernel."""
+    n = len(a)
+    m = [[F(r.get(j, 0)) for j in range(n)] + [F(bi)] for r, bi in zip(a, b)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return None
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return [row[n] for row in m]
+
+
+def _cyclic_system(rng, n):
+    """Non-symmetric dict rows: row i holds columns i and i + 1 (mod n),
+    plus a few random entries.  Pivoting on row 0 gives the last row a
+    fill entry in column 1, so row n - 1 reaches the pivot columns 1, 2,
+    ... only through fill, one after another."""
+    def entry():
+        return F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+    a = [{i: entry(), (i + 1) % n: entry()} for i in range(n)]
+    for _ in range(rng.randint(0, n // 3)):
+        a[rng.randrange(n)][rng.randrange(n)] = entry()
+    return a, [entry() if rng.random() < 0.8 else 0 for _ in range(n)]
+
+
+def test_solve_matches_gauss_jordan_through_fill():
+    """Seeded non-symmetric dict systems whose rows reach pivot columns
+    through fill: the same solution as the dense reference, from the
+    dict and the dense form alike."""
+    rng = random.Random(31)
+    solved = 0
+    for _ in range(300):
+        a, b = _cyclic_system(rng, rng.randint(3, 12))
+        dense = [[r.get(j, 0) for j in range(len(a))] for r in a]
+        want = _gauss_jordan(a, b)
+        if want is None:
+            for form in (a, dense):
+                with pytest.raises(SingularMatrixError):
+                    solve_exact(form, b)
+            continue
+        solved += 1
+        assert solve_exact(a, b) == want
+        assert solve_exact(dense, b) == want
+    assert solved > 250
+
+
+def test_solve_drops_a_row_from_a_column_it_cancels_in():
+    """Pivoting on row 0 cancels row 2's entry in column 1 exactly: row 2,
+    still live, must leave column 1, which row 1 pivots on next.  A row
+    that cancels to nothing, or to its right-hand side only, is
+    singular."""
+    a = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 1: 1, 2: 1, 3: 1}, {2: 1, 3: 2}]
+    b = [F(1), F(2), F(3), F(4)]
+    assert solve_exact(a, b) == _gauss_jordan(a, b) == [-1, 2, 0, 2]
+    for rhs in (2, 3):
+        with pytest.raises(SingularMatrixError):
+            solve_exact([{0: 1, 1: 1}, {0: 2, 1: 2}], [1, rhs])
+
+
+def test_solve_leaves_its_arguments_alone():
+    """The in-place elimination works on copies: the caller's rows and
+    right-hand side are unchanged, in both forms."""
+    rng = random.Random(32)
+    for _ in range(50):
+        a, b = _cyclic_system(rng, rng.randint(3, 8))
+        dense = [[r.get(j, 0) for j in range(len(a))] for r in a]
+        before = [dict(r) for r in a], [list(r) for r in dense], list(b)
+        for form in (a, dense):
+            try:
+                solve_exact(form, b)
+            except SingularMatrixError:
+                pass
+        assert (a, dense, b) == before
+
 def _chained_grid(rng, k, chain):
     """k x k grid, every grid edge split into `chain` edges of random
     rational length; boundary = first row and first column."""

@@ -54,6 +54,8 @@ def test_public_api_is_the_written_list():
 # review
 PRIVATE_IMPORTS = [
     "potential <- pa_function._lcm_sum",
+    "potential <- pa_function._slope_measure",
+    "potential <- pa_function._slope_pairs",
     "rationalize <- pa_function._slopes",
     "superforms <- linalg._psd",
 ]

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import math
 import operator
@@ -328,6 +329,22 @@ def test_pullback_equals_wedge_reference():
                     assert got == _pullback_ref(f_map, alpha)
                     _assert_clean(got)
 
+
+
+def test_pullback_leaves_no_reference_cycle():
+    """With the cyclic collector off, seeded pullbacks leave nothing for
+    it to free: everything they make is freed by reference counting."""
+    rng = random.Random(14)
+    cases = [(_random_map(rng, 3, 3, rng.choice(("integer", "rational"))),
+              _random_form(rng, 3)) for _ in range(50)]
+    gc.collect()
+    gc.disable()
+    try:
+        for f_map, alpha in cases:
+            pullback(f_map, alpha)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 def test_substitute_affine_matches_repeated_products():
     """Against term-by-term products of the affines, with rational
