@@ -112,6 +112,14 @@ class MetricGraph:
                           ("edge", [e.id for e in edges])):
             if bad := [x for x in ids if not isinstance(x, str)]:
                 raise GraphError(f"{what} ids {bad} are not strings")
+        # an unhashable endpoint would fail the incidence lookup: name it
+        for e in edges:
+            for x in (e.u, e.v):
+                try:
+                    hash(x)
+                except TypeError:
+                    raise GraphError(f"edge {e.id}: endpoint {x!r} is not "
+                                     "a vertex") from None
         self.vertices = tuple(sorted(vertices))
         # an int length becomes a Fraction (bool is not an int here);
         # validate refuses any other length that is not a Fraction

@@ -3,27 +3,33 @@
 `solve_exact` takes each row of A in either of two forms: a dense list
 of n entries, or a `{column: entry}` dict of its nonzeros.  `potential`
 assembles graph Laplacians in the dict form (about five nonzeros per
-row), each row scaled to integer entries, and reads a Green's
-function's boundary masses off the solution, so neither side of a
-solve builds or scans anything of size n^2.  It runs a sparse
-elimination on integer rows: each row is a `{column: int}` dict (the
-right-hand side is column n), cleared to integers once.  A column index
-gives the rows with a nonzero in each column, and a pivot updates just
-the live ones of its column, each in place and then divided by its
-content so that its entries stay primitive.  The pivot row is the live
-row with the fewest entries (greedy minimum degree), so fill-in stays
-small.  `poisson` solves on the core graph and fills in chains of
-degree-2 vertices in closed form, so they never reach a solve.
-Back-substitution forms each unknown as one `Fraction` of an integer
-sum over a common denominator.  A nonsingular system has one solution,
-so the result does not depend on the pivot order.
+row), each row scaled to integer entries, and reads a Green's function's
+boundary masses off the solution, so neither side of a solve builds or
+scans anything of size n^2.  It runs a sparse elimination on integer
+rows: each row is a `{column: int}` dict (the right-hand side is column
+n), made primitive once.  A column index gives the rows with a nonzero
+in each column, and a pivot updates just the live ones of its column, in
+place; the pivot row is the live row with the fewest entries (greedy
+minimum degree), so fill-in stays small.  Row i is stored as the product
+of the pivot entries in reach[i], the eliminated pivots whose components
+it has met, times its Schur complement row.  Pivot row r, with entry p,
+turns row i, with entry q, into p * row i - q * row r divided by the
+product of the pivot entries in reach[i] & reach[r], exactly by
+Sylvester's identity (Bareiss), and reach[i] into
+(reach[i] - reach[r]) | {r}: no gcd runs after set-up.  D, the product
+of the pivot entries in no later pivot's reach, is a multiple of det A,
+so back-substitution runs on the integers D x_c, each unknown one
+`Fraction(D x_c, D)`.  `poisson` solves on the core graph and fills in
+chains of degree-2 vertices in closed form, so they never reach a solve.
+A nonsingular system has one solution, so the result does not depend on
+the pivot order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .graph import exact
 
@@ -48,9 +54,9 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
     """Solve A x = b exactly; A must be square and nonsingular, with
     rational (int or Fraction) entries.  Each row of A is a dense list
     or a {column: entry} dict; entries a dict leaves out are zero.  A
-    dense row of other than n entries, a dict column outside 0..n-1, a
-    b of other than n entries or an entry that graph.exact refuses is a
-    `ValueError`."""
+    row of neither form, a dense row of other than n entries, a dict
+    column that is not an int in 0..n-1, a b of other than n entries or
+    an entry that graph.exact refuses is a `ValueError`."""
     n = len(a)
     if len(b) != n:
         raise ValueError(f"{n} rows but {len(b)} right-hand side entries")
@@ -61,9 +67,12 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
     cols = [set() for _ in range(n + 1)]   # column -> rows, b's too
     for i, ai in enumerate(a):
         if isinstance(ai, dict):
-            if ai and (min(ai) < 0 or max(ai) >= n):
-                raise ValueError(f"row {i} has a column outside 0..{n - 1}")
+            if bad := [j for j in ai if type(j) is not int or not 0 <= j < n]:
+                raise ValueError(f"row {i} has a column outside 0..{n - 1}: "
+                                 f"{bad[0]!r}")
             items, entries = ai.items(), ai.values()
+        elif not isinstance(ai, list):
+            raise ValueError(f"row {i} is not a list or a dict: {ai!r}")
         elif len(ai) != n:
             raise ValueError(f"row {i} has {len(ai)} entries, not {n}")
         else:
@@ -80,6 +89,8 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
         for j in row:
             cols[j].add(i)
 
+    piv = [0] * n
+    reach = [set() for _ in range(n)]
     # (entry count, row) for every live row; an entry whose count is stale
     # is skipped, the row's current count having been pushed since
     heap = [(len(row), i) for i, row in enumerate(rows)]
@@ -99,12 +110,13 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
                 raise SingularMatrixError("matrix is singular")
         live.remove(r)
         order.append((r, c))
-        p = row[c]
+        p = piv[r] = row[c]
+        met_r = reach[r]
         rest = [(j, v, cols[j]) for j, v in row.items() if j != c]
-        # row i becomes p * row i - q * pivot row, in place, divided by its
-        # content: the same row as from (p, q) / gcd(p, q), without that gcd
+        # row i becomes (p * row i - q * pivot row) / d in place, d the
+        # product of the pivots both have met: exact by Sylvester's identity
         for i in cols[c] & live:
-            ri = rows[i]
+            ri, met = rows[i], reach[i]
             q = ri.pop(c)
             for j in ri:
                 ri[j] *= p
@@ -115,18 +127,23 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
                 else:
                     del ri[j]
                     col.discard(i)
-            heappush(heap, (len(_primitive(ri)), i))
+            if common := met & met_r:
+                d = prod(piv[t] for t in common)
+                for j in ri:
+                    ri[j] //= d
+            met -= met_r
+            met.add(r)
+            heappush(heap, (len(ri), i))
 
-    # each pivot row holds its pivot column and later pivots' columns only
-    x = [Fraction(0)] * n
+    # y = D x is an integer vector, D being a multiple of det A; each pivot
+    # row holds its pivot column and later pivots' columns only
+    D = prod(piv[r] for r in set(range(n)).difference(*reach))
+    y = [0] * n
     for r, c in reversed(order):
         row = rows[r]
-        terms = [(v, x[j]) for j, v in row.items() if j != c and j != n]
-        den = lcm(*(xj.denominator for _, xj in terms))
-        num = row.get(n, 0) * den - sum(
-            v * xj.numerator * (den // xj.denominator) for v, xj in terms)
-        x[c] = Fraction(num, den * row[c])
-    return x
+        p, rhs = row.pop(c), row.pop(n, 0)
+        y[c] = (rhs * D - sum(v * y[j] for j, v in row.items())) // p
+    return [Fraction(v, D) for v in y]
 
 
 def is_psd_exact(a: list[list[Fraction]]) -> bool:

@@ -38,7 +38,12 @@ def test_constructor_rejects_invalid():
             ([Edge("e", "a", "b", 1)], [1, None],
              "boundary ids [1, None] are not strings"),
             ([Edge("e", 1, None, 1)], ["a"], "edge e: endpoint 1 is not a "
-             "vertex; edge e: endpoint None is not a vertex")):
+             "vertex; edge e: endpoint None is not a vertex"),
+            # an unhashable endpoint is named before the incidence lookup
+            ([Edge("e", ["a"], "b", 1)], ["a"],
+             "edge e: endpoint ['a'] is not a vertex"),
+            ([Edge("f", "a", "b", 1), Edge("e", "a", {"b": 1}, 1)], ["a"],
+             "edge e: endpoint {'b': 1} is not a vertex")):
         with pytest.raises(GraphError) as info:
             MetricGraph(["a", "b"], edges, boundary)
         assert str(info.value) == text

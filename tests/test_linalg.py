@@ -157,6 +157,67 @@ def test_solve_matches_gauss_jordan_through_fill():
     assert solved > 250
 
 
+def _laplacian(rng, graphs):
+    """Dirichlet Laplacian of the disjoint union of the graphs, its rows
+    (one per interior vertex, in random order) as {column: entry} dicts,
+    with a random right-hand side: structurally symmetric, and
+    block-diagonal with a block or more per graph."""
+    interior = [(k, v) for k, g in enumerate(graphs) for v in g.vertices
+                if v not in g.boundary]
+    rng.shuffle(interior)
+    index = {v: i for i, v in enumerate(interior)}
+    a = [{i: F(0)} for i in range(len(interior))]
+    for k, g in enumerate(graphs):
+        for e in g.edges:
+            for x, y in ((e.u, e.v), (e.v, e.u)):
+                if (i := index.get((k, x))) is not None:
+                    a[i][i] += 1 / e.length
+                    if (j := index.get((k, y))) is not None:
+                        a[i][j] = a[i].get(j, 0) - 1 / e.length
+    return a, [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in a]
+
+
+def _sparse_system(rng, n):
+    """Non-symmetric dict rows: row i holds column perm[i] and up to two
+    random others, so most diagonal entries are zero."""
+    perm = rng.sample(range(n), n)
+    a = [{j: F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+          for j in [perm[i],
+                    *rng.sample(range(n), rng.randint(0, min(n, 2)))]}
+         for i in range(n)]
+    return a, [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in a]
+
+
+def test_solve_matches_gauss_jordan_on_laplacians_and_sparse_systems():
+    """The divisions of the fraction-free elimination are exact and its
+    integer back-substitution is over a multiple of det A: on Dirichlet
+    Laplacians of one to three random multigraphs (loops, parallel
+    edges, rational lengths; block-diagonal when there are several) and
+    on non-symmetric sparse systems, the dict and the dense form give
+    the reference's solution, every entry a reduced Fraction."""
+    rng = random.Random(40)
+    cases = [_laplacian(rng, [random_graph(rng, 10, 16)
+                              for _ in range(rng.randint(1, 3))])
+             for _ in range(100)]
+    cases += [_sparse_system(rng, rng.randint(1, 10)) for _ in range(200)]
+    solved = 0
+    for a, b in cases:
+        dense = [[r.get(j, 0) for j in range(len(a))] for r in a]
+        want = _gauss_jordan(a, b)
+        if want is None:
+            for form in (a, dense):
+                with pytest.raises(SingularMatrixError):
+                    solve_exact(form, b)
+            continue
+        solved += 1
+        for form in (a, dense):
+            x = solve_exact(form, b)
+            assert all(type(v) is Fraction for v in x)
+            assert ([(v.numerator, v.denominator) for v in x]
+                    == [(v.numerator, v.denominator) for v in want])
+    assert solved > 280
+
+
 def test_solve_drops_a_row_from_a_column_it_cancels_in():
     """Pivoting on row 0 cancels row 2's entry in column 1 exactly: row 2,
     still live, must leave column 1, which row 1 pivots on next.  A row
@@ -373,6 +434,18 @@ def test_solve_rejects_entries_that_are_not_exact(bad):
 
 
 def test_solve_rejects_dict_column_out_of_range():
-    for row in ({0: 1, 2: 1}, {-1: 1, 1: 1}, {2: 0}):
-        with pytest.raises(ValueError, match="row 1 has a column outside"):
+    """A column that is not an int in 0..n-1, a bool or a float
+    included, is named with its row."""
+    for row, bad in (({0: 1, 2: 1}, "2"), ({-1: 1, 1: 1}, "-1"),
+                     ({2: 0}, "2"), ({"a": 1}, "'a'"), ({0.0: 1}, "0.0"),
+                     ({True: 1, 0: 1}, "True")):
+        with pytest.raises(ValueError) as exc:
             solve_exact([{0: 1}, row], [1, 1])
+        assert str(exc.value) == f"row 1 has a column outside 0..1: {bad}"
+
+
+@pytest.mark.parametrize("row", [5, None, "ab", (1, 0)])
+def test_solve_rejects_a_row_that_is_not_a_list_or_a_dict(row):
+    with pytest.raises(ValueError) as exc:
+        solve_exact([[1, 0], row], [1, 1])
+    assert str(exc.value) == f"row 1 is not a list or a dict: {row!r}"
