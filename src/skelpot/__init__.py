@@ -16,15 +16,14 @@ from .potential import (GreenFunction, GreenVerdict, NotHarmonicError,
                         evaluation_formula_check, green, green_to_json_dict,
                         is_subharmonic_green, local_green_pairing,
                         maximum_principle_check, poisson)
-from .regularize import (RegularizationSequence, arc_second_difference,
-                         build_regularization, eval_smoothed, sample_points,
-                         smooth_max, smooth_max_n, theta)
+from .regularize import (RegularizationSequence, build_regularization,
+                         eval_smoothed, sample_points, smooth_max,
+                         smooth_max_n, theta)
 from .rationalize import (RationalizationCertificate, RationalizationError,
                           rationalize, tent_decompose, tent_reconstruction)
 from .superforms import (AffineMap, Poly, SuperForm, d_prime, d_second,
-                         format_form, hessian_form, integrate_box,
-                         is_positive_11, j_involution, parse_form, pullback,
-                         wedge)
+                         format_form, hessian_form, is_positive_11,
+                         j_involution, parse_form, pullback, wedge)
 from .rational import RationalParseError, format_rational, parse_rational
 
 __all__ = [name for name in dir() if not name.startswith("_")]

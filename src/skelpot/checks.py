@@ -20,8 +20,7 @@ from .potential import (dirichlet_solve, evaluation_formula_check, green,
 from .randgen import (random_graph, random_non_subharmonic,
                       random_pa_function, random_subharmonic)
 from .rationalize import rationalize, tent_decompose, tent_reconstruction
-from .regularize import (arc_second_difference, build_regularization,
-                         eval_smoothed, sample_points, smooth_max,
+from .regularize import (build_regularization, sample_points, smooth_max,
                          smooth_max_n, theta)
 
 F = Fraction
@@ -180,44 +179,43 @@ def smooth_max_axioms(rng, pairs: int, tuples: int) -> int:
 def monotone_regularization(rng, functions: int, max_vertices: int,
                             max_edges: int, n_terms: int,
                             per_edge: int) -> None:
-    """Criterion 7: the terms decrease in k, stay within 5/4 eps_k of f,
-    and the last one has nonnegative curvature."""
+    """Criterion 7, on exact values: f <= f_{k+1} <= f_k <= f + 5/4 eps_k,
+    and the last term has nonnegative second differences along each edge
+    and a nonnegative outgoing balance at each interior vertex."""
     for _ in range(functions):
         g = random_graph(rng, max_vertices=max_vertices, max_edges=max_edges)
         f = random_subharmonic(rng, g)
         seq = build_regularization(f, n_terms=n_terms)
         wg = seq.base.graph
         pts = sample_points(seq.base, per_edge=per_edge)
-        vals = [[eval_smoothed(term, p) for p in pts] for term in seq.terms]
+        fvals = [seq.base.eval(p) for p in pts]
+        vals = [[term.value(p) for p in pts] for term in seq.terms]
         for k in range(len(seq.terms) - 1):
-            if not all(v1 <= v0 + 1e-12
-                       for v0, v1 in zip(vals[k], vals[k + 1])):
+            if not all(v1 <= v0 for v0, v1 in zip(vals[k], vals[k + 1])):
                 raise CheckFailed(f"f_{k + 1} > f_{k}")
         for k, term in enumerate(seq.terms):
-            bound = 1.25 * float(term.eps) + 1e-12
-            if not all(abs(v - float(seq.base.eval(p))) <= bound
-                       for v, p in zip(vals[k], pts)):
+            bound = 5 * term.eps / 4
+            if not all(0 <= v - fv <= bound for v, fv in zip(vals[k], fvals)):
                 raise CheckFailed(f"sup bound at k={k}")
         # smoothness: nonnegative curvature along edges and at vertices
         last = seq.terms[-1]
         for e in wg.edges:
-            h = e.length / 64
-            for i in range(2, 63):
-                if arc_second_difference(last, e.id, e.length * i / 64,
-                                         h) < -1e-9:
-                    raise CheckFailed(f"negative curvature on edge {e.id}")
+            vs = [last.value(EdgePoint(e.id, e.length * i / 64))
+                  for i in range(1, 64)]
+            if any(vm - 2 * v0 + vp < 0
+                   for vm, v0, vp in zip(vs, vs[1:], vs[2:])):
+                raise CheckFailed(f"negative curvature on edge {e.id}")
         for v in wg.vertices:
             if v in wg.boundary:
                 continue
             h = min(e.length for e in wg.edges
                     if v in (e.u, e.v)) / 64
-            base_val = eval_smoothed(last, Vertex(v))
-            total = 0.0
+            base_val = last.value(Vertex(v))
+            total = 0
             for d in wg.star(Vertex(v)):
                 off = wg.base_offset(d) + (h if d.toward_v else -h)
-                total += (eval_smoothed(last, EdgePoint(d.edge, off))
-                          - base_val) / float(h)
-            if total < -1e-9:
+                total += last.value(EdgePoint(d.edge, off)) - base_val
+            if total < 0:
                 raise CheckFailed(f"vertex balance at {v}")
 
 

@@ -53,10 +53,14 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
                 b: list[Fraction]) -> list[Fraction]:
     """Solve A x = b exactly; A must be square and nonsingular, with
     rational (int or Fraction) entries.  Each row of A is a dense list
-    or a {column: entry} dict; entries a dict leaves out are zero.  A
-    row of neither form, a dense row of other than n entries, a dict
-    column that is not an int in 0..n-1, a b of other than n entries or
-    an entry that graph.exact refuses is a `ValueError`."""
+    or a {column: entry} dict; entries a dict leaves out are zero.  An
+    A or a b that is not a list, a row of neither form, a dense row of
+    other than n entries, a dict column that is not an int in 0..n-1, a
+    b of other than n entries or an entry that graph.exact refuses is a
+    `ValueError`."""
+    for name, arg in (("A", a), ("b", b)):
+        if not isinstance(arg, list):
+            raise ValueError(f"{name} is not a list: {arg!r}")
     n = len(a)
     if len(b) != n:
         raise ValueError(f"{n} rows but {len(b)} right-hand side entries")

@@ -10,8 +10,8 @@ The regularization sequence replaces a subharmonic piecewise-affine f
 near each positive-mass peak x by m_{eps/2}(G_x + eps, f), where G_x is
 a dominated harmonic cone at x, with a geometrically shrinking eps.
 Both arguments are affine on every arc of the peak's star, so each term
-is evaluated exactly over the rationals; eval_smoothed and
-arc_second_difference round the exact value to a float once, at the end.
+is evaluated exactly over the rationals; only eval_smoothed rounds the
+exact value to a float, once, at the end.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import EdgePoint, GraphError, GraphPoint, Vertex, exact
+from .graph import EdgePoint, GraphPoint, Vertex
 from .pa_function import PAFunction
 from .potential import require_subharmonic
 
@@ -143,20 +143,6 @@ class RegularizationTerm:
 
 def eval_smoothed(s: RegularizationTerm, p: GraphPoint) -> float:
     return float(s.value(s.base.graph.normalize_point(p)))
-
-
-def arc_second_difference(s: RegularizationTerm, edge_id: str, offset,
-                          h) -> float:
-    """Central second difference along an edge, (s(o-h)-2s(o)+s(o+h))/h^2."""
-    e = s.base.graph.edge(edge_id)
-    off = exact(offset, "edge {}: offset", edge_id)
-    step = exact(h, "edge {}: step", edge_id)
-    if step <= 0 or off - step <= 0 or off + step >= e.length:
-        raise GraphError("offset +- h must stay strictly inside the edge")
-    vm = s.value(EdgePoint(edge_id, off - step))
-    v0 = s.value(EdgePoint(edge_id, off))
-    vp = s.value(EdgePoint(edge_id, off + step))
-    return float((vm - 2 * v0 + vp) / step ** 2)
 
 
 def _over(x: Fraction, den: int) -> int:

@@ -149,37 +149,6 @@ class Poly:
         return Fraction(sum(map(mul, self.nums.values(), values)),
                         self.den * scale)
 
-    def substitute_affine(self, affines: list["Poly"]) -> "Poly":
-        """Compose with x_i = affines[i] (polynomials in the new
-        variables), on the affines' numerators over one denominator
-        (see `_substitute`)."""
-        if not affines or len(affines) != self.r:
-            raise ValueError("need one substitution per variable")
-        r2 = affines[0].r
-        for a in affines:
-            affines[0]._match(a)
-        nums, den_a = _integer_polys(affines)
-        (packed,), den, base = _substitute([self], nums, den_a)
-        (out,) = _unpack([packed], base, r2)
-        return Poly._of(r2, out, den)
-
-    def integrate_box(self, box) -> Fraction:
-        """Exact integral over a product of intervals [(lo, hi), ...]."""
-        if len(box) != self.r:
-            raise ValueError("box dimension mismatch")
-        box = [[exact(x, "box[{}][{}]:", k, j) for j, x in enumerate(ends)]
-               for k, ends in enumerate(box)]
-        for k, ends in enumerate(box):
-            if len(ends) != 2:
-                raise ValueError(f"box[{k}] is not a (lo, hi) pair")
-        acc = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for (lo, hi), ei in zip(box, e):
-                term *= (hi ** (ei + 1) - lo ** (ei + 1)) / (ei + 1)
-            acc += term
-        return acc
-
     def degree(self) -> int:
         return max((sum(e) for e in self.nums), default=0)
 
@@ -615,14 +584,6 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
         if not _psd(h):
             bad.append(pt)
     return PositivityVerdict(not bad, tuple(bad))
-
-
-def integrate_box(alpha: SuperForm, box) -> Fraction:
-    """Exact integral of an (r, r)-form over a product of intervals."""
-    if (alpha.p, alpha.q) != (alpha.r, alpha.r):
-        raise BidegreeError("integration needs bidegree (r, r)")
-    full = tuple(range(alpha.r))
-    return alpha.coeffs.get((full, full), Poly(alpha.r)).integrate_box(box)
 
 
 # -- textual syntax -------------------------------------------------------------

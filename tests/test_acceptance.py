@@ -6,9 +6,13 @@ Fraction equality; float tolerances are stated inline."""
 
 import random
 import time
+from fractions import Fraction
 
-from skelpot import checks, integrate
+import pytest
+
+from skelpot import EdgePoint, checks, integrate
 from skelpot.randgen import random_graph, random_pa_function
+from skelpot.regularize import RegularizationTerm
 
 
 def _report(num, name, started, limit, detail=""):
@@ -74,6 +78,23 @@ def test_criterion_7_monotone_regularization():
                                    per_edge=16)
     _report(7, "monotone regularization", t0, 60.0,
             "20 functions, k = 0..9")
+
+
+def test_criterion_7_catches_values_below_f(monkeypatch):
+    """A term lowered by 10^-12 on every star arc falls below f, which the
+    theorem rules out: the exact sup bound fails at k = 0."""
+    value = RegularizationTerm.value
+
+    def lowered(self, p):
+        v = value(self, p)
+        return v - Fraction(1, 10 ** 12) if (
+            isinstance(p, EdgePoint) and p.edge in self.cone) else v
+
+    monkeypatch.setattr(RegularizationTerm, "value", lowered)
+    with pytest.raises(checks.CheckFailed, match="sup bound at k=0"):
+        checks.monotone_regularization(random.Random(7001), functions=3,
+                                       max_vertices=6, max_edges=8,
+                                       n_terms=4, per_edge=8)
 
 
 def test_criterion_8_rationalization():

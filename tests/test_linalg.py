@@ -449,3 +449,14 @@ def test_solve_rejects_a_row_that_is_not_a_list_or_a_dict(row):
     with pytest.raises(ValueError) as exc:
         solve_exact([[1, 0], row], [1, 1])
     assert str(exc.value) == f"row 1 is not a list or a dict: {row!r}"
+
+
+@pytest.mark.parametrize("a, b, name, bad", [
+    (5, [1], "A", "5"), ({0: {0: 1}}, [1], "A", "{0: {0: 1}}"),
+    ([[1]], None, "b", "None"), ([[1]], 5, "b", "5"),
+    ([[1]], (1,), "b", "(1,)")],
+    ids=["A-int", "A-dict", "b-None", "b-int", "b-tuple"])
+def test_solve_rejects_an_a_or_b_that_is_not_a_list(a, b, name, bad):
+    with pytest.raises(ValueError) as exc:
+        solve_exact(a, b)
+    assert str(exc.value) == f"{name} is not a list: {bad}"

@@ -30,11 +30,11 @@ PUBLIC_API = [
     "NotSubharmonicError", "PAFunction", "Poly", "RationalParseError",
     "RationalizationCertificate", "RationalizationError",
     "RegularizationSequence", "SingularMatrixError", "SlopeVerdict",
-    "SuperForm", "TangentDirection", "Vertex", "arc_second_difference",
+    "SuperForm", "TangentDirection", "Vertex",
     "build_regularization", "d_prime", "d_second", "dirichlet_solve",
     "eval_smoothed", "evaluation_formula_check", "format_form",
     "format_rational", "graph", "green", "green_to_json_dict",
-    "hessian_form", "integrate", "integrate_box", "is_positive_11",
+    "hessian_form", "integrate", "is_positive_11",
     "is_psd_exact", "is_subharmonic_green", "j_involution", "linalg",
     "linear_combine", "local_green_pairing", "maximum_principle_check",
     "pa_function", "parse_form", "parse_rational", "point_sort_key",
@@ -129,13 +129,12 @@ def test_no_unread_imports():
     assert [hit for p in sources for hit in _unread_imports(p)] == []
 
 
-# top-level definitions where a float may appear: the two that round an
+# top-level definitions where a float may appear: the one that rounds an
 # exact value for output, and the checks that draw float test inputs and
 # state float tolerances
 FLOAT_SCOPES = {
-    "regularize.eval_smoothed", "regularize.arc_second_difference",
-    "checks.smooth_max_axioms",
-    "checks.monotone_regularization", "checks.superform_identities",
+    "regularize.eval_smoothed", "checks.smooth_max_axioms",
+    "checks.superform_identities",
 }
 
 

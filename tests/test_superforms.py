@@ -17,7 +17,7 @@ from skelpot.superforms import (MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT,
                                 AffineMap, BidegreeError, FormParseError,
                                 Poly, SuperForm, _insert_sign, d_prime,
                                 d_second, format_form, format_poly,
-                                hessian_form, integrate_box, is_positive_11,
+                                hessian_form, is_positive_11,
                                 j_involution, parse_form, pullback, wedge)
 
 F = Fraction
@@ -36,33 +36,6 @@ def test_poly_arith_and_eval():
     assert p.diff(0) == 2 * x
     assert p.diff(1) == Poly.const(2, 2)
     assert p.degree() == 2
-
-
-def test_poly_substitute_affine():
-    # p(x, y) = x*y composed with x = t, y = t + 1 gives t^2 + t.
-    p = Poly.var(2, 0) * Poly.var(2, 1)
-    t = Poly.var(1, 0)
-    q = p.substitute_affine([t, t + Poly.const(1, 1)])
-    assert q == t * t + t
-    with pytest.raises(ValueError, match="one substitution per variable"):
-        p.substitute_affine([t])
-
-
-def test_poly_integrate_box():
-    one = Poly.const(1, 1)
-    assert one.integrate_box([(0, 1)]) == 1
-    x = Poly.var(1, 0)
-    assert x.integrate_box([(0, 2)]) == 2
-    xy = Poly.var(2, 0) * Poly.var(2, 1)
-    assert xy.integrate_box([(0, 1), (0, 2)]) == F(1, 2) * 2
-    with pytest.raises(ValueError, match="box dimension mismatch"):
-        xy.integrate_box([(0, 1)])
-    # each entry is a (lo, hi) pair, for a form with no top coefficient too
-    for build in (lambda: x.integrate_box([(1,)]),
-                  lambda: integrate_box(SuperForm(1, 1, 1, {}), [(1, 2, 3)])):
-        with pytest.raises(ValueError) as exc:
-            build()
-        assert str(exc.value) == "box[0] is not a (lo, hi) pair"
 
 
 def test_format_poly():
@@ -346,39 +319,6 @@ def test_pullback_leaves_no_reference_cycle():
     finally:
         gc.enable()
 
-def test_substitute_affine_matches_repeated_products():
-    """Against term-by-term products of the affines, with rational
-    coefficients; the result keeps only nonzero Fraction coefficients."""
-    rng = random.Random(13)
-
-    def affine(r2):
-        terms = {tuple(1 if t == s else 0 for t in range(r2)):
-                 F(rng.randint(-4, 4), rng.randint(1, 5)) for s in range(r2)
-                 if rng.random() < 0.7}
-        if rng.random() < 0.7:
-            terms[(0,) * r2] = F(rng.randint(-4, 4), rng.randint(1, 5))
-        return Poly(r2, terms)
-
-    for _ in range(200):
-        r, r2 = rng.randint(1, 3), rng.randint(1, 3)
-        poly = _random_poly(rng, r, max_deg=3)
-        affines = [affine(r2) for _ in range(r)]
-        got = poly.substitute_affine(affines)
-        assert got == _substitute_ref(poly, affines)
-        for e, c in got.terms.items():
-            assert type(c) is F and c != 0
-            assert type(e) is tuple and len(e) == r2
-    # terms that cancel exactly leave nothing behind
-    t = Poly.var(1, 0)
-    x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
-    half = t * F(1, 3) + Poly.const(1, F(1, 2))
-    assert (x1 - x2).substitute_affine([half, half]).is_zero()
-    assert (x1 * x1 - x2 * x2 + x1 - x2).substitute_affine(
-        [half, half]).is_zero()
-    assert (x1 * x1 + x2).substitute_affine(
-        [t * F(2, 3), t * F(-4, 9)]).terms == {(2,): F(4, 9), (1,): F(-4, 9)}
-
-
 def test_pullback_and_substitute_edge_cases():
     """Shapes the substitution must get right, against the references: a
     degree-0 coefficient, maps between spaces of different dimensions, a
@@ -406,20 +346,14 @@ def test_pullback_and_substitute_edge_cases():
             got = pullback(f_map, alpha)
             assert got == _pullback_ref(f_map, alpha)
             _assert_clean(got)
-    # the same shapes through substitute_affine, with a zero affine, a
-    # constant one and affines in 1, 2 and 4 variables; substitute_affine
-    # takes any polys, so quadratic ones too
-    for r2 in (1, 2, 4):
-        ys = [Poly.var(r2, s) for s in range(r2)]
-        zero, five = Poly(r2, {}), Poly.const(r2, 5)
-        lin = ys[-1] * F(-2, 7) + ys[0] + Poly.const(r2, F(1, 3))
-        for affines in ([zero, zero, zero], [lin, zero, five],
-                        [five, lin, lin * F(3, 2)], [zero, five, ys[-1]],
-                        [lin * lin, ys[0] * ys[-1], five]):
-            for poly in (const, pure, mixed, pure * mixed, Poly(3, {})):
-                got = poly.substitute_affine(affines)
-                assert got == _substitute_ref(poly, affines)
-                assert all(type(c) is F and c for c in got.terms.values())
+    # terms that cancel exactly leave nothing behind
+    x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
+    half = AffineMap.of([[F(1, 3)], [F(1, 3)]], [F(1, 2), F(1, 2)])
+    for poly in (x1 - x2, x1 * x1 - x2 * x2 + x1 - x2):
+        assert pullback(half, SuperForm.function(poly)).is_zero()
+    got = pullback(AffineMap.of([[F(2, 3)], [F(-4, 9)]], [0, 0]),
+                   SuperForm.function(x1 * x1 + x2))
+    assert got.coeffs[((), ())].terms == {(2,): F(4, 9), (1,): F(-4, 9)}
 
 
 def test_affine_map_validation():
@@ -483,25 +417,15 @@ def test_points_of_the_wrong_dimension_are_value_errors():
     assert (x * y).eval([3, 2]) == 6
 
 
-def test_integrate_box_top_degree():
-    one = Poly.const(1, 1)
-    a = SuperForm(1, 1, 1, {((0,), (0,)): one})
-    assert integrate_box(a, [(0, 1)]) == 1
-    b = SuperForm(1, 1, 1, {((0,), (0,)): Poly.var(1, 0)})
-    assert integrate_box(b, [(0, 2)]) == 2
-    with pytest.raises(BidegreeError):
-        integrate_box(SuperForm.function(Poly.const(2, 1)),
-                      [(0, 1), (0, 1)])
-
-
 def test_integral_of_hessian_is_boundary_derivative():
-    # For psi on R^1, integral of d'd''psi over [a, b] is psi'(b) - psi'(a).
+    # For psi on R^1, d'd''psi = psi'' d'x ^ d''x: its coefficient has psi'
+    # as an antiderivative, so its integral over [a, b] is psi'(b) - psi'(a).
     t = Poly.var(1, 0)
     psi = t * t * t + 2 * t
-    a, b = F(-1), F(3)
-    lhs = integrate_box(hessian_form(psi), [(a, b)])
     dpsi = psi.diff(0)
-    assert lhs == dpsi.eval([b]) - dpsi.eval([a])
+    assert hessian_form(psi) == SuperForm(1, 1, 1,
+                                          {((0,), (0,)): dpsi.diff(0)})
+    assert dpsi.eval([3]) - dpsi.eval([-1]) == 24  # 6t over [-1, 3]
 
 
 def test_hessian_form_is_d_prime_of_d_second():
@@ -1024,8 +948,6 @@ def test_poly_arithmetic_refuses_mixed_dimensions():
     for op in (operator.add, operator.sub, operator.mul):
         with pytest.raises(ValueError, match="2 and 3 variables"):
             op(x, y)
-    with pytest.raises(ValueError, match="1 and 2 variables"):
-        x.substitute_affine([Poly.var(1, 0), Poly.var(2, 0)])
 
 
 def test_superform_refuses_a_coefficient_of_another_dimension():
@@ -1113,9 +1035,9 @@ def _ref_point(rng, r):
 
 
 def test_poly_operations_match_fraction_reference():
-    """+, -, unary -, scalar and poly *, diff, eval and substitute_affine
-    on r = 1 to 3, with denominators up to 10^15, against dict-of-Fraction
-    arithmetic; the second operand sometimes cancels terms of the first."""
+    """+, -, unary -, scalar and poly *, diff and eval on r = 1 to 3,
+    with denominators up to 10^15, against dict-of-Fraction arithmetic;
+    the second operand sometimes cancels terms of the first."""
     rng = random.Random(1801)
     for _ in range(300):
         r = rng.randint(1, 3)
@@ -1136,10 +1058,6 @@ def test_poly_operations_match_fraction_reference():
             assert pa.diff(i).terms == _ref_diff(a, i)
         pt = _ref_point(rng, r)
         assert pa.eval(pt) == _ref_eval(a, pt)
-        r2 = rng.randint(1, 3)
-        affines = [_ref_poly(rng, r2, max_deg=1) for _ in range(r)]
-        assert pa.substitute_affine([Poly(r2, t) for t in affines]).terms \
-            == _ref_substitute(a, affines, r2)
 
 
 def _sort_sign(idx):
@@ -1257,7 +1175,6 @@ def test_equal_polys_built_by_different_routes_are_equal():
                  ((x * x * F(1, 2)).diff(0), x),
                  (x * F(2, 3) * F(3, 2), x),
                  (x * y * F(1, 6) + x * y * F(1, 3), x * y * F(1, 2)),
-                 ((x * F(1, 3)).substitute_affine([y * 3, x]), y),
                  (x - x, Poly(2, {}))):
         assert p == q and hash(p) == hash(q)
     assert x * F(1, 2) != x and Poly(1, {(1,): 1}) != Poly(2, {e: 1})
@@ -1279,10 +1196,9 @@ def test_results_are_in_canonical_form():
         a, b = _ref_poly(rng, r), _ref_poly(rng, r)
         b = _ref_add(b, {e: -c for e, c in a.items() if rng.random() < 0.5})
         pa, pb = Poly(r, a), Poly(r, b)
-        affines = [Poly(2, _ref_poly(rng, 2, max_deg=1)) for _ in range(r)]
         for p in (pa, pb, pa + pb, pa - pb, pa - pa, -pa, pa * pb,
                   pa * 0, pa * 6, pa * _ref_coeff(rng), pa * F(2, 3),
-                  pa.substitute_affine(affines), *map(pa.diff, range(r))):
+                  *map(pa.diff, range(r))):
             _assert_canonical(p)
         (pf, qf, fa), (pg, qg, fb) = _ref_form(rng, r), _ref_form(rng, r)
         fa = SuperForm(r, pf, qf, {k: Poly(r, t) for k, t in fa.items()})
@@ -1376,10 +1292,9 @@ def test_differentials_match_per_coefficient_reference():
 def test_superform_inputs_refuse_values_that_are_not_exact(bad):
     """A float, a str or a bool is refused as a coefficient, a point
     coordinate, an affine map entry (by .of or the constructor), a scale
-    factor, a Poly's scalar factor on either side or a box end (of a form
-    with no top coefficient too), with its place named: Fraction(0.1)
-    would be a binary fraction, and Fraction("1/2") would read a
-    literal."""
+    factor or a Poly's scalar factor on either side, with its place
+    named: Fraction(0.1) would be a binary fraction, and Fraction("1/2")
+    would read a literal."""
     x = Poly.var(2, 0)
     cases = [
         (lambda: Poly(2, {(0, 0): 1, (1, 0): bad}), "coefficient of (1, 0):"),
@@ -1394,10 +1309,6 @@ def test_superform_inputs_refuse_values_that_are_not_exact(bad):
         (lambda: x * bad, "scalar"),
         (lambda: bad * x, "scalar"),
         (lambda: SuperForm.function(x).scale(bad), "scale factor"),
-        (lambda: x.integrate_box([(0, 1), (bad, 1)]), "box[1][0]:"),
-        (lambda: x.integrate_box([(0, bad), (0, 1)]), "box[0][1]:"),
-        (lambda: integrate_box(SuperForm(2, 2, 2), [(0, 1), (bad, 1)]),
-         "box[1][0]:"),
     ]
     for build, where in cases:
         with pytest.raises(GraphError) as exc:
@@ -1459,15 +1370,13 @@ def test_variable_indices_are_checked():
 
 
 def test_superform_inputs_take_ints_as_fractions():
-    """An int coefficient, coordinate, map entry, scale factor or box
-    end is taken as the Fraction it is."""
+    """An int coefficient, coordinate, map entry or scale factor is taken
+    as the Fraction it is."""
     x = Poly.var(1, 0)
     assert Poly(1, {(1,): 2, (0,): F(1, 2)}) == 2 * x + Poly.const(1, F(1, 2))
     f = AffineMap.of([[1, 2]], [3])
     assert {type(v) for v in (*f.matrix[0], *f.translation)} == {F}
     assert type(x.eval([3])) is F and x.eval([3]) == 3
-    assert type(x.integrate_box([(0, 1)])) is F
-    assert x.integrate_box([(0, 1)]) == F(1, 2)
     verdict = is_positive_11(hessian_form(-x * x), [(1,)])
     assert verdict.violations == ((1,),)
     assert type(verdict.violations[0][0]) is F
