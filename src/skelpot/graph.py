@@ -33,6 +33,12 @@ def exact(x, where: str, *keys) -> Fraction:
                      "Fraction")
 
 
+def _count(n, name: str) -> None:
+    """Raise ValueError naming n unless it is an int (not a bool) >= 1."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{name} must be >= 1, not {n!r}")
+
+
 def require_shape(ok: bool, where: str, shape: str) -> None:
     """Raise GraphError `<where> must be <shape>` unless ok."""
     if not ok:

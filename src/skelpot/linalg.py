@@ -153,18 +153,19 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
 def is_psd_exact(a: list[list[Fraction]]) -> bool:
     """Exact positive-semidefiniteness of a symmetric rational matrix.
 
-    The matrix must be square and symmetric (`ValueError` otherwise).
-    Its entries are wrapped in `Fraction` and it is scaled to integers
-    by the positive lcm of their denominators, which keeps the verdict;
-    `_psd` then tests the integer matrix."""
+    A must be a list of n rows of n entries each and symmetric, and each
+    entry must pass graph.exact (`ValueError` otherwise).  It is scaled
+    to integers by the positive lcm of the entries' denominators, which
+    keeps the verdict; `_psd` then tests the integer matrix."""
+    if not isinstance(a, list):
+        raise ValueError(f"A is not a list: {a!r}")
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
-    m = [[Fraction(x) for x in row] for row in a]
-    for i in range(n):
-        for j in range(i):
-            if m[i][j] != m[j][i]:
-                raise ValueError("matrix is not symmetric")
+    m = [[exact(x, "A[{}][{}]", i, j) for j, x in enumerate(row)]
+         for i, row in enumerate(a)]
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
     den = lcm(*(x.denominator for row in m for x in row))
     return _psd([[x.numerator * (den // x.denominator) for x in row]
                  for row in m])

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import EdgePoint, GraphPoint, Vertex
+from .graph import EdgePoint, GraphPoint, Vertex, _count
 from .pa_function import PAFunction
 from .potential import require_subharmonic
 
@@ -173,8 +173,7 @@ class RegularizationSequence:
         (4E(A + F) + 4T^2 + E^2) / (8 nd E).  A value equal to f by the
         term's rule is f's own pair object.
         """
-        if per_edge < 1:
-            raise ValueError(f"per_edge must be >= 1, not {per_edge!r}")
+        _count(per_edge, "per_edge")
         n = per_edge
         # every term has the same centers and cone; only eps differs
         centers, cone = self.terms[0].centers, self.terms[0].cone
@@ -239,8 +238,7 @@ def build_regularization(f: PAFunction,
     kept once, in term k, next to the patches' cones merged into one edge
     lookup.  Without peaks there are no patches and every term is f, eps 0.
     """
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, not {n_terms!r}")
+    _count(n_terms, "n_terms")
     measure = require_subharmonic(f)
 
     cuts = {eid: [o for o, _ in prof[1:-1]] for eid, prof in f.profiles.items()}
@@ -279,8 +277,7 @@ def build_regularization(f: PAFunction,
 
 def sample_points(f: PAFunction, per_edge: int = 32):
     """f's vertices and breakpoints, and a uniform grid on f's edges."""
-    if per_edge < 1:
-        raise ValueError(f"per_edge must be >= 1, not {per_edge!r}")
+    _count(per_edge, "per_edge")
     pts = list(f.breakpoints())
     for e in f.graph.edges:
         for i in range(1, per_edge):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from operator import add, mul
 
-from .graph import exact
+from .graph import _count, exact
 from .linalg import _psd
 from .rational import format_rational
 
@@ -39,6 +39,8 @@ class Poly:
     __slots__ = ("r", "nums", "den")
 
     def __init__(self, r: int, terms: dict | None = None):
+        if type(r) is not int:
+            raise ValueError(f"r must be an int, not {r!r}")
         coeffs = {}
         ints = (int,) * r           # a bool or a float is no exponent
         for exp, c in (terms or {}).items():
@@ -327,11 +329,11 @@ class SuperForm:
     """Bigraded (p, q) form; coeffs maps (I, J) to Poly."""
 
     def __init__(self, r: int, p: int, q: int, coeffs: dict | None = None):
+        if not (type(r) is type(p) is type(q) is int):
+            raise BidegreeError(f"r, p, q must be ints, not {(r, p, q)}")
         if not (0 <= p and 0 <= q):
             raise BidegreeError("negative bidegree")
-        self.r = r
-        self.p = p
-        self.q = q
+        self.r, self.p, self.q = r, p, q
         cs = {}
         for (i, j), poly in (coeffs or {}).items():
             i, j = tuple(i), tuple(j)
@@ -785,8 +787,7 @@ def _parse_poly_expr(tk: _Tok, r: int, term_only: bool = False) -> Poly:
 
 def parse_form(text: str, r: int) -> SuperForm:
     """Parse e.g. "(2*x1^2 + x2) d'x1 ^ d''x2"; terms joined by + or -."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, not {r!r}")
+    _count(r, "r")
     tk = _Tok(text)
     total = None
 

@@ -1,6 +1,7 @@
 """Differential tests of the exact kernels of the kinked pipeline: ddc,
-_slopes, the one-sweep Green oracle and the JSON form of a function, each
-against a copy of its plain form kept here as the reference.
+_slopes, the one-sweep Green oracle and the JSON form of a function.
+_slopes and the JSON form are checked against a plain form kept here,
+ddc and the Green oracle against the references in conftest.
 
 The functions are seeded: random and kinked subharmonic functions on
 random graphs, their promotions, self-loops, parallel edges, spoiled
@@ -13,16 +14,17 @@ and violation order included.
 import random
 from fractions import Fraction
 
-from skelpot import (DiscreteMeasure, Edge, EdgePoint, MetricGraph,
-                     PAFunction, Vertex, dirichlet_solve, format_rational,
-                     green, is_subharmonic_green, linear_combine)
+from skelpot import (Edge, EdgePoint, MetricGraph, PAFunction, Vertex,
+                     dirichlet_solve, format_rational, green,
+                     is_subharmonic_green, linear_combine)
 from skelpot.pa_function import _slopes
-from skelpot.potential import GreenVerdict
 from skelpot.randgen import (random_boundary_values, random_graph,
                              random_non_subharmonic, random_pa_function,
                              random_subharmonic)
 
-from conftest import graph_from, kinked_subharmonic, pa
+from conftest import (graph_from, kinked_subharmonic, looped_function, pa,
+                      reference_ddc, sampled_green_verdict,
+                      with_collinear_breakpoints)
 
 
 F = Fraction
@@ -44,44 +46,6 @@ def _ref_slopes(prof):
     return out
 
 
-def _ref_ddc(f):
-    masses = dict.fromkeys(f.graph.vertices, Fraction(0))
-    kinks = []
-    for e in f.graph.edges:
-        prof = f.profiles[e.id]
-        slopes = _ref_slopes(prof)
-        masses[e.u] += slopes[0]
-        masses[e.v] -= slopes[-1]
-        for (o, _), s1, s2 in zip(prof[1:-1], slopes, slopes[1:]):
-            if s1 != s2:
-                kinks.append((EdgePoint(e.id, o), s2 - s1))
-    return DiscreteMeasure(tuple(
-        [(Vertex(v), m) for v, m in masses.items() if m] + kinks))
-
-
-def _ref_green(f):
-    g = f.graph
-    weighted = {v: Fraction(0) for v in g.vertices if v not in g.boundary}
-    conductance = dict(weighted)
-    edge_bad = []
-    for e in g.edges:
-        prof = f.profiles[e.id]
-        (o_u, v_u), (o_v, v_v) = prof[1], prof[-2]
-        for vid, v, d in ((e.u, v_u, o_u), (e.v, v_v, e.length - o_v)):
-            if vid in weighted:
-                weighted[vid] += v / d
-                conductance[vid] += 1 / d
-        for (o1, v1), (o2, v2), (o3, v3) in zip(prof, prof[1:], prof[2:]):
-            d1, d2 = o2 - o1, o3 - o2
-            val = ((v1 * d2 + v3 * d1) / (d1 + d2) - v2) / 2
-            if val < 0:
-                edge_bad.append((EdgePoint(e.id, o2), val))
-    bad = [(Vertex(vid), val) for vid, w in weighted.items()
-           if (val := (w / conductance[vid] - f.vertex_value(vid)) / 2) < 0]
-    bad += edge_bad
-    return GreenVerdict(not bad, tuple(bad))
-
-
 def _to_json_dict_ref(f):
     """The JSON form with every length and breakpoint formatted on its
     own."""
@@ -97,28 +61,6 @@ def _to_json_dict_ref(f):
 
 
 # -- the seeded functions ---------------------------------------------------
-
-
-def _looped(rng):
-    """Kinked function on c with a boundary edge to b and one or two
-    self-loops at c, which are parallel edges too."""
-    fc = F(rng.randint(-9, 9), rng.randint(1, 5))
-    edges, profiles = [], {}
-    for i in range(rng.randint(2, 3)):
-        length = F(rng.randint(1, 40), rng.randint(1, 9))
-        offs = sorted({length * F(rng.randint(1, 99), 100)
-                       for _ in range(rng.randint(0, 3))})
-        prof = [(o, F(rng.randint(-9, 9), rng.randint(1, 5)))
-                for o in [F(0)] + offs + [length]]
-        prof[0] = (F(0), fc)
-        u, v = ("c", "b") if i == 0 else ("c", "c")
-        if i:
-            prof[-1] = (length, fc)
-        edges.append({"id": f"s{i}", "u": u, "v": v, "len": str(length)})
-        profiles[f"s{i}"] = prof
-    g = graph_from({"vertices": ["b", "c"], "edges": edges,
-                    "boundary": ["b"]})
-    return pa(g, profiles)
 
 
 def _parallel(rng):
@@ -164,20 +106,9 @@ def _decimal_candidate(rng, f):
                                       "profiles": profiles})
 
 
-def _collinear(f):
-    """f with a breakpoint added at a third of every piece."""
-    profiles = {}
-    for eid, prof in f.profiles.items():
-        new = [prof[0]]
-        for (o1, v1), (o2, v2) in zip(prof, prof[1:]):
-            new += [(o1 + (o2 - o1) / 3, v1 + (v2 - v1) / 3), (o2, v2)]
-        profiles[eid] = new
-    return PAFunction(f.graph, profiles)
-
-
 def _functions(seed):
     rng = random.Random(seed)
-    out = [_looped(rng) for _ in range(15)]
+    out = [looped_function(rng) for _ in range(15)]
     out += [_parallel(rng) for _ in range(15)]
     for _ in range(15):
         g = random_graph(rng, max_vertices=8, max_edges=12)
@@ -194,7 +125,7 @@ def _functions(seed):
             tent = green(g, EdgePoint(e.id, e.length / 2)).result
             out.append(_decimal_candidate(rng, linear_combine(
                 [(F(1), kinked), (F(rng.randint(1, 9), 4), tent)])))
-    return out + [_collinear(f) for f in out[::3]]
+    return out + [with_collinear_breakpoints(f) for f in out[::3]]
 
 
 # -- the tests --------------------------------------------------------------
@@ -221,7 +152,7 @@ def test_ddc_equals_reference():
     kinks = negative = 0
     for f in _functions(2202):
         measure = f.ddc()
-        assert measure == _ref_ddc(f)
+        assert measure == reference_ddc(f)
         assert _all_fractions(measure.support)
         kinks += sum(isinstance(p, EdgePoint) for p, _ in measure.support)
         negative += not f.is_subharmonic_slope().ok
@@ -234,7 +165,7 @@ def test_green_oracle_equals_reference():
     at_vertex = at_edge = passed = 0
     for f in _functions(2203):
         verdict = is_subharmonic_green(f)
-        assert verdict == _ref_green(f)
+        assert verdict == sampled_green_verdict(f)
         assert _all_fractions(verdict.violations)
         at_vertex += any(isinstance(p, Vertex) for p, _ in verdict.violations)
         at_edge += any(isinstance(p, EdgePoint)
@@ -263,8 +194,8 @@ def test_kernels_on_large_numerators():
             profiles["e"][-1] = (F(1), fb)
             profiles["f"][0] = (F(0), fb)
             f = pa(g, profiles)
-            assert f.ddc() == _ref_ddc(f)
-            assert is_subharmonic_green(f) == _ref_green(f)
+            assert f.ddc() == reference_ddc(f)
+            assert is_subharmonic_green(f) == sampled_green_verdict(f)
             for prof in f.profiles.values():
                 assert _slopes(prof) == _ref_slopes(prof)
 

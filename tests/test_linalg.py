@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from skelpot import (EdgePoint, MetricGraph, SingularMatrixError, Vertex,
-                     dirichlet_solve, green, is_psd_exact, solve_exact)
+from skelpot import (EdgePoint, SingularMatrixError, Vertex, dirichlet_solve,
+                     green, is_psd_exact, solve_exact)
 from skelpot import potential
 from skelpot.checks import psd_minor_oracle
-from skelpot.graph import Edge
 from skelpot.randgen import random_graph
+
+from conftest import chained_grid
 
 
 F = Fraction
@@ -246,28 +247,6 @@ def test_solve_leaves_its_arguments_alone():
                 pass
         assert (a, dense, b) == before
 
-def _chained_grid(rng, k, chain):
-    """k x k grid, every grid edge split into `chain` edges of random
-    rational length; boundary = first row and first column."""
-    vertices = [f"g{i}_{j}" for i in range(k) for j in range(k)]
-    edges = []
-    for i in range(k):
-        for j in range(k):
-            for a, b in ((i + 1, j), (i, j + 1)):
-                if a == k or b == k:
-                    continue
-                prev = f"g{i}_{j}"
-                for c in range(chain):
-                    nxt = (f"g{a}_{b}" if c == chain - 1
-                           else f"c{len(edges)}")
-                    if c < chain - 1:
-                        vertices.append(nxt)
-                    edges.append(Edge(f"e{len(edges)}", prev, nxt,
-                                      F(rng.randint(1, 30), rng.randint(1, 7))))
-                    prev = nxt
-    boundary = [f"g0_{j}" for j in range(k)] + [f"g{i}_0" for i in range(k)]
-    return MetricGraph(vertices, edges, boundary)
-
 
 def test_laplacian_systems_and_green_masses(monkeypatch):
     """Dirichlet Laplacians of random graphs and chained grids: the solve
@@ -284,7 +263,7 @@ def test_laplacian_systems_and_green_masses(monkeypatch):
     monkeypatch.setattr(potential, "solve_exact", recording)
     rng = random.Random(4)
     graphs = [random_graph(rng) for _ in range(25)]
-    graphs += [_chained_grid(rng, k, 3) for k in (2, 3, 4)]
+    graphs += [chained_grid(rng, k, 3) for k in (2, 3, 4)]
     graphs = [g for g in graphs if g.is_connected()]
     assert len(graphs) >= 20
     for g in graphs:
@@ -320,7 +299,7 @@ def test_grid_solves_have_the_core_size(monkeypatch, k, chain, size):
         return solve_exact(a, b)
 
     monkeypatch.setattr(potential, "solve_exact", counted)
-    g = _chained_grid(random.Random(20 + k), k, chain)
+    g = chained_grid(random.Random(20 + k), k, chain)
     edge = g.edges[-1]
     dirichlet_solve(g, dict.fromkeys(g.boundary, 1))
     green(g, Vertex("g1_1"))
@@ -406,6 +385,23 @@ def test_psd_rejects_ragged_rows():
     for m in ([[1, 2], [3]], [[1], [2, 3]]):
         with pytest.raises(ValueError, match="not square"):
             is_psd_exact(m)
+
+
+@pytest.mark.parametrize("a, message", [
+    ([[0.1]], "A[0][0] 0.1 is not an int or a Fraction"),
+    ([["1/2"]], "A[0][0] '1/2' is not an int or a Fraction"),
+    ([[True]], "A[0][0] True is not an int or a Fraction"),
+    ([[None]], "A[0][0] None is not an int or a Fraction"),
+    ([[1, 0], [0, 2.0]], "A[1][1] 2.0 is not an int or a Fraction"),
+    (5, "A is not a list: 5"), (((1,),), "A is not a list: ((1,),)")],
+    ids=["float", "str", "bool", "None", "float-at-1-1", "int",
+         "tuple"])
+def test_psd_refuses_an_a_or_entry_that_is_not_exact(a, message):
+    """is_psd_exact reads every entry through graph.exact, as
+    solve_exact does, with its place named."""
+    with pytest.raises(ValueError) as exc:
+        is_psd_exact(a)
+    assert str(exc.value) == message
 
 
 def test_solve_rejects_dense_row_of_wrong_length():

@@ -15,8 +15,8 @@ from skelpot.rational import parse_rational
 from skelpot.randgen import (random_boundary_values, random_graph,
                              random_pa_function)
 
-from conftest import graph_from, pa, roundtrip_json
-from test_potential import _seeded_functions as looped_and_kinked_functions
+from conftest import (graph_from, looped_and_kinked_functions, pa,
+                      reference_ddc, roundtrip_json, with_collinear_breakpoints)
 
 
 F = Fraction
@@ -178,34 +178,6 @@ def test_ddc_linearity(path3):
     assert lhs == rhs
 
 
-def _reference_ddc(f):
-    """ddc as the sum of every edge end's outgoing slope and every
-    breakpoint's kink, gathered and sorted by the DiscreteMeasure
-    constructor."""
-    pairs = []
-    for e in f.graph.edges:
-        prof = f.profiles[e.id]
-        slopes = [(v2 - v1) / (o2 - o1)
-                  for (o1, v1), (o2, v2) in zip(prof, prof[1:])]
-        pairs.append((Vertex(e.u), slopes[0]))
-        pairs.append((Vertex(e.v), -slopes[-1]))
-        for i, (o, _) in enumerate(prof[1:-1], start=1):
-            pairs.append((EdgePoint(e.id, o), slopes[i] - slopes[i - 1]))
-    return DiscreteMeasure(pairs)
-
-
-def _with_collinear_breakpoints(f):
-    """f with a breakpoint added at a third of every piece: the same
-    function, with a zero kink at each new breakpoint."""
-    profiles = {}
-    for eid, prof in f.profiles.items():
-        new = [prof[0]]
-        for (o1, v1), (o2, v2) in zip(prof, prof[1:]):
-            new += [(o1 + (o2 - o1) / 3, v1 + (v2 - v1) / 3), (o2, v2)]
-        profiles[eid] = new
-    return PAFunction(f.graph, profiles)
-
-
 def test_ddc_equals_sorted_reference():
     """The sort-free ddc is the reference measure, support order
     included, on self-loops, parallel edges, random and kinked functions,
@@ -214,8 +186,8 @@ def test_ddc_equals_sorted_reference():
     kinks = 0
     for f in functions:
         measure = f.ddc()
-        assert measure == _reference_ddc(f)
-        assert _with_collinear_breakpoints(f).ddc() == measure
+        assert measure == reference_ddc(f)
+        assert with_collinear_breakpoints(f).ddc() == measure
         kinks += sum(isinstance(p, EdgePoint) for p, _ in measure.support)
     assert kinks > 100
 
@@ -226,7 +198,7 @@ def test_ddc_drops_cancelled_vertex_mass(path3):
     line = pa(path3, {"e0": [(0, 0), (F(1, 2), 1), (1, 2)],
                       "e1": [(0, 2), (1, 4)]})
     assert line.ddc().support == ((Vertex("a"), 2), (Vertex("c"), -2))
-    assert line.ddc() == _reference_ddc(line)
+    assert line.ddc() == reference_ddc(line)
     g = graph_from({"vertices": ["a", "b"],
                     "edges": [{"id": "s", "u": "a", "v": "b", "len": "1"},
                               {"id": "t", "u": "b", "v": "b", "len": "2"}],
@@ -234,7 +206,7 @@ def test_ddc_drops_cancelled_vertex_mass(path3):
     looped = pa(g, {"s": [(0, -1), (1, 1)], "t": [(0, 1), (1, 2), (2, 1)]})
     assert looped.ddc().support == ((Vertex("a"), 2),
                                     (EdgePoint("t", F(1)), -2))
-    assert looped.ddc() == _reference_ddc(looped)
+    assert looped.ddc() == reference_ddc(looped)
 
 
 def test_slopes_equal_difference_quotients():

@@ -1,9 +1,10 @@
 """The package as a whole: the names `skelpot` exports, written out so
 that an addition or a removal shows in review, no import in the sources
-or the tests that nothing reads, and no float in the library outside
-the definitions that round or test with floats, no coercion to a
-Fraction outside the definitions written down for it, and one point rule
-for every public callable that takes a point or a direction."""
+or the tests that nothing reads, no test module that imports another,
+and no float in the library outside the definitions that round or test
+with floats, no coercion to a Fraction outside the definitions written
+down for it, one point rule for every public callable that takes a
+point or a direction, and one rule for counts and degrees."""
 
 import ast
 import importlib
@@ -20,7 +21,9 @@ from skelpot.graph import (Edge, EdgePoint, GraphError, GraphPoint,
                            MetricGraph, TangentDirection, Vertex)
 from skelpot.pa_function import DiscreteMeasure, PAFunction
 from skelpot.potential import dirichlet_solve
-from skelpot.regularize import RegularizationTerm, build_regularization
+from skelpot.regularize import (RegularizationTerm, build_regularization,
+                                sample_points)
+from skelpot.superforms import BidegreeError, Poly, SuperForm, parse_form
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -57,6 +60,8 @@ PRIVATE_IMPORTS = [
     "potential <- pa_function._slope_measure",
     "potential <- pa_function._slope_pairs",
     "rationalize <- pa_function._slopes",
+    "regularize <- graph._count",
+    "superforms <- graph._count",
     "superforms <- linalg._psd",
 ]
 
@@ -121,6 +126,25 @@ def _unread_imports(path: pathlib.Path) -> list[str]:
             for name, line in imported.items() if name not in read]
 
 
+def test_test_modules_import_no_other_test_module():
+    """Shared helpers and references live in conftest, so that a kernel
+    has one reference: no tests/test_*.py imports another test module."""
+    tests = sorted((ROOT / "tests").glob("test_*.py"))
+    modules = {p.stem for p in tests}
+    hits = []
+    for p in tests:
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            else:
+                continue
+            hits += [f"{p.name}:{node.lineno}: {name}" for name in names
+                     if modules & set(name.split("."))]
+    assert hits == []
+
+
 def test_no_unread_imports():
     """The package's __init__ imports only to export, so it is left out."""
     sources = [p for p in sorted((ROOT / "src" / "skelpot").glob("*.py"))
@@ -164,10 +188,10 @@ def test_floats_only_where_values_are_rounded():
 # definitions that may call Fraction(x) on one argument that is not a
 # literal: the gate every caller's number passes (graph.exact), the graph
 # constructor, which lists every fault of a graph in one message, the
-# reader and printer of rational literals, the smooth maxes, which work
-# over any ordered field, and is_psd_exact, which keeps its own rule
+# reader and printer of rational literals, and the smooth maxes, which
+# work over any ordered field
 COERCIONS = {
-    "graph.exact", "graph.MetricGraph.__init__", "linalg.is_psd_exact",
+    "graph.exact", "graph.MetricGraph.__init__",
     "rational.parse_rational", "rational.format_rational",
     "regularize.theta", "regularize.smooth_max_n",
 }
@@ -288,3 +312,38 @@ def test_every_point_parameter_refuses_a_non_point(bad):
             assert str(exc.value) in (
                 f"{bad!r} is not a Vertex or an EdgePoint",
                 f"{bad!r} is not a TangentDirection"), name
+
+
+COUNT_CASES = {
+    "n_terms-float": (lambda f: build_regularization(f, 1.5), ValueError,
+                      "n_terms must be >= 1, not 1.5"),
+    "n_terms-str": (lambda f: build_regularization(f, "3"), ValueError,
+                    "n_terms must be >= 1, not '3'"),
+    "n_terms-bool": (lambda f: build_regularization(f, True), ValueError,
+                     "n_terms must be >= 1, not True"),
+    "sample_points": (lambda f: sample_points(f, 2.5), ValueError,
+                      "per_edge must be >= 1, not 2.5"),
+    "sample": (lambda f: build_regularization(f, 1).sample(2.5), ValueError,
+               "per_edge must be >= 1, not 2.5"),
+    "parse_form-float": (lambda f: parse_form("x1", 1.5), ValueError,
+                         "r must be >= 1, not 1.5"),
+    "parse_form-str": (lambda f: parse_form("x1", "2"), ValueError,
+                       "r must be >= 1, not '2'"),
+    "Poly": (lambda f: Poly(1.5, {}), ValueError,
+             "r must be an int, not 1.5"),
+    "SuperForm-p": (lambda f: SuperForm(2, 1.5, 0), BidegreeError,
+                    "r, p, q must be ints, not (2, 1.5, 0)"),
+    "SuperForm-r": (lambda f: SuperForm(None, 0, 0), BidegreeError,
+                    "r, p, q must be ints, not (None, 0, 0)"),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_CASES)
+def test_counts_and_degrees_that_are_not_ints_are_refused(case):
+    """A count (terms, samples per edge, dimension) or a degree that is
+    not an int, a bool included, raises a typed error naming it."""
+    call, error, message = COUNT_CASES[case]
+    g = MetricGraph(["a", "b"], [Edge("e", "a", "b", 1)], ["a", "b"])
+    with pytest.raises(error) as exc:
+        call(dirichlet_solve(g, {"a": 0, "b": 1}))
+    assert str(exc.value) == message

@@ -10,16 +10,16 @@ from skelpot import (EdgePoint, GraphError, MetricGraph, NotHarmonicError,
                      evaluation_formula_check, green, green_to_json_dict,
                      integrate, is_subharmonic_green, linear_combine,
                      local_green_pairing, maximum_principle_check, poisson)
-from skelpot.graph import Edge, exact, point_sort_key
+from skelpot.graph import Edge, exact
 from skelpot.linalg import solve_exact
 from skelpot.pa_function import DiscreteMeasure
-from skelpot.potential import (GreenFunction, GreenVerdict,
-                               _check_dirichlet_pre, _solve_laplacian)
-from test_linalg import _chained_grid
+from skelpot.potential import (GreenFunction, _check_dirichlet_pre,
+                               _solve_laplacian)
 from skelpot.randgen import (random_boundary_values, random_graph,
                              random_pa_function, random_subharmonic)
 
-from conftest import graph_from, kinked_subharmonic, pa
+from conftest import (chained_grid, graph_from, looped_and_kinked_functions,
+                      pa, sampled_green_verdict)
 
 
 F = Fraction
@@ -291,47 +291,6 @@ def _arm_length(f, base, edge_id, toward_v):
     return (base_off - prv) / 2
 
 
-def _reference_pairing(f, x):
-    """The local pairing evaluated at the arm ends: sum_i w_i f(end_i) -
-    f(x) with w_i = (1/a_i) / sum_j (1/a_j), arms found by scanning."""
-    g = f.graph
-    ends = []
-    for d in g.star(x):
-        arm = _arm_length(f, x, d.edge, d.toward_v)
-        if isinstance(x, Vertex):
-            base = F(0) if d.toward_v else g.edge(d.edge).length
-        else:
-            base = x.offset
-        ends.append((1 / arm, EdgePoint(d.edge, base + arm if d.toward_v
-                                        else base - arm)))
-    total_conductance = sum(c for c, _ in ends)
-    return sum(c * f.eval(p) for c, p in ends) / total_conductance - f.eval(x)
-
-
-def _looped_function(rng):
-    """Random kinked PA function on a vertex c with one boundary edge to
-    b and one or two self-loops at c."""
-    fc = F(rng.randint(-9, 9), rng.randint(1, 5))
-    edges, profiles = [], {}
-    for i in range(rng.randint(1, 2) + 1):
-        length = F(rng.randint(1, 40), rng.randint(1, 9))
-        offs = sorted({length * F(rng.randint(1, 99), 100)
-                       for _ in range(rng.randint(0, 3))})
-        prof = [(o, F(rng.randint(-9, 9), rng.randint(1, 5)))
-                for o in [F(0)] + offs + [length]]
-        if i == 0:
-            edges.append({"id": "s", "u": "c", "v": "b", "len": str(length)})
-            prof[0] = (F(0), fc)
-        else:
-            edges.append({"id": f"loop{i}", "u": "c", "v": "c",
-                          "len": str(length)})
-            prof[0], prof[-1] = (F(0), fc), (length, fc)
-        profiles[edges[-1]["id"]] = prof
-    g = graph_from({"vertices": ["b", "c"], "edges": edges,
-                    "boundary": ["b"]})
-    return pa(g, profiles)
-
-
 def _poles(rng, f):
     """Interior vertices, every interior breakpoint, every edge midpoint
     and one random point per edge."""
@@ -344,54 +303,27 @@ def _poles(rng, f):
     return poles
 
 
-def _seeded_functions(rng):
-    """40 functions with self-loops, then random and kinked subharmonic
-    functions on random graphs."""
-    functions = [_looped_function(rng) for _ in range(40)]
-    for _ in range(20):
-        g = random_graph(rng, max_vertices=7, max_edges=10)
-        functions.append(random_pa_function(rng, g))
-        if any(v not in g.boundary for v in g.vertices):
-            functions.append(kinked_subharmonic(rng, g))
-    return functions
-
-
 def test_pairing_equals_arm_end_reference():
-    """The bisecting pairing is the same Fraction as the pairing read off
-    at the arm ends, on vertex poles (self-loops included), kinks,
-    midpoints and random edge points."""
+    """The bisecting pairing is the same Fraction as a Green solve on the
+    star of arms that end half way to the next breakpoint, on vertex
+    poles (self-loops included), kinks, midpoints and random edge
+    points."""
     rng = random.Random(5)
-    functions = _seeded_functions(rng)
+    functions = looped_and_kinked_functions(rng)
     poles = 0
     for f in functions:
         for x in _poles(rng, f):
-            assert local_green_pairing(f, x) == _reference_pairing(f, x)
+            assert local_green_pairing(f, x) == _star_green_pairing(f, x)
             poles += 1
     assert poles > 1000
-
-
-def _sampled_green_verdict(f):
-    """The Green oracle's verdict over interior vertices, interior
-    breakpoints and every edge midpoint that is not a breakpoint."""
-    g = f.graph
-    sample = [Vertex(v) for v in g.vertices if v not in g.boundary]
-    for e in g.edges:
-        offsets = [o for o, _ in f.profiles[e.id]]
-        sample += [EdgePoint(e.id, o) for o in offsets[1:-1]]
-        if e.length / 2 not in offsets:
-            sample.append(EdgePoint(e.id, e.length / 2))
-    bad = [(x, val) for x in sample
-           if (val := local_green_pairing(f, x)) < 0]
-    bad.sort(key=lambda pv: point_sort_key(pv[0]))
-    return GreenVerdict(not bad, tuple(bad))
 
 
 def test_green_oracle_equals_sampled_verdict():
     """Poles at the breakpoints of f give the verdict and the violations,
     in order, of a sample that adds the edge midpoints."""
-    functions = _seeded_functions(random.Random(5))
+    functions = looped_and_kinked_functions(random.Random(5))
     verdicts = [is_subharmonic_green(f) for f in functions]
-    assert verdicts == [_sampled_green_verdict(f) for f in functions]
+    assert verdicts == [sampled_green_verdict(f) for f in functions]
     assert 0 < sum(v.ok for v in verdicts) < len(verdicts)
 
 
@@ -761,7 +693,7 @@ def test_core_solve_matches_the_uncontracted_solve_on_chained_grids():
     solve with an unknown at every interior vertex."""
     rng = random.Random(37)
     for k, chain in [(2, 3), (3, 2), (4, 3), (5, 3)]:
-        g = _chained_grid(rng, k, chain)
+        g = chained_grid(rng, k, chain)
         interior = [v for v in g.vertices if v not in g.boundary]
         bv = {v: F(rng.randint(-9, 9), rng.randint(1, 5)) for v in g.boundary}
         for n in (0, 1, 3):

@@ -16,17 +16,8 @@ F = Fraction
 # rationalize: snapping + certificate
 # ---------------------------------------------------------------------------
 
-def _path3():
-    return graph_from({
-        "vertices": ["a", "b", "c"],
-        "edges": [{"id": "e0", "u": "a", "v": "b", "len": 1},
-                  {"id": "e1", "u": "b", "v": "c", "len": 1}],
-        "boundary": ["a", "c"],
-    })
-
-
-def test_already_rational_is_fixed_point():
-    g = _path3()
+def test_already_rational_is_fixed_point(path3):
+    g = path3
     # f peaked at b; G = exact Green function for pole b (kink-free here).
     f = pa(g, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})
     g_in = green(g, Vertex("b")).result
@@ -38,8 +29,8 @@ def test_already_rational_is_fixed_point():
     assert all(entry["pass"] for entry in cert.checks.values())
 
 
-def test_perturbed_values_snap_back():
-    g = _path3()
+def test_perturbed_values_snap_back(path3):
+    g = path3
     f = pa(g, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})
     exact = green(g, Vertex("b")).result
     noise = F(3, 10**7)
@@ -72,8 +63,8 @@ def test_perturbed_kink_offset_snaps():
     assert cert.pairing < 0
 
 
-def test_interior_positivity_enforced_on_tiny_values():
-    g = _path3()
+def test_interior_positivity_enforced_on_tiny_values(path3):
+    g = path3
     f = pa(g, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})
     # Positive but below the snapping grid: must be bumped to 1/max_den,
     # never rounded down to 0.
@@ -84,8 +75,8 @@ def test_interior_positivity_enforced_on_tiny_values():
     assert cert.checks["interior_positive"]["pass"]
 
 
-def test_nonpositive_interior_witnesses_are_point_json():
-    g = _path3()
+def test_nonpositive_interior_witnesses_are_point_json(path3):
+    g = path3
     f = pa(g, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})
     g_in = pa(g, {"e0": [(0, 0), (F(1, 2), F(-1, 3)), (1, F(1, 2))],
                   "e1": [(0, F(1, 2)), (1, 0)]})
@@ -94,8 +85,8 @@ def test_nonpositive_interior_witnesses_are_point_json():
                      "witnesses": [{"edge": "e0", "offset": "1/2"}]}
 
 
-def test_boundary_pinned_to_zero():
-    g = _path3()
+def test_boundary_pinned_to_zero(path3):
+    g = path3
     f = pa(g, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})
     g_in = pa(g, {"e0": [(0, F(1, 10**7)), (1, F(1, 2))],
                   "e1": [(0, F(1, 2)), (1, -F(1, 10**7))]})
@@ -105,8 +96,8 @@ def test_boundary_pinned_to_zero():
     assert cert.checks["boundary_zero"]["pass"]
 
 
-def test_positive_pairing_yields_not_ok():
-    g = _path3()
+def test_positive_pairing_yields_not_ok(path3):
+    g = path3
     # f is a valley at b: pairing against the Green kink is positive.
     f = pa(g, {"e0": [(0, 0), (1, -1)], "e1": [(0, -1), (1, 0)]})
     g_in = green(g, Vertex("b")).result
@@ -130,8 +121,8 @@ def test_tol_too_coarse_raises():
         rationalize(f, g_in, F(1, 10))
 
 
-def test_certificate_checks_are_rederivable():
-    g = _path3()
+def test_certificate_checks_are_rederivable(path3):
+    g = path3
     f = pa(g, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})
     g_in = green(g, Vertex("b")).result
     cert = rationalize(f, g_in, F(1, 100))
@@ -144,8 +135,8 @@ def test_certificate_checks_are_rederivable():
     assert set(blob) == {"ok", "pairing", "pairing_input", "checks", "output"}
 
 
-def test_verdict_is_the_and_of_every_check():
-    g = _path3()
+def test_verdict_is_the_and_of_every_check(path3):
+    g = path3
     peak = pa(g, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})
     valley = pa(g, {"e0": [(0, 0), (1, -1)], "e1": [(0, -1), (1, 0)]})
     half = F(1, 2) + F(7, 10**7)
@@ -169,8 +160,8 @@ def test_verdict_is_the_and_of_every_check():
     assert verdicts == {True, False}
 
 
-def test_continuity_bound_recorded():
-    g = _path3()
+def test_continuity_bound_recorded(path3):
+    g = path3
     f = pa(g, {"e0": [(0, 0), (1, 1)], "e1": [(0, 1), (1, 0)]})
     noise = F(7, 10**7)
     g_in = pa(g, {"e0": [(0, 0), (1, F(1, 2) + noise)],

@@ -15,10 +15,10 @@ from skelpot.graph import GraphError
 from skelpot.linalg import is_psd_exact
 from skelpot.superforms import (MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT,
                                 AffineMap, BidegreeError, FormParseError,
-                                Poly, SuperForm, _insert_sign, d_prime,
-                                d_second, format_form, format_poly,
-                                hessian_form, is_positive_11,
-                                j_involution, parse_form, pullback, wedge)
+                                Poly, SuperForm, d_prime, d_second,
+                                format_form, format_poly, hessian_form,
+                                is_positive_11, j_involution, parse_form,
+                                pullback, wedge)
 
 F = Fraction
 
@@ -453,24 +453,13 @@ def test_hessian_form_is_d_prime_of_d_second():
 # fast evaluation path against a per-entry reference
 # ---------------------------------------------------------------------------
 
-def _value_ref(poly, pt):
-    """Value at pt, term by term, sharing nothing with the library."""
-    acc = F(0)
-    for e, c in poly.terms.items():
-        term = c
-        for x, k in zip(pt, e):
-            term *= F(x) ** k
-        acc += term
-    return acc
-
-
 def _positivity_ref(alpha, points):
     """is_positive_11 evaluated entry by entry on all r^2 entries."""
     r = alpha.r
     zero = Poly(r, {})
     bad = []
     for pt in points:
-        mat = [[_value_ref(alpha.coeffs.get(((i,), (j,)), zero), pt)
+        mat = [[_ref_eval(alpha.coeffs.get(((i,), (j,)), zero).terms, pt)
                 for j in range(r)] for i in range(r)]
         if not is_psd_exact(mat):
             bad.append(tuple(F(x) for x in pt))
@@ -716,7 +705,7 @@ def test_poly_eval_matches_reference():
         pt = [rng.choice([rng.randint(-3, 3), F(rng.randint(-7, 7), 3)])
               for _ in range(r)]
         got = poly.eval(pt)
-        assert type(got) is F and got == _value_ref(poly, pt)
+        assert type(got) is F and got == _ref_eval(poly.terms, pt)
     assert type(Poly(2, {}).eval([1, 2])) is F
 
 
@@ -1213,30 +1202,8 @@ def test_results_are_in_canonical_form():
                 _assert_canonical(poly)
 
 
-def _differential_ref(alpha, second):
-    """d' (with second, d'') one Poly at a time: each coefficient's
-    derivative through Poly.diff, signed by Poly * int and added to its
-    key with Poly +."""
-    cross = (-1) ** alpha.p if second else 1
-    cs = {}
-    for (i, j), poly in alpha.coeffs.items():
-        for k in range(alpha.r):
-            dp = poly.diff(k)
-            if dp.is_zero():
-                continue
-            ins = _insert_sign(k, j if second else i)
-            if ins is None:
-                continue
-            sign, block = ins
-            key = (i, block) if second else (block, j)
-            add = dp * (sign * cross)
-            cs[key] = cs[key] + add if key in cs else add
-    p, q = (alpha.p, alpha.q + 1) if second else (alpha.p + 1, alpha.q)
-    return SuperForm._of(alpha.r, p, q, cs)
-
-
 def test_differentials_match_per_coefficient_reference():
-    """d' and d'' on R^1..R^4 against the per-coefficient reference: one
+    """d' and d'' on R^1..R^4 against the dict-of-Fraction reference: one
     to four coefficients over denominators up to 10^6, whose outputs
     often share keys, plus where the bidegree allows an exact part d'b
     (d''b), whose contributions cancel; every output coefficient is
@@ -1270,7 +1237,7 @@ def test_differentials_match_per_coefficient_reference():
                     b[k] = _ref_add(b.get(k, {}), t)
             alpha = SuperForm(r, p, q, {k: Poly(r, t) for k, t in b.items()})
             got = (d_second if second else d_prime)(alpha)
-            assert got == _differential_ref(alpha, second)
+            assert _form_terms(got) == _ref_d(b, r, p, second)
             assert (got.p, got.q) == ((p, q + 1) if second else (p + 1, q))
             for poly in got.coeffs.values():
                 assert not poly.is_zero()
