@@ -37,7 +37,7 @@ from json.encoder import encode_basestring_ascii as _ascii
 from .graph import EdgePoint, GraphError, MetricGraph, Vertex, point_to_json
 from .pa_function import PAFunction
 from .potential import (NotSubharmonicError, dirichlet_solve, green,
-                        green_to_json_dict, is_subharmonic_green)
+                        is_subharmonic_green)
 from .rational import RationalParseError, format_rational, parse_once
 from .rationalize import RationalizationError, rationalize
 from .regularize import build_regularization
@@ -83,22 +83,27 @@ def _parse_point(text: str, g: MetricGraph):
 
 def _json(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for
-    dicts with str keys, lists, tuples, str, bool, None, int and float;
-    TypeError for any other type or key (the string encoder refuses a
-    key that is not a str).  With indent, json.dumps runs its pure-Python
-    encoder; this appends every piece of the text to one list, with the
-    C string encoder, and joins the list once."""
+    dicts with str keys, lists, tuples, str, bool, None, int and float,
+    with a PAFunction f (the function node) written as f.to_json_dict():
+    harmonic prints one, and green and rationalize put one where its
+    dict goes.  TypeError for any other type or key (the string encoder
+    refuses a key that is not a str).  With indent, json.dumps runs its
+    pure-Python encoder; this appends every piece of the text to one
+    list, with the C string encoder, and joins the list once."""
     out = []
     _write_json(obj, "\n", out.append)
     return "".join(out)
 
 
 def _write_json(obj, indent: str, write) -> None:
-    """Write the pieces of obj's text in _json, at the given indent."""
+    """Write the pieces of obj's text in _json, at the given indent; a
+    PAFunction is written by _write_function, without its dict."""
     if isinstance(obj, dict):
         items, ends = sorted(obj.items()), "{}"
     elif isinstance(obj, (list, tuple)):
         items, ends = obj, "[]"
+    elif isinstance(obj, PAFunction):
+        return _write_function(obj, indent, write)
     else:   # a str or a scalar; json.dumps refuses any other type
         write(_ascii(obj) if isinstance(obj, str) else json.dumps(obj))
         return
@@ -128,6 +133,40 @@ def _write_json(obj, indent: str, write) -> None:
     write(indent + ends[1])
 
 
+def _items(texts: list, indent: str, ends: str = "[]") -> str:
+    """The list (the object, with ends "{}") of the texts at indent."""
+    inner = indent + "  "
+    return (ends[0] + inner + ("," + inner).join(texts) + indent + ends[1]
+            if texts else ends)
+
+
+def _write_function(f: PAFunction, indent: str, write) -> None:
+    """Write f.to_json_dict()'s text in one pass over f's graph and
+    profiles, one f-string per edge and per [offset, value] pair, each
+    value object formatted once (by id, as to_json_dict does); a
+    rational's text needs no escape, so it is quoted as it is."""
+    g = f.graph
+    i1, i2, i3, i4 = (indent + "  " * k for k in range(1, 5))
+    text = {}
+
+    def fmt(x):     # the text of a value object not met before
+        return text.setdefault(id(x), format_rational(x))
+    edges, profiles = [], []
+    for e in g.edges:           # in id order, as sort_keys puts profiles
+        edges.append(f'{{{i4}"id": {_ascii(e.id)},{i4}"len": '
+                     f'"{text.get(id(e.length)) or fmt(e.length)}",'
+                     f'{i4}"u": {_ascii(e.u)},{i4}"v": {_ascii(e.v)}{i3}}}')
+        pairs = [f'[{i4}"{text.get(id(o)) or fmt(o)}",'
+                 f'{i4}"{text.get(id(v)) or fmt(v)}"{i3}]'
+                 for o, v in f.profiles[e.id]]
+        profiles.append(f"{_ascii(e.id)}: {_items(pairs, i2)}")
+    write(f'{{{i1}"graph": {{'
+          f'{i2}"boundary": {_items([*map(_ascii, sorted(g.boundary))], i2)},'
+          f'{i2}"edges": {_items(edges, i2)},'
+          f'{i2}"vertices": {_items([*map(_ascii, g.vertices)], i2)}{i1}}},'
+          f'{i1}"profiles": {_items(profiles, i1, "{}")}{indent}}}')
+
+
 def _emit(obj) -> None:
     sys.stdout.write(_json(obj) + "\n")
 
@@ -143,7 +182,9 @@ def cmd_ddc(args) -> int:
 
 def cmd_green(args) -> int:
     g = _load(args.graph, MetricGraph.from_json_dict)
-    _emit(green_to_json_dict(green(g, _parse_point(args.point, g))))
+    gf = green(g, _parse_point(args.point, g))
+    _emit({"pole": point_to_json(gf.pole), "function": gf.result,
+           "boundary_masses": gf.boundary_masses.to_json_list()})
     return 0
 
 
@@ -164,7 +205,7 @@ def cmd_harmonic(args) -> int:
             raise InputError(f"missing boundary values for {sorted(missing)}")
         return values
     # after both loads, so a fault of the graph is not blamed on the values
-    _emit(dirichlet_solve(g, _load(args.values, read_values)).to_json_dict())
+    _emit(dirichlet_solve(g, _load(args.values, read_values)))
     return 0
 
 
@@ -246,7 +287,9 @@ def cmd_rationalize(args) -> int:
     f = _load(args.f, PAFunction.from_json_dict)
     g_in = _load(args.g, PAFunction.from_json_dict)
     cert = rationalize(f, g_in, parse_once(args.tol, {}, "--tol"))
-    _emit(cert.to_json_dict())
+    _emit({"ok": cert.ok, "pairing": format_rational(cert.pairing),
+           "pairing_input": format_rational(cert.pairing_input),
+           "checks": cert.checks, "output": cert.output})
     return 0 if cert.ok else 1
 
 

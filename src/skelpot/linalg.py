@@ -153,15 +153,19 @@ def solve_exact(a: list[list[Fraction] | dict[int, Fraction]],
 def is_psd_exact(a: list[list[Fraction]]) -> bool:
     """Exact positive-semidefiniteness of a symmetric rational matrix.
 
-    A must be a list of n rows of n entries each and symmetric, and each
-    entry must pass graph.exact (`ValueError` otherwise).  It is scaled
-    to integers by the positive lcm of the entries' denominators, which
-    keeps the verdict; `_psd` then tests the integer matrix."""
+    A must be a list of n rows, each a list of n entries, and symmetric,
+    and each entry must pass graph.exact (`ValueError` otherwise).  It
+    is scaled to integers by the positive lcm of the entries'
+    denominators, which keeps the verdict; `_psd` then tests the integer
+    matrix."""
     if not isinstance(a, list):
         raise ValueError(f"A is not a list: {a!r}")
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
+    for i, row in enumerate(a):
+        if not isinstance(row, list):
+            raise ValueError(f"row {i} is not a list: {row!r}")
+        if len(row) != n:
+            raise ValueError("matrix is not square")
     m = [[exact(x, "A[{}][{}]", i, j) for j, x in enumerate(row)]
          for i, row in enumerate(a)]
     if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):

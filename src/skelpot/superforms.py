@@ -41,6 +41,8 @@ class Poly:
     def __init__(self, r: int, terms: dict | None = None):
         if type(r) is not int:
             raise ValueError(f"r must be an int, not {r!r}")
+        if r < 0:
+            raise ValueError(f"r must be >= 0, not {r}")
         coeffs = {}
         ints = (int,) * r           # a bool or a float is no exponent
         for exp, c in (terms or {}).items():
@@ -331,6 +333,8 @@ class SuperForm:
     def __init__(self, r: int, p: int, q: int, coeffs: dict | None = None):
         if not (type(r) is type(p) is type(q) is int):
             raise BidegreeError(f"r, p, q must be ints, not {(r, p, q)}")
+        if r < 0:
+            raise BidegreeError(f"r must be >= 0, not {r}")
         if not (0 <= p and 0 <= q):
             raise BidegreeError("negative bidegree")
         self.r, self.p, self.q = r, p, q

@@ -15,8 +15,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skelpot import GraphError, MetricGraph, PAFunction
+from skelpot import (Edge, EdgePoint, GraphError, MetricGraph, PAFunction,
+                     dirichlet_solve, green, green_to_json_dict,
+                     rationalize)
 from skelpot.cli import SUBCOMMANDS, UNARY_OPS, _json, build_parser, main
+from skelpot.randgen import random_graph, random_pa_function
 from skelpot.rational import (RationalParseError, format_rational,
                               parse_rational)
 
@@ -267,13 +270,19 @@ def test_rationalize_output_matches_golden(capsys):
     """The certificate for decimal data near Green's function at c, with
     one kink inside an edge, paired with Green's function at b: nested
     checks, per-edge slopes, an integer and booleans, as committed in
-    tests/data/golden/rationalize.out."""
+    tests/data/golden/rationalize.out, and the text of the library's
+    RationalizationCertificate.to_json_dict."""
     golden = DATA / "golden"
     rc = main(["rationalize", "--f", str(golden / "rationalize_f.json"),
                "--g", str(golden / "rationalize_g.json")])
     assert rc == 0
-    assert capsys.readouterr().out == \
-        (golden / "rationalize.out").read_text()
+    out = capsys.readouterr().out
+    assert out == (golden / "rationalize.out").read_text()
+    f, g = (PAFunction.from_json_dict(json.loads((golden / name).read_text()))
+            for name in ("rationalize_f.json", "rationalize_g.json"))
+    cert = rationalize(f, g, Fraction(1, 1000))
+    assert out == json.dumps(cert.to_json_dict(), indent=2,
+                             sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("name, argv, code", [
@@ -1157,6 +1166,80 @@ def test_json_writer_on_the_golden_outputs():
         assert _json(value) + "\n" == path.read_text(), path.name
         checked += 1
     assert checked == 26
+
+
+def _relabelled(rng, f):
+    """f on a copy of its graph whose vertex and edge ids are distinct
+    random texts of _CHARS: quotes, backslashes, control characters and
+    characters outside ASCII."""
+    g = f.graph
+    fresh = {}
+    while len(fresh) < len(g.vertices) + len(g.edges):
+        fresh[_random_text(rng)] = None
+    names = iter(fresh)
+    vs = {v: next(names) for v in g.vertices}
+    es = {e.id: next(names) for e in g.edges}
+    graph = MetricGraph(vs.values(),
+                        [Edge(es[e.id], vs[e.u], vs[e.v], e.length)
+                         for e in g.edges], [vs[v] for v in g.boundary])
+    return PAFunction(graph, {es[k]: p for k, p in f.profiles.items()})
+
+
+def _written_functions():
+    """Seeded functions with loops, parallel edges and kinks, each also
+    with random-text ids; one on a graph with an empty boundary, and one
+    on the graph with no edges."""
+    rng = random.Random(37)
+    fs = []
+    for _ in range(40):
+        f = random_pa_function(rng, random_graph(rng, 6, 10), max_kinks=3)
+        fs += [f, _relabelled(rng, f)]
+    ends = [(e.u, e.v) for f in fs for e in f.graph.edges]
+    assert any(u == v for u, v in ends)                     # a loop
+    assert len(set(ends)) < len(ends)                       # parallel edges
+    assert any(len(p) > 2 for f in fs for p in f.profiles.values())
+    third, half = Fraction(1, 3), Fraction(-1, 2)
+    no_boundary = MetricGraph(["a", "b"], [Edge("e", "a", "b", third),
+                                           Edge("l", "b", "b", 2)], [])
+    fs.append(PAFunction(no_boundary, {"e": [(0, 1), (third, half)],
+                                       "l": [(0, half), (1, 7), (2, half)]}))
+    fs.append(PAFunction(MetricGraph([], [], []), {}))
+    return fs
+
+
+def test_json_writer_writes_a_function_as_its_dict():
+    """A PAFunction, alone or inside an object or a list as green and
+    rationalize print it, is written as the text of its to_json_dict."""
+    for f in _written_functions():
+        d = f.to_json_dict()
+        for value, ref in ((f, d), ({"function": f, "ok": True},
+                                    {"function": d, "ok": True}),
+                           ([[f]], [[d]])):
+            assert _json(value) == json.dumps(ref, indent=2, sort_keys=True)
+
+
+def test_cli_prints_the_function_dicts(tmp_path, capsys):
+    """harmonic prints its function's to_json_dict and green (with a pole
+    inside an edge) green_to_json_dict, on graphs with random-text ids."""
+    rng = random.Random(41)
+    for trial in range(6):
+        g = _relabelled(rng, random_pa_function(
+            rng, random_graph(rng, 6, 10))).graph
+        graph = write_json(tmp_path, "g.json", g.to_json_dict())
+        values = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for v in sorted(g.boundary)}
+        e = g.edges[rng.randrange(len(g.edges))]
+        pole = EdgePoint(e.id, e.length / 3)
+        for argv, want in (
+                (["harmonic", "--values", write_json(
+                    tmp_path, "v.json", {v: format_rational(x)
+                                         for v, x in values.items()})],
+                 dirichlet_solve(g, values).to_json_dict()),
+                (["green", "--point", f"{e.id}:{pole.offset}"],
+                 green_to_json_dict(green(g, pole)))):
+            assert main([*argv, "--graph", graph]) == 0, (trial, argv)
+            assert capsys.readouterr().out == json.dumps(
+                want, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("value", [{1: "a"}, [{"a": {None: 1}}], {1.5},

@@ -393,12 +393,15 @@ def test_psd_rejects_ragged_rows():
     ([[True]], "A[0][0] True is not an int or a Fraction"),
     ([[None]], "A[0][0] None is not an int or a Fraction"),
     ([[1, 0], [0, 2.0]], "A[1][1] 2.0 is not an int or a Fraction"),
-    (5, "A is not a list: 5"), (((1,),), "A is not a list: ((1,),)")],
+    (5, "A is not a list: 5"), (((1,),), "A is not a list: ((1,),)"),
+    ([5], "row 0 is not a list: 5"), ([(1,)], "row 0 is not a list: (1,)"),
+    ([[1, 0], (0, 1)], "row 1 is not a list: (0, 1)")],
     ids=["float", "str", "bool", "None", "float-at-1-1", "int",
-         "tuple"])
+         "tuple", "int-row", "tuple-row", "tuple-row-1"])
 def test_psd_refuses_an_a_or_entry_that_is_not_exact(a, message):
     """is_psd_exact reads every entry through graph.exact, as
-    solve_exact does, with its place named."""
+    solve_exact does, with its place named; a row that is not a list is
+    named before its length is read."""
     with pytest.raises(ValueError) as exc:
         is_psd_exact(a)
     assert str(exc.value) == message

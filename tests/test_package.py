@@ -347,3 +347,18 @@ def test_counts_and_degrees_that_are_not_ints_are_refused(case):
     with pytest.raises(error) as exc:
         call(dirichlet_solve(g, {"a": 0, "b": 1}))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: Poly(-1, {(): 1}), ValueError),
+    (lambda: Poly(-1, {}), ValueError),
+    (lambda: SuperForm(-1, 0, 0), BidegreeError)],
+    ids=["Poly", "Poly-empty", "SuperForm"])
+def test_a_negative_dimension_is_refused(call, error):
+    """A negative r is refused when the object is built, not at its first
+    evaluation; r = 0, a constant on R^0, still builds."""
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == "r must be >= 0, not -1"
+    assert Poly(0, {(): 3}).eval([]) == 3
+    assert SuperForm(0, 0, 0).is_zero()
