@@ -16,8 +16,9 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
-from operator import add, mul
+from itertools import repeat
+from math import comb, gcd, lcm
+from operator import add, attrgetter, floordiv, getitem, mul
 
 from .graph import _count, exact
 from .linalg import _psd
@@ -148,10 +149,9 @@ class Poly:
                         self.den)
 
     def eval(self, point) -> Fraction:
-        exps = {e: sum(e) for e in self.nums}
-        _, values, scale = _monomials(point, self.r, exps, self.degree())
-        return Fraction(sum(map(mul, self.nums.values(), values)),
-                        self.den * scale)
+        _, cols, qs = _point_columns([point], self.r)
+        [[value]], n = _value_columns([self.nums], cols, qs)
+        return Fraction(value, self.den * qs[0] ** n)
 
     def degree(self) -> int:
         return max((sum(e) for e in self.nums), default=0)
@@ -174,20 +174,53 @@ def _integer_polys(polys: list[Poly]) -> tuple[list[dict], int]:
             for p in polys], den
 
 
-def _monomials(point, r: int, exps: dict, n: int) -> tuple[tuple, list, int]:
-    """point as r Fractions (ValueError for another length), q^n * x^e
-    there for each e of exps (which maps e to |e| <= n), listed in the
-    order of exps, and q^n: with the coordinates over one denominator q
-    and numerators n_i, q^n * x^e is the integer
-    q^(n - |e|) * prod n_i^e_i."""
-    pt = tuple(x if type(x) is Fraction else exact(x, "coordinate {}:", k)
-               for k, x in enumerate(point))
-    if len(pt) != r:
-        raise ValueError(f"point has {len(pt)} coordinates, not {r}")
-    q = lcm(*(x.denominator for x in pt))
-    nums = [x.numerator * (q // x.denominator) for x in pt]
-    return pt, [q ** (n - d) * prod(map(pow, nums, e))
-                for e, d in exps.items()], q ** n
+def _point_columns(points, r: int) -> tuple[list, list, list]:
+    """Every point, in order, as a tuple of r Fractions (ValueError for
+    a point that is not a list or a tuple, or of another length), and
+    the points as columns: with each point's coordinates over one
+    denominator q, the r columns of numerators and the column of q."""
+    pts = []
+    fractions = (Fraction,) * r
+    for t, point in enumerate(points):
+        if not isinstance(point, (list, tuple)):
+            raise ValueError(f"point {t} is not a list or a tuple: {point!r}")
+        pt = tuple(point)
+        if tuple(map(type, pt)) != fractions:
+            pt = tuple(exact(x, "coordinate {}:", k) for k, x in enumerate(pt))
+            if len(pt) != r:
+                raise ValueError(f"point has {len(pt)} coordinates, not {r}")
+        pts.append(pt)
+    cols = list(zip(*pts)) or [()] * r
+    dens = [list(map(attrgetter("denominator"), c)) for c in cols]
+    # the column of ones gives q = 1 when r = 0
+    qs = list(map(lcm, repeat(1, len(pts)), *dens))
+    return pts, [list(map(mul, map(attrgetter("numerator"), c),
+                          map(floordiv, qs, d)))
+                 for c, d in zip(cols, dens)], qs
+
+
+def _value_columns(polys: list[dict], cols: list, qs: list) -> tuple[list, int]:
+    """Each numerator dict of polys at every point of `_point_columns`,
+    times q^n, as a column, and n, the largest degree of a monomial in
+    them: q^n * x^e is the integer q^(n - |e|) * prod n_i^e_i.  Each
+    power of a column, and each monomial's column, is built once."""
+    n = max((sum(e) for p in polys for e in p), default=0)
+    cols = [*cols, qs]              # q^(n - |e|) is the last factor
+    powers, monos, out = {}, {}, []
+    for p in polys:
+        terms = []
+        for e, c in p.items():
+            if (mono := monos.get(e)) is None:
+                mono = [1] * len(qs)
+                for i, k in enumerate((*e, n - sum(e))):
+                    if k:
+                        if (i, k) not in powers:
+                            powers[i, k] = list(map(pow, cols[i], repeat(k)))
+                        mono = list(map(mul, mono, powers[i, k]))
+                monos[e] = mono
+            terms.append(map(mul, repeat(c), mono))
+        out.append(list(map(sum, zip(*terms))) if terms else [0] * len(qs))
+    return out, n
 
 
 def _term_product(p: dict, q: dict) -> dict:
@@ -339,14 +372,23 @@ class SuperForm:
             raise BidegreeError("negative bidegree")
         self.r, self.p, self.q = r, p, q
         cs = {}
-        for (i, j), poly in (coeffs or {}).items():
-            i, j = tuple(i), tuple(j)
+        for key, poly in (coeffs or {}).items():
+            # a bool or a float is no index, as it is no Poly exponent
+            if not (type(key) is tuple and len(key) == 2
+                    and all(type(b) is tuple and set(map(type, b)) <= {int}
+                            for b in key)):
+                raise BidegreeError(f"key {key!r} is not a pair of tuples "
+                                    "of ints")
+            i, j = key
             if len(i) != p or len(j) != q:
                 raise BidegreeError(f"key ({i},{j}) does not match ({p},{q})")
             if list(i) != sorted(set(i)) or list(j) != sorted(set(j)):
                 raise BidegreeError("multi-indices must be strictly increasing")
             if any(k >= r or k < 0 for k in i + j):
                 raise BidegreeError("index out of range")
+            if not isinstance(poly, Poly):
+                raise BidegreeError(f"coefficient at {key!r} of type "
+                                    f"{type(poly).__name__} is not a Poly")
             if poly.r != r:
                 raise BidegreeError(f"coefficient in {poly.r} variables "
                                     f"on R^{r}")
@@ -557,37 +599,36 @@ class PositivityVerdict:
 def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
     """Pointwise PSD test of the coefficient matrix of a (1,1)-form, on
     integers; raises if the matrix is not symmetric as polynomials or a
-    point has other than r coordinates.
+    point is not a list or a tuple of r coordinates.
 
-    The upper-triangle entries are brought to one denominator D, and
-    each point's coordinates to one denominator q with numerators n_i.
-    With n the largest degree of a monomial, x^e is the integer
-    q^(n - |e|) * prod n_i^e_i, computed once per point and shared by
-    every entry.  Each entry is one integer sum over its own terms,
-    gathered by their positions in the shared list.  The integer matrix
-    is D * q^n > 0 times the true one and has the same verdict."""
+    The points are read first, as columns (`_point_columns`), and each
+    upper-triangle entry, over one denominator D, is evaluated at every
+    point at once (`_value_columns`).  A point with a negative diagonal
+    entry is a violation, as no PSD matrix has one; at every other point
+    the integer matrix, D * q^n > 0 times the true one with the same
+    verdict, goes to `_psd`."""
+    if not isinstance(alpha, SuperForm):
+        raise ValueError(
+            f"alpha of type {type(alpha).__name__} is not a SuperForm")
     if (alpha.p, alpha.q) != (1, 1):
         raise BidegreeError("positivity test needs a (1,1)-form")
     # no zero poly is stored, so a missing mirror key is a zero entry
     coeffs = alpha.coeffs
     if any(coeffs.get((j, i)) != poly for (i, j), poly in coeffs.items()):
         raise BidegreeError("coefficient matrix is not symmetric")
-    upper = {(i, j): poly for ((i,), (j,)), poly in coeffs.items() if i <= j}
-    polys, _ = _integer_polys(list(upper.values()))
-    exps = {e: sum(e) for p in polys for e in p}
-    index = {e: k for k, e in enumerate(exps)}
-    entries = [(i, j, list(p.values()), [index[e] for e in p])
-               for (i, j), p in zip(upper, polys)]
-    n = max(exps.values(), default=0)
     r = alpha.r
+    pts, cols, qs = _point_columns(points, r)
+    upper = [(i, j) for ((i,), (j,)) in coeffs if i <= j]
+    polys, _ = _integer_polys([coeffs[(i,), (j,)] for i, j in upper])
+    values = dict(zip(upper, _value_columns(polys, cols, qs)[0]))
+    zero = [0] * len(pts)
+    matrix = [[values.get((min(i, j), max(i, j)), zero) for j in range(r)]
+              for i in range(r)]
+    # min(0, diagonal) < 0 iff a diagonal entry is; with r = 0 there is none
+    lowest = map(min, zero, *map(getitem, matrix, range(r))) if r else zero
     bad = []
-    for pt in points:
-        pt, values, _ = _monomials(pt, r, exps, n)
-        value = values.__getitem__
-        h = [[0] * r for _ in range(r)]
-        for i, j, nums, at in entries:
-            h[i][j] = h[j][i] = sum(map(mul, nums, map(value, at)))
-        if not _psd(h):
+    for k, (pt, low) in enumerate(zip(pts, lowest)):
+        if low < 0 or not _psd([[col[k] for col in row] for row in matrix]):
             bad.append(pt)
     return PositivityVerdict(not bad, tuple(bad))
 

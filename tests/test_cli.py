@@ -855,6 +855,41 @@ def test_superform_positivity_verdicts(capsys):
     assert any(line.startswith("violation at") for line in lines[1:])
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_positivity_on_the_largest_default_grid(capsys, sign):
+    """On R^16, the largest dimension the CLI takes, the default grid
+    (1129 points, repeats included) against is_psd_exact on the Hessian
+    of |x|^2 + s*(x1^2*x2^2 + x3^4), written out here: 2I plus s times
+    2*x2^2, 2*x1^2 and 12*x3^2 on the diagonal and 4*x1*x2 off it, so
+    2I outside its leading 3 x 3 block, which alone decides the verdict.
+    With s = 1 it is PSD at every point; with s = -1 it is not where
+    x3 = +-1 (a negative diagonal entry) nor where x1, x2 = +-1 (zero
+    diagonal entries beside a nonzero one)."""
+    from skelpot.cli import _positivity_points
+    from skelpot.linalg import is_psd_exact
+    from skelpot.superforms import MAX_DIM
+    r = MAX_DIM
+    squares = " + ".join(f"x{i}^2" for i in range(1, r + 1))
+    op = "+" if sign == 1 else "-"
+    rc = main(["superform", "--op", "positivity", "--r", str(r), "--",
+               f"{squares} {op} x1^2*x2^2 {op} x3^4"])
+
+    def block(x):
+        return [[2 + sign * 2 * x[1] ** 2, sign * 4 * x[0] * x[1], 0],
+                [sign * 4 * x[0] * x[1], 2 + sign * 2 * x[0] ** 2, 0],
+                [0, 0, 2 + sign * 12 * x[2] ** 2]]
+    bad = [pt for pt in _positivity_points(None, r)
+           if not is_psd_exact(block(pt))]
+    # with s = -1: 2 points with x3 = +-1 alone, 15 * 6 with x3 = +-1 and
+    # one other coordinate, and 4 with x1, x2 = +-1
+    assert len(bad) == (0 if sign == 1 else 2 + 90 + 4)
+    assert rc == (0 if sign == 1 else 1)
+    assert capsys.readouterr().out.splitlines() == [
+        "positive" if not bad else "not positive"] + [
+        "violation at (" + ", ".join(map(format_rational, pt)) + ")"
+        for pt in bad]
+
+
 def test_positivity_points_starting_with_a_minus_sign(capsys):
     """--points=-1/2,0;1,0, the form the help text shows, gives a verdict;
     argparse reads a separate "-1/2,0" as an option and exits 2."""

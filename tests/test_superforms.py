@@ -597,6 +597,84 @@ def test_positivity_on_entries_that_share_few_monomials():
         assert tuple([0] * r) not in got.violations and got.violations
 
 
+def test_positivity_columns_on_edge_cases():
+    """The column kernel against the per-entry reference on r = 0 and
+    r = 1, no points, a generator of points (read once), a zero diagonal
+    entry beside a nonzero off-diagonal one (not PSD, and not decided by
+    the diagonal), entries of mixed degrees and points over different
+    denominators in one call."""
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    t = Poly.var(1, 0)
+    mixed = [(F(1, 2), F(-1, 3)), (3, F(5, 7)), (F(-2, 9), 1), (0, 0),
+             [F(7, 4), F(1, 6)]]
+    cases = [
+        (SuperForm(0, 1, 1), [(), [], ()]),
+        (SuperForm(0, 1, 1), []),
+        (hessian_form(t * t * t - t), [(F(1, 3),), (F(1, 2),), [-1], (0,)]),
+        # x^2 - 1 mixes degrees: its constant needs the factor q^2
+        (hessian_form(t * t * t * t * F(1, 12) - t * t * F(1, 2)),
+         [(F(1, 2),), (F(3, 2),), (2,), (F(-5, 4),)]),
+        (hessian_form(x * x + y * y), []),
+        (hessian_form(x * y), [(0, 0), (1, F(1, 2))]),
+        (hessian_form(x * x * y - y * y * y), mixed),
+        (hessian_form(x * x * x * x + x * y * F(1, 5)), mixed),
+    ]
+    for alpha, points in cases:
+        got = is_positive_11(alpha, points)
+        assert (got.ok, got.violations) == _positivity_ref(alpha, points)
+    assert is_positive_11(hessian_form(x * y), [(0, 0)]).violations == \
+        ((0, 0),)
+    read = []
+
+    def generated():
+        for pt in mixed:
+            read.append(pt)
+            yield pt
+    got = is_positive_11(hessian_form(x * x * y - y * y * y), generated())
+    assert (got.ok, got.violations) == _positivity_ref(
+        hessian_form(x * x * y - y * y * y), mixed)
+    assert read == mixed
+
+
+def test_a_negative_diagonal_decides_a_point_without_psd(monkeypatch):
+    """No point with a negative diagonal entry reaches the PSD kernel:
+    the Hessian of -x^2 - y^2 (-2 on the diagonal) calls it at none of
+    the 25 grid points, that of x^2 + y^2 at all of them."""
+    from skelpot import superforms
+    calls = []
+    psd = superforms._psd
+
+    def count(m):
+        calls.append(m)
+        return psd(m)
+    monkeypatch.setattr(superforms, "_psd", count)
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    v = is_positive_11(hessian_form(-x * x - y * y), GRID)
+    assert v.violations == tuple(GRID) and calls == []
+    v = is_positive_11(hessian_form(x * x + y * y), GRID)
+    assert v.ok and len(calls) == 25
+
+
+def test_points_that_are_not_sequences_are_value_errors():
+    """A point that is not a list or a tuple is refused, named with its
+    place in the list, by is_positive_11 and by Poly.eval; a form that
+    is not a SuperForm is refused, its type named."""
+    x = Poly.var(1, 0)
+    for call, text in [
+            (lambda: is_positive_11(hessian_form(x * x), [1]),
+             "point 0 is not a list or a tuple: 1"),
+            (lambda: is_positive_11(hessian_form(x * x), [(1,), {1}]),
+             "point 1 is not a list or a tuple: {1}"),
+            (lambda: is_positive_11(hessian_form(x * x), [(1,), "1"]),
+             "point 1 is not a list or a tuple: '1'"),
+            (lambda: x.eval(1), "point 0 is not a list or a tuple: 1"),
+            (lambda: is_positive_11(x, [(1,)]),
+             "alpha of type Poly is not a SuperForm")]:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert type(exc.value) is ValueError and str(exc.value) == text
+
+
 def _poly_text(poly):
     """poly as the parser's text, written here rather than by
     format_poly: signed rational coefficient times x<i>^k factors."""
@@ -922,7 +1000,28 @@ def test_superform_key_validation():
         wedge(SuperForm(2, 0, 0), SuperForm(3, 0, 0))
 
 
-@pytest.mark.parametrize("terms", [{(1,): 5}, {(-1, 2): 5}, {(1, 0, 0): 1},
+@pytest.mark.parametrize("key", [((0.0,), ()), ((True,), ()), 5,
+                                 (("a",), ()), ((0,),), ((0,), (), ()),
+                                 ("0", ())],
+                         ids=["float", "bool", "int", "string", "single",
+                              "triple", "str-block"])
+def test_superform_refuses_keys_that_are_not_pairs_of_int_tuples(key):
+    """A float or a bool is no index, as it is no Poly exponent: each key
+    is named in a BidegreeError, and none is read as another index."""
+    with pytest.raises(BidegreeError) as exc:
+        SuperForm(1, 1, 0, {key: Poly.var(1, 0)})
+    assert str(exc.value) == f"key {key!r} is not a pair of tuples of ints"
+
+
+def test_superform_refuses_coefficients_that_are_not_polys():
+    for bad, name in [(3, "int"), (F(1, 2), "Fraction"), ("x1", "str")]:
+        with pytest.raises(BidegreeError) as exc:
+            SuperForm(1, 1, 0, {((0,), ()): bad})
+        assert str(exc.value) == \
+            f"coefficient at ((0,), ()) of type {name} is not a Poly"
+
+
+@pytest.mark.parametrize("terms",[{(1,): 5}, {(-1, 2): 5}, {(1, 0, 0): 1},
                                    {(1.5, 0): 1}, {(True, 0): 1},
                                    {("1", 0): 1}],
                          ids=["short", "negative", "long", "float", "bool",
