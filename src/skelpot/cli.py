@@ -37,7 +37,7 @@ from json.encoder import encode_basestring_ascii as _ascii
 from .graph import EdgePoint, GraphError, MetricGraph, Vertex, point_to_json
 from .pa_function import PAFunction
 from .potential import (NotSubharmonicError, dirichlet_solve, green,
-                        is_subharmonic_green)
+                        is_subharmonic_green, require_boundary_keys)
 from .rational import RationalParseError, format_rational, parse_once
 from .rationalize import RationalizationError, rationalize
 from .regularize import build_regularization
@@ -110,26 +110,19 @@ def _write_json(obj, indent: str, write) -> None:
     if not items:
         write(ends)
         return
-    inner = indent + "  "
+    inner, keyed = indent + "  ", ends == "{}"
     sep, comma = ends[0] + inner, "," + inner
-    if ends == "{}":
-        for k, v in items:
-            write(sep)
+    for v in items:
+        write(sep)
+        if keyed:           # a (key, value) item of a dict
+            k, v = v
             write(_ascii(k))
             write(": ")
-            if isinstance(v, str):
-                write(_ascii(v))
-            else:
-                _write_json(v, inner, write)
-            sep = comma
-    else:
-        for v in items:
-            write(sep)
-            if isinstance(v, str):
-                write(_ascii(v))
-            else:
-                _write_json(v, inner, write)
-            sep = comma
+        if isinstance(v, str):
+            write(_ascii(v))
+        else:
+            _write_json(v, inner, write)
+        sep = comma
     write(indent + ends[1])
 
 
@@ -143,8 +136,9 @@ def _items(texts: list, indent: str, ends: str = "[]") -> str:
 def _write_function(f: PAFunction, indent: str, write) -> None:
     """Write f.to_json_dict()'s text in one pass over f's graph and
     profiles, one f-string per edge and per [offset, value] pair, each
-    value object formatted once (by id, as to_json_dict does); a
-    rational's text needs no escape, so it is quoted as it is."""
+    value object formatted once, its text kept by id (a solve shares one
+    object among many edge ends); a rational's text needs no escape, so
+    it is quoted as it is."""
     g = f.graph
     i1, i2, i3, i4 = (indent + "  " * k for k in range(1, 5))
     text = {}
@@ -194,16 +188,9 @@ def cmd_harmonic(args) -> int:
     def read_values(raw) -> dict:
         if not isinstance(raw, dict):
             raise InputError("the top level must be a JSON object")
-        extra = raw.keys() - g.boundary
-        if extra:
-            raise InputError(f"values for vertices off the boundary "
-                             f"{sorted(extra)}")
-        values = {k: parse_once(v, {}, "values.{}", k)
-                  for k, v in raw.items()}
-        missing = g.boundary - values.keys()
-        if missing:
-            raise InputError(f"missing boundary values for {sorted(missing)}")
-        return values
+        # every key is checked before any literal is parsed
+        require_boundary_keys(g, raw.keys())
+        return {k: parse_once(v, {}, "values.{}", k) for k, v in raw.items()}
     # after both loads, so a fault of the graph is not blamed on the values
     _emit(dirichlet_solve(g, _load(args.values, read_values)))
     return 0

@@ -11,6 +11,7 @@ import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 from typing import Iterable, Union
 
 from .rational import format_rational, parse_once
@@ -269,20 +270,35 @@ class MetricGraph:
     def split(self, cuts: dict) -> tuple["MetricGraph", dict[str, list[Edge]]]:
         """Cut edges at interior points, building the new graph once.
 
-        cuts maps an edge id to increasing offsets inside that edge.  The
-        result, collisions included, is that of repeated subdivide calls
-        at the first cut in point order: edge e cut at o1 < o2 < ...
+        cuts maps an edge id to a list of offsets (ints or Fractions) that
+        increase strictly inside that edge; an empty list cuts nothing.
+        The result, collisions included, is that of repeated subdivide
+        calls at the first cut in point order: edge e cut at o1 < o2 < ...
         becomes e.l, e.r.l, ... through vertices e@o1, e.r@(o2 - o1), ...
         Returns the graph and every cut edge's pieces from u to v, as the
         graph's own Edge objects."""
         vertices, edges = set(self.vertices), dict(self._by_id)
-        pieces = {eid: [self.edge(eid)] for eid, offsets in cuts.items()
-                  if offsets}
+        offsets_of, pieces = {}, {}
+        for eid, offsets in cuts.items():
+            if not isinstance(offsets, list):
+                raise GraphError(f"edge {eid}: cut offsets {offsets!r} are "
+                                 "not a list")
+            if offsets:
+                e = self.edge(eid)
+                offsets = [exact(o, "edge {}: cut offset", eid)
+                           for o in offsets]
+                if not (0 < offsets[0] and offsets[-1] < e.length
+                        and all(map(lt, offsets, offsets[1:]))):
+                    raise GraphError(
+                        f"edge {eid}: cut offsets "
+                        f"[{', '.join(map(str, offsets))}] must increase "
+                        f"strictly inside (0, {e.length})")
+                offsets_of[eid], pieces[eid] = offsets, [e]
         # a heap (sorted) of (edge cut next, its original edge, cut index)
         pending = sorted((eid, eid, 0) for eid in pieces)
         while pending:
             cur, eid, k = heapq.heappop(pending)
-            e, offsets = edges.pop(cur), cuts[eid]
+            e, offsets = edges.pop(cur), offsets_of[eid]
             o = offsets[k] - offsets[k - 1] if k else offsets[0]
             new_v = f"{cur}@{o}"
             if new_v in vertices:
@@ -298,10 +314,8 @@ class MetricGraph:
             pieces[eid][-1:] = edges[left], edges[right]
             if k + 1 < len(offsets):
                 heapq.heappush(pending, (right, eid, k + 1))
-        g = MetricGraph(vertices, edges.values(), self.boundary)
-        # the new graph's own edges: an int offset made int-length pieces
-        return g, {eid: [g.edge(e.id) for e in ps]
-                   for eid, ps in pieces.items()}
+        # every piece has a Fraction length, so the graph keeps it as it is
+        return MetricGraph(vertices, edges.values(), self.boundary), pieces
 
     def distance(self, p: GraphPoint, q: GraphPoint) -> Fraction:
         """Exact path metric (Dijkstra over rationals)."""
@@ -346,14 +360,10 @@ class MetricGraph:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        # each length object is formatted once, its text kept by id
-        text = {}
-        edges = []
-        for e in self.edges:
-            if (length := text.get(id(e.length))) is None:
-                length = text[id(e.length)] = format_rational(e.length)
-            edges.append({"u": e.u, "v": e.v, "len": length, "id": e.id})
-        return {"vertices": list(self.vertices), "edges": edges,
+        return {"vertices": list(self.vertices),
+                "edges": [{"u": e.u, "v": e.v,
+                           "len": format_rational(e.length), "id": e.id}
+                          for e in self.edges],
                 "boundary": sorted(self.boundary)}
 
     @classmethod

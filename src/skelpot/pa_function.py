@@ -213,8 +213,8 @@ class PAFunction:
                         toward_v: bool) -> tuple[Fraction, Fraction]:
         """The breakpoint (offset, value) of the edge's profile nearest
         to `offset` and strictly beyond it, toward v or toward u; a
-        GraphError at or past the edge's end."""
-        prof = self.profiles[edge_id]
+        GraphError at or past the edge's end, or for an unknown edge."""
+        prof = self.profiles[self.graph.edge(edge_id).id]
         i = bisect_right(prof, offset, key=_OFFSET) if toward_v \
             else bisect_left(prof, offset, key=_OFFSET) - 1
         if not 0 <= i < len(prof):
@@ -275,8 +275,8 @@ class PAFunction:
     def split(self, cuts: dict) -> tuple["PAFunction", dict]:
         """Carry this function onto self.graph.split(cuts), cutting each
         cut edge's profile onto its pieces.  Returns the function and the
-        pieces; with no cuts, self and no pieces."""
-        if not any(cuts.values()):
+        pieces; with no cuts (every list empty), self and no pieces."""
+        if all(offsets == [] for offsets in cuts.values()):
             return self, {}
         graph, pieces = self.graph.split(cuts)
         profiles = dict(self.profiles)
@@ -310,24 +310,12 @@ class PAFunction:
     # -- serialization ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """The JSON object {"graph", "profiles"}, with each value object
-        formatted once: its text is kept by id (every object lives through
-        the call; a Fraction key would hash, which takes a modular
-        inverse), starting from the graph's own length texts."""
-        graph = self.graph.to_json_dict()
-        text = {id(e.length): d["len"]
-                for e, d in zip(self.graph.edges, graph["edges"])}
-        profiles = {}
-        for eid, prof in sorted(self.profiles.items()):
-            pairs = []
-            for o, v in prof:
-                if (so := text.get(id(o))) is None:
-                    so = text[id(o)] = format_rational(o)
-                if (sv := text.get(id(v))) is None:
-                    sv = text[id(v)] = format_rational(v)
-                pairs.append([so, sv])
-            profiles[eid] = pairs
-        return {"profiles": profiles, "graph": graph}
+        """The JSON object {"profiles", "graph"}, each offset and value
+        formatted as its own text."""
+        return {"profiles": {eid: [[format_rational(o), format_rational(v)]
+                                   for o, v in prof]
+                             for eid, prof in sorted(self.profiles.items())},
+                "graph": self.graph.to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PAFunction":
@@ -364,7 +352,10 @@ class PAFunction:
     def from_vertex_values(cls, graph: MetricGraph, values: dict) -> "PAFunction":
         """Edge-affine interpolation of per-vertex values.  A Fraction
         value is kept as the object it is at every end of its vertex,
-        and every profile starts at one zero."""
+        and every profile starts at one zero.  A GraphError names the
+        vertices without a value."""
+        if missing := set(graph.vertices).difference(values):
+            raise GraphError(f"missing values for vertices {sorted(missing)}")
         zero = Fraction(0)
         return cls._of(graph, {
             e.id: ((zero, exact(values[e.u], "vertex {}: value", e.u)),

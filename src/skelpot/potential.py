@@ -135,20 +135,26 @@ def _solve_laplacian(g: MetricGraph, boundary_values: dict,
     return values
 
 
+def require_boundary_keys(g: MetricGraph, keys) -> None:
+    """Raise GraphError unless the set keys is g's boundary: first naming
+    the keys off the boundary, then the boundary vertices not in keys."""
+    if extra := keys - g.boundary:
+        raise GraphError("values for vertices off the boundary "
+                         f"{sorted(extra, key=str)}")
+    if missing := g.boundary - keys:
+        raise GraphError(f"missing boundary values for {sorted(missing)}")
+
+
 def poisson(g: MetricGraph, mu: DiscreteMeasure,
             boundary_values: dict) -> PAFunction:
     """The function with these boundary values whose ddc off the boundary
     is mu, from one solve.  An atom m at a vertex is a source m there.
     The atoms inside an edge (u, v) are the masses of a _segment from u to
     v cut at their offsets (its sources summed on a loop, dropped at a
-    boundary vertex).  Values for vertices off the boundary are refused,
-    as are missing boundary values."""
+    boundary vertex).  The keys of boundary_values must pass
+    require_boundary_keys."""
     _check_dirichlet_pre(g)
-    if extra := boundary_values.keys() - g.boundary:
-        raise GraphError("values for vertices off the boundary "
-                         f"{sorted(extra, key=str)}")
-    if missing := g.boundary - boundary_values.keys():
-        raise GraphError(f"missing boundary values for {sorted(missing)}")
+    require_boundary_keys(g, boundary_values.keys())
     sources, tents = {}, {}
     for x, m in mu.support:
         g.require_point(x)

@@ -613,10 +613,10 @@ def is_positive_11(alpha: SuperForm, points) -> PositivityVerdict:
     if (alpha.p, alpha.q) != (1, 1):
         raise BidegreeError("positivity test needs a (1,1)-form")
     # no zero poly is stored, so a missing mirror key is a zero entry
-    coeffs = alpha.coeffs
-    if any(coeffs.get((j, i)) != poly for (i, j), poly in coeffs.items()):
+    coeffs, r = alpha.coeffs, alpha.r
+    if any((m := coeffs.get((j, i))) is not poly and m != poly
+           for (i, j), poly in coeffs.items()):
         raise BidegreeError("coefficient matrix is not symmetric")
-    r = alpha.r
     pts, cols, qs = _point_columns(points, r)
     upper = [(i, j) for ((i,), (j,)) in coeffs if i <= j]
     polys, _ = _integer_polys([coeffs[(i,), (j,)] for i, j in upper])

@@ -638,6 +638,43 @@ def test_harmonic_values_reader_names_missing_vertices_in_order(tmp_path,
                             "['a', 'd', 'e']\n")
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"a": "1", "c": "2", "zz": "5", "b": "7"},
+     "values for vertices off the boundary ['b', 'zz']"),
+    ({"c": "2"}, "missing boundary values for ['a']"),
+    ({}, "missing boundary values for ['a', 'c']"),
+    # both: the keys off the boundary are named first
+    ({"b": "1"}, "values for vertices off the boundary ['b']"),
+])
+def test_harmonic_values_keys_are_refused_in_the_words_of_poisson(
+        tmp_path, capsys, values, message):
+    """The key checks of a values file are poisson's: the CLI prints the
+    library's text with the file's path in front."""
+    g = MetricGraph.from_json_dict(PATH3)
+    with pytest.raises(GraphError) as exc:
+        dirichlet_solve(g, {k: parse_rational(v) for k, v in values.items()})
+    assert str(exc.value) == message
+    vals = write_json(tmp_path, "vals.json", values)
+    rc = main(["harmonic", "--graph", write_json(tmp_path, "g.json", PATH3),
+               "--values", vals])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == f"error: {vals}: {message}\n"
+
+
+def test_harmonic_values_keys_are_checked_before_any_literal(tmp_path,
+                                                             capsys):
+    """A values file with a missing boundary vertex and a bad literal is
+    refused for the missing vertex: every key is checked first."""
+    vals = write_json(tmp_path, "vals.json", {"a": "x"})
+    rc = main(["harmonic", "--graph", write_json(tmp_path, "g.json", PATH3),
+               "--values", vals])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == f"error: {vals}: missing boundary values for " \
+        "['c']\n"
+
+
 # ---------------------------------------------------------------------------
 # subharmonic
 # ---------------------------------------------------------------------------

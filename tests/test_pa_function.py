@@ -612,6 +612,59 @@ def test_trusted_constructor_checks_continuity():
         PAFunction._of(g2, {"e": profiles["e"]})
 
 
+def _path_1_2():
+    """a -- b -- c with edges e of length 1 and f of length 2."""
+    return graph_from({"vertices": ["a", "b", "c"],
+                       "edges": [{"u": "a", "v": "b", "len": 1, "id": "e"},
+                                 {"u": "b", "v": "c", "len": 2, "id": "f"}],
+                       "boundary": ["a"]})
+
+
+@pytest.mark.parametrize("cuts, message", [
+    ({"e": [F(3, 2)]},
+     "edge e: cut offsets [3/2] must increase strictly inside (0, 1)"),
+    ({"e": [0]},
+     "edge e: cut offsets [0] must increase strictly inside (0, 1)"),
+    ({"e": [1]},
+     "edge e: cut offsets [1] must increase strictly inside (0, 1)"),
+    ({"f": [F(1, 2), F(1, 2)]},
+     "edge f: cut offsets [1/2, 1/2] must increase strictly inside (0, 2)"),
+    ({"f": [F(3, 2), F(1, 2)]},
+     "edge f: cut offsets [3/2, 1/2] must increase strictly inside (0, 2)"),
+    ({"f": [F(1, 2), 1, 1]},
+     "edge f: cut offsets [1/2, 1, 1] must increase strictly inside (0, 2)"),
+    ({"e": ["1/2"]}, "edge e: cut offset '1/2' is not an int or a Fraction"),
+    ({"e": [0.5]}, "edge e: cut offset 0.5 is not an int or a Fraction"),
+    ({"e": 5}, "edge e: cut offsets 5 are not a list"),
+    ({"e": 0}, "edge e: cut offsets 0 are not a list"),
+    ({"f": (1,)}, "edge f: cut offsets (1,) are not a list"),
+    ({"zz": [F(1, 2)]}, "unknown edge id 'zz'"),
+])
+def test_split_names_the_edge_and_its_bad_cut_offsets(cuts, message):
+    """A graph or a function is cut only at a list of offsets that
+    increase strictly inside the edge; otherwise a GraphError names the
+    edge as given and its offsets, not a piece that was never built."""
+    g = _path_1_2()
+    f = PAFunction.from_vertex_values(g, {"a": 0, "b": 1, "c": 3})
+    for split in (g.split, f.split):
+        with pytest.raises(GraphError) as exc:
+            split(cuts)
+        assert str(exc.value) == message
+
+
+def test_from_vertex_values_names_the_vertices_without_a_value():
+    with pytest.raises(GraphError) as exc:
+        PAFunction.from_vertex_values(_path_1_2(), {"a": 1})
+    assert str(exc.value) == "missing values for vertices ['b', 'c']"
+
+
+def test_next_breakpoint_on_an_unknown_edge_is_graph_error():
+    f = PAFunction.from_vertex_values(_path_1_2(), {"a": 0, "b": 1, "c": 3})
+    with pytest.raises(GraphError) as exc:
+        f.next_breakpoint("zz", 0, True)
+    assert str(exc.value) == "unknown edge id 'zz'"
+
+
 def test_from_vertex_values_rejects_isolated_vertices():
     g = graph_from({"vertices": ["a", "b", "c"],
                     "edges": [{"u": "a", "v": "b", "len": 1, "id": "e"}],
