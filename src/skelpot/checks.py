@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 
 from . import superforms as sf
 from .graph import EdgePoint, MetricGraph, Vertex
-from .pa_function import PAFunction, integrate, linear_combine
+from .pa_function import PAFunction, integrate
 from .potential import (dirichlet_solve, evaluation_formula_check, green,
                         is_subharmonic_green, maximum_principle_check)
 from .randgen import (random_graph, random_non_subharmonic,
@@ -75,13 +75,10 @@ def poisson_formula(rng, graphs: int, max_vertices: int,
     """Criterion 2: the harmonic extension of every boundary indicator
     satisfies the Poisson formula at every interior vertex.  Returns the
     number of evaluations."""
-    done = checked = 0
-    while done < graphs:
+    checked = 0
+    for _ in range(graphs):
         g = random_graph(rng, max_vertices=max_vertices, max_edges=max_edges)
         interior = [v for v in g.vertices if v not in g.boundary]
-        if not interior:
-            continue
-        done += 1
         for b in g.boundary:
             values = {w: int(w == b) for w in g.boundary}
             h = dirichlet_solve(g, values)
@@ -235,26 +232,16 @@ def rationalization(rng, inputs: int, max_vertices: int,
         if any(g_exact.vertex_value(v) <= 0 for v in interior):
             continue  # boundary cuts p1 off from part of the interior
         f = green(g, Vertex(p2)).result
-        if f.vertex_value(p1) <= 0:
-            continue
-        # pairing(f, ddc g_exact) = -f(p1); scale f so the margin holds:
-        # |pairing| >= 10 * tol * massbound with massbound = |ddc f|(Y).
-        massbound = f.ddc().total_variation()
-        need = 10 * tol * massbound
-        scale = need / f.vertex_value(p1) + 1
-        f = linear_combine([(scale, f)])
-        massbound = f.ddc().total_variation()
-        _require(f.vertex_value(p1) >= 10 * tol * massbound, "margin fails")
+        # pairing(f, ddc g_exact) = -f(p1) = -g_exact(p2) < 0; the margin
+        # |pairing| >= 10 * tol * |ddc f|(Y) is the same for every s * f.
+        _require(f.vertex_value(p1) >= 10 * tol * f.ddc().total_variation(),
+                 "margin fails")
 
         noise = {v: F(0) if v in g.boundary
                  else F(rng.randint(-9, 9), 10 ** 7) for v in g.vertices}
-        g_in = PAFunction(g, {
-            e.id: [(off,
-                    val + (noise[e.u] if off == 0 else
-                           noise[e.v] if off == e.length else
-                           F(rng.randint(-9, 9), 10 ** 7)))
-                   for off, val in g_exact.profiles[e.id]]
-            for e in g.edges})
+        # a Green function at a vertex pole is affine on every edge
+        g_in = PAFunction.from_vertex_values(
+            g, {v: g_exact.vertex_value(v) + noise[v] for v in g.vertices})
         cert = rationalize(f, g_in, tol)
         for name in ("kinks_rational", "values_rational",
                      "slopes_rational"):

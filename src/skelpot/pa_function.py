@@ -213,8 +213,13 @@ class PAFunction:
                         toward_v: bool) -> tuple[Fraction, Fraction]:
         """The breakpoint (offset, value) of the edge's profile nearest
         to `offset` and strictly beyond it, toward v or toward u; a
-        GraphError at or past the edge's end, or for an unknown edge."""
+        GraphError for an unknown edge, an offset that is not an int or a
+        Fraction or lies outside [0, length], or at the edge's end."""
         prof = self.profiles[self.graph.edge(edge_id).id]
+        offset = exact(offset, "edge {}: offset", edge_id)
+        if not 0 <= offset <= prof[-1][0]:
+            raise GraphError(f"edge {edge_id}: offset {offset} lies outside "
+                             f"[0, {prof[-1][0]}]")
         i = bisect_right(prof, offset, key=_OFFSET) if toward_v \
             else bisect_left(prof, offset, key=_OFFSET) - 1
         if not 0 <= i < len(prof):
@@ -353,7 +358,11 @@ class PAFunction:
         """Edge-affine interpolation of per-vertex values.  A Fraction
         value is kept as the object it is at every end of its vertex,
         and every profile starts at one zero.  A GraphError names the
-        vertices without a value."""
+        ids given a value that are not vertices, then the vertices
+        without a value."""
+        if extra := set(values).difference(graph.vertices):
+            raise GraphError(
+                f"values for unknown vertices {sorted(extra, key=str)}")
         if missing := set(graph.vertices).difference(values):
             raise GraphError(f"missing values for vertices {sorted(missing)}")
         zero = Fraction(0)

@@ -101,13 +101,16 @@ def rationalize(f: PAFunction, g_in: PAFunction,
     slopes = {e.id: [format_rational(s) for s in _slopes(profiles[e.id])]
               for e in graph.edges}
 
-    pairing = integrate(f, g_out.ddc())
-    pairing_in = integrate(f, g_in.ddc())
+    # integral f ddc G = integral G ddc f exactly (both are minus the sum
+    # over edges of integral f'G'), so f's Laplacian serves both pairings.
+    mu_f = f.ddc()
+    pairing = integrate(g_out, mu_f)
+    pairing_in = integrate(g_in, mu_f)
 
     # Continuity bound: |pairing(G') - pairing(G)| = |integral (G'-G) ddc f|
     # <= |ddc f|(total) * sup|G'-G|, with sup|G'-G| bounded by the value
     # snap plus the offset snap times a Lipschitz constant of G.
-    tv_f = f.ddc().total_variation()
+    tv_f = mu_f.total_variation()
     lip_g = g_in.max_abs_slope()
     bound = tv_f * (max_value_snap + lip_g * max_offset_snap)
     drift = abs(pairing - pairing_in)

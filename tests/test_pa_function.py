@@ -665,6 +665,38 @@ def test_next_breakpoint_on_an_unknown_edge_is_graph_error():
     assert str(exc.value) == "unknown edge id 'zz'"
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"a": 0, "b": 1, "c": 3, "zz": 5}, "values for unknown vertices ['zz']"),
+    ({"a": 0, "zz": 5, "yy": 6},
+     "values for unknown vertices ['yy', 'zz']"),
+    ({"a": 0, 7: 5}, "values for unknown vertices [7]"),
+])
+def test_from_vertex_values_names_ids_that_are_not_vertices(values, message):
+    """Ids that are not vertices are named before missing vertices."""
+    with pytest.raises(GraphError) as exc:
+        PAFunction.from_vertex_values(_path_1_2(), values)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("edge_id, offset, toward_v, message", [
+    ("e", 0.5, True, "edge e: offset 0.5 is not an int or a Fraction"),
+    ("e", "1/2", True, "edge e: offset '1/2' is not an int or a Fraction"),
+    ("e", None, False, "edge e: offset None is not an int or a Fraction"),
+    ("e", True, True, "edge e: offset True is not an int or a Fraction"),
+    ("e", -1, True, "edge e: offset -1 lies outside [0, 1]"),
+    ("e", -1, False, "edge e: offset -1 lies outside [0, 1]"),
+    ("e", 5, False, "edge e: offset 5 lies outside [0, 1]"),
+    ("f", F(5, 2), True, "edge f: offset 5/2 lies outside [0, 2]"),
+    ("f", F(-1, 3), False, "edge f: offset -1/3 lies outside [0, 2]"),
+])
+def test_next_breakpoint_refuses_an_offset_off_the_edge(edge_id, offset,
+                                                        toward_v, message):
+    f = PAFunction.from_vertex_values(_path_1_2(), {"a": 0, "b": 1, "c": 3})
+    with pytest.raises(GraphError) as exc:
+        f.next_breakpoint(edge_id, offset, toward_v)
+    assert str(exc.value) == message
+
+
 def test_from_vertex_values_rejects_isolated_vertices():
     g = graph_from({"vertices": ["a", "b", "c"],
                     "edges": [{"u": "a", "v": "b", "len": 1, "id": "e"}],

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from skelpot import (Edge, EdgePoint, GraphError, MetricGraph, PAFunction,
-                     Vertex, green, integrate)
+                     Vertex, green, integrate, linear_combine)
+from skelpot.rational import parse_rational
+from skelpot.randgen import random_graph, random_pa_function
 from skelpot.rationalize import (RationalizationError, rationalize,
                                  tent_decompose, tent_reconstruction)
 
@@ -190,6 +193,34 @@ def test_decimal_json_input_parses_exactly():
     cert = rationalize(f, g_in, F(1, 1000))
     assert cert.ok
     assert cert.output.vertex_value("b") == F(1, 2)
+
+
+def test_pairings_against_one_laplacian_equal_the_stated_forms():
+    """The certificate takes both pairings and the bound's mass from ddc f
+    alone; on seeded multigraphs (loops, parallel edges) with kinked f and
+    G they equal integral f ddc G' and integral f ddc G, and the bound is
+    |ddc f| * (value snap + Lipschitz(G) * offset snap)."""
+    rng = random.Random(47)
+    loops = parallels = moved = 0
+    for _ in range(40):
+        g = random_graph(rng, max_vertices=6, max_edges=12)
+        ends = [frozenset((e.u, e.v)) for e in g.edges]
+        loops += any(len(pair) == 1 for pair in ends)
+        parallels += len(set(ends)) < len(ends)
+        f = random_pa_function(rng, g, max_kinks=3)
+        g_in = linear_combine([(1, random_pa_function(rng, g, max_kinks=3)),
+                               (F(1, 10**6), random_pa_function(rng, g))])
+        cert = rationalize(f, g_in, F(1, 1000))
+        assert cert.pairing == integrate(f, cert.output.ddc())
+        assert cert.pairing_input == integrate(f, g_in.ddc())
+        moved += cert.pairing != cert.pairing_input
+        checks = cert.checks
+        snap = (parse_rational(checks["values_rational"]["max_value_snap"])
+                + g_in.max_abs_slope() * parse_rational(
+                    checks["kinks_rational"]["max_offset_snap"]))
+        assert parse_rational(checks["pairing_bound"]["bound"]) == \
+            f.ddc().total_variation() * snap
+    assert loops and parallels and moved
 
 
 @pytest.mark.parametrize("bad", [0.01, "1/100", True])
